@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dpsyn_core::{Objective, Synthesizer};
 use dpsyn_power::ProbabilityAnalysis;
-use dpsyn_sim::{LaneSim, Simulator, Stimulus, LANES};
+use dpsyn_sim::{BlockSim, Simulator, Stimulus, LANES};
 use dpsyn_tech::TechLibrary;
 use dpsyn_timing::TimingAnalysis;
 
@@ -56,20 +56,21 @@ fn bench_analysis(criterion: &mut Criterion) {
             }
         })
     });
-    // The same work on the 64-lane engine: 100 vectors fit into two lane passes.
+    // The same work on the block engine at B = 1: 100 vectors fit into two
+    // 64-lane passes.
     group.bench_function("lane_simulation_100_vectors", |bencher| {
-        let simulator = LaneSim::compile(netlist).unwrap();
+        let simulator = BlockSim::compile(netlist, 1).unwrap();
         let mut stimulus = Stimulus::with_seed(5);
         let assignments = stimulus.uniform_batch(design.spec(), 100);
         let batches: Vec<Vec<u64>> = assignments
             .chunks(LANES)
             .map(|chunk| {
-                let mut lanes = simulator.lane_buffer();
-                LaneSim::pack_word_assignments(synthesized.word_map(), chunk, &mut lanes);
+                let mut lanes = simulator.block_buffer();
+                simulator.pack_word_assignments(synthesized.word_map(), chunk, &mut lanes);
                 lanes
             })
             .collect();
-        let mut lanes = simulator.lane_buffer();
+        let mut lanes = simulator.block_buffer();
         bencher.iter(|| {
             for batch in &batches {
                 lanes.copy_from_slice(batch);

@@ -1,12 +1,15 @@
-//! Criterion benchmark: SIMD block-engine throughput vs. the 64-lane engine on the
-//! 16×16 Wallace-tree multiplier — the lane engine sweeps 256 vectors as four
-//! 64-vector passes, the block engine (B = 4) as one 256-vector pass.
+//! Criterion benchmark: simulation throughput (vectors/second) on a 16×16
+//! Wallace-tree multiplier (~560 cells) — the scalar oracle one vector at a time,
+//! the block engine at `B = 1` (64 vectors per pass), and at `B = 4` (256 vectors
+//! per pass) — plus a speedup gate.
 //!
-//! Beyond the criterion timings, the harness measures both engines directly and
-//! **asserts the block engine is at least 1.5× faster per vector** — the acceptance
-//! criterion of the block-lane rework (one pass over the op stream amortizes
-//! dispatch across `B` words per net) — and prints a JSON line (the format of the
-//! committed `BENCH_sim.json` baseline) so the perf trajectory can be tracked:
+//! Beyond the criterion timings, the harness measures the three directly and
+//! **asserts two floors**: block 1 is at least 10× faster per vector than the scalar
+//! oracle (bit-parallel evaluation), and block 4 is at least 1.5× faster per vector
+//! than four block-1 passes over the same 256 vectors (one pass over the op stream
+//! amortizes dispatch across `B` words per net). It prints a JSON line (the format
+//! of the committed `BENCH_sim.json` baseline) so the perf trajectory can be
+//! tracked:
 //!
 //! ```bash
 //! cargo bench -p dpsyn-bench --bench sim_block_throughput
@@ -15,19 +18,49 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpsyn_ir::InputSpec;
 use dpsyn_modules::multiplier::wallace_multiply;
-use dpsyn_netlist::{Netlist, Word, WordMap};
-use dpsyn_sim::{BlockSim, LaneSim, Stimulus, DEFAULT_BLOCK, LANES};
+use dpsyn_netlist::{NetId, Netlist, Word, WordMap};
+use dpsyn_sim::{BlockSim, Simulator, Stimulus, DEFAULT_BLOCK, LANES};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// The 16×16 Wallace multiplier workload with one 256-vector stimulus batch packed
-/// both ways: four 64-vector lane buffers and one 4-word block buffer.
+/// One 256-vector stimulus batch for the multiplier in three representations: per-net scalar bits (first 64 vectors), four 64-vector
+/// block-1 buffers, and one 4-word block buffer.
 struct Workload {
-    netlist: Netlist,
+    scalar_vectors: Vec<BTreeMap<NetId, bool>>,
     lane_batches: Vec<Vec<u64>>,
     packed_blocks: Vec<u64>,
 }
 
-fn workload() -> Workload {
+fn workload(lane_sim: &BlockSim, block_sim: &BlockSim, map: &WordMap) -> Workload {
+    let spec = InputSpec::builder()
+        .var("a", 16)
+        .var("b", 16)
+        .build()
+        .expect("valid spec");
+    let mut stimulus = Stimulus::with_seed(2024);
+    let assignments = stimulus.uniform_batch(&spec, block_sim.vectors_per_pass());
+    let scalar_vectors = assignments[..LANES]
+        .iter()
+        .map(|assignment| map.assignment_to_bits(assignment))
+        .collect();
+    let lane_batches = assignments
+        .chunks(LANES)
+        .map(|chunk| {
+            let mut lanes = lane_sim.block_buffer();
+            lane_sim.pack_word_assignments(map, chunk, &mut lanes);
+            lanes
+        })
+        .collect();
+    let mut packed_blocks = block_sim.block_buffer();
+    block_sim.pack_word_assignments(map, &assignments, &mut packed_blocks);
+    Workload {
+        scalar_vectors,
+        lane_batches,
+        packed_blocks,
+    }
+}
+
+fn multiplier() -> (Netlist, WordMap) {
     let mut netlist = Netlist::new("mult16");
     let a: Vec<_> = (0..16)
         .map(|i| netlist.add_input(format!("a{i}")))
@@ -43,108 +76,97 @@ fn workload() -> Workload {
         vec![Word::new("a", a), Word::new("b", b)],
         Word::new("p", product),
     );
-    let spec = InputSpec::builder()
-        .var("a", 16)
-        .var("b", 16)
-        .build()
-        .expect("valid spec");
-    let vectors_per_pass = DEFAULT_BLOCK * LANES;
-    let mut stimulus = Stimulus::with_seed(2024);
-    let assignments = stimulus.uniform_batch(&spec, vectors_per_pass);
-    let lane_batches: Vec<Vec<u64>> = assignments
-        .chunks(LANES)
-        .map(|chunk| {
-            let mut lanes = vec![0u64; netlist.net_count()];
-            LaneSim::pack_word_assignments(&map, chunk, &mut lanes);
-            lanes
-        })
-        .collect();
-    let block_sim = BlockSim::compile(&netlist, DEFAULT_BLOCK).expect("acyclic");
-    let mut packed_blocks = block_sim.block_buffer();
-    block_sim.pack_word_assignments(&map, &assignments, &mut packed_blocks);
-    Workload {
-        netlist,
-        lane_batches,
-        packed_blocks,
+    (netlist, map)
+}
+
+/// One sweep of the 64 scalar vectors.
+fn scalar_sweep(scalar: &Simulator, workload: &Workload) {
+    for vector in &workload.scalar_vectors {
+        black_box(scalar.evaluate(vector));
     }
+}
+
+/// One sweep of the 256 vectors as four block-1 passes.
+fn lane_sweep(lane_sim: &BlockSim, workload: &Workload, lanes: &mut [u64]) {
+    for batch in &workload.lane_batches {
+        lanes.copy_from_slice(batch);
+        lane_sim.evaluate_into(lanes);
+        black_box(lanes[0]);
+    }
+}
+
+/// One sweep of the 256 vectors as a single block pass.
+fn block_sweep(block_sim: &BlockSim, workload: &Workload, blocks: &mut [u64]) {
+    blocks.copy_from_slice(&workload.packed_blocks);
+    block_sim.evaluate_into(blocks);
+    black_box(blocks[0]);
+}
+
+/// Vectors per second of `sweep` (covering `vectors` vectors), repeated until
+/// ~0.2 s have elapsed.
+fn vectors_per_sec(vectors: usize, mut sweep: impl FnMut()) -> f64 {
+    let mut sweeps = 0u64;
+    let start = Instant::now();
+    while start.elapsed().as_millis() < 200 {
+        sweep();
+        sweeps += 1;
+    }
+    (sweeps * vectors as u64) as f64 / start.elapsed().as_secs_f64()
 }
 
 fn bench_sim_block_throughput(criterion: &mut Criterion) {
-    let workload = workload();
-    let lane_sim = LaneSim::compile(&workload.netlist).expect("acyclic");
-    let block_sim = BlockSim::compile(&workload.netlist, DEFAULT_BLOCK).expect("acyclic");
-    let vectors = (DEFAULT_BLOCK * LANES) as u64;
+    let (netlist, map) = multiplier();
+    let scalar = Simulator::compile(&netlist).expect("acyclic");
+    let lane_sim = BlockSim::compile(&netlist, 1).expect("acyclic");
+    let block_sim = BlockSim::compile(&netlist, DEFAULT_BLOCK).expect("acyclic");
+    let workload = workload(&lane_sim, &block_sim, &map);
+    let mut lanes = lane_sim.block_buffer();
+    let mut blocks = block_sim.block_buffer();
     let mut group = criterion.benchmark_group("sim_block_throughput");
     group.sample_size(20);
-    group.bench_function("lane_engine_256_vectors", |bencher| {
-        let mut lanes = lane_sim.lane_buffer();
-        bencher.iter(|| {
-            for batch in &workload.lane_batches {
-                lanes.copy_from_slice(batch);
-                lane_sim.evaluate_into(&mut lanes);
-                black_box(lanes[0]);
-            }
-        })
+    group.bench_function("scalar_oracle_64_vectors", |bencher| {
+        bencher.iter(|| scalar_sweep(&scalar, &workload))
+    });
+    group.bench_function("block1_engine_256_vectors", |bencher| {
+        bencher.iter(|| lane_sweep(&lane_sim, &workload, &mut lanes))
     });
     group.bench_function("block_engine_256_vectors", |bencher| {
-        let mut blocks = block_sim.block_buffer();
-        bencher.iter(|| {
-            blocks.copy_from_slice(&workload.packed_blocks);
-            block_sim.evaluate_into(&mut blocks);
-            black_box(blocks[0]);
-        })
+        bencher.iter(|| block_sweep(&block_sim, &workload, &mut blocks))
     });
     group.finish();
 
-    speedup_gate(&workload, &lane_sim, &block_sim, vectors);
-}
-
-/// Times both engines directly, prints the `BENCH_sim.json` record, and enforces the
-/// ≥ 1.5× block-vs-lane acceptance criterion.
-fn speedup_gate(workload: &Workload, lane_sim: &LaneSim, block_sim: &BlockSim, vectors: u64) {
-    // Lane engine: four 64-vector passes cover the 256-vector sweep; repeat until
-    // ~0.2 s have elapsed.
-    let mut lanes = lane_sim.lane_buffer();
-    let mut lane_sweeps = 0u64;
-    let lane_start = Instant::now();
-    while lane_start.elapsed().as_millis() < 200 {
-        for batch in &workload.lane_batches {
-            lanes.copy_from_slice(batch);
-            lane_sim.evaluate_into(&mut lanes);
-            black_box(lanes[0]);
-        }
-        lane_sweeps += 1;
-    }
-    let lane_vps = (lane_sweeps * vectors) as f64 / lane_start.elapsed().as_secs_f64();
-
-    // Block engine: one pass covers all 256 vectors.
-    let mut blocks = block_sim.block_buffer();
-    let mut block_sweeps = 0u64;
-    let block_start = Instant::now();
-    while block_start.elapsed().as_millis() < 200 {
-        blocks.copy_from_slice(&workload.packed_blocks);
-        block_sim.evaluate_into(&mut blocks);
-        black_box(blocks[0]);
-        block_sweeps += 1;
-    }
-    let block_vps = (block_sweeps * vectors) as f64 / block_start.elapsed().as_secs_f64();
-
-    let speedup = block_vps / lane_vps;
+    // Speedup gate: time the three directly, print the `BENCH_sim.json` record,
+    // and enforce both floors.
+    let vectors = block_sim.vectors_per_pass();
+    let scalar_vps = vectors_per_sec(LANES, || scalar_sweep(&scalar, &workload));
+    let lane_vps = vectors_per_sec(vectors, || lane_sweep(&lane_sim, &workload, &mut lanes));
+    let block_vps = vectors_per_sec(vectors, || block_sweep(&block_sim, &workload, &mut blocks));
+    let lane_vs_scalar = lane_vps / scalar_vps;
+    let block_vs_lane = block_vps / lane_vps;
     println!(
         "{{\"workload\": \"wallace_mult_16x16\", \"cells\": {}, \"nets\": {}, \
-         \"block\": {}, \"lane_vectors_per_sec\": {:.0}, \
-         \"block_vectors_per_sec\": {:.0}, \"block_vs_lane_speedup\": {:.2}}}",
-        workload.netlist.cell_count(),
-        workload.netlist.net_count(),
+         \"block\": {}, \"scalar_vectors_per_sec\": {:.0}, \
+         \"lane_vectors_per_sec\": {:.0}, \"block_vectors_per_sec\": {:.0}, \
+         \"lane_vs_scalar_speedup\": {:.1}, \"block_vs_lane_speedup\": {:.2}}}",
+        netlist.cell_count(),
+        netlist.net_count(),
         DEFAULT_BLOCK,
+        scalar_vps,
         lane_vps,
         block_vps,
-        speedup
+        lane_vs_scalar,
+        block_vs_lane
     );
     assert!(
-        speedup >= 1.5,
-        "block engine must be at least 1.5x faster than repeated lane passes \
-         (measured {speedup:.2}x: {block_vps:.0} vs {lane_vps:.0} vectors/sec)"
+        lane_vs_scalar >= 10.0,
+        "the block engine at B = 1 must be at least 10x faster than the scalar oracle \
+         (measured {lane_vs_scalar:.1}x: {lane_vps:.0} vs {scalar_vps:.0} vectors/sec)"
+    );
+    assert!(
+        block_vs_lane >= 1.5,
+        "the block engine at B = {DEFAULT_BLOCK} must be at least 1.5x faster than \
+         repeated B = 1 passes (measured {block_vs_lane:.2}x: {block_vps:.0} vs \
+         {lane_vps:.0} vectors/sec)"
     );
 }
 

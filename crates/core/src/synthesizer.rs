@@ -206,7 +206,7 @@ impl SynthesizedDesign {
     }
 
     /// The compiled analysis program of the netlist, built once during synthesis.
-    /// Hand this to `LaneSim::from_compiled`, `TimingAnalysis::run_compiled` or
+    /// Hand this to `BlockSim::from_compiled`, `TimingAnalysis::run_compiled` or
     /// `ProbabilityAnalysis::run_compiled` to re-analyse without re-levelizing.
     pub fn compiled(&self) -> &CompiledNetlist {
         &self.compiled

@@ -762,10 +762,6 @@ fn evaluate(
         faults.on_job_attempt(job.index());
     }
     let design = spec.materialize(job);
-    #[cfg(test)]
-    if design.name() == "__panic__" {
-        panic!("injected evaluation panic (worker-panic tests only)");
-    }
     let activity = spec.sim_activity();
     let sim_on = activity.is_some();
     let lookups = memo.filter(|_| !spec.retain_artifacts);
@@ -1041,94 +1037,6 @@ mod tests {
         let preview = schedule_preview(&spec);
         let sizes: Vec<usize> = preview.chunks().iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![3, 2]);
-    }
-
-    /// A fixed design whose evaluation panics (the `__panic__` injection hook in
-    /// [`evaluate`] is compiled under `cfg(test)` only).
-    fn panicking_design() -> dpsyn_designs::Design {
-        let healthy = dpsyn_designs::x_squared();
-        dpsyn_designs::Design::new(
-            "__panic__",
-            "injected panic for worker-panic tests",
-            &healthy.expr().to_string(),
-            healthy.spec().clone(),
-            healthy.output_width(),
-        )
-    }
-
-    #[test]
-    fn panicking_jobs_are_retried_then_quarantined_not_fatal() {
-        // The panicking design sits *after* a healthy one, so its job indices are
-        // 2 and 3 (two flows per design) and healthy jobs complete around it. Its
-        // evaluation panics on *every* attempt, so both jobs exhaust the retry
-        // budget and land in quarantine — the sweep itself still succeeds, with
-        // identical results for every thread count.
-        for threads in [1, 2, 4] {
-            let spec = ExplorationSpec::builder()
-                .design(dpsyn_designs::x_squared())
-                .design(panicking_design())
-                .flows([Flow::FaAot, Flow::Conventional])
-                .threads(threads)
-                .seed(7)
-                .build()
-                .expect("panic-injection spec is well-formed");
-            let results = explore(&spec).expect("a poisoned job must not fail the sweep");
-            assert_eq!(
-                results.points().len(),
-                2,
-                "the healthy design's two jobs complete"
-            );
-            let indices: Vec<usize> = results.quarantined().iter().map(|job| job.index).collect();
-            assert_eq!(indices, vec![2, 3], "quarantine order is canonical");
-            for job in results.quarantined() {
-                assert_eq!(job.attempts, JOB_ATTEMPT_LIMIT, "full retry budget spent");
-                assert!(
-                    job.reason.contains("injected evaluation panic"),
-                    "the panic message is preserved (got {:?})",
-                    job.reason
-                );
-                assert!(
-                    job.label.contains("__panic__"),
-                    "the label names the poisoned design (got {:?})",
-                    job.label
-                );
-            }
-            let summary = results.render_summary();
-            assert!(
-                summary.contains("quarantined jobs (2):"),
-                "the summary reports the quarantine section"
-            );
-        }
-    }
-
-    #[test]
-    fn transient_panics_are_retried_to_success() {
-        // A fault plan that panics job 2's first attempt only: the supervised
-        // retry succeeds on attempt 2 and the sweep is complete — no quarantine,
-        // and the results match a fault-free run of the same spec.
-        let build = |faults: Option<std::sync::Arc<crate::faults::FaultPlan>>| {
-            let mut builder = ExplorationSpec::builder()
-                .sum_workload(2)
-                .widths([3, 4])
-                .flows([Flow::Conventional])
-                .threads(2)
-                .seed(11);
-            if let Some(plan) = faults {
-                builder = builder.faults(plan);
-            }
-            builder.build().expect("spec is well-formed")
-        };
-        let plan = crate::faults::FaultPlan::builder().panic_job(1, 1).build();
-        let faulted = build(Some(std::sync::Arc::clone(&plan)));
-        let results = explore(&faulted).expect("one transient panic must be retried");
-        assert!(results.quarantined().is_empty(), "the retry succeeded");
-        assert_eq!(plan.job_attempts(1), 2, "attempt 1 panicked, attempt 2 ran");
-        let clean = explore(&build(None)).expect("fault-free run");
-        assert_eq!(
-            results.render_summary(),
-            clean.render_summary(),
-            "recovered results are byte-identical to the fault-free run"
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Typed errors of the exploration engine.
 
-use crate::spec::{BiasProfile, SkewProfile};
+use crate::spec::{BiasProfile, SkewProfile, MAX_SIM_VECTORS};
 use dpsyn_baselines::BaselineError;
 use std::error::Error;
 use std::fmt;
@@ -38,8 +38,9 @@ pub enum ExploreError {
     InvalidBias(f64),
     /// Two probability-bias profiles describe the same probability range.
     ConflictingBiases(BiasProfile, BiasProfile),
-    /// A simulated-activity request asks for fewer than 2 stimulus vectors; toggle
-    /// rates need at least one vector-to-vector transition.
+    /// A simulated-activity request asks for fewer than 2 stimulus vectors (toggle
+    /// rates need at least one vector-to-vector transition) or more than
+    /// [`MAX_SIM_VECTORS`].
     InvalidSimVectors(usize),
     /// The simulated switching-activity metric failed on one job (block-engine
     /// compilation or technology resolution of the synthesized netlist).
@@ -136,10 +137,15 @@ impl fmt::Display for ExploreError {
                 "probability-bias profiles {first} and {second} conflict: they \
                  describe the same probability range and would enumerate duplicate jobs"
             ),
-            ExploreError::InvalidSimVectors(vectors) => write!(
+            ExploreError::InvalidSimVectors(vectors) if *vectors < 2 => write!(
                 f,
                 "simulated activity with {vectors} vector(s) is invalid (at least 2 \
                  vectors are needed to witness a toggle)"
+            ),
+            ExploreError::InvalidSimVectors(vectors) => write!(
+                f,
+                "simulated activity with {vectors} vector(s) is invalid (at most \
+                 {MAX_SIM_VECTORS} vectors are simulated per point)"
             ),
             ExploreError::Sim { job, message } => {
                 write!(f, "simulated activity failed on job `{job}`: {message}")

@@ -175,10 +175,16 @@ pub enum StealPolicy {
 pub struct SimActivity {
     /// Seed of the shared stimulus batch (independent of the exploration seed).
     pub seed: u64,
-    /// Stimulus vectors simulated per design point (at least 2 — toggle rates need
-    /// a transition).
+    /// Stimulus vectors simulated per design point: at least 2 (toggle rates need
+    /// a transition) and at most [`MAX_SIM_VECTORS`].
     pub vectors: usize,
 }
+
+/// Upper bound on [`SimActivity::vectors`]. The shared stimulus batch holds one
+/// `f64` per input bit per vector, so an unbounded count from a spec or a serve
+/// request could ask for terabytes and abort the process; larger counts are
+/// rejected with [`ExploreError::InvalidSimVectors`].
+pub const MAX_SIM_VECTORS: usize = 65_536;
 
 /// Default over-partitioning factor: each `(source, width, flow)` group is cut into
 /// up to `threads × 4` chunks (capped at the group length). Finer chunks let the
@@ -587,7 +593,8 @@ impl ExplorationSpecBuilder {
     /// Returns a typed [`ExploreError`] when the `threads` field is explicitly zero,
     /// the `overpartition` factor is zero, a width is zero, a workload source lacks
     /// widths or operands, a skew/bias profile is invalid or conflicts with another,
-    /// a simulated-activity request asks for fewer than 2 vectors, or the matrix
+    /// a simulated-activity request asks for fewer than 2 or more than
+    /// [`MAX_SIM_VECTORS`] vectors, or the matrix
     /// enumerates no jobs.
     pub fn build(mut self) -> Result<ExplorationSpec, ExploreError> {
         self.spec.threads = match self.threads {
@@ -606,7 +613,7 @@ impl ExplorationSpecBuilder {
         if let Some(activity) = self.spec.sim_activity {
             // Toggle rates divide by `vectors - 1` transitions; fewer than two
             // vectors cannot witness a single toggle.
-            if activity.vectors < 2 {
+            if !(2..=MAX_SIM_VECTORS).contains(&activity.vectors) {
                 return Err(ExploreError::InvalidSimVectors(activity.vectors));
             }
         }

@@ -1,7 +1,9 @@
 //! Error-path unit tests: malformed specifications return typed `ExploreError`s (with
 //! `Display` coverage), never panics.
 
-use dpsyn_explore::{BiasProfile, ExplorationSpec, ExploreError, Flow, SkewProfile};
+use dpsyn_explore::{
+    BiasProfile, ExplorationSpec, ExploreError, Flow, SimActivity, SkewProfile, MAX_SIM_VECTORS,
+};
 use std::error::Error as _;
 
 #[test]
@@ -66,6 +68,32 @@ fn zero_overpartition() {
         .expect_err("a zero overpartition factor must not build");
     assert!(matches!(error, ExploreError::ZeroOverpartition));
     assert!(error.to_string().contains("`overpartition`"));
+}
+
+#[test]
+fn sim_vector_counts_outside_the_supported_range() {
+    let build = |vectors| {
+        ExplorationSpec::builder()
+            .design(dpsyn_designs::x_squared())
+            .flow(Flow::Conventional)
+            .sim_activity(SimActivity { seed: 1, vectors })
+            .build()
+    };
+    let error = build(1).expect_err("one vector cannot witness a toggle");
+    assert!(matches!(error, ExploreError::InvalidSimVectors(1)));
+    assert!(error.to_string().contains("at least 2 vectors"));
+    // An oversized count is rejected before any stimulus is allocated: 1e11
+    // vectors would otherwise ask for terabytes and abort the process.
+    for vectors in [MAX_SIM_VECTORS + 1, 100_000_000_000, usize::MAX] {
+        let error = build(vectors).expect_err("oversized counts must not build");
+        assert!(matches!(error, ExploreError::InvalidSimVectors(v) if v == vectors));
+        assert!(error
+            .to_string()
+            .contains(&format!("at most {MAX_SIM_VECTORS}")));
+    }
+    for vectors in [2, MAX_SIM_VECTORS] {
+        build(vectors).expect("the bounds themselves are accepted");
+    }
 }
 
 #[test]

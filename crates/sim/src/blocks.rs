@@ -1,10 +1,14 @@
-//! The SIMD block-lane evaluation core: `B` lane words per net.
+//! The bit-parallel evaluation core: `B` lane words of 64 vectors per net.
 //!
-//! [`BlockSim`] widens [`LaneSim`](crate::LaneSim) from one `u64` lane word per net
-//! to a configurable block of `B` consecutive words, evaluating `B × 64` stimulus
-//! vectors per pass. The lane buffer is a flat `Vec<u64>` chunked `[u64; B]`-wise:
-//! net `n` owns words `n·B .. n·B + B`, and stimulus vector `v` lives in bit
-//! `v mod 64` of word `v / 64` of every net's block.
+//! [`BlockSim`] evaluates the shared [`CompiledNetlist`] program — the levelized
+//! three-address op array `dpsyn-netlist` builds once per netlist and every analysis
+//! (timing, power, this simulator) consumes — **`B × 64` stimulus vectors per pass**.
+//! One vector is packed into each bit of a `u64` lane word, so every gate becomes one
+//! or two bitwise machine operations per word (SIMD-within-a-register). The buffer is
+//! a flat `Vec<u64>` chunked `[u64; B]`-wise: net `n` owns words `n·B .. n·B + B`, and
+//! stimulus vector `v` lives in bit `v mod 64` of word `v / 64` of every net's block.
+//! At `B = 1` this is the classic 64-lane layout: one word per net, bit `t` is vector
+//! `t`.
 //!
 //! The inner loop is written for autovectorization: the block size is dispatched
 //! **once** per evaluation call to a monomorphized const-generic kernel, so inside
@@ -12,14 +16,26 @@
 //! `[u64; B]` arrays with no per-op branching on the block size — exactly the shape
 //! LLVM turns into full-width vector ops.
 //!
-//! Correctness is anchored the same way the 64-lane engine is anchored to the
-//! scalar interpreter: the differential suite in `crates/sim/tests/prop_blocks.rs`
-//! requires bit-identical outputs and exact toggle parity against [`LaneSim`] for
-//! every supported block size, so the oracle chain is scalar → lanes → blocks.
+//! Correctness is anchored to the scalar [`Simulator`](crate::Simulator): the
+//! differential suite in `crates/sim/tests/prop_blocks.rs` requires bit-identical
+//! values on every net of every vector and exact toggle parity for every supported
+//! block size, so the oracle chain is scalar → blocks.
 
-use crate::{SimError, LANES};
+use crate::SimError;
 use dpsyn_netlist::{CellKind, CompiledNetlist, NetId, Netlist, WordMap};
 use std::collections::BTreeMap;
+
+/// Stimulus vectors per lane word: one per bit of a `u64`.
+pub const LANES: usize = 64;
+
+/// The set of bits a partially filled word of `count ≤ 64` vectors occupies.
+pub(crate) fn lane_mask(count: usize) -> u64 {
+    match count {
+        0 => 0,
+        count if count >= LANES => u64::MAX,
+        count => (1u64 << count) - 1,
+    }
+}
 
 /// Default block size: 4 lane words (256 vectors) per net per pass.
 pub const DEFAULT_BLOCK: usize = 4;
@@ -205,8 +221,8 @@ impl BlockSim {
     }
 
     /// Evaluates up to `B × 64` word-level assignments in one pass and returns the
-    /// output word value of each, in order — the block counterpart of
-    /// [`LaneSim::evaluate_word_batch`](crate::LaneSim::evaluate_word_batch).
+    /// output word value of each, in order — the batched counterpart of
+    /// [`Simulator::evaluate_words`](crate::Simulator::evaluate_words).
     ///
     /// # Panics
     ///
@@ -242,8 +258,8 @@ fn store<const B: usize>(blocks: &mut [u64], net: NetId, words: [u64; B]) {
     blocks[base..base + B].copy_from_slice(&words);
 }
 
-/// The monomorphized evaluation kernel: the [`LaneSim`](crate::LaneSim) gate
-/// semantics lifted word-wise over `[u64; B]` blocks.
+/// The monomorphized evaluation kernel: the scalar gate semantics lifted bitwise
+/// over `[u64; B]` blocks.
 fn evaluate_blocks<const B: usize>(compiled: &CompiledNetlist, blocks: &mut [u64]) {
     for op in compiled.ops() {
         match op.kind {
@@ -355,7 +371,7 @@ fn evaluate_blocks<const B: usize>(compiled: &CompiledNetlist, blocks: &mut [u64
 mod tests {
     use super::*;
     use crate::tests::ripple2;
-    use crate::LaneSim;
+    use crate::Simulator;
 
     fn ripple_assignments(count: usize) -> Vec<BTreeMap<String, u64>> {
         (0..count as u64)
@@ -387,20 +403,49 @@ mod tests {
 
     #[test]
     fn block_one_matches_the_lane_engine_word_for_word() {
+        // B = 1 is the 64-lane layout: one word per net, bit t = vector t. Every
+        // net's word must agree with the scalar oracle lane by lane.
         let (netlist, map) = ripple2();
-        let lanes = LaneSim::compile(&netlist).unwrap();
-        let blocks = BlockSim::compile(&netlist, 1).unwrap();
+        let sim = BlockSim::compile(&netlist, 1).unwrap();
+        let scalar = Simulator::compile(&netlist).unwrap();
         let assignments = ripple_assignments(LANES);
-        let mut lane_buffer = lanes.lane_buffer();
-        LaneSim::pack_word_assignments(&map, &assignments, &mut lane_buffer);
-        lanes.evaluate_into(&mut lane_buffer);
-        let mut block_buffer = blocks.block_buffer();
-        blocks.pack_word_assignments(&map, &assignments, &mut block_buffer);
-        blocks.evaluate_into(&mut block_buffer);
+        let mut blocks = sim.block_buffer();
+        sim.pack_word_assignments(&map, &assignments, &mut blocks);
+        sim.evaluate_into(&mut blocks);
+        assert_eq!(blocks.len(), netlist.net_count(), "one word per net");
+        for (lane, assignment) in assignments.iter().enumerate() {
+            let values = scalar.evaluate(&map.assignment_to_bits(assignment));
+            for (net, value) in values.iter().enumerate() {
+                assert_eq!(
+                    (blocks[net] >> lane) & 1 == 1,
+                    *value,
+                    "net {net} lane {lane}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_compiled_shares_the_program() {
+        let (netlist, map) = ripple2();
+        let compiled = netlist.compile().unwrap();
+        let shared = BlockSim::from_compiled(compiled.clone(), DEFAULT_BLOCK);
+        let fresh = BlockSim::compile(&netlist, DEFAULT_BLOCK).unwrap();
+        assert_eq!(shared.compiled(), &compiled);
+        let assignments = ripple_assignments(16);
         assert_eq!(
-            lane_buffer, block_buffer,
-            "B = 1 is the lane layout exactly"
+            shared.evaluate_word_batch(&map, &assignments),
+            fresh.evaluate_word_batch(&map, &assignments)
         );
+    }
+
+    #[test]
+    fn lane_mask_covers_partial_batches() {
+        assert_eq!(lane_mask(0), 0);
+        assert_eq!(lane_mask(1), 1);
+        assert_eq!(lane_mask(63), u64::MAX >> 1);
+        assert_eq!(lane_mask(64), u64::MAX);
+        assert_eq!(lane_mask(65), u64::MAX);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Functional equivalence checking between a netlist and the golden expression model.
 
-use crate::{LaneSim, SimError, Stimulus, LANES};
+use crate::{BlockSim, SimError, Stimulus, DEFAULT_BLOCK};
 use dpsyn_ir::{Expr, InputSpec};
 use dpsyn_netlist::{Netlist, WordMap};
 
@@ -10,10 +10,11 @@ use dpsyn_netlist::{Netlist, WordMap};
 ///
 /// `width` is the output width the expression is reduced modulo.
 ///
-/// The netlist side runs on the bit-parallel [`LaneSim`] engine, 64 assignments per
-/// pass; the stimulus stream (exhaustive enumeration order, random draws and their
-/// seeding) is unchanged from the historical scalar implementation, so
-/// counterexamples and pass/fail behaviour are reproducible across both engines.
+/// The netlist side runs on the bit-parallel [`BlockSim`] engine at
+/// [`DEFAULT_BLOCK`], `DEFAULT_BLOCK × 64` assignments per pass, checked in order;
+/// the stimulus stream (exhaustive enumeration order, random draws and their
+/// seeding) is unchanged from the historical scalar implementation, so the first
+/// counterexample and pass/fail behaviour do not depend on the pass width.
 ///
 /// # Errors
 ///
@@ -28,17 +29,17 @@ pub fn check_equivalence(
     random_vectors: usize,
     seed: u64,
 ) -> Result<(), SimError> {
-    let simulator = LaneSim::compile(netlist)?;
+    let simulator = BlockSim::compile(netlist, DEFAULT_BLOCK)?;
     let mut stimulus = Stimulus::with_seed(seed);
     let assignments = Stimulus::exhaustive_assignments(spec, 16)
         .unwrap_or_else(|| stimulus.uniform_batch(spec, random_vectors));
-    let mut lanes = simulator.lane_buffer();
-    for chunk in assignments.chunks(LANES) {
-        LaneSim::pack_word_assignments(map, chunk, &mut lanes);
-        simulator.evaluate_into(&mut lanes);
-        for (lane, assignment) in chunk.iter().enumerate() {
+    let mut blocks = simulator.block_buffer();
+    for chunk in assignments.chunks(simulator.vectors_per_pass()) {
+        simulator.pack_word_assignments(map, chunk, &mut blocks);
+        simulator.evaluate_into(&mut blocks);
+        for (vector, assignment) in chunk.iter().enumerate() {
             let expected = expr.evaluate_mod(assignment, width)?;
-            let actual = LaneSim::unpack_output(map, &lanes, lane);
+            let actual = simulator.unpack_output(map, &blocks, vector);
             if expected != actual {
                 return Err(SimError::Mismatch {
                     assignment: assignment.clone(),

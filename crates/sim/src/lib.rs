@@ -6,35 +6,33 @@
 //!
 //! * [`BlockSim`] — the production engine. The netlist is compiled once into a
 //!   levelized flat program evaluated **`B × 64` stimulus vectors per pass**: each net
-//!   owns a block of `B` consecutive `u64` lane words (default `B = 4`, 256 vectors),
-//!   and the monomorphized inner loop is shaped for SIMD autovectorization.
-//! * [`LaneSim`] — the 64-lane engine (`B = 1` layout), kept as the differential
-//!   oracle the block engine is tested against, exactly as the scalar interpreter
-//!   anchors the lanes.
+//!   owns a block of `B` consecutive `u64` lane words (`B` one of [`BLOCK_SIZES`],
+//!   default [`DEFAULT_BLOCK`] = 4, 256 vectors), and the monomorphized inner loop is
+//!   shaped for SIMD autovectorization. `B = 1` is the classic 64-lane layout.
 //! * [`Simulator`] — the scalar reference evaluator, one vector at a time. It is the
-//!   oracle the lane engine is differentially tested against (`crates/sim/tests/`),
-//!   closing the oracle chain scalar → lanes → blocks.
+//!   oracle the block engine is differentially tested against at every block size
+//!   (`crates/sim/tests/`), closing the oracle chain scalar → blocks.
 //!
 //! On top of the engines the crate provides:
 //!
 //! * [`check_equivalence`] — exhaustive or randomised functional comparison of a
 //!   synthesized netlist against the golden [`Expr`](dpsyn_ir::Expr) model of
-//!   `dpsyn-ir`, batched 64 assignments per lane pass;
+//!   `dpsyn-ir`, batched one block pass at a time;
 //! * [`ToggleCounter`] — zero-delay transition counting over a vector sequence
-//!   (lane batches reduce to `count_ones` over lane XORs), giving a simulation-based
-//!   estimate of per-net switching activity that cross-validates the analytic model
-//!   of `dpsyn-power`;
+//!   (block batches reduce to `count_ones` over lane-word XORs), giving a
+//!   simulation-based estimate of per-net switching activity that cross-validates
+//!   the analytic model of `dpsyn-power`;
 //! * [`Stimulus`] — random vector generation honouring per-input signal
-//!   probabilities, with batch helpers sized for lane passes; [`SharedStimulus`]
+//!   probabilities, with batch helpers sized for block passes; [`SharedStimulus`]
 //!   pre-draws one raw sample batch reusable across probability profiles (the
 //!   explorer's per-group stimulus sharing).
 //!
-//! # Example: the lane API
+//! # Example: the block API
 //!
 //! ```
 //! # use std::error::Error;
 //! use dpsyn_netlist::{CellKind, Netlist, Word, WordMap};
-//! use dpsyn_sim::LaneSim;
+//! use dpsyn_sim::{BlockSim, DEFAULT_BLOCK};
 //! use std::collections::BTreeMap;
 //!
 //! # fn main() -> Result<(), Box<dyn Error>> {
@@ -50,8 +48,8 @@
 //!     vec![Word::new("a", vec![a]), Word::new("b", vec![b]), Word::new("c", vec![c])],
 //!     Word::new("out", vec![outs[0], outs[1]]),
 //! );
-//! let simulator = LaneSim::compile(&netlist)?;
-//! // All eight input combinations in ONE evaluation pass (56 lanes to spare).
+//! let simulator = BlockSim::compile(&netlist, DEFAULT_BLOCK)?;
+//! // All eight input combinations in ONE evaluation pass (248 vectors to spare).
 //! let batch: Vec<BTreeMap<String, u64>> = (0..8u64)
 //!     .map(|pattern| {
 //!         let mut assignment = BTreeMap::new();
@@ -78,18 +76,16 @@
 mod blocks;
 mod equiv;
 mod error;
-mod lanes;
 mod scalar;
 mod stimulus;
 mod toggle;
 
-pub use blocks::{BlockSim, BLOCK_SIZES, DEFAULT_BLOCK};
+pub use blocks::{BlockSim, BLOCK_SIZES, DEFAULT_BLOCK, LANES};
 pub use equiv::check_equivalence;
 pub use error::SimError;
-pub use lanes::{lane_mask, LaneSim, LANES};
 pub use scalar::Simulator;
 pub use stimulus::{SharedStimulus, Stimulus};
-pub use toggle::{measure_toggles, measure_toggles_blocks, ToggleCounter};
+pub use toggle::{measure_toggles, ToggleCounter};
 
 #[cfg(test)]
 pub(crate) mod tests {

@@ -2,8 +2,8 @@
 //!
 //! [`Simulator`] is the original interpreter of this crate, kept deliberately simple
 //! (per-cell [`CellKind::evaluate`](dpsyn_netlist::CellKind::evaluate) dispatch over a
-//! `Vec<bool>` net image). The production hot path is the 64-lane engine in
-//! [`crate::lanes`]; this module is its oracle — the differential suites in
+//! `Vec<bool>` net image). The production hot path is the block engine in
+//! [`crate::blocks`]; this module is its oracle — the differential suites in
 //! `crates/sim/tests/` require the two to agree bit-for-bit on every net.
 
 use crate::SimError;
@@ -14,8 +14,8 @@ use std::collections::BTreeMap;
 /// repeated single-vector evaluation.
 ///
 /// This is the *reference* evaluator. It trades speed for obviousness and serves as
-/// the oracle that the bit-parallel [`LaneSim`](crate::LaneSim) is differentially
-/// tested against; use `LaneSim` when throughput matters.
+/// the oracle that the bit-parallel [`BlockSim`](crate::BlockSim) is differentially
+/// tested against; use `BlockSim` when throughput matters.
 #[derive(Debug, Clone)]
 pub struct Simulator<'nl> {
     netlist: &'nl Netlist,

@@ -35,7 +35,8 @@ impl Stimulus {
     }
 
     /// Draws `count` uniformly random assignments — the natural batch size is
-    /// [`LANES`](crate::LANES), one batch per lane pass.
+    /// [`BlockSim::vectors_per_pass`](crate::BlockSim::vectors_per_pass), one batch
+    /// per block pass.
     pub fn uniform_batch(&mut self, spec: &InputSpec, count: usize) -> Vec<BTreeMap<String, u64>> {
         (0..count).map(|_| self.uniform_assignment(spec)).collect()
     }

@@ -1,6 +1,7 @@
 //! Zero-delay toggle counting over a sequence of input vectors.
 
-use crate::{lane_mask, BlockSim, LaneSim, SimError, Stimulus, LANES};
+use crate::blocks::lane_mask;
+use crate::{BlockSim, SimError, Stimulus, DEFAULT_BLOCK, LANES};
 use dpsyn_ir::InputSpec;
 use dpsyn_netlist::{NetId, Netlist, WordMap};
 
@@ -12,9 +13,9 @@ use dpsyn_netlist::{NetId, Netlist, WordMap};
 /// consecutive independent samples differ).
 ///
 /// Vectors arrive either one at a time ([`ToggleCounter::record`], the scalar path) or
-/// 64 at a time as lane words ([`ToggleCounter::record_lanes`]); the two paths count
-/// the same sequence identically, including across batch boundaries, so they may be
-/// mixed freely.
+/// up to `block × 64` at a time from a [`BlockSim`] buffer
+/// ([`ToggleCounter::record_blocks`]); the two paths count the same sequence
+/// identically, including across batch boundaries, so they may be mixed freely.
 #[derive(Debug, Clone)]
 pub struct ToggleCounter {
     toggles: Vec<u64>,
@@ -45,58 +46,15 @@ impl ToggleCounter {
         self.vectors += 1;
     }
 
-    /// Records `count ≤ 64` consecutive vectors at once from an evaluated lane
-    /// buffer: bit `t` of `lanes[net]` is the value of the net under vector `t`.
-    ///
-    /// Within-batch transitions reduce to `count_ones` over lane XORs
-    /// (`lanes ^ (lanes >> 1)` marks every adjacent pair that differs); the seam to
-    /// the previously recorded vector is handled separately, so chunking a sequence
-    /// into batches of any sizes counts exactly like feeding it vector by vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `count` is 0 or exceeds [`LANES`], or when `lanes` is shorter than
-    /// the net count the counter was created for.
-    pub fn record_lanes(&mut self, lanes: &[u64], count: usize) {
-        assert!(
-            (1..=LANES).contains(&count),
-            "a lane batch holds between 1 and {LANES} vectors"
-        );
-        assert!(
-            lanes.len() >= self.toggles.len(),
-            "lane buffer shorter than the net count"
-        );
-        // Seam: the last previously recorded vector against lane bit 0.
-        if let Some(previous) = &self.previous {
-            for (index, old) in previous.iter().enumerate() {
-                if *old != (lanes[index] & 1 == 1) {
-                    self.toggles[index] += 1;
-                }
-            }
-        }
-        // Within-batch: adjacent lane bits t and t+1 for t in 0..count-1.
-        let pair_mask = lane_mask(count - 1);
-        let last_bit = count - 1;
-        let mut previous = self.previous.take().unwrap_or_default();
-        previous.resize(self.toggles.len(), false);
-        for (index, toggle) in self.toggles.iter_mut().enumerate() {
-            let lane = lanes[index];
-            *toggle += u64::from(((lane ^ (lane >> 1)) & pair_mask).count_ones());
-            previous[index] = (lane >> last_bit) & 1 == 1;
-        }
-        self.previous = Some(previous);
-        self.vectors += count as u64;
-    }
-
     /// Records `count ≤ block × 64` consecutive vectors at once from an evaluated
     /// [`BlockSim`] buffer: net `n` owns words `n·block .. n·block + block`, and
     /// vector `v` is bit `v mod 64` of word `v / 64` of that block.
     ///
-    /// Counting is identical to [`ToggleCounter::record_lanes`] fed the same vector
-    /// sequence in 64-wide chunks: within-word pairs reduce to `count_ones` over
-    /// word XORs, the word-to-word seams inside a block and the seam to the
-    /// previously recorded vector are handled bit-exactly — so block recording,
-    /// lane recording and scalar recording may be mixed freely over one sequence.
+    /// Within-word pairs reduce to `count_ones` over word XORs
+    /// (`word ^ (word >> 1)` marks every adjacent pair that differs); the
+    /// word-to-word seams inside a block and the seam to the previously recorded
+    /// vector are handled bit-exactly, so chunking a sequence into batches of any
+    /// sizes and block widths counts exactly like feeding it vector by vector.
     ///
     /// # Panics
     ///
@@ -177,9 +135,9 @@ impl ToggleCounter {
 ///
 /// The stimulus stream is identical to the historical scalar implementation (one
 /// [`Stimulus::biased_assignment`] draw per vector, in order), but the vectors are
-/// evaluated 64 per pass on the [`LaneSim`] engine and folded into the counter with
-/// [`ToggleCounter::record_lanes`], so the counts are bit-identical to the scalar
-/// path at a fraction of the cost.
+/// evaluated `DEFAULT_BLOCK × 64` per pass on the [`BlockSim`] engine and folded into
+/// the counter with [`ToggleCounter::record_blocks`], so the counts are bit-identical
+/// to the scalar path at a fraction of the cost.
 ///
 /// # Errors
 ///
@@ -191,39 +149,7 @@ pub fn measure_toggles(
     vectors: usize,
     seed: u64,
 ) -> Result<ToggleCounter, SimError> {
-    let simulator = LaneSim::compile(netlist)?;
-    let mut stimulus = Stimulus::with_seed(seed);
-    let mut counter = ToggleCounter::new(netlist.net_count());
-    let mut lanes = simulator.lane_buffer();
-    let mut remaining = vectors;
-    while remaining > 0 {
-        let batch = remaining.min(LANES);
-        let assignments = stimulus.biased_batch(spec, batch);
-        LaneSim::pack_word_assignments(map, &assignments, &mut lanes);
-        simulator.evaluate_into(&mut lanes);
-        counter.record_lanes(&lanes, batch);
-        remaining -= batch;
-    }
-    Ok(counter)
-}
-
-/// [`measure_toggles`] on the [`BlockSim`] engine: the same stimulus stream,
-/// evaluated `block × 64` vectors per pass. Counts are bit-identical to
-/// [`measure_toggles`] (and to the scalar path) by the chunking invariance of
-/// [`ToggleCounter`] — the differential suites pin this for every block size.
-///
-/// # Errors
-///
-/// Returns an error when the netlist cannot be simulated.
-pub fn measure_toggles_blocks(
-    netlist: &Netlist,
-    map: &WordMap,
-    spec: &InputSpec,
-    vectors: usize,
-    seed: u64,
-    block: usize,
-) -> Result<ToggleCounter, SimError> {
-    let simulator = BlockSim::compile(netlist, block)?;
+    let simulator = BlockSim::compile(netlist, DEFAULT_BLOCK)?;
     let mut stimulus = Stimulus::with_seed(seed);
     let mut counter = ToggleCounter::new(netlist.net_count());
     let mut blocks = simulator.block_buffer();
@@ -233,7 +159,7 @@ pub fn measure_toggles_blocks(
         let assignments = stimulus.biased_batch(spec, batch);
         simulator.pack_word_assignments(map, &assignments, &mut blocks);
         simulator.evaluate_into(&mut blocks);
-        counter.record_blocks(&blocks, block, batch);
+        counter.record_blocks(&blocks, simulator.block(), batch);
         remaining -= batch;
     }
     Ok(counter)
@@ -260,8 +186,9 @@ mod tests {
 
     #[test]
     fn lane_recording_matches_scalar_recording() {
-        // The same 7-vector sequence, once vector by vector and once as lane batches
-        // of 3 + 4, must produce identical counts (including the batch seam).
+        // The same 7-vector sequence, once vector by vector and once as one-word
+        // lane batches of 3 + 4, must produce identical counts (including the
+        // batch seam).
         let sequence: [[bool; 2]; 7] = [
             [false, true],
             [true, true],
@@ -287,8 +214,8 @@ mod tests {
             lanes
         };
         let mut lanes_counter = ToggleCounter::new(2);
-        lanes_counter.record_lanes(&pack(0..3), 3);
-        lanes_counter.record_lanes(&pack(3..7), 4);
+        lanes_counter.record_blocks(&pack(0..3), 1, 3);
+        lanes_counter.record_blocks(&pack(3..7), 1, 4);
         assert_eq!(lanes_counter.vectors(), scalar.vectors());
         for net in 0..2 {
             assert_eq!(
@@ -303,8 +230,8 @@ mod tests {
     fn surplus_lane_bits_are_ignored() {
         // Garbage above the active lane count (here, bits 1..64) must not count.
         let mut counter = ToggleCounter::new(1);
-        counter.record_lanes(&[u64::MAX], 1);
-        counter.record_lanes(&[u64::MAX << 1], 1);
+        counter.record_blocks(&[u64::MAX], 1, 1);
+        counter.record_blocks(&[u64::MAX << 1], 1, 1);
         assert_eq!(counter.vectors(), 2);
         assert_eq!(counter.toggles(fake_net(0)), 1);
     }
@@ -312,9 +239,10 @@ mod tests {
     #[test]
     fn block_recording_matches_lane_recording_across_seams() {
         // A 200-vector pseudo-random sequence over 3 nets, recorded (a) vector by
-        // vector, (b) as 64-wide lane batches, (c) as block batches with ragged
-        // tails for every supported block size — all counts must be identical,
-        // covering the word-to-word seams inside a block and the batch seams.
+        // vector and (b) as block batches with ragged tails for every supported
+        // block size (block 1 being 64-wide lane batches) — all counts must be
+        // identical, covering the word-to-word seams inside a block and the batch
+        // seams.
         let nets = 3;
         let total = 200usize;
         let value = |vector: usize, net: usize| (vector * 31 + net * 7) % 3 == 0;
@@ -360,8 +288,8 @@ mod tests {
 
     #[test]
     fn block_and_lane_recording_mix_freely() {
-        // One sequence split across record, record_lanes and record_blocks calls
-        // must count like the pure scalar path.
+        // One sequence split across record calls, a one-word lane batch and a
+        // two-word block batch must count like the pure scalar path.
         let nets = 2;
         let total = 150usize;
         let value = |vector: usize, net: usize| (vector / (net + 1)) % 2 == 1;
@@ -387,7 +315,7 @@ mod tests {
                 }
             }
         }
-        mixed.record_lanes(&lanes, 40);
+        mixed.record_blocks(&lanes, 1, 40);
         cursor += 40;
         // The remaining 100 vectors as one 2-word block batch.
         let block = 2;
@@ -407,28 +335,6 @@ mod tests {
                 scalar.toggles(fake_net(net)),
                 "net {net}"
             );
-        }
-    }
-
-    #[test]
-    fn measure_toggles_blocks_matches_the_lane_measurement() {
-        let (netlist, map) = ripple2();
-        let spec = InputSpec::builder()
-            .var_with_probability("a", 2, 0.3)
-            .var_with_probability("b", 2, 0.7)
-            .build()
-            .unwrap();
-        let lane = measure_toggles(&netlist, &map, &spec, 333, 17).unwrap();
-        for block in [1, 2, 4, 8] {
-            let blocked = measure_toggles_blocks(&netlist, &map, &spec, 333, 17, block).unwrap();
-            assert_eq!(blocked.vectors(), lane.vectors(), "block {block}");
-            for index in 0..netlist.net_count() {
-                assert_eq!(
-                    blocked.toggles(fake_net(index)),
-                    lane.toggles(fake_net(index)),
-                    "block {block}, net {index}"
-                );
-            }
         }
     }
 

@@ -1,10 +1,10 @@
 //! Exhaustive per-cell differential test: every [`CellKind`] is evaluated over its
-//! full input cube three ways — scalar [`CellKind::evaluate`], the 64-lane engine on
-//! a one-cell netlist, and a hand-written truth-table literal — and all three must
-//! agree on every pattern and output pin.
+//! full input cube three ways — scalar [`CellKind::evaluate`], the block engine on a
+//! one-cell netlist at every supported block size, and a hand-written truth-table
+//! literal — and all three must agree on every pattern and output pin.
 
 use dpsyn_netlist::{CellKind, Netlist, Word, WordMap};
-use dpsyn_sim::LaneSim;
+use dpsyn_sim::{BlockSim, BLOCK_SIZES};
 use std::collections::BTreeMap;
 
 /// The expected truth table of a cell kind, written out literally: row `pattern`
@@ -95,8 +95,7 @@ fn every_cell_kind_matches_scalar_and_truth_table_on_the_full_cube() {
             "{kind}: table covers the full cube"
         );
         let (netlist, map) = single_cell(kind);
-        let lane_sim = LaneSim::compile(&netlist).unwrap();
-        // The whole cube in one lane pass (at most 8 of the 64 lanes used).
+        // The whole cube in one pass (at most 8 vectors used).
         let batch: Vec<BTreeMap<String, u64>> = (0..table.len() as u64)
             .map(|pattern| {
                 let mut assignment = BTreeMap::new();
@@ -104,7 +103,14 @@ fn every_cell_kind_matches_scalar_and_truth_table_on_the_full_cube() {
                 assignment
             })
             .collect();
-        let lane_results = lane_sim.evaluate_word_batch(&map, &batch);
+        let block_results: Vec<Vec<u64>> = BLOCK_SIZES
+            .iter()
+            .map(|&block| {
+                BlockSim::compile(&netlist, block)
+                    .unwrap()
+                    .evaluate_word_batch(&map, &batch)
+            })
+            .collect();
         for (pattern, expected_outputs) in table.iter().enumerate() {
             let inputs: Vec<bool> = (0..kind.input_count())
                 .map(|pin| (pattern >> pin) & 1 == 1)
@@ -115,15 +121,18 @@ fn every_cell_kind_matches_scalar_and_truth_table_on_the_full_cube() {
                 &scalar_outputs, expected_outputs,
                 "{kind}: scalar evaluation diverges from the truth table on {pattern:#b}"
             );
-            // Lane engine vs the truth-table literal, pin by pin.
+            // Block engine vs the truth-table literal, pin by pin.
             let expected_word: u64 = expected_outputs
                 .iter()
                 .enumerate()
                 .fold(0, |acc, (pin, bit)| acc | ((*bit as u64) << pin));
-            assert_eq!(
-                lane_results[pattern], expected_word,
-                "{kind}: lane evaluation diverges from the truth table on {pattern:#b}"
-            );
+            for (block, results) in BLOCK_SIZES.iter().zip(&block_results) {
+                assert_eq!(
+                    results[pattern], expected_word,
+                    "{kind}: block-{block} evaluation diverges from the truth table on \
+                     {pattern:#b}"
+                );
+            }
         }
     }
 }

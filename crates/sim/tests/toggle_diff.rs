@@ -1,17 +1,15 @@
-//! Differential toggle counting: the lane-based [`ToggleCounter`] path (and the
-//! lane-based [`measure_toggles`] built on it) must match the scalar record path
+//! Differential toggle counting: the block-based [`ToggleCounter`] path (and the
+//! block-based [`measure_toggles`] built on it) must match the scalar record path
 //! **exactly** — same toggles on every net, same vector count — on seeded biased
-//! stimulus sequences, regardless of how the sequence is chunked into lane batches.
+//! stimulus sequences, at every block size and regardless of how the sequence is
+//! chunked into batches.
 
 use dpsyn_ir::InputSpec;
 use dpsyn_netlist::{CellKind, NetId, Netlist, Word, WordMap};
-use dpsyn_sim::{
-    measure_toggles, measure_toggles_blocks, BlockSim, LaneSim, Simulator, Stimulus, ToggleCounter,
-    BLOCK_SIZES,
-};
+use dpsyn_sim::{measure_toggles, BlockSim, Simulator, Stimulus, ToggleCounter, BLOCK_SIZES};
 
 /// Builds an 8-bit ripple-carry adder with an XOR/MUX post-stage — enough cell
-/// variety and depth (FA, HA, XOR, MUX, NOT) to exercise every lane path.
+/// variety and depth (FA, HA, XOR, MUX, NOT) to exercise every block path.
 fn datapath() -> (Netlist, WordMap) {
     let mut netlist = Netlist::new("toggle_datapath");
     let a: Vec<_> = (0..8).map(|i| netlist.add_input(format!("a{i}"))).collect();
@@ -82,6 +80,29 @@ fn scalar_count(
     counter
 }
 
+/// Counts toggles on the block engine at `block`, one full pass at a time — the
+/// loop `measure_toggles` runs at its default block size.
+fn block_count(
+    netlist: &Netlist,
+    map: &WordMap,
+    spec: &InputSpec,
+    vectors: usize,
+    seed: u64,
+    block: usize,
+) -> ToggleCounter {
+    let simulator = BlockSim::compile(netlist, block).unwrap();
+    let mut stimulus = Stimulus::with_seed(seed);
+    let assignments = stimulus.biased_batch(spec, vectors);
+    let mut counter = ToggleCounter::new(netlist.net_count());
+    let mut blocks = simulator.block_buffer();
+    for chunk in assignments.chunks(simulator.vectors_per_pass()) {
+        simulator.pack_word_assignments(map, chunk, &mut blocks);
+        simulator.evaluate_into(&mut blocks);
+        counter.record_blocks(&blocks, block, chunk.len());
+    }
+    counter
+}
+
 fn assert_identical(lhs: &ToggleCounter, rhs: &ToggleCounter, netlist: &Netlist, context: &str) {
     assert_eq!(lhs.vectors(), rhs.vectors(), "{context}: vector counts");
     for (net, _) in netlist.nets() {
@@ -93,7 +114,7 @@ fn assert_identical(lhs: &ToggleCounter, rhs: &ToggleCounter, netlist: &Netlist,
     }
 }
 
-/// `measure_toggles` (lane-based internally) must reproduce the scalar loop exactly,
+/// `measure_toggles` (block-based internally) must reproduce the scalar loop exactly,
 /// for vector counts that are multiples of 64, off-by-one around the lane width, and
 /// smaller than one batch.
 #[test]
@@ -108,14 +129,15 @@ fn measure_toggles_matches_the_scalar_loop_exactly() {
         (256, 13),
         (1000, 17),
     ] {
-        let lanes = measure_toggles(&netlist, &map, &spec, vectors, seed).unwrap();
+        let measured = measure_toggles(&netlist, &map, &spec, vectors, seed).unwrap();
         let scalar = scalar_count(&netlist, &map, &spec, vectors, seed);
-        assert_identical(&lanes, &scalar, &netlist, &format!("{vectors} vectors"));
+        assert_identical(&measured, &scalar, &netlist, &format!("{vectors} vectors"));
     }
 }
 
-/// Chunking one sequence into arbitrary batch sizes (including single-vector
-/// batches and mixing with the scalar `record` path) never changes the counts.
+/// Chunking one sequence into arbitrary 64-lane (block-1) batch sizes (including
+/// single-vector batches and mixing with the scalar `record` path) never changes
+/// the counts.
 #[test]
 fn lane_batch_boundaries_are_seamless() {
     let (netlist, map) = datapath();
@@ -124,11 +146,11 @@ fn lane_batch_boundaries_are_seamless() {
     let seed = 23;
     let scalar = scalar_count(&netlist, &map, &spec, vectors, seed);
 
-    let lane_sim = LaneSim::compile(&netlist).unwrap();
+    let lane_sim = BlockSim::compile(&netlist, 1).unwrap();
     let mut stimulus = Stimulus::with_seed(seed);
     let assignments = stimulus.biased_batch(&spec, vectors);
     let mut chunked = ToggleCounter::new(netlist.net_count());
-    let mut lanes = lane_sim.lane_buffer();
+    let mut lanes = lane_sim.block_buffer();
     let mut cursor = 0;
     // Deliberately ragged chunk sizes: 1, 17, 64, 3, 50, 1, 64, ...
     for size in [1usize, 17, 64, 3, 50, 1, 64].iter().cycle() {
@@ -137,40 +159,39 @@ fn lane_batch_boundaries_are_seamless() {
         }
         let size = (*size).min(assignments.len() - cursor);
         let chunk = &assignments[cursor..cursor + size];
-        LaneSim::pack_word_assignments(&map, chunk, &mut lanes);
+        lane_sim.pack_word_assignments(&map, chunk, &mut lanes);
         lane_sim.evaluate_into(&mut lanes);
-        chunked.record_lanes(&lanes, size);
+        chunked.record_blocks(&lanes, 1, size);
         cursor += size;
     }
     assert_identical(&chunked, &scalar, &netlist, "ragged lane batches");
 
     // Mixed mode: the first 100 vectors through the scalar `record` path, the rest
-    // through `record_lanes`, on the same counter.
+    // as 64-lane batches, on the same counter.
     let scalar_sim = Simulator::compile(&netlist).unwrap();
     let mut mixed = ToggleCounter::new(netlist.net_count());
     for assignment in &assignments[..100] {
         mixed.record(&scalar_sim.evaluate(&map.assignment_to_bits(assignment)));
     }
     for chunk in assignments[100..].chunks(64) {
-        LaneSim::pack_word_assignments(&map, chunk, &mut lanes);
+        lane_sim.pack_word_assignments(&map, chunk, &mut lanes);
         lane_sim.evaluate_into(&mut lanes);
-        mixed.record_lanes(&lanes, chunk.len());
+        mixed.record_blocks(&lanes, 1, chunk.len());
     }
     assert_identical(&mixed, &scalar, &netlist, "mixed scalar/lane recording");
 }
 
-/// `measure_toggles_blocks` must reproduce the scalar loop exactly for every
-/// supported block size, on vector counts that are ragged against both the lane
-/// width and the block width.
+/// The block engine's full-pass measurement must reproduce the scalar loop exactly
+/// for every supported block size, on vector counts that are ragged against both
+/// the lane width and the block width.
 #[test]
-fn measure_toggles_blocks_matches_the_scalar_loop_exactly() {
+fn block_measurement_matches_the_scalar_loop_exactly() {
     let (netlist, map) = datapath();
     let spec = biased_spec();
     for (vectors, seed) in [(1usize, 3u64), (63, 5), (257, 13), (1000, 17)] {
         let scalar = scalar_count(&netlist, &map, &spec, vectors, seed);
         for block in BLOCK_SIZES {
-            let blocked =
-                measure_toggles_blocks(&netlist, &map, &spec, vectors, seed, block).unwrap();
+            let blocked = block_count(&netlist, &map, &spec, vectors, seed, block);
             assert_identical(
                 &blocked,
                 &scalar,
@@ -182,7 +203,8 @@ fn measure_toggles_blocks_matches_the_scalar_loop_exactly() {
 }
 
 /// Chunking one sequence into ragged block batches — and mixing block recording
-/// with the scalar and lane paths on the same counter — never changes the counts.
+/// with the scalar path and 64-lane batches on the same counter — never changes the
+/// counts.
 #[test]
 fn block_batch_boundaries_are_seamless() {
     let (netlist, map) = datapath();
@@ -222,17 +244,17 @@ fn block_batch_boundaries_are_seamless() {
 
     // Mixed mode: scalar, then lanes, then blocks, on one counter.
     let scalar_sim = Simulator::compile(&netlist).unwrap();
-    let lane_sim = LaneSim::compile(&netlist).unwrap();
+    let lane_sim = BlockSim::compile(&netlist, 1).unwrap();
     let block_sim = BlockSim::compile(&netlist, 4).unwrap();
     let mut mixed = ToggleCounter::new(netlist.net_count());
     for assignment in &assignments[..50] {
         mixed.record(&scalar_sim.evaluate(&map.assignment_to_bits(assignment)));
     }
-    let mut lanes = lane_sim.lane_buffer();
+    let mut lanes = lane_sim.block_buffer();
     for chunk in assignments[50..178].chunks(64) {
-        LaneSim::pack_word_assignments(&map, chunk, &mut lanes);
+        lane_sim.pack_word_assignments(&map, chunk, &mut lanes);
         lane_sim.evaluate_into(&mut lanes);
-        mixed.record_lanes(&lanes, chunk.len());
+        mixed.record_blocks(&lanes, 1, chunk.len());
     }
     let mut blocks = block_sim.block_buffer();
     for chunk in assignments[178..].chunks(block_sim.vectors_per_pass()) {

@@ -5,13 +5,13 @@
 use dpsyn_core::{Objective, Synthesizer};
 use dpsyn_netlist::NetlistStats;
 use dpsyn_power::ProbabilityAnalysis;
-use dpsyn_sim::{measure_toggles, measure_toggles_blocks, BlockSim, BLOCK_SIZES, DEFAULT_BLOCK};
+use dpsyn_sim::{measure_toggles, BlockSim, Stimulus, ToggleCounter, BLOCK_SIZES, DEFAULT_BLOCK};
 use dpsyn_tech::TechLibrary;
 use dpsyn_timing::TimingAnalysis;
 use std::collections::BTreeMap;
 
 /// Synthesizes `expr` under the power objective and asserts the *aggregate* switching
-/// activity of the analytic model stays within 15% of lane-based toggle counting
+/// activity of the analytic model stays within 15% of block-engine toggle counting
 /// (analytic `p(1-p)` per vector pair is a toggle rate of `2·p·(1-p)`).
 ///
 /// The sums are compared rather than per-net values because per-net noise is higher,
@@ -73,7 +73,8 @@ fn assert_analytic_tracks_simulation(
 #[test]
 fn analytic_switching_activity_matches_simulation() {
     // The mixed polynomial with pseudo-random input probabilities (Table-2 setup).
-    // Vector count raised from 3000 when toggle counting moved to the 64-lane engine.
+    // Vector count raised from 3000 when toggle counting moved to the bit-parallel
+    // engine.
     let design = dpsyn_designs::mixed_poly().with_random_probabilities(7);
     assert_analytic_tracks_simulation(
         design.expr(),
@@ -88,8 +89,8 @@ fn analytic_switching_activity_matches_simulation() {
 fn lane_toggle_counts_track_analytic_activity_on_the_low_power_example() {
     // The `low_power_datapath` example's workload: the real part of a complex
     // multiplication whose imaginary operands are strongly biased towards 0 — a much
-    // sharper check of the lane-based toggle counter than the p = 0.5 case. 8192
-    // vectors are cheap on the 64-lane engine (128 passes).
+    // sharper check of the bit-parallel toggle counter than the p = 0.5 case. 8192
+    // vectors are cheap on the block engine (32 passes).
     let expr = dpsyn_ir::parse_expr("a*c - b*d + 32768").expect("parses");
     let spec = dpsyn_ir::InputSpec::builder()
         .var_with_probability("a", 12, 0.5)
@@ -103,10 +104,11 @@ fn lane_toggle_counts_track_analytic_activity_on_the_low_power_example() {
 
 #[test]
 fn block_engine_matches_lanes_exactly_and_analytic_power_within_divergence_budget() {
-    // The same Table-2 setup as above, through the SIMD *block* engine: every block
-    // size must reproduce the 64-lane toggle counts bit-for-bit, and the simulated
-    // power folded from those counts must sit within the ~15% divergence the
-    // explorer's `div%` column is allowed to report.
+    // The same Table-2 setup as above: driving the block engine at every block
+    // size — block 1 being 64-lane passes — must reproduce `measure_toggles`'
+    // counts bit-for-bit, and the simulated power folded from those counts must
+    // sit within the ~15% divergence the explorer's `div%` column is allowed to
+    // report.
     let design = dpsyn_designs::mixed_poly().with_random_probabilities(7);
     let lib = TechLibrary::lcbg10pv_like();
     let synthesized = Synthesizer::new(design.expr(), design.spec())
@@ -117,15 +119,22 @@ fn block_engine_matches_lanes_exactly_and_analytic_power_within_divergence_budge
         .expect("synthesis");
     let (netlist, map, spec) = (synthesized.netlist(), synthesized.word_map(), design.spec());
     let vectors = 12000;
-    let lanes = measure_toggles(netlist, map, spec, vectors, 11).expect("lane simulation");
+    let measured = measure_toggles(netlist, map, spec, vectors, 11).expect("simulation");
     for block in BLOCK_SIZES {
-        let blocks = measure_toggles_blocks(netlist, map, spec, vectors, 11, block)
-            .expect("block simulation");
+        let simulator = BlockSim::compile(netlist, block).expect("block compile");
+        let assignments = Stimulus::with_seed(11).biased_batch(spec, vectors);
+        let mut counter = ToggleCounter::new(netlist.net_count());
+        let mut blocks = simulator.block_buffer();
+        for chunk in assignments.chunks(simulator.vectors_per_pass()) {
+            simulator.pack_word_assignments(map, chunk, &mut blocks);
+            simulator.evaluate_into(&mut blocks);
+            counter.record_blocks(&blocks, block, chunk.len());
+        }
         for (net, _) in netlist.nets() {
             assert_eq!(
-                lanes.toggle_rate(net).to_bits(),
-                blocks.toggle_rate(net).to_bits(),
-                "block size {block} diverged from the lane oracle on net {net:?}"
+                measured.toggle_rate(net).to_bits(),
+                counter.toggle_rate(net).to_bits(),
+                "block size {block} diverged from measure_toggles on net {net:?}"
             );
         }
     }
@@ -154,7 +163,7 @@ fn block_engine_matches_lanes_exactly_and_analytic_power_within_divergence_budge
     let mut simulated_rates = vec![0.0; simulator.net_count()];
     for (net, _) in netlist.nets() {
         analytic_rates[net.index()] = 2.0 * analytic.switching_activity(net);
-        simulated_rates[net.index()] = lanes.toggle_rate(net);
+        simulated_rates[net.index()] = measured.toggle_rate(net);
     }
     let volts_squared = lib.voltage() * lib.voltage();
     let analytic_power =

@@ -33,10 +33,9 @@ fn check_all_flows(design: &Design, vectors: usize) {
 }
 
 // Vector counts below were raised 20–50× when `check_equivalence` moved to the
-// 64-lane engine (PR 2). New wall-clock at these counts: the whole four-test suite
-// finishes in ~2.1 s under the tier-1 profile (`cargo test -q`, debug build) on the
-// development container — synthesis of the 6 flows per design, not simulation, now
-// dominates.
+// bit-parallel engine. At these counts the whole four-test suite finishes in ~2 s
+// under the tier-1 profile (`cargo test -q`, debug build) — synthesis of the 6
+// flows per design, not simulation, dominates.
 
 #[test]
 fn polynomial_designs_are_equivalent_across_flows() {

@@ -12,9 +12,11 @@
 //! * **Engine**: a job whose evaluation panics is retried from clean caches and
 //!   quarantined after [`JOB_ATTEMPT_LIMIT`] attempts; the sweep *completes*,
 //!   reports the quarantine, and is byte-identical for every thread count.
-//! * **Serve**: a server whose store is unavailable keeps answering (flagged
-//!   `degraded`), sheds oversized/stalled/excess requests with typed rejects,
-//!   and reports admission metrics on `{"status":{}}`.
+//! * **Serve**: a healthy server answers byte-identically to batch mode (cold,
+//!   warm and simulated), a server whose store is unavailable keeps answering
+//!   (flagged `degraded`), and both shed malformed/oversized/stalled/excess
+//!   requests with typed rejects and report admission metrics on
+//!   `{"status":{}}`.
 
 use dpsyn_explore::faults::{FaultPlan, WriteFault};
 use dpsyn_explore::{
@@ -235,11 +237,11 @@ fn panicking_jobs_quarantine_deterministically_across_thread_counts() {
             .faults(std::sync::Arc::clone(&plan))
             .build()
             .expect("faulted spec");
-        let jobs = spec.jobs().len();
+        let jobs = spec.jobs();
         let results = explore(&spec).expect("poisoned jobs must not fail the sweep");
         assert_eq!(
             results.points().len(),
-            jobs - 2,
+            jobs.len() - 2,
             "every healthy job completes ({threads} thread(s))"
         );
         let quarantined: Vec<usize> = results.quarantined().iter().map(|j| j.index).collect();
@@ -255,6 +257,11 @@ fn panicking_jobs_quarantine_deterministically_across_thread_counts() {
                 plan.job_attempts(job.index),
                 JOB_ATTEMPT_LIMIT as u64,
                 "the plan observed exactly the retry-limit attempts"
+            );
+            assert_eq!(
+                job.label,
+                jobs[job.index].label(),
+                "the label names its job"
             );
         }
         let summary = results.render_summary();
@@ -340,7 +347,7 @@ fn damaged_lines_quarantine_once_across_repeated_reloads() {
 mod serve_faults {
     use super::*;
     use dpsyn_explore::faults::deterministic_garbage;
-    use dpsyn_explore::{serve, ServeConfig, ServeResponse};
+    use dpsyn_explore::{serve, ServeConfig, ServeResponse, SimActivity};
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
     use std::time::{Duration, Instant};
@@ -389,6 +396,129 @@ mod serve_faults {
             .expect("shutdown sends");
         let ack = read_response(&mut closer);
         assert!(ack.ok && ack.shutdown, "shutdown must be acknowledged");
+    }
+
+    /// The healthy service end to end: a cold request renders exactly what batch
+    /// mode renders, two overlapping warm requests are byte-identical and served
+    /// from the store, a `sim_activity` request carries the simulated columns
+    /// without touching the analytic records, malformed or oversized
+    /// `sim_activity` requests get typed rejects while the connection keeps
+    /// serving, the status is coherent with all of it, and shutdown removes the
+    /// socket but keeps the store.
+    #[test]
+    fn healthy_server_matches_batch_mode_end_to_end() {
+        let socket = sock("healthy");
+        let store = scratch("healthy-store");
+        let mut config = ServeConfig::new(socket.clone());
+        config.store_path = Some(store.clone());
+        let server = std::thread::spawn(move || serve(&config));
+        // `wall_spec()` as a protocol request, single-threaded for a fixed job
+        // order (determinism across thread counts is pinned elsewhere).
+        let request = concat!(
+            r#"{"sources":[{"design":"x_squared"},{"sum":3}],"widths":[4],"#,
+            r#""skews":["keep",2.0],"flows":["conventional","csa_opt","fa_aot"],"#,
+            r#""seed":7,"threads":1"#
+        );
+        let reference = explore(&wall_spec().threads(1).build().expect("batch spec"))
+            .expect("batch run succeeds")
+            .render_summary();
+
+        let mut cold_stream = connect(&socket);
+        cold_stream
+            .write_all(format!("{request}}}\n").as_bytes())
+            .expect("cold request sends");
+        let cold = read_response(&mut cold_stream);
+        assert!(cold.ok, "cold request failed: {}", cold.error);
+        assert_eq!(cold.summary, reference, "cold summary matches batch mode");
+        assert_eq!(cold.store_hits, 0, "nothing is warm yet");
+        drop(cold_stream);
+
+        // Two overlapping connections: both written before either is read.
+        let mut second = connect(&socket);
+        let mut third = connect(&socket);
+        for stream in [&mut second, &mut third] {
+            stream
+                .write_all(format!("{request}}}\n").as_bytes())
+                .expect("warm request sends");
+        }
+        for stream in [&mut second, &mut third] {
+            let warm = read_response(stream);
+            assert!(warm.ok, "warm request failed: {}", warm.error);
+            assert_eq!(warm.summary, reference, "warm summary is byte-identical");
+            assert_eq!(warm.store_hits, warm.jobs, "every warm job is a store hit");
+        }
+        drop((second, third));
+
+        // Typed rejects on one connection, which then keeps serving.
+        let mut stream = connect(&socket);
+        for (sim_activity, reason) in [
+            (r#"{"seed":11}"#, "requires a `vectors` count"),
+            (
+                r#"{"seed":11,"vectors":100000000000}"#,
+                "at most 65536 vectors",
+            ),
+        ] {
+            let line = format!("{request},\"sim_activity\":{sim_activity}}}\n");
+            stream
+                .write_all(line.as_bytes())
+                .expect("bad request sends");
+            let rejected = read_response(&mut stream);
+            assert!(!rejected.ok, "{sim_activity} must be rejected");
+            assert!(
+                rejected.error.contains(reason),
+                "{sim_activity}: unexpected reason {:?}",
+                rejected.error
+            );
+        }
+        let activity = SimActivity {
+            seed: 11,
+            vectors: 256,
+        };
+        let sim_reference = explore(
+            &wall_spec()
+                .threads(1)
+                .sim_activity(activity)
+                .build()
+                .expect("batch sim spec"),
+        )
+        .expect("batch sim run succeeds")
+        .render_summary();
+        let line = format!("{request},\"sim_activity\":{{\"seed\":11,\"vectors\":256}}}}\n");
+        stream
+            .write_all(line.as_bytes())
+            .expect("sim request sends");
+        let sim = read_response(&mut stream);
+        assert!(sim.ok, "sim request failed: {}", sim.error);
+        assert_eq!(sim.summary, sim_reference, "sim summary matches batch mode");
+        assert!(sim.summary.contains("sim mW") && sim.summary.contains("div%"));
+        assert_eq!(
+            sim.store_hits, 0,
+            "analytic records never answer a sim request"
+        );
+
+        stream
+            .write_all(b"{\"status\":{}}\n")
+            .expect("status sends");
+        let status = read_response(&mut stream)
+            .status
+            .expect("a healthy server answers status");
+        assert_eq!(status.store, "ok");
+        assert_eq!(status.completed, 4, "cold, two warm and the sim sweep");
+        assert_eq!(status.jobs, 48);
+        assert_eq!(status.store_hits, 24, "the two warm sweeps");
+        assert!((status.hit_rate - 0.5).abs() < 1e-9, "{}", status.hit_rate);
+        assert_eq!(status.in_flight, 0, "no sweep is executing now");
+        assert!(status.records > 0, "the store holds the sweep records");
+        drop(stream);
+
+        shutdown(&socket);
+        server
+            .join()
+            .expect("server thread joins")
+            .expect("server exits cleanly");
+        assert!(!socket.exists(), "shutdown removes the socket file");
+        assert!(store.exists(), "the store persists across shutdown");
+        let _ = std::fs::remove_file(&store);
     }
 
     /// Acceptance (c): a server with an *unavailable* store keeps answering,

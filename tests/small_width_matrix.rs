@@ -26,7 +26,7 @@ fn check_design(design: &Design, objective: Objective) {
         .unwrap_or_else(|error| panic!("{} under {objective:?}: {error}", design.name()));
     // At these widths every spec is ≤ 16 input bits, so the check enumerates the
     // space exhaustively and the raised random-vector count (256 → 4096, cheap on
-    // the 64-lane engine) only governs the fallback for any future wider entry.
+    // the bit-parallel engine) only governs the fallback for any future wider entry.
     // New wall-clock: the whole suite runs in ~1.2 s (`cargo test -q`, debug).
     check_equivalence(
         synthesized.netlist(),
