@@ -44,8 +44,8 @@
 //! adder's function, so [`Netlist::replace_cell_kind`] stays a test-suite mutator
 //! and the search uses [`Netlist::rewire_input`] only.
 
-use crate::flow::{input_profiles, BaselineError, FlowResult};
-use dpsyn_core::{FinalAdderKind, Objective, SelectionStrategy, Synthesizer};
+use crate::flow::{BaselineError, FlowResult};
+use dpsyn_core::{input_profiles, FinalAdderKind, Objective, SelectionStrategy, Synthesizer};
 use dpsyn_ir::{Expr, InputSpec};
 use dpsyn_netlist::{CellId, CellKind, CompiledNetlist, DeltaState, InputDelta, Netlist};
 use dpsyn_power::{IncrementalPower, PowerReport};

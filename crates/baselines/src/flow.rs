@@ -1,11 +1,11 @@
 //! Common result type and analysis helper shared by every synthesis flow.
 
+use dpsyn_core::input_profiles;
 use dpsyn_ir::InputSpec;
-use dpsyn_netlist::{CompiledNetlist, NetId, Netlist, NetlistError, WordMap};
+use dpsyn_netlist::{CompiledNetlist, Netlist, NetlistError, WordMap};
 use dpsyn_power::{PowerError, ProbabilityAnalysis};
 use dpsyn_tech::TechLibrary;
 use dpsyn_timing::{TimingAnalysis, TimingError};
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -85,30 +85,6 @@ impl From<dpsyn_core::SynthesisError> for BaselineError {
     fn from(error: dpsyn_core::SynthesisError) -> Self {
         BaselineError::Core(error)
     }
-}
-
-/// Collects the per-net input profiles of a synthesized design: the arrival times and
-/// signal probabilities of every primary-input net that the input specification
-/// profiles, keyed by net.
-///
-/// This is the exact profile-extraction loop of [`FlowResult::analyze`], shared with
-/// the exploration engine's delta path so both paths feed analyses **the same values
-/// for the same nets** — a precondition for bit-identical reports.
-pub fn input_profiles(
-    word_map: &WordMap,
-    spec: &InputSpec,
-) -> (BTreeMap<NetId, f64>, BTreeMap<NetId, f64>) {
-    let mut arrivals = BTreeMap::new();
-    let mut probabilities = BTreeMap::new();
-    for word in word_map.inputs() {
-        for (bit, net) in word.bits().iter().enumerate() {
-            if let Some(profile) = spec.bit_profile(word.name(), bit as u32) {
-                arrivals.insert(*net, profile.arrival);
-                probabilities.insert(*net, profile.probability);
-            }
-        }
-    }
-    (arrivals, probabilities)
 }
 
 /// The analysed outcome of one synthesis flow over one design, carrying the same three

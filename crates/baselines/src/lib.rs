@@ -57,7 +57,8 @@ pub use anneal::{fa_anneal, fa_anneal_observed, fa_anneal_with_stats, AnnealStat
 pub use conventional::{conventional, conventional_netlist};
 pub use csa_opt::{csa_opt, csa_opt_netlist};
 pub use dispatch::{Flow, FlowSynthesis, SynthesizedParts};
-pub use flow::{input_profiles, BaselineError, FlowResult};
+pub use dpsyn_core::input_profiles;
+pub use flow::{BaselineError, FlowResult};
 pub use wrappers::{fa_alp, fa_aot, fa_random, wallace_fixed};
 
 #[cfg(test)]

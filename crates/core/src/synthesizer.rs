@@ -7,11 +7,36 @@ use crate::leaves::build_leaves;
 use crate::report::SynthesisReport;
 use crate::strategy::{Objective, SelectionStrategy};
 use dpsyn_ir::{Expr, InputSpec, LoweringOptions};
-use dpsyn_netlist::{CompiledNetlist, Netlist, Word, WordMap};
+use dpsyn_netlist::{CompiledNetlist, NetId, Netlist, Word, WordMap};
 use dpsyn_power::ProbabilityAnalysis;
 use dpsyn_tech::TechLibrary;
 use dpsyn_timing::TimingAnalysis;
 use std::collections::BTreeMap;
+
+/// Collects the per-net input profiles of a synthesized design: the arrival times and
+/// signal probabilities of every primary-input net that the input specification
+/// profiles, keyed by net.
+///
+/// This is the one profile-extraction loop behind [`Synthesizer::run`], the rival
+/// flows' analysis and the exploration engine's delta path, so every path feeds
+/// analyses **the same values for the same nets** — a precondition for
+/// bit-identical reports.
+pub fn input_profiles(
+    word_map: &WordMap,
+    spec: &InputSpec,
+) -> (BTreeMap<NetId, f64>, BTreeMap<NetId, f64>) {
+    let mut arrivals = BTreeMap::new();
+    let mut probabilities = BTreeMap::new();
+    for word in word_map.inputs() {
+        for (bit, net) in word.bits().iter().enumerate() {
+            if let Some(profile) = spec.bit_profile(word.name(), bit as u32) {
+                arrivals.insert(*net, profile.arrival);
+                probabilities.insert(*net, profile.probability);
+            }
+        }
+    }
+    (arrivals, probabilities)
+}
 
 /// Builder-style front end for the whole synthesis flow: expression → addend matrix →
 /// FA-tree → final adder → analysed netlist.
@@ -140,16 +165,7 @@ impl<'a> Synthesizer<'a> {
         let compiled = netlist.compile()?;
 
         // Static timing analysis with the spec's per-bit arrival profile.
-        let mut arrivals = BTreeMap::new();
-        let mut probabilities = BTreeMap::new();
-        for word in word_map.inputs() {
-            for (bit, net) in word.bits().iter().enumerate() {
-                if let Some(profile) = self.spec.bit_profile(word.name(), bit as u32) {
-                    arrivals.insert(*net, profile.arrival);
-                    probabilities.insert(*net, profile.probability);
-                }
-            }
-        }
+        let (arrivals, probabilities) = input_profiles(&word_map, self.spec);
         let timing = TimingAnalysis::new(tech)
             .with_input_arrivals(arrivals)
             .run_compiled(&compiled)?;

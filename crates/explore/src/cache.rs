@@ -1,72 +1,95 @@
-//! The per-worker compiled-program cache behind the engine's delta-evaluation path.
+//! The per-worker program cache of the exploration engine.
 //!
 //! Exploration jobs that share `(source, width, flow)` and differ only in their
 //! skew/bias axes usually synthesize **structurally identical** netlists (module
 //! binding never looks at input profiles; see `dpsyn_baselines::conventional_netlist`).
-//! Paying a full compile + tech-resolve + timing + power + area bundle for each of
-//! them is pure waste: the compiled program, the resolved technology tables, the cell
-//! area and the primed [`DeltaState`] of the first point can absorb every later point
-//! as an input-profile delta through the affected cone.
+//! Compiling, resolving and analysing (or simulating) each of them afresh is pure
+//! waste, so [`CompiledCache`] keeps one entry per verified structure:
 //!
-//! [`CompiledCache::analyze`] implements that reuse with a strict correctness ladder:
+//! * the compiled program, its cell ops and its word map, stored once;
+//! * an optional primed analysis (resolved incremental timing and power, the primed
+//!   [`DeltaState`], the area), through which later points re-analyse as an
+//!   input-profile delta over the affected cone;
+//! * an optional [`SimContext`] for the simulated metric on that same program.
+//!
+//! Every lookup follows one correctness ladder:
 //!
 //! 1. probe by [`Netlist::structural_hash`] (no compile needed on the probe side);
 //! 2. **verify** a candidate cell-by-cell against the cached program's
 //!    [`CompiledNetlist::cell_ops`] plus the input/output lists and the word map —
 //!    hash equality alone is never trusted;
 //! 3. on a verified hit, re-analyse through `rerun_delta` (bit-identical to a fresh
-//!    bundle by the delta invariant);
-//! 4. on any mismatch, fall back to the full path — so results are bit-identical for
-//!    any worker count, cache state and eviction history.
+//!    bundle by the delta invariant) and simulate on the cached context;
+//! 4. on any mismatch, compile once for both halves — so results are bit-identical
+//!    for any worker count, cache state and eviction history.
 //!
-//! The cache is deliberately **per worker**: no locks, no cross-thread coherence, and
-//! eviction (FIFO over insertions with a small bound, where a collision replacement
-//! re-inserts its hash at the back of the queue) only ever costs speed, never
-//! correctness.
+//! FA-tree flows analyse during synthesis and only need the simulation half; they
+//! seed their entry from [`FlowResult::compiled`] instead of compiling again.
+//!
+//! The cache is **per worker** and lives for one run, so its activity request and
+//! technology never change: no locks, no cross-thread coherence. Residency is LRU
+//! with a small bound (admissions and verified hits refresh recency); eviction only
+//! ever costs speed, never correctness.
 
+use crate::engine::WorkerStats;
+use crate::sim::SimContext;
+use crate::spec::{ExplorationSpec, SimActivity};
+use crate::store::StoredEval;
 use dpsyn_baselines::{BaselineError, FlowResult};
+use dpsyn_ir::InputSpec;
 use dpsyn_netlist::{CompiledNetlist, CompiledOp, DeltaState, InputDelta, NetId, Netlist, WordMap};
-use dpsyn_power::IncrementalPower;
+use dpsyn_power::{IncrementalPower, PowerReport};
+use dpsyn_sim::{BlockSim, DEFAULT_BLOCK};
 use dpsyn_tech::TechLibrary;
-use dpsyn_timing::IncrementalTiming;
+use dpsyn_timing::{IncrementalTiming, TimingReport};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// Upper bound on live entries per worker; beyond it the oldest entry is evicted.
-/// Entries hold a compiled program plus primed per-net state (O(cells)), so the bound
-/// keeps a long exploration's memory flat while still covering the handful of netlist
-/// structures a worker's current groups cycle through.
+/// Upper bound on live entries per worker; beyond it the least recently used entry
+/// is evicted. Entries hold a compiled program, primed per-net state and a stimulus
+/// batch, so the bound keeps a long exploration's memory flat while still covering
+/// the handful of structures a worker's current groups cycle through.
 const MAX_ENTRIES: usize = 8;
 
-/// The input profiles of one evaluation point — the maps
-/// [`dpsyn_baselines::input_profiles`] produces, borrowed from the engine (which
-/// already computed them for the persistent store's evaluation key).
-pub(crate) struct PointProfiles<'a> {
-    /// Per-net arrival times keyed by input net.
-    pub arrivals: &'a BTreeMap<NetId, f64>,
-    /// Per-net one-probabilities keyed by input net.
-    pub probabilities: &'a BTreeMap<NetId, f64>,
+/// The per-input-net arrival times and one-probabilities of one point, as
+/// [`dpsyn_baselines::input_profiles`] produces them; borrowed from the engine,
+/// which already computed them for the persistent store's evaluation key.
+pub(crate) type Profiles<'a> = (&'a BTreeMap<NetId, f64>, &'a BTreeMap<NetId, f64>);
+
+/// Why a cached evaluation failed, in the terms the engine reports.
+pub(crate) enum PointError {
+    /// The analysis failed exactly as `FlowResult::analyze` would have.
+    Flow(BaselineError),
+    /// The simulated metric failed (block compile or technology resolution).
+    Sim(String),
 }
 
-/// The analysed figures of one evaluated point, plus the retained artifact when the
-/// specification asks for one. Produced by both the cached-delta and the full path —
-/// bit-identically.
-pub(crate) struct Evaluated {
-    pub delay: f64,
-    pub area: f64,
-    pub switching_energy: f64,
-    pub power_mw: f64,
-    pub cell_count: usize,
-    pub logic_depth: usize,
-    pub artifact: Option<FlowResult>,
+impl From<BaselineError> for PointError {
+    fn from(error: BaselineError) -> Self {
+        PointError::Flow(error)
+    }
 }
 
-/// One cached program: the compiled netlist, its structural identity in cell order,
-/// the once-resolved incremental analyses, the primed value state and the cached area.
-struct CacheEntry {
-    compiled: CompiledNetlist,
-    /// `compiled`'s ops in cell-index order, for exact candidate verification.
-    cell_ops: Vec<CompiledOp>,
-    word_map: WordMap,
+/// The store record of one analysed program, before any simulated figure.
+fn record(
+    compiled: &CompiledNetlist,
+    timing: &TimingReport,
+    power: &PowerReport,
+    area: f64,
+) -> StoredEval {
+    StoredEval {
+        delay: timing.critical_delay(),
+        area,
+        switching_energy: power.total_energy(),
+        power_mw: power.power_mw(),
+        cell_count: compiled.cell_count(),
+        logic_depth: compiled.level_count(),
+        simulated_switch_power: 0.0,
+    }
+}
+
+/// The once-resolved incremental analyses of one cached program, the primed value
+/// state and the cached area.
+struct Analysis {
     timing: IncrementalTiming,
     power: IncrementalPower,
     state: DeltaState,
@@ -75,15 +98,104 @@ struct CacheEntry {
     delta: InputDelta,
 }
 
+impl Analysis {
+    /// Resolves and primes the analyses with a full pass. The step order mirrors
+    /// `FlowResult::analyze` exactly, so every failure surfaces as the same error
+    /// the non-cached path would report.
+    fn prime(
+        compiled: &CompiledNetlist,
+        (arrivals, probabilities): Profiles<'_>,
+        tech: &TechLibrary,
+    ) -> Result<(Self, StoredEval), BaselineError> {
+        let timing = IncrementalTiming::new(tech, compiled)?;
+        let mut state = DeltaState::new(compiled);
+        let timing_report = timing.run_full(compiled, arrivals, &mut state)?;
+        let power = IncrementalPower::new(tech, compiled)?;
+        let power_report = power.run_full(compiled, probabilities, &mut state)?;
+        let area = tech.compiled_area(compiled);
+        let stored = record(compiled, &timing_report, &power_report, area);
+        let analysis = Analysis {
+            timing,
+            power,
+            state,
+            area,
+            delta: InputDelta::new(),
+        };
+        Ok((analysis, stored))
+    }
+
+    /// Re-analyses the primed program under a new point's profiles.
+    fn rerun(
+        &mut self,
+        compiled: &CompiledNetlist,
+        (arrivals, probabilities): Profiles<'_>,
+    ) -> Result<StoredEval, BaselineError> {
+        // The full profile of the new point; `rerun_delta` skips the unchanged
+        // values bit-for-bit, so this stays a cone-sized rerun.
+        self.delta.clear();
+        for net in compiled.inputs() {
+            let arrival = arrivals.get(net).copied().unwrap_or(0.0);
+            let probability = probabilities.get(net).copied().unwrap_or(0.5);
+            self.delta.set_arrival(*net, arrival);
+            self.delta.set_probability(*net, probability);
+        }
+        let timing = self
+            .timing
+            .rerun_delta(compiled, &mut self.state, &self.delta)?;
+        let power = self
+            .power
+            .rerun_delta(compiled, &mut self.state, &self.delta)?;
+        Ok(record(compiled, &timing, &power, self.area))
+    }
+}
+
+/// One cached structure: the compiled program (wrapped for the block simulator,
+/// which adds no traversal), its identity in cell order, and the optional analysis
+/// and simulation halves built on it.
+struct CacheEntry {
+    program: BlockSim,
+    /// The program's ops in cell-index order, for exact candidate verification.
+    cell_ops: Vec<CompiledOp>,
+    word_map: WordMap,
+    analysis: Option<Analysis>,
+    sim: Option<SimContext>,
+}
+
 impl CacheEntry {
+    fn new(program: BlockSim, word_map: WordMap) -> Self {
+        CacheEntry {
+            cell_ops: program.compiled().cell_ops(),
+            program,
+            word_map,
+            analysis: None,
+            sim: None,
+        }
+    }
+
+    /// Compiles a missed structure once for both halves. A simulated point compiles
+    /// through the block engine and reports a cycle as a simulation failure; an
+    /// analytic point validates first, like `FlowResult::analyze`.
+    fn compile(netlist: &Netlist, word_map: &WordMap, simulated: bool) -> Result<Self, PointError> {
+        let program = if simulated {
+            BlockSim::compile(netlist, DEFAULT_BLOCK)
+                .map_err(|error| PointError::Sim(error.to_string()))?
+        } else {
+            netlist.validate_structure().map_err(BaselineError::from)?;
+            let compiled = netlist.compile().map_err(BaselineError::from)?;
+            BlockSim::from_compiled(compiled, DEFAULT_BLOCK)
+        };
+        Ok(CacheEntry::new(program, word_map.clone()))
+    }
+
     /// Exact structural verification of a candidate against the cached program:
     /// net universe, primary inputs/outputs, word-level interface and every cell's
     /// kind + pin connectivity. This is what makes a hash hit safe to reuse.
     fn matches(&self, netlist: &Netlist, word_map: &WordMap) -> bool {
-        if netlist.net_count() != self.compiled.net_count()
-            || netlist.cell_count() != self.compiled.cell_count()
-            || netlist.inputs() != self.compiled.inputs()
-            || netlist.outputs() != self.compiled.outputs()
+        let compiled = self.program.compiled();
+        if netlist.net_count() != compiled.net_count()
+            || netlist.cell_count() != compiled.cell_count()
+            || netlist.inputs() != compiled.inputs()
+            || netlist.outputs() != compiled.outputs()
             || word_map != &self.word_map
         {
             return false;
@@ -95,14 +207,37 @@ impl CacheEntry {
                 && op.output_nets() == cell.outputs()
         })
     }
+
+    /// Simulates `netlist` (this entry's structure) under `activity` and the
+    /// probabilities of `spec`, building the simulation context on first use, and
+    /// tallies the point in `worker`.
+    fn simulate(
+        &mut self,
+        activity: SimActivity,
+        spec: &InputSpec,
+        netlist: &Netlist,
+        tech: &TechLibrary,
+        worker: &mut WorkerStats,
+    ) -> Result<f64, String> {
+        let context = match &mut self.sim {
+            Some(context) => {
+                worker.sim_reuses += 1;
+                context
+            }
+            slot @ None => {
+                let context = SimContext::build(&self.program, activity, spec, tech)?;
+                worker.sim_builds += 1;
+                slot.insert(context)
+            }
+        };
+        worker.sim_points += 1;
+        Ok(context.power(&self.program, &self.word_map, netlist, spec))
+    }
 }
 
-/// Residency bookkeeping of the cache: the resident hashes in insertion-recency
-/// order, oldest first. Admission is FIFO over *insertions*, where replacing a
-/// resident hash's entry counts as a fresh insertion: the hash moves to the back of
-/// the queue. (Before this fix a collision replacement kept the replaced hash's old
-/// queue position, so a hot just-replaced program could be the *next* eviction
-/// victim while cold entries survived.)
+/// Residency bookkeeping of the cache: the resident hashes in recency order, oldest
+/// first. Admitting a brand-new hash evicts the oldest one at capacity; replacing a
+/// resident hash's entry and a verified hit both move the hash to the back.
 struct ResidencyQueue {
     order: VecDeque<u64>,
     capacity: usize,
@@ -119,186 +254,161 @@ impl ResidencyQueue {
     /// Records that `hash` now owns a (new or replaced) entry and returns the hash
     /// to evict when admitting a brand-new hash overflows the capacity.
     fn admit(&mut self, hash: u64) -> Option<u64> {
-        if self.order.contains(&hash) {
-            // Replacement of a resident entry: refresh its recency — the entry now
-            // holds the newest full evaluation and is about to serve its chunk's
-            // delta chain, so it must be the *last* eviction candidate, not the
-            // next one.
-            self.touch(hash);
+        // A replaced entry holds the newest structure and is about to serve its
+        // chunk, so it must be the *last* eviction candidate, not the next one.
+        if self.touch(hash) {
             return None;
         }
-        let evicted = if self.order.len() >= self.capacity {
+        self.order.push_back(hash);
+        if self.order.len() > self.capacity {
             self.order.pop_front()
         } else {
             None
-        };
-        self.order.push_back(hash);
-        evicted
+        }
     }
 
-    /// Records a verified cache **hit** on `hash`: the entry just served a delta
-    /// rerun, so it moves to the back of the recency order. Non-resident hashes
-    /// are a no-op.
-    ///
-    /// (Before this fix the queue was admit-only: probes never refreshed recency,
-    /// so an entry serving hit after hit kept its original insertion position and
-    /// could be the *next* eviction victim while entries that never matched again
-    /// survived behind it. With hits refreshing, the order is true LRU over
-    /// useful entries.)
-    fn touch(&mut self, hash: u64) {
-        if let Some(position) = self.order.iter().position(|&resident| resident == hash) {
-            self.order.remove(position);
-            self.order.push_back(hash);
-        }
+    /// Moves a resident `hash` to the back of the recency order; returns whether
+    /// it was resident.
+    fn touch(&mut self, hash: u64) -> bool {
+        let Some(position) = self.order.iter().position(|&resident| resident == hash) else {
+            return false;
+        };
+        self.order.remove(position);
+        self.order.push_back(hash);
+        true
     }
 }
 
-/// A per-worker cache of compiled programs keyed by structural netlist hash.
-pub(crate) struct CompiledCache {
+/// A per-worker cache of compiled programs keyed by structural netlist hash; see
+/// the [module documentation](self).
+pub(crate) struct CompiledCache<'a> {
+    tech: &'a TechLibrary,
+    activity: Option<SimActivity>,
+    retain: bool,
     entries: HashMap<u64, CacheEntry>,
     residency: ResidencyQueue,
 }
 
-impl CompiledCache {
-    pub(crate) fn new() -> Self {
+impl<'a> CompiledCache<'a> {
+    /// An empty cache for one run of `spec`, whose technology, activity request and
+    /// artifact retention hold for every entry.
+    pub(crate) fn new(spec: &'a ExplorationSpec) -> Self {
         CompiledCache {
+            tech: spec.tech(),
+            activity: spec.sim_activity(),
+            retain: spec.retain_artifacts,
             entries: HashMap::new(),
             residency: ResidencyQueue::new(MAX_ENTRIES),
         }
     }
 
-    /// Analyses one synthesized-but-unanalysed point, through the delta path when a
-    /// structurally identical program is cached and the full path otherwise.
+    /// The entry verified against `netlist`'s structure (the hit refreshes its
+    /// residency) or, on a miss, the one `build` makes — admitted in place of any
+    /// same-hash resident that failed to verify.
+    fn entry<E>(
+        &mut self,
+        netlist: &Netlist,
+        word_map: &WordMap,
+        build: impl FnOnce() -> Result<CacheEntry, E>,
+    ) -> Result<&mut CacheEntry, E> {
+        let hash = netlist.structural_hash();
+        if self
+            .entries
+            .get(&hash)
+            .is_some_and(|entry| entry.matches(netlist, word_map))
+        {
+            self.residency.touch(hash);
+        } else {
+            let entry = build()?;
+            if let Some(evicted) = self.residency.admit(hash) {
+                self.entries.remove(&evicted);
+            }
+            self.entries.insert(hash, entry);
+        }
+        Ok(self
+            .entries
+            .get_mut(&hash)
+            .expect("entry verified or admitted"))
+    }
+
+    /// Analyses one synthesized-but-unanalysed point — and first simulates it under
+    /// `spec`'s probabilities when the run carries an activity request — through
+    /// its structure's entry.
     ///
-    /// Both paths produce bit-identical figures and (when `retain` is set) an
-    /// artifact carrying the point's **own** netlist and word map plus the shared
-    /// compiled program — retained points lose nothing to caching.
-    ///
-    /// The caller supplies the point's input profiles ([`PointProfiles`]) — the
-    /// engine already computes them for the persistent store's evaluation key, so
-    /// the cache consumes them instead of recomputing.
+    /// Returns the point's store record (an analytic sweep's carries a zero
+    /// simulated figure) and, when the run retains artifacts, an artifact carrying the
+    /// point's **own** netlist and word map plus the shared compiled program. The
+    /// delta and the full path produce both bit-identically. The caller supplies
+    /// the input profiles it already computed for the store's evaluation key.
     pub(crate) fn analyze(
         &mut self,
         flow: &str,
         netlist: Netlist,
         word_map: WordMap,
-        profiles: PointProfiles<'_>,
-        tech: &TechLibrary,
-        retain: bool,
-    ) -> Result<Evaluated, BaselineError> {
-        let PointProfiles {
-            arrivals,
-            probabilities,
-        } = profiles;
-        let hash = netlist.structural_hash();
-        if let Some(entry) = self.entries.get_mut(&hash) {
-            if entry.matches(&netlist, &word_map) {
-                // A verified hit refreshes the entry's residency: it just proved
-                // itself the most recently useful program.
-                self.residency.touch(hash);
-                let CacheEntry {
-                    compiled,
-                    timing,
-                    power,
-                    state,
-                    area,
-                    delta,
-                    ..
-                } = entry;
-                // The full profile of the new point; `rerun_delta` skips the
-                // unchanged values bit-for-bit, so this stays a cone-sized rerun.
-                delta.clear();
-                for net in compiled.inputs() {
-                    delta.set_arrival(*net, arrivals.get(net).copied().unwrap_or(0.0));
-                    delta.set_probability(*net, probabilities.get(net).copied().unwrap_or(0.5));
-                }
-                let timing_report = timing.rerun_delta(compiled, state, delta)?;
-                let power_report = power.rerun_delta(compiled, state, delta)?;
-                let area = *area;
-                let artifact = retain.then(|| FlowResult {
-                    flow: flow.to_string(),
-                    delay: timing_report.critical_delay(),
-                    area,
-                    switching_energy: power_report.total_energy(),
-                    power_mw: power_report.power_mw(),
-                    netlist,
-                    word_map,
-                    compiled: compiled.clone(),
-                });
-                return Ok(Evaluated {
-                    delay: timing_report.critical_delay(),
-                    area,
-                    switching_energy: power_report.total_energy(),
-                    power_mw: power_report.power_mw(),
-                    cell_count: compiled.cell_count(),
-                    logic_depth: compiled.level_count(),
-                    artifact,
-                });
+        profiles: Profiles<'_>,
+        spec: &InputSpec,
+        worker: &mut WorkerStats,
+    ) -> Result<(StoredEval, Option<FlowResult>), PointError> {
+        let (tech, activity, retain) = (self.tech, self.activity, self.retain);
+        let entry = self.entry(&netlist, &word_map, || {
+            CacheEntry::compile(&netlist, &word_map, activity.is_some())
+        })?;
+        let simulated = activity
+            .map(|activity| entry.simulate(activity, spec, &netlist, tech, worker))
+            .transpose()
+            .map_err(PointError::Sim)?;
+        let compiled = entry.program.compiled();
+        let mut stored = match &mut entry.analysis {
+            Some(analysis) => analysis.rerun(compiled, profiles)?,
+            slot @ None => {
+                // The entry may come from a simulation-first compile or an FA-tree
+                // program, so validate like `FlowResult::analyze` before priming.
+                netlist.validate_structure().map_err(BaselineError::from)?;
+                let (analysis, stored) = Analysis::prime(compiled, profiles, tech)?;
+                *slot = Some(analysis);
+                stored
             }
-        }
-        // Full path: miss, or a hash collision with a different structure (the
-        // resident entry is kept; collisions only cost the delta speedup).
-        // The step order below mirrors `FlowResult::analyze` exactly, so every
-        // failure surfaces as the same error the non-cached path would report.
-        netlist.validate_structure()?;
-        let compiled = netlist.compile()?;
-        let timing = IncrementalTiming::new(tech, &compiled)?;
-        let mut state = DeltaState::new(&compiled);
-        let timing_report = timing.run_full(&compiled, arrivals, &mut state)?;
-        let power = IncrementalPower::new(tech, &compiled)?;
-        let power_report = power.run_full(&compiled, probabilities, &mut state)?;
-        let area = tech.compiled_area(&compiled);
-        let delay = timing_report.critical_delay();
-        let switching_energy = power_report.total_energy();
-        let power_mw = power_report.power_mw();
-        let cell_count = compiled.cell_count();
-        let logic_depth = compiled.level_count();
+        };
+        stored.simulated_switch_power = simulated.unwrap_or(0.0);
         let artifact = retain.then(|| FlowResult {
             flow: flow.to_string(),
-            delay,
-            area,
-            switching_energy,
-            power_mw,
+            delay: stored.delay,
+            area: stored.area,
+            switching_energy: stored.switching_energy,
+            power_mw: stored.power_mw,
             netlist,
-            word_map: word_map.clone(),
+            word_map,
             compiled: compiled.clone(),
         });
-        // Insert — and on a verified mismatch *replace* the resident same-hash entry
-        // (it just failed to serve this structure; the newest full evaluation owns
-        // the slot so the rest of its chunk gets the delta path). Replacement
-        // refreshes the hash's recency like a fresh insertion; only brand-new
-        // hashes count against the bound.
-        if let Some(evicted) = self.residency.admit(hash) {
-            self.entries.remove(&evicted);
-        }
-        self.entries.insert(
-            hash,
-            CacheEntry {
-                cell_ops: compiled.cell_ops(),
-                compiled,
-                word_map,
-                timing,
-                power,
-                state,
-                area,
-                delta: InputDelta::new(),
-            },
-        );
-        Ok(Evaluated {
-            delay,
-            area,
-            switching_energy,
-            power_mw,
-            cell_count,
-            logic_depth,
-            artifact,
-        })
+        Ok((stored, artifact))
+    }
+
+    /// Simulates one already-analysed point (the FA-tree flows) under `spec`'s
+    /// probabilities when the run carries an activity request, seeding a missed
+    /// structure's entry from the flow's own compiled program.
+    pub(crate) fn simulate(
+        &mut self,
+        result: &FlowResult,
+        spec: &InputSpec,
+        worker: &mut WorkerStats,
+    ) -> Result<Option<f64>, String> {
+        let (tech, Some(activity)) = (self.tech, self.activity) else {
+            return Ok(None);
+        };
+        let entry = self.entry(&result.netlist, &result.word_map, || {
+            let program = BlockSim::from_compiled(result.compiled.clone(), DEFAULT_BLOCK);
+            Ok::<_, String>(CacheEntry::new(program, result.word_map.clone()))
+        })?;
+        entry
+            .simulate(activity, spec, &result.netlist, tech, worker)
+            .map(Some)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpsyn_netlist::{CellKind, Word};
 
     /// Admits `hashes` in order into a fresh queue of [`MAX_ENTRIES`] capacity,
     /// collecting the evictions it reports.
@@ -389,5 +499,60 @@ mod tests {
         let fill = 40..(40 + MAX_ENTRIES as u64 - 3);
         assert_eq!(admit_all(&mut queue, fill), Vec::<u64>::new());
         assert_eq!(queue.admit(1000), Some(20));
+    }
+
+    /// An analysed one-input chain of `length` inverters: a distinct structure
+    /// per length.
+    fn chain(length: usize, spec: &InputSpec, tech: &TechLibrary) -> FlowResult {
+        let mut netlist = Netlist::new("chain");
+        let input = netlist.add_input("a0");
+        let mut net = input;
+        for _ in 0..length {
+            net = netlist.add_gate(CellKind::Not, &[net]).expect("inverter")[0];
+        }
+        netlist.mark_output(net);
+        let word_map = WordMap::new(
+            vec![Word::new("a", vec![input])],
+            Word::new("out", vec![net]),
+        );
+        FlowResult::analyze("chain", netlist, word_map, spec, tech).expect("chain analyses")
+    }
+
+    #[test]
+    fn verified_simulation_hits_refresh_recency() {
+        let run = ExplorationSpec::builder()
+            .design(dpsyn_designs::x_squared())
+            .flows([dpsyn_baselines::Flow::Conventional])
+            .sim_activity(SimActivity {
+                seed: 3,
+                vectors: 64,
+            })
+            .build()
+            .expect("spec");
+        let spec = InputSpec::builder().var("a", 1).build().expect("spec");
+        let structures: Vec<FlowResult> = (1..=MAX_ENTRIES + 1)
+            .map(|length| chain(length, &spec, run.tech()))
+            .collect();
+        let mut cache = CompiledCache::new(&run);
+        let mut worker = WorkerStats::default();
+        let mut simulate = |index: usize| {
+            cache
+                .simulate(&structures[index], &spec, &mut worker)
+                .expect("chain simulates");
+        };
+        (0..MAX_ENTRIES).for_each(&mut simulate);
+        // A verified hit on the oldest resident moves it to the back, so the next
+        // admission evicts structure 1 and structure 0 is still served from cache.
+        simulate(0);
+        simulate(MAX_ENTRIES);
+        simulate(0);
+        simulate(1);
+        assert_eq!(worker.sim_points, MAX_ENTRIES + 4);
+        assert_eq!(
+            worker.sim_builds,
+            MAX_ENTRIES + 2,
+            "only structure 1 rebuilt"
+        );
+        assert_eq!(worker.sim_reuses, 2, "both repeats of structure 0 hit");
     }
 }

@@ -1,10 +1,9 @@
 //! The work-stealing, multi-threaded exploration engine.
 
-use crate::cache::{CompiledCache, Evaluated, PointProfiles};
+use crate::cache::{CompiledCache, PointError};
 use crate::error::ExploreError;
 use crate::job::Job;
 use crate::pareto::{pareto_front, PointMetrics};
-use crate::sim::{SimCache, SimOutcome};
 use crate::spec::{ExplorationSpec, StealPolicy};
 use crate::store::{
     profile_digest, stimulus_digest, stimulus_layout_digest, EvalKey, ResultStore, StoreHealth,
@@ -118,10 +117,10 @@ pub struct WorkerStats {
     /// evaluating (always 0 when no store is attached or lookups are disabled by
     /// artifact retention).
     pub store_hits: usize,
-    /// Simulated-activity contexts this worker built (block-program compile +
-    /// stimulus draw). One per `(source, width, flow)` group the worker touches —
-    /// the group's later points reuse the context (always 0 without
-    /// [`SimActivity`](crate::SimActivity)).
+    /// Simulated-activity contexts this worker built (energy-table resolve +
+    /// stimulus draw on a cached program). One per `(source, width, flow)` group
+    /// the worker touches — the group's later points reuse the context (always 0
+    /// without [`SimActivity`](crate::SimActivity)).
     pub sim_builds: usize,
     /// Points this worker ran the simulated switching metric for.
     pub sim_points: usize,
@@ -506,8 +505,7 @@ pub fn explore_with_store(
                 let slots = &slots;
                 let memo = memo.as_ref();
                 scope.spawn(move || {
-                    let mut cache = CompiledCache::new();
-                    let mut sim_cache = SimCache::new();
+                    let mut cache = CompiledCache::new(spec);
                     let mut worker = WorkerStats::default();
                     let mut recorded = Vec::new();
                     loop {
@@ -526,7 +524,6 @@ pub fn explore_with_store(
                                 spec,
                                 &jobs[job_index],
                                 &mut cache,
-                                &mut sim_cache,
                                 memo,
                                 &mut recorded,
                                 &mut worker,
@@ -632,18 +629,16 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs [`evaluate`] under `catch_unwind` supervision with bounded deterministic
-/// retry: a panicking attempt resets the worker's compiled and sim caches (a
-/// panic may have left them mid-update) and truncates the fresh-record tail back
+/// retry: a panicking attempt resets the worker's program cache (a panic may have
+/// left an entry mid-update) and truncates the fresh-record tail back
 /// to the pre-attempt mark (so the store never keeps records of a poisoned
 /// attempt), then retries; after [`JOB_ATTEMPT_LIMIT`] panicking attempts the job
 /// is quarantined. Because the retry budget is per *job* (not per worker or
 /// wall-clock), the outcome is identical for every thread count.
-#[allow(clippy::too_many_arguments)]
-fn supervised_evaluate(
-    spec: &ExplorationSpec,
+fn supervised_evaluate<'a>(
+    spec: &'a ExplorationSpec,
     job: &Job,
-    cache: &mut CompiledCache,
-    sim_cache: &mut SimCache,
+    cache: &mut CompiledCache<'a>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
     worker: &mut WorkerStats,
@@ -651,23 +646,14 @@ fn supervised_evaluate(
     for attempt in 1..=JOB_ATTEMPT_LIMIT {
         let mark = recorded.len();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate(
-                spec,
-                job,
-                &mut *cache,
-                &mut *sim_cache,
-                memo,
-                recorded,
-                worker,
-            )
+            evaluate(spec, job, &mut *cache, memo, recorded, worker)
         }));
         match caught {
             Ok(Ok(point)) => return JobOutcome::Point(Box::new(point)),
             Ok(Err(error)) => return JobOutcome::Failed(error),
             Err(payload) => {
                 recorded.truncate(mark);
-                *cache = CompiledCache::new();
-                *sim_cache = SimCache::new();
+                *cache = CompiledCache::new(spec);
                 if attempt == JOB_ATTEMPT_LIMIT {
                     return JobOutcome::Quarantined {
                         attempts: attempt,
@@ -687,12 +673,11 @@ struct StoreContext<'a> {
     tech_digest: u64,
 }
 
-/// Reconstructs an exploration point from a memoized record — byte-identical to
-/// fresh evaluation because the record stores exact bit patterns. Only reached
-/// when artifacts are not retained, so `artifact: None` matches fresh behavior.
-/// `sim_on` says whether the sweep carries a simulated metric: its key could only
-/// have matched a record of the same kind, so the stored `simulated_switch_power`
-/// is meaningful exactly then.
+/// Builds an exploration point (without artifact) from its record — a memoized
+/// one or the one this job just produced; records hold exact bit patterns, so a
+/// warm hit is byte-identical to fresh evaluation. `sim_on` says whether the sweep
+/// carries a simulated metric: a key could only have matched a record of the same
+/// kind, so the stored `simulated_switch_power` is meaningful exactly then.
 fn point_from_stored(
     job: &Job,
     design: &Design,
@@ -715,26 +700,12 @@ fn point_from_stored(
     }
 }
 
-/// The storable figures of a freshly evaluated point; an analytic sweep stores a
-/// zero simulated figure (its key's zero stimulus digest keeps it from ever being
-/// read back as a simulated one).
-fn stored_from(evaluated: &Evaluated, simulated: Option<f64>) -> StoredEval {
-    StoredEval {
-        delay: evaluated.delay,
-        area: evaluated.area,
-        switching_energy: evaluated.switching_energy,
-        power_mw: evaluated.power_mw,
-        cell_count: evaluated.cell_count,
-        logic_depth: evaluated.logic_depth,
-        simulated_switch_power: simulated.unwrap_or(0.0),
-    }
-}
-
 /// Evaluates one job: materializes its design, runs its flow's synthesis, and obtains
 /// the metrics (delay from timing analysis, power from probability propagation, area
 /// and structure straight off the compiled program). Flows that synthesize without
-/// analysing go through the worker's [`CompiledCache`] — a structurally verified hit
-/// re-analyses only the dirty cone; everything else takes the full compiled bundle.
+/// analysing are analysed through the worker's [`CompiledCache`]: a structurally
+/// verified hit re-analyses only the dirty cone, a miss compiles the structure once
+/// and takes the full bundle.
 ///
 /// With a [`StoreContext`] attached the job additionally consults the persistent
 /// store — a point-level hit skips even synthesis, an analysis-level hit skips the
@@ -743,15 +714,14 @@ fn stored_from(evaluated: &Evaluated, simulated: Option<f64>) -> StoredEval {
 /// [`explore_with_store`].
 ///
 /// When the specification carries a [`SimActivity`](crate::SimActivity), the
-/// synthesized netlist additionally runs through the worker's [`SimCache`] — the
-/// group's compiled block program and shared stimulus batch absorb every later
-/// point — and both store keys fold the stimulus digest, so simulated and
+/// synthesized netlist is additionally simulated through the same cache entry — the
+/// structure's compiled program plus the run's shared stimulus batch absorb every
+/// later point — and both store keys fold the stimulus digest, so simulated and
 /// analytic records never alias.
 fn evaluate(
     spec: &ExplorationSpec,
     job: &Job,
-    cache: &mut CompiledCache,
-    sim_cache: &mut SimCache,
+    cache: &mut CompiledCache<'_>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
     worker: &mut WorkerStats,
@@ -787,43 +757,26 @@ fn evaluate(
             job: job.label(),
             source,
         })?;
-    // Runs the simulated switching metric on one synthesized netlist through the
-    // worker's per-group context cache, tallying build/reuse counters.
-    let mut simulate = |netlist: &dpsyn_netlist::Netlist,
-                        word_map: &dpsyn_netlist::WordMap,
-                        worker: &mut WorkerStats|
-     -> Result<Option<f64>, ExploreError> {
-        let Some(activity) = activity else {
-            return Ok(None);
-        };
-        let (power, outcome) = sim_cache
-            .simulate(activity, netlist, word_map, design.spec(), spec.tech())
-            .map_err(|message| ExploreError::Sim {
-                job: job.label(),
-                message,
-            })?;
-        worker.sim_points += 1;
-        match outcome {
-            SimOutcome::Built => worker.sim_builds += 1,
-            SimOutcome::Reused => worker.sim_reuses += 1,
-        }
-        Ok(Some(power))
-    };
-    let (evaluated, simulated) = match synthesis {
+    let (stored, artifact) = match synthesis {
         FlowSynthesis::Analyzed(result) => {
-            let simulated = simulate(&result.netlist, &result.word_map, worker)?;
-            (
-                Evaluated {
-                    delay: result.delay,
-                    area: result.area,
-                    switching_energy: result.switching_energy,
-                    power_mw: result.power_mw,
-                    cell_count: result.compiled.cell_count(),
-                    logic_depth: result.compiled.level_count(),
-                    artifact: spec.retain_artifacts.then_some(*result),
-                },
-                simulated,
-            )
+            let simulated = cache
+                .simulate(&result, design.spec(), worker)
+                .map_err(|message| ExploreError::Sim {
+                    job: job.label(),
+                    message,
+                })?;
+            let stored = StoredEval {
+                delay: result.delay,
+                area: result.area,
+                switching_energy: result.switching_energy,
+                power_mw: result.power_mw,
+                cell_count: result.compiled.cell_count(),
+                logic_depth: result.compiled.level_count(),
+                // An analytic sweep's record carries zero: its key's zero stimulus
+                // digest keeps it from ever being read back as a simulated one.
+                simulated_switch_power: simulated.unwrap_or(0.0),
+            };
+            (stored, spec.retain_artifacts.then_some(*result))
         }
         FlowSynthesis::Unanalyzed(parts) => {
             let (arrivals, probabilities) = input_profiles(&parts.word_map, design.spec());
@@ -852,48 +805,34 @@ fn evaluate(
                     return Ok(point_from_stored(job, &design, stored, sim_on));
                 }
             }
-            // Simulate before `analyze` consumes the netlist by value.
-            let simulated = simulate(&parts.netlist, &parts.word_map, worker)?;
-            let evaluated = cache
+            let (stored, artifact) = cache
                 .analyze(
                     parts.flow,
                     parts.netlist,
                     parts.word_map,
-                    PointProfiles {
-                        arrivals: &arrivals,
-                        probabilities: &probabilities,
-                    },
-                    spec.tech(),
-                    spec.retain_artifacts,
+                    (&arrivals, &probabilities),
+                    design.spec(),
+                    worker,
                 )
-                .map_err(|source| ExploreError::Flow {
-                    job: job.label(),
-                    source,
+                .map_err(|error| {
+                    let job = job.label();
+                    match error {
+                        PointError::Flow(source) => ExploreError::Flow { job, source },
+                        PointError::Sim(message) => ExploreError::Sim { job, message },
+                    }
                 })?;
             if let Some(key) = analysis_key {
-                recorded.push((key, stored_from(&evaluated, simulated)));
+                recorded.push((key, stored));
             }
-            (evaluated, simulated)
+            (stored, artifact)
         }
     };
     if let Some(key) = point_key {
-        recorded.push((key, stored_from(&evaluated, simulated)));
+        recorded.push((key, stored));
     }
-    let metrics = PointMetrics {
-        delay: evaluated.delay,
-        power: evaluated.power_mw,
-        area: evaluated.area,
-        switching_energy: evaluated.switching_energy,
-        cell_count: evaluated.cell_count,
-        logic_depth: evaluated.logic_depth,
-        simulated_switch_power: simulated,
-    };
-    Ok(ExplorationPoint {
-        job: job.clone(),
-        design: design.name().to_string(),
-        metrics,
-        artifact: evaluated.artifact,
-    })
+    let mut point = point_from_stored(job, &design, stored, sim_on);
+    point.artifact = artifact;
+    Ok(point)
 }
 
 #[cfg(test)]

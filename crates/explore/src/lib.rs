@@ -20,9 +20,9 @@
 //!    over delay × power × area plus per-flow [`FlowSummary`] tables.
 //! 4. Optionally, a [`SimActivity`] request adds **simulated switching activity** as
 //!    a per-point metric: every synthesized netlist runs through the SIMD block-lane
-//!    engine of `dpsyn-sim` on a shared seeded stimulus batch (compiled once and
-//!    reused across each `(source, width, flow)` group, like the analytic delta
-//!    path), yielding `simulated_switch_power` and an analytic-vs-simulated
+//!    engine of `dpsyn-sim` on a shared seeded stimulus batch (on the same cached
+//!    program the analytic delta path reuses across each `(source, width, flow)`
+//!    group), yielding `simulated_switch_power` and an analytic-vs-simulated
 //!    divergence column in the summary — still byte-identical for any worker count.
 //!
 //! # Example

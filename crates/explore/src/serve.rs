@@ -841,6 +841,11 @@ fn escape_json(text: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting a line may use. The protocol's deepest shape,
+/// `{"flows":[{"fa_random":3}]}`, is 3 levels; the cap keeps a hostile line from
+/// overflowing a connection thread's stack in the recursive descent below.
+const MAX_JSON_DEPTH: usize = 16;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -852,7 +857,7 @@ fn parse_json(text: &str) -> Result<Json, String> {
         pos: 0,
     };
     parser.skip_whitespace();
-    let value = parser.value()?;
+    let value = parser.value(0)?;
     parser.skip_whitespace();
     if parser.pos != parser.bytes.len() {
         return Err(format!("trailing characters at byte {}", parser.pos));
@@ -893,10 +898,15 @@ impl JsonParser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses the value at the cursor, enclosed by `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -906,7 +916,7 @@ impl JsonParser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_whitespace();
@@ -920,7 +930,7 @@ impl JsonParser<'_> {
             self.skip_whitespace();
             self.expect(b':')?;
             self.skip_whitespace();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.push((key, value));
             self.skip_whitespace();
             match self.peek() {
@@ -934,7 +944,7 @@ impl JsonParser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut values = Vec::new();
         self.skip_whitespace();
@@ -944,7 +954,7 @@ impl JsonParser<'_> {
         }
         loop {
             self.skip_whitespace();
-            values.push(self.value()?);
+            values.push(self.value(depth)?);
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -1120,6 +1130,18 @@ mod tests {
         assert!(build_spec(&fields)
             .expect_err("unknown flow")
             .contains("unknown flow"));
+    }
+
+    #[test]
+    fn deeply_nested_lines_are_rejected_without_exhausting_the_stack() {
+        // Connection handlers run on default-stack spawned threads, so parse there.
+        let deep = "[".repeat(100_000);
+        let error = std::thread::spawn(move || parse_json(&deep))
+            .join()
+            .expect("the parser returns instead of overflowing the stack")
+            .expect_err("the nesting cap rejects the line");
+        assert!(error.contains("nesting deeper than"), "{error}");
+        assert!(parse_json(r#"{"flows":[{"fa_random":3}]}"#).is_ok());
     }
 
     #[test]

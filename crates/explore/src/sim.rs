@@ -1,4 +1,4 @@
-//! The per-worker simulated switching-activity path of the exploration engine.
+//! The simulated switching-activity metric of the exploration engine.
 //!
 //! When a sweep carries a [`SimActivity`](crate::SimActivity) request, every
 //! evaluated point additionally runs its synthesized netlist through the SIMD
@@ -9,65 +9,32 @@
 //! `power_mw` — and with it the analytic-vs-simulated divergence column of the
 //! sweep summary.
 //!
-//! The cost model mirrors the compiled-program cache ([`crate::cache`]): jobs that
-//! share `(source, width, flow)` synthesize structurally identical netlists, so the
-//! compiled block program, the resolved technology tables and the drawn stimulus
-//! batch of the group's first point absorb every later point. [`SimCache`] holds
-//! those artifacts per worker with the same correctness ladder:
-//!
-//! 1. probe by [`Netlist::structural_hash`];
-//! 2. **verify** the candidate cell-by-cell against the cached program's ops plus
-//!    the input/output lists and the word map — hash equality is never trusted;
-//! 3. on a verified hit, reuse the compiled program and the stimulus batch; points
-//!    whose input probabilities were already simulated are served from a per-entry
-//!    memo (skew axes never perturb a simulation, so a whole skew column collapses
-//!    to one evaluation);
-//! 4. on any mismatch, compile and draw fresh — so the simulated figure is a pure
-//!    function of `(netlist structure, word map, spec probabilities, activity)`,
-//!    bit-identical for any worker count, chunking or eviction history.
+//! This module holds only that evaluation. Its [`SimContext`] (stimulus batch,
+//! resolved energy tables, voltage, memo of simulated probability profiles) lives
+//! in the worker's program cache ([`crate::cache`]) beside the compiled program it
+//! simulates. Skew axes never perturb a simulation, so the memo collapses a whole
+//! skew column to one evaluation.
 //!
 //! Determinism note: the stimulus batch is keyed by the **spec-level** activity
 //! seed, never by worker or group identity, so two structurally identical groups
 //! draw the same batch and the persistent store's name-blind analysis keys stay
 //! sound (the key folds the exact bit-to-net stimulus layout on top; see
-//! [`crate::store::stimulus_layout_digest`]).
+//! [`crate::store::stimulus_layout_digest`]). The simulated figure is therefore a
+//! pure function of `(netlist structure, word map, spec probabilities, activity)`.
 
 use crate::spec::SimActivity;
 use dpsyn_ir::InputSpec;
-use dpsyn_netlist::{CompiledOp, Netlist, WordMap};
+use dpsyn_netlist::{Netlist, WordMap};
 use dpsyn_power::simulated_energy;
-use dpsyn_sim::{BlockSim, SharedStimulus, ToggleCounter, DEFAULT_BLOCK};
+use dpsyn_sim::{BlockSim, SharedStimulus, ToggleCounter};
 use dpsyn_tech::{ResolvedTech, TechLibrary};
-use std::collections::{HashMap, VecDeque};
 
-/// Upper bound on live entries per worker, matching the compiled-program cache:
-/// entries hold a compiled block program plus a drawn stimulus batch, so the bound
-/// keeps memory flat while covering the structures a worker's groups cycle through.
-const MAX_ENTRIES: usize = 8;
-
-/// What one [`SimCache::simulate`] call did, for the engine's per-worker counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SimOutcome {
-    /// A fresh block program + stimulus batch were built for this structure.
-    Built,
-    /// A verified cached program (and its stimulus batch) absorbed the point.
-    Reused,
-}
-
-/// One cached simulation context: the compiled block program, its structural
-/// identity in cell order for exact verification, the stimulus batch drawn for the
-/// activity request, the resolved energy tables, and a memo of probability
-/// profiles already simulated under this exact context.
-struct SimEntry {
-    sim: BlockSim,
-    /// The program's ops in cell-index order, for exact candidate verification.
-    cell_ops: Vec<CompiledOp>,
-    word_map: WordMap,
-    activity: SimActivity,
+/// Everything one compiled program needs to be simulated under a run's activity
+/// request, except the program itself.
+pub(crate) struct SimContext {
     stimulus: SharedStimulus,
     resolved: ResolvedTech,
     voltage: f64,
-    tech_digest: u64,
     /// `(probability profile of the spec, simulated power)` pairs already
     /// evaluated under this program + batch. Groups enumerate only a handful of
     /// bias points, so a linear scan over exact bit patterns is both cheap and
@@ -75,174 +42,80 @@ struct SimEntry {
     memo: Vec<(Vec<u64>, f64)>,
 }
 
-impl SimEntry {
-    /// Exact structural verification, mirroring the compiled-program cache: net
-    /// universe, primary inputs/outputs, word-level interface, every cell's kind
-    /// and exact pin lists — plus the activity request and tech identity this
-    /// entry's batch and tables were built for.
-    fn matches(
-        &self,
-        netlist: &Netlist,
-        word_map: &WordMap,
-        activity: SimActivity,
-        tech_digest: u64,
-    ) -> bool {
-        if self.activity != activity
-            || self.tech_digest != tech_digest
-            || netlist.net_count() != self.sim.compiled().net_count()
-            || netlist.cell_count() != self.sim.compiled().cell_count()
-            || netlist.inputs() != self.sim.compiled().inputs()
-            || netlist.outputs() != self.sim.compiled().outputs()
-            || word_map != &self.word_map
-        {
-            return false;
-        }
-        netlist.cells().all(|(id, cell)| {
-            let op = &self.cell_ops[id.index()];
-            op.kind == cell.kind()
-                && op.input_nets() == cell.inputs()
-                && op.output_nets() == cell.outputs()
-        })
-    }
-
-    /// The exact bit-pattern identity of the spec slice a simulation depends on:
-    /// variable names, widths and per-bit probabilities (arrivals are irrelevant
-    /// to logic simulation and deliberately excluded, which is what collapses a
-    /// skew column to one evaluation).
-    fn profile_key(spec: &InputSpec) -> Vec<u64> {
-        let mut key = Vec::new();
-        for var in spec.vars() {
-            key.push(var.name().len() as u64);
-            key.extend(var.name().bytes().map(u64::from));
-            key.push(u64::from(var.width()));
-            for bit in var.bits() {
-                key.push(bit.probability.to_bits());
-            }
-        }
-        key
-    }
-}
-
-/// The per-worker simulation cache; see the [module documentation](self).
-pub(crate) struct SimCache {
-    entries: HashMap<u64, SimEntry>,
-    /// Insertion-recency order of resident hashes, oldest first (FIFO admission,
-    /// replacements re-admitted at the back — same policy as the compiled cache).
-    order: VecDeque<u64>,
-}
-
-impl SimCache {
-    pub(crate) fn new() -> Self {
-        SimCache {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    /// Simulates one synthesized point under `activity` and returns its simulated
-    /// switching power (same milliwatt-like scale as the analytic `power_mw`),
-    /// plus whether a cached context was reused or a fresh one built.
+impl SimContext {
+    /// Resolves the energy tables of `program` and draws the stimulus batch of
+    /// `activity` for `spec`'s input bits.
     ///
     /// # Errors
     ///
-    /// Returns the stringified block-engine or technology-resolution failure;
-    /// the engine wraps it into [`ExploreError::Sim`](crate::ExploreError::Sim)
-    /// with the failing job's label.
-    pub(crate) fn simulate(
-        &mut self,
+    /// Returns the stringified technology-resolution failure.
+    pub(crate) fn build(
+        program: &BlockSim,
         activity: SimActivity,
-        netlist: &Netlist,
-        word_map: &WordMap,
         spec: &InputSpec,
         tech: &TechLibrary,
-    ) -> Result<(f64, SimOutcome), String> {
-        let hash = netlist.structural_hash();
-        let tech_digest = tech.identity_digest();
-        let verified = self
-            .entries
-            .get(&hash)
-            .is_some_and(|entry| entry.matches(netlist, word_map, activity, tech_digest));
-        let outcome = if verified {
-            SimOutcome::Reused
-        } else {
-            let entry = self.build(activity, netlist, word_map, spec, tech, tech_digest)?;
-            if let Some(evicted) = self.admit(hash) {
-                self.entries.remove(&evicted);
-            }
-            self.entries.insert(hash, entry);
-            SimOutcome::Built
-        };
-        let entry = self.entries.get_mut(&hash).expect("entry just verified");
-        let key = SimEntry::profile_key(spec);
-        if let Some((_, power)) = entry.memo.iter().find(|(resident, _)| *resident == key) {
-            return Ok((*power, outcome));
-        }
-        let power = evaluate(entry, netlist, spec);
-        entry.memo.push((key, power));
-        Ok((power, outcome))
-    }
-
-    /// Compiles the block program, resolves the energy tables and draws the
-    /// stimulus batch for one structure.
-    fn build(
-        &self,
-        activity: SimActivity,
-        netlist: &Netlist,
-        word_map: &WordMap,
-        spec: &InputSpec,
-        tech: &TechLibrary,
-        tech_digest: u64,
-    ) -> Result<SimEntry, String> {
-        let sim = BlockSim::compile(netlist, DEFAULT_BLOCK).map_err(|error| error.to_string())?;
+    ) -> Result<Self, String> {
         let resolved = tech
-            .resolve(sim.compiled())
+            .resolve(program.compiled())
             .map_err(|error| error.to_string())?;
         let stimulus =
             SharedStimulus::generate(activity.seed, spec.total_bits() as usize, activity.vectors);
-        Ok(SimEntry {
-            cell_ops: sim.compiled().cell_ops(),
-            sim,
-            word_map: word_map.clone(),
-            activity,
+        Ok(SimContext {
             stimulus,
             resolved,
             voltage: tech.voltage(),
-            tech_digest,
             memo: Vec::new(),
         })
     }
 
-    /// Records that `hash` now owns an entry; returns the hash to evict when the
-    /// admission overflows the capacity.
-    fn admit(&mut self, hash: u64) -> Option<u64> {
-        if let Some(position) = self.order.iter().position(|resident| *resident == hash) {
-            self.order.remove(position);
+    /// The simulated switching power of `netlist` (the structure `program` was
+    /// compiled from) under `spec`'s probabilities, on the same milliwatt-like
+    /// scale as the analytic `power_mw`: the program runs over the batch, and the
+    /// measured toggle rates fold through the per-kind energy weights. Memoized per
+    /// probability profile.
+    pub(crate) fn power(
+        &mut self,
+        program: &BlockSim,
+        word_map: &WordMap,
+        netlist: &Netlist,
+        spec: &InputSpec,
+    ) -> f64 {
+        let key = profile_key(spec);
+        if let Some((_, power)) = self.memo.iter().find(|(resident, _)| *resident == key) {
+            return *power;
         }
-        self.order.push_back(hash);
-        (self.order.len() > MAX_ENTRIES).then(|| {
-            self.order
-                .pop_front()
-                .expect("over-capacity queue is non-empty")
-        })
+        let assignments = self.stimulus.biased_assignments(spec);
+        let mut counter = ToggleCounter::new(program.net_count());
+        let mut blocks = program.block_buffer();
+        for chunk in assignments.chunks(program.vectors_per_pass()) {
+            program.pack_word_assignments(word_map, chunk, &mut blocks);
+            program.evaluate_into(&mut blocks);
+            counter.record_blocks(&blocks, program.block(), chunk.len());
+        }
+        let mut rates = vec![0.0; program.net_count()];
+        for (net, _) in netlist.nets() {
+            rates[net.index()] = counter.toggle_rate(net);
+        }
+        let energy = simulated_energy(program.compiled(), &self.resolved, &rates);
+        let power = energy * self.voltage * self.voltage;
+        self.memo.push((key, power));
+        power
     }
 }
 
-/// Runs the cached program over the cached batch under `spec`'s probabilities and
-/// folds the measured toggle rates into a milliwatt-scale power figure.
-fn evaluate(entry: &SimEntry, netlist: &Netlist, spec: &InputSpec) -> f64 {
-    let assignments = entry.stimulus.biased_assignments(spec);
-    let mut counter = ToggleCounter::new(entry.sim.net_count());
-    let mut blocks = entry.sim.block_buffer();
-    for chunk in assignments.chunks(entry.sim.vectors_per_pass()) {
-        entry
-            .sim
-            .pack_word_assignments(&entry.word_map, chunk, &mut blocks);
-        entry.sim.evaluate_into(&mut blocks);
-        counter.record_blocks(&blocks, entry.sim.block(), chunk.len());
+/// The exact bit-pattern identity of the spec slice a simulation depends on:
+/// variable names, widths and per-bit probabilities (arrivals are irrelevant to
+/// logic simulation and deliberately excluded, which is what collapses a skew
+/// column to one evaluation).
+fn profile_key(spec: &InputSpec) -> Vec<u64> {
+    let mut key = Vec::new();
+    for var in spec.vars() {
+        key.push(var.name().len() as u64);
+        key.extend(var.name().bytes().map(u64::from));
+        key.push(u64::from(var.width()));
+        for bit in var.bits() {
+            key.push(bit.probability.to_bits());
+        }
     }
-    let mut rates = vec![0.0; entry.sim.net_count()];
-    for (net, _) in netlist.nets() {
-        rates[net.index()] = counter.toggle_rate(net);
-    }
-    simulated_energy(entry.sim.compiled(), &entry.resolved, &rates) * entry.voltage * entry.voltage
+    key
 }

@@ -10,8 +10,16 @@
 //! widths push the number of distinct `CsaOpt` structures a single worker sees well
 //! past the cache bound, so the run also churns through evictions and
 //! recency-refreshing replacements — none of which may perturb a single bit.
+//!
+//! The simulated metric, which shares that cache, is pinned the same way against a
+//! cache-free oracle: a fresh block simulation of each retained netlist.
 
-use dpsyn_explore::{explore, BiasProfile, ExplorationSpec, Flow, SkewProfile};
+use dpsyn_explore::{explore, BiasProfile, ExplorationSpec, Flow, SimActivity, SkewProfile};
+use dpsyn_ir::InputSpec;
+use dpsyn_netlist::{Netlist, WordMap};
+use dpsyn_power::simulated_energy;
+use dpsyn_sim::{BlockSim, SharedStimulus, ToggleCounter, DEFAULT_BLOCK};
+use dpsyn_tech::TechLibrary;
 
 fn spec(threads: usize) -> ExplorationSpec {
     ExplorationSpec::builder()
@@ -89,6 +97,97 @@ fn cached_delta_points_match_independent_full_runs() {
                 artifact.switching_energy.to_bits(),
                 reference.switching_energy.to_bits(),
                 "{label}: artifact energy"
+            );
+        }
+    }
+}
+
+/// The simulated switching power of one netlist computed from scratch: compile,
+/// draw the run's stimulus batch, count toggles block by block and fold the rates
+/// through the energy weights at the library voltage.
+fn oracle_sim_power(
+    netlist: &Netlist,
+    word_map: &WordMap,
+    inputs: &InputSpec,
+    activity: SimActivity,
+    tech: &TechLibrary,
+) -> f64 {
+    let sim = BlockSim::compile(netlist, DEFAULT_BLOCK).expect("netlist compiles");
+    let stimulus = SharedStimulus::generate(
+        activity.seed,
+        inputs.total_bits() as usize,
+        activity.vectors,
+    );
+    let assignments = stimulus.biased_assignments(inputs);
+    let mut counter = ToggleCounter::new(sim.net_count());
+    let mut blocks = sim.block_buffer();
+    for chunk in assignments.chunks(sim.vectors_per_pass()) {
+        sim.pack_word_assignments(word_map, chunk, &mut blocks);
+        sim.evaluate_into(&mut blocks);
+        counter.record_blocks(&blocks, sim.block(), chunk.len());
+    }
+    let rates: Vec<f64> = netlist
+        .nets()
+        .map(|(net, _)| counter.toggle_rate(net))
+        .collect();
+    let resolved = tech
+        .resolve(sim.compiled())
+        .expect("library covers every cell");
+    simulated_energy(sim.compiled(), &resolved, &rates) * tech.voltage() * tech.voltage()
+}
+
+#[test]
+fn simulated_points_match_a_cache_free_oracle() {
+    // All six explore flows: the module-binding flows build their simulation
+    // context on a structure the analysis half compiled, the FA-tree flows seed
+    // theirs from the flow's own program, and bias-only neighbours hit the memo.
+    // 300 vectors leave a partial last pass.
+    let activity = SimActivity {
+        seed: 23,
+        vectors: 300,
+    };
+    for threads in [1, 2] {
+        let spec = ExplorationSpec::builder()
+            .design(dpsyn_designs::mixed_poly())
+            .sum_workload(4)
+            .widths([4, 5])
+            .skews([SkewProfile::Keep, SkewProfile::Uniform(2.0)])
+            .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
+            .flows([
+                Flow::Conventional,
+                Flow::CsaOpt,
+                Flow::WallaceFixed,
+                Flow::FaRandom(8),
+                Flow::FaAot,
+                Flow::FaAlp,
+            ])
+            .seed(13)
+            .sim_activity(activity)
+            .retain_artifacts(true)
+            .threads(threads)
+            .build()
+            .expect("sim spec is well-formed");
+        let results = explore(&spec).expect("sim exploration succeeds");
+        assert_eq!(results.points().len(), spec.jobs().len());
+        for point in results.points() {
+            let artifact = point.artifact.as_ref().expect("artifacts are retained");
+            let design = spec.materialize(&point.job);
+            let expected = oracle_sim_power(
+                &artifact.netlist,
+                &artifact.word_map,
+                design.spec(),
+                activity,
+                spec.tech(),
+            );
+            let simulated = point
+                .metrics
+                .simulated_switch_power
+                .expect("every point carries the simulated metric");
+            assert_eq!(
+                simulated.to_bits(),
+                expected.to_bits(),
+                "{} ({threads} thread(s)): {simulated} vs oracle {expected}",
+                point.job.label()
             );
         }
     }

@@ -7,6 +7,8 @@
 //! lookups, allocating fanout map), across:
 //!
 //! * seeded random DAGs mixing every cell kind, with skewed arrival / probability
+//!   profiles,
+//! * the 16×16 Wallace-tree multiplier under skewed arrival / probability
 //!   profiles, and
 //! * all ten benchmark designs of the paper's Table 1, synthesized end to end.
 //!
@@ -15,6 +17,7 @@
 //! traversal, including the cycle-culprit error.
 
 use dpsyn_core::{Objective, Synthesizer};
+use dpsyn_modules::multiplier::wallace_multiply;
 use dpsyn_netlist::{CellId, CellKind, NetId, Netlist};
 use dpsyn_power::{propagate_cell, ProbabilityAnalysis};
 use dpsyn_tech::TechLibrary;
@@ -451,4 +454,66 @@ fn synthesized_benchmark_reports_match_legacy() {
             assert_eq!(synthesized.compiled(), &netlist.compile().unwrap());
         }
     }
+}
+
+#[test]
+fn skew_profiled_wallace_multiplier_matches_legacy() {
+    // The 16×16 Wallace-tree multiplier (~560 cells), with mildly skewed profiles
+    // so neither analysis degenerates to its defaults.
+    let mut netlist = Netlist::new("mult16");
+    let a: Vec<NetId> = (0..16)
+        .map(|i| netlist.add_input(format!("a{i}")))
+        .collect();
+    let b: Vec<NetId> = (0..16)
+        .map(|i| netlist.add_input(format!("b{i}")))
+        .collect();
+    for net in wallace_multiply(&mut netlist, &a, &b).expect("multiplier generation") {
+        netlist.mark_output(net);
+    }
+    let arrivals: BTreeMap<NetId, f64> = a
+        .iter()
+        .enumerate()
+        .map(|(bit, net)| (*net, bit as f64 * 0.05))
+        .collect();
+    let probabilities: BTreeMap<NetId, f64> = b
+        .iter()
+        .enumerate()
+        .map(|(bit, net)| (*net, 0.3 + bit as f64 * 0.02))
+        .collect();
+    let lib = TechLibrary::lcbg10pv_like();
+    netlist.validate_structure().expect("valid netlist");
+    let compiled = netlist.compile().expect("acyclic");
+
+    let (legacy_arrival, legacy_output, legacy_path) = legacy_timing(&netlist, &lib, &arrivals);
+    let timing = TimingAnalysis::new(&lib)
+        .with_input_arrivals(arrivals)
+        .run_compiled(&compiled)
+        .unwrap();
+    assert_bits_eq("arrival", timing.arrivals(), &legacy_arrival);
+    assert_eq!(timing.critical_output(), legacy_output);
+    assert_eq!(timing.critical_path(), legacy_path);
+    let legacy_delay = legacy_arrival[legacy_output.expect("outputs").index()];
+    assert_eq!(timing.critical_delay().to_bits(), legacy_delay.to_bits());
+
+    let (legacy_p, legacy_cell_energy, legacy_total, legacy_activity) =
+        legacy_power(&netlist, &lib, &probabilities, 0.5);
+    let power = ProbabilityAnalysis::new(&lib)
+        .with_input_probabilities(probabilities)
+        .run_compiled(&compiled)
+        .unwrap();
+    assert_bits_eq("probability", power.probabilities(), &legacy_p);
+    let cell_energy: Vec<f64> = netlist
+        .cells()
+        .map(|(id, _)| power.cell_energy(id))
+        .collect();
+    assert_bits_eq("cell_energy", &cell_energy, &legacy_cell_energy);
+    assert_eq!(power.total_energy().to_bits(), legacy_total.to_bits());
+    assert_eq!(power.total_activity().to_bits(), legacy_activity.to_bits());
+
+    assert_eq!(
+        lib.compiled_area(&compiled).to_bits(),
+        lib.netlist_area(&netlist).to_bits()
+    );
+    assert_eq!(compiled.cell_count(), netlist.cell_count());
+    assert_eq!(compiled.level_count(), legacy_logic_depth(&netlist));
 }

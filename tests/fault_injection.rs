@@ -648,6 +648,35 @@ mod serve_faults {
         server.join().expect("joins").expect("exits cleanly");
     }
 
+    /// A line nested far deeper than the protocol ever goes (100,000 `[`, well
+    /// under the byte cap) gets a typed `malformed request` reject instead of
+    /// overflowing the handler's stack, and the same connection keeps serving.
+    #[test]
+    fn deeply_nested_lines_are_rejected_and_the_connection_keeps_serving() {
+        let socket = sock("nested");
+        let config = ServeConfig::new(socket.clone());
+        let server = std::thread::spawn(move || serve(&config));
+
+        let mut stream = connect(&socket);
+        let mut line = "[".repeat(100_000);
+        line.push('\n');
+        stream.write_all(line.as_bytes()).expect("deep line sends");
+        let response = read_response(&mut stream);
+        assert!(!response.ok);
+        assert!(
+            response.error.starts_with("malformed request"),
+            "typed reject: {}",
+            response.error
+        );
+        stream.write_all(SWEEP.as_bytes()).expect("sweep sends");
+        let healthy = read_response(&mut stream);
+        assert!(healthy.ok, "the connection kept serving: {}", healthy.error);
+        drop(stream);
+
+        shutdown(&socket);
+        server.join().expect("joins").expect("exits cleanly");
+    }
+
     /// Satellite: a slow-loris client parking a partial line is rejected with a
     /// typed `deadline` response once the read deadline passes.
     #[test]
