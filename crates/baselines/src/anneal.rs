@@ -10,9 +10,9 @@
 //! no worse, one strictly better, compared bit-for-bit). Rejected moves are rolled
 //! back through the *same* rewire → recompile → rebind → rerun path, so the live
 //! delta view stays bit-identical to a from-scratch analysis after every settled
-//! proposal. The one full analysis pass per channel is the initial prime; the move
-//! loop never runs one (asserted by the `anneal_throughput` bench via
-//! [`AnnealStats::full_passes`]).
+//! proposal. The one full analysis pass per channel is the priming `rerun_delta`
+//! on the fresh state; the move loop never runs one (asserted by the
+//! `anneal_throughput` bench via [`AnnealStats::full_passes`]).
 //!
 //! # Why the moves preserve the synthesized function
 //!
@@ -78,7 +78,8 @@ pub struct AnnealStats {
     pub discarded: u64,
     /// `rerun_delta` calls across both channels (scoring and rollbacks).
     pub delta_reruns: u64,
-    /// `run_full` calls: exactly 2 (the timing + power prime), never more.
+    /// Full passes: exactly 2 (the priming `rerun_delta` of the timing and the
+    /// power channel), never more.
     pub full_passes: u64,
     /// Function-preserving swap groups found in the start netlist.
     pub swap_groups: usize,
@@ -316,12 +317,21 @@ pub fn fa_anneal_observed(
         .run()?;
     let (mut netlist, word_map, mut compiled, _report) = design.into_analysis_parts();
 
+    // Prime each channel of the fresh state with one full pass under the design's
+    // input profile.
     let (arrivals, probabilities) = input_profiles(&word_map, spec);
+    let mut profile = InputDelta::new();
+    for (net, arrival) in arrivals {
+        profile.set_arrival(net, arrival);
+    }
+    for (net, probability) in probabilities {
+        profile.set_probability(net, probability);
+    }
     let mut state = DeltaState::new(&compiled);
     let mut timing_engine = IncrementalTiming::new(tech, &compiled)?;
     let mut power_engine = IncrementalPower::new(tech, &compiled)?;
-    let mut timing = timing_engine.run_full(&compiled, &arrivals, &mut state)?;
-    let mut power = power_engine.run_full(&compiled, &probabilities, &mut state)?;
+    let mut timing = timing_engine.rerun_delta(&compiled, &mut state, &profile)?;
+    let mut power = power_engine.rerun_delta(&compiled, &mut state, &profile)?;
     // Swaps never change the cell set, so area is invariant across the search.
     let area = tech.compiled_area(&compiled);
 

@@ -252,7 +252,7 @@ mod tests {
         // A balanced 8-leaf tree has three adder levels; a left-leaning chain would have
         // seven. The structural depth must therefore stay well below the chain depth.
         let serial_depth_estimate = 7 * 6; // 7 ripple adders of 6+ bits
-        assert!(result.netlist.logic_depth() < serial_depth_estimate);
+        assert!(result.compiled.level_count() < serial_depth_estimate);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Criterion benchmark: `fa_anneal` local-search move throughput.
 //!
 //! The annealer's contract is that the *loop* never pays a from-scratch analysis:
-//! exactly two `run_full` passes prime the `DeltaState`, and every proposal after
-//! that is scored (and, on rejection, rolled back) through
+//! exactly two full passes prime the `DeltaState` (the first `rerun_delta` of each
+//! channel on the fresh state), and every proposal after that is scored (and, on rejection, rolled back) through
 //! `IncrementalTiming::rerun_delta` / `IncrementalPower::rerun_delta` at dirty-cone
 //! cost. The harness asserts that contract from the loop counters —
 //! `full_passes == 2` and `delta_reruns == 2 * proposals + 2 * rejected` — and

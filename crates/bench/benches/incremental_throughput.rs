@@ -14,10 +14,14 @@
 //! to fresh `run_compiled` runs, then measures points/sec over the sweep for both
 //! paths and enforces per-workload speedup floors: **≥ 3×** on the explorer-style
 //! skew sweep (sparse per-point arrival changes — the case the delta layer exists
-//! for; measured ~4.3×), and ≥ 1.8× on the adversarial full-skew sweep where every
-//! input changes at once and the dirty cone degenerates to the whole netlist
-//! (measured ~3.0×; the win there comes from the cached compile/resolve/area and the
-//! never-woken power channel). The `BENCH_incremental.json` record is printed:
+//! for), and ≥ 1.8× on the adversarial full-skew sweep where every input changes at
+//! once and the dirty cone degenerates to the whole netlist (the win there comes
+//! from the cached compile/resolve/area and the never-woken power channel).
+//!
+//! The two paths are timed in short **alternating windows** and the gate compares
+//! the median points/sec of each, so load drift on a shared host hits both sides
+//! alike instead of landing on whichever path happened to run second. The
+//! `BENCH_incremental.json` record is printed:
 //!
 //! ```bash
 //! cargo bench -p dpsyn-bench --bench incremental_throughput
@@ -156,7 +160,7 @@ fn full_point(
 }
 
 /// The persistent half of the delta path: program compiled once, technology resolved
-/// once, area folded once, state primed once.
+/// once, area folded once; the first point primes the state with a full pass.
 struct DeltaHarness {
     compiled: CompiledNetlist,
     timing: IncrementalTiming,
@@ -167,35 +171,21 @@ struct DeltaHarness {
 }
 
 impl DeltaHarness {
-    fn new(
-        netlist: &Netlist,
-        tech: &TechLibrary,
-        arrivals: &BTreeMap<NetId, f64>,
-        probabilities: &BTreeMap<NetId, f64>,
-    ) -> Self {
+    fn new(netlist: &Netlist, tech: &TechLibrary) -> Self {
         let compiled = netlist.compile().expect("acyclic");
-        let timing = IncrementalTiming::new(tech, &compiled).expect("resolve");
-        let power = IncrementalPower::new(tech, &compiled).expect("resolve");
-        let mut state = DeltaState::new(&compiled);
-        timing
-            .run_full(&compiled, arrivals, &mut state)
-            .expect("prime timing");
-        power
-            .run_full(&compiled, probabilities, &mut state)
-            .expect("prime power");
-        let area = tech.compiled_area(&compiled);
         DeltaHarness {
+            timing: IncrementalTiming::new(tech, &compiled).expect("resolve"),
+            power: IncrementalPower::new(tech, &compiled).expect("resolve"),
+            state: DeltaState::new(&compiled),
+            area: tech.compiled_area(&compiled),
             compiled,
-            timing,
-            power,
-            state,
-            area,
             delta: InputDelta::new(),
         }
     }
 
-    /// One per-point delta re-analysis: assemble the point's full input profile
-    /// (rerun_delta skips unchanged values bit-for-bit) and re-propagate the cone.
+    /// One per-point analysis: assemble the point's full input profile and run it
+    /// through `rerun_delta` — the priming full pass on the first point, a
+    /// dirty-cone rerun (unchanged values skipped bit-for-bit) afterwards.
     fn point(
         &mut self,
         arrivals: &BTreeMap<NetId, f64>,
@@ -227,8 +217,7 @@ impl DeltaHarness {
 /// Verifies the delta path reports bit-identical figures (and full bit-identical
 /// reports) to the fresh compiled path on every sweep point.
 fn verify_bit_identity(workload: &Workload, tech: &TechLibrary) {
-    let (arrivals0, probabilities0) = &workload.points[0];
-    let mut harness = DeltaHarness::new(&workload.netlist, tech, arrivals0, probabilities0);
+    let mut harness = DeltaHarness::new(&workload.netlist, tech);
     for (index, (arrivals, probabilities)) in workload.points.iter().enumerate() {
         let delta = harness.point(arrivals, probabilities);
         let full = full_point(&workload.netlist, tech, arrivals, probabilities);
@@ -297,8 +286,9 @@ fn bench_incremental_throughput(criterion: &mut Criterion) {
                 }
             })
         });
+        let mut harness = DeltaHarness::new(&workload.netlist, &tech);
         let (arrivals0, probabilities0) = &workload.points[0];
-        let mut harness = DeltaHarness::new(&workload.netlist, &tech, arrivals0, probabilities0);
+        harness.point(arrivals0, probabilities0);
         group.bench_function(format!("delta_{}", workload.name), |bencher| {
             bencher.iter(|| {
                 for (arrivals, probabilities) in &workload.points {
@@ -312,42 +302,64 @@ fn bench_incremental_throughput(criterion: &mut Criterion) {
     speedup_gate(&workloads, &tech);
 }
 
-/// Times both paths directly, prints the `BENCH_incremental.json` record, and
-/// enforces each workload's per-point speedup floor (≥ 3× on the explorer-style
-/// skew sweep, ≥ 1.8× on the adversarial full-skew sweep).
+/// Alternating timing windows per path and workload.
+const WINDOWS: usize = 15;
+/// Minimum length of one timing window, in milliseconds.
+const WINDOW_MS: u128 = 40;
+
+/// Points/sec of `sweep` (one pass over `points` sweep points), repeated for at
+/// least one window.
+fn window_points_per_sec(points: usize, mut sweep: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    let mut swept = 0usize;
+    while start.elapsed().as_millis() < WINDOW_MS {
+        sweep();
+        swept += points;
+    }
+    swept as f64 / start.elapsed().as_secs_f64()
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Times both paths in alternating windows, prints the `BENCH_incremental.json`
+/// record, and enforces each workload's per-point speedup floor (≥ 3× on the
+/// explorer-style skew sweep, ≥ 1.8× on the adversarial full-skew sweep) on the
+/// ratio of the two paths' median window rates.
 fn speedup_gate(workloads: &[Workload], tech: &TechLibrary) {
     for workload in workloads {
-        let mut full_points = 0u64;
-        let full_start = Instant::now();
-        while full_start.elapsed().as_millis() < 300 {
-            for (arrivals, probabilities) in &workload.points {
-                black_box(full_point(&workload.netlist, tech, arrivals, probabilities));
-                full_points += 1;
-            }
-        }
-        let full_pps = full_points as f64 / full_start.elapsed().as_secs_f64();
-
+        let points = workload.points.len();
+        let mut harness = DeltaHarness::new(&workload.netlist, tech);
         let (arrivals0, probabilities0) = &workload.points[0];
-        let mut harness = DeltaHarness::new(&workload.netlist, tech, arrivals0, probabilities0);
-        let mut delta_points = 0u64;
-        let delta_start = Instant::now();
-        while delta_start.elapsed().as_millis() < 300 {
-            for (arrivals, probabilities) in &workload.points {
-                black_box(harness.point(arrivals, probabilities));
-                delta_points += 1;
-            }
+        harness.point(arrivals0, probabilities0);
+        let mut full_rates = Vec::with_capacity(WINDOWS);
+        let mut delta_rates = Vec::with_capacity(WINDOWS);
+        for _ in 0..WINDOWS {
+            full_rates.push(window_points_per_sec(points, || {
+                for (arrivals, probabilities) in &workload.points {
+                    black_box(full_point(&workload.netlist, tech, arrivals, probabilities));
+                }
+            }));
+            delta_rates.push(window_points_per_sec(points, || {
+                for (arrivals, probabilities) in &workload.points {
+                    black_box(harness.point(arrivals, probabilities));
+                }
+            }));
         }
-        let delta_pps = delta_points as f64 / delta_start.elapsed().as_secs_f64();
+        let full_pps = median(full_rates);
+        let delta_pps = median(delta_rates);
 
         let speedup = delta_pps / full_pps;
         println!(
             "{{\"workload\": \"{}\", \"cells\": {}, \"nets\": {}, \"sweep_points\": {}, \
-             \"full_points_per_sec\": {:.0}, \"delta_points_per_sec\": {:.0}, \
-             \"speedup\": {:.1}, \"floor\": {:.1}}}",
+             \"windows\": {WINDOWS}, \"full_points_per_sec\": {:.0}, \
+             \"delta_points_per_sec\": {:.0}, \"speedup\": {:.1}, \"floor\": {:.1}}}",
             workload.name,
             workload.netlist.cell_count(),
             workload.netlist.net_count(),
-            workload.points.len(),
+            points,
             full_pps,
             delta_pps,
             speedup,
@@ -356,8 +368,8 @@ fn speedup_gate(workloads: &[Workload], tech: &TechLibrary) {
         assert!(
             speedup >= workload.floor,
             "delta re-analysis must be at least {:.1}x faster per point than the \
-             full compiled bundle on {} (measured {speedup:.1}x: {delta_pps:.0} vs \
-             {full_pps:.0} points/sec)",
+             full compiled bundle on {} (measured {speedup:.1}x: median {delta_pps:.0} \
+             vs {full_pps:.0} points/sec over {WINDOWS} alternating windows)",
             workload.floor,
             workload.name
         );

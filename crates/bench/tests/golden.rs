@@ -1,13 +1,15 @@
 //! Golden outputs: the paper-table binaries and the full exploration sweep must
-//! print exactly the committed reference bytes in `perfbench/golden/`. Any drift in
-//! synthesis, analysis, simulation or rendering fails here instead of surfacing as
-//! a manual diff.
+//! print exactly the committed reference bytes in `perfbench/golden/`, and the
+//! figure, ablation and smoke-sweep binaries the bytes in `tests/golden/`. Any
+//! drift in synthesis, analysis, simulation or rendering fails here instead of
+//! surfacing as a manual diff.
 
 use std::process::Command;
 
-/// Runs one of this package's binaries without arguments and returns its stdout.
-fn stdout_of(binary: &str) -> String {
+/// Runs one of this package's binaries with `args` and returns its stdout.
+fn stdout_of(binary: &str, args: &[&str]) -> String {
     let output = Command::new(binary)
+        .args(args)
         .output()
         .unwrap_or_else(|error| panic!("cannot run {binary}: {error}"));
     assert!(
@@ -19,8 +21,8 @@ fn stdout_of(binary: &str) -> String {
 }
 
 /// Compares line by line first, so a mismatch names the first differing line.
-fn assert_golden(binary: &str, golden: &str) {
-    let actual = stdout_of(binary);
+fn assert_golden(binary: &str, args: &[&str], golden: &str) {
+    let actual = stdout_of(binary, args);
     for (index, (got, want)) in actual.lines().zip(golden.lines()).enumerate() {
         assert_eq!(got, want, "{binary}: line {} differs", index + 1);
     }
@@ -34,6 +36,7 @@ fn assert_golden(binary: &str, golden: &str) {
 fn table1_matches_golden() {
     assert_golden(
         env!("CARGO_BIN_EXE_table1"),
+        &[],
         include_str!("../../../perfbench/golden/table1.txt"),
     );
 }
@@ -42,6 +45,7 @@ fn table1_matches_golden() {
 fn table2_matches_golden() {
     assert_golden(
         env!("CARGO_BIN_EXE_table2"),
+        &[],
         include_str!("../../../perfbench/golden/table2.txt"),
     );
 }
@@ -50,6 +54,43 @@ fn table2_matches_golden() {
 fn full_explore_sweep_matches_golden() {
     assert_golden(
         env!("CARGO_BIN_EXE_explore"),
+        &[],
         include_str!("../../../perfbench/golden/explore_full.txt"),
+    );
+}
+
+#[test]
+fn figure2_matches_golden() {
+    assert_golden(
+        env!("CARGO_BIN_EXE_figure2"),
+        &[],
+        include_str!("golden/figure2.txt"),
+    );
+}
+
+#[test]
+fn figure4_matches_golden() {
+    assert_golden(
+        env!("CARGO_BIN_EXE_figure4"),
+        &[],
+        include_str!("golden/figure4.txt"),
+    );
+}
+
+#[test]
+fn ablation_matches_golden() {
+    assert_golden(
+        env!("CARGO_BIN_EXE_ablation"),
+        &[],
+        include_str!("golden/ablation.txt"),
+    );
+}
+
+#[test]
+fn smoke_explore_sweep_matches_golden() {
+    assert_golden(
+        env!("CARGO_BIN_EXE_explore"),
+        &["--smoke"],
+        include_str!("golden/explore_smoke.txt"),
     );
 }

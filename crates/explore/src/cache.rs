@@ -7,9 +7,10 @@
 //! waste, so [`CompiledCache`] keeps one entry per verified structure:
 //!
 //! * the compiled program, its cell ops and its word map, stored once;
-//! * an optional primed analysis (resolved incremental timing and power, the primed
-//!   [`DeltaState`], the area), through which later points re-analyse as an
-//!   input-profile delta over the affected cone;
+//! * an optional analysis (resolved incremental timing and power, the
+//!   [`DeltaState`], the area), built on the entry's first analytic point: that
+//!   point's `rerun_delta` is the priming full pass and every later point
+//!   re-analyses as an input-profile delta over the affected cone;
 //! * an optional [`SimContext`] for the simulated metric on that same program.
 //!
 //! Every lookup follows one correctness ladder:
@@ -87,8 +88,8 @@ fn record(
     }
 }
 
-/// The once-resolved incremental analyses of one cached program, the primed value
-/// state and the cached area.
+/// The once-resolved incremental analyses of one cached program, its value state
+/// and the cached area.
 struct Analysis {
     timing: IncrementalTiming,
     power: IncrementalPower,
@@ -99,39 +100,29 @@ struct Analysis {
 }
 
 impl Analysis {
-    /// Resolves and primes the analyses with a full pass. The step order mirrors
-    /// `FlowResult::analyze` exactly, so every failure surfaces as the same error
-    /// the non-cached path would report.
-    fn prime(
-        compiled: &CompiledNetlist,
-        (arrivals, probabilities): Profiles<'_>,
-        tech: &TechLibrary,
-    ) -> Result<(Self, StoredEval), BaselineError> {
-        let timing = IncrementalTiming::new(tech, compiled)?;
-        let mut state = DeltaState::new(compiled);
-        let timing_report = timing.run_full(compiled, arrivals, &mut state)?;
-        let power = IncrementalPower::new(tech, compiled)?;
-        let power_report = power.run_full(compiled, probabilities, &mut state)?;
-        let area = tech.compiled_area(compiled);
-        let stored = record(compiled, &timing_report, &power_report, area);
-        let analysis = Analysis {
-            timing,
-            power,
-            state,
-            area,
+    /// Resolves the analyses against `compiled` and binds a fresh, unprimed state.
+    /// Timing resolves first, like `FlowResult::analyze`, so an uncovered cell
+    /// kind surfaces as the same error the non-cached path would report.
+    fn new(compiled: &CompiledNetlist, tech: &TechLibrary) -> Result<Self, BaselineError> {
+        Ok(Analysis {
+            timing: IncrementalTiming::new(tech, compiled)?,
+            power: IncrementalPower::new(tech, compiled)?,
+            state: DeltaState::new(compiled),
+            area: tech.compiled_area(compiled),
             delta: InputDelta::new(),
-        };
-        Ok((analysis, stored))
+        })
     }
 
-    /// Re-analyses the primed program under a new point's profiles.
+    /// Analyses the program under a point's profiles: timing, then power, each
+    /// through `rerun_delta` — the priming full pass on the entry's first point,
+    /// a dirty-cone rerun afterwards.
     fn rerun(
         &mut self,
         compiled: &CompiledNetlist,
         (arrivals, probabilities): Profiles<'_>,
     ) -> Result<StoredEval, BaselineError> {
-        // The full profile of the new point; `rerun_delta` skips the unchanged
-        // values bit-for-bit, so this stays a cone-sized rerun.
+        // The full profile of the point; a primed `rerun_delta` skips the
+        // unchanged values bit-for-bit, so this stays a cone-sized rerun.
         self.delta.clear();
         for net in compiled.inputs() {
             let arrival = arrivals.get(net).copied().unwrap_or(0.0);
@@ -358,17 +349,16 @@ impl<'a> CompiledCache<'a> {
             .transpose()
             .map_err(PointError::Sim)?;
         let compiled = entry.program.compiled();
-        let mut stored = match &mut entry.analysis {
-            Some(analysis) => analysis.rerun(compiled, profiles)?,
+        let analysis = match &mut entry.analysis {
+            Some(analysis) => analysis,
             slot @ None => {
                 // The entry may come from a simulation-first compile or an FA-tree
-                // program, so validate like `FlowResult::analyze` before priming.
+                // program, so validate like `FlowResult::analyze` before resolving.
                 netlist.validate_structure().map_err(BaselineError::from)?;
-                let (analysis, stored) = Analysis::prime(compiled, profiles, tech)?;
-                *slot = Some(analysis);
-                stored
+                slot.insert(Analysis::new(compiled, tech)?)
             }
         };
+        let mut stored = analysis.rerun(compiled, profiles)?;
         stored.simulated_switch_power = simulated.unwrap_or(0.0);
         let artifact = retain.then(|| FlowResult {
             flow: flow.to_string(),

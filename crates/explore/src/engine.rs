@@ -254,6 +254,15 @@ fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Schedule {
     Schedule { order, chunks }
 }
 
+/// The number of workers a run spawns: the specification's thread count, capped at
+/// the chunk count. A worker beyond the chunk count would never own a chunk, and
+/// the cap keeps an arbitrary requested `threads` (a serve request's, say) from
+/// sizing per-worker allocations and thread spawns. The chunk list itself does not
+/// depend on the cap, so neither do the results.
+fn worker_count(spec: &ExplorationSpec, chunk_count: usize) -> usize {
+    spec.threads().min(chunk_count)
+}
+
 /// Seeds the per-worker chunk queues: contiguous blocks of the group-major chunk
 /// list, so consecutive chunks of one group land on one worker and its compiled
 /// cache serves the whole group unless a steal re-balances it.
@@ -377,7 +386,7 @@ pub fn schedule_preview(spec: &ExplorationSpec) -> SchedulePreview {
         .iter()
         .map(|range| plan.order[range.clone()].to_vec())
         .collect();
-    let queues = seed_queues(chunks.len(), spec.threads())
+    let queues = seed_queues(chunks.len(), worker_count(spec, chunks.len()))
         .into_iter()
         .map(Vec::from)
         .collect();
@@ -479,7 +488,7 @@ pub fn explore_with_store(
 ) -> Result<(ExplorationResults, ExploreStats, FreshRecords), ExploreError> {
     let jobs = spec.jobs();
     let plan = schedule(spec, &jobs);
-    let workers = spec.threads();
+    let workers = worker_count(spec, plan.chunks.len());
     let queues = StealQueues::new(seed_queues(plan.chunks.len(), workers), spec.steal_policy());
     let memo = store.map(|store| StoreContext {
         store,
@@ -928,9 +937,12 @@ mod tests {
         let preview = schedule_preview(&spec);
         assert_eq!(preview.chunks().len(), spec.jobs().len());
         assert!(preview.chunks().iter().all(|chunk| chunk.len() == 1));
-        // The seeded queues still cover every chunk despite idle tail workers.
+        // The seeded queues still cover every chunk, one seeded worker per chunk:
+        // no idle tail workers are spawned.
         let seeded: usize = preview.worker_queues().iter().map(Vec::len).sum();
         assert_eq!(seeded, preview.chunks().len());
+        assert_eq!(preview.worker_queues().len(), preview.chunks().len());
+        assert!(preview.worker_queues().iter().all(|queue| queue.len() == 1));
     }
 
     #[test]
@@ -976,6 +988,34 @@ mod tests {
         let preview = schedule_preview(&spec);
         let sizes: Vec<usize> = preview.chunks().iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![3, 2]);
+    }
+
+    #[test]
+    fn an_oversized_thread_count_spawns_one_worker_per_chunk() {
+        // A thread count no host could spawn (or allocate per-worker state for)
+        // must run exactly like one thread: the engine caps its workers at the
+        // chunk count, and a one-job spec has one chunk.
+        let one_job = |threads: usize| {
+            ExplorationSpec::builder()
+                .sum_workload(3)
+                .width(3)
+                .flow(Flow::Conventional)
+                .threads(threads)
+                .build()
+                .expect("one-job spec is well-formed")
+        };
+        let huge = one_job(1 << 60);
+        assert_eq!(huge.jobs().len(), 1);
+        assert_eq!(schedule_preview(&huge).worker_queues().len(), 1);
+        let (results, stats) = explore_with_stats(&huge).expect("capped run succeeds");
+        assert_eq!(stats.workers.len(), 1);
+        let reference = explore(&one_job(1)).expect("single-threaded run succeeds");
+        assert_eq!(results.points().len(), 1);
+        for (got, want) in results.points().iter().zip(reference.points()) {
+            assert_eq!(got.job, want.job);
+            assert_eq!(got.metrics, want.metrics);
+        }
+        assert_eq!(results.render_summary(), reference.render_summary());
     }
 
     #[test]

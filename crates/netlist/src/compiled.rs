@@ -393,9 +393,26 @@ impl CompiledNetlist {
         &self.kind_counts
     }
 
-    /// Reconstructs the level grouping as owned `Vec`s — the shape
-    /// [`Netlist::levelize`] returns. Analyses should iterate [`Self::ops`] /
-    /// [`Self::level`] instead; this exists for the compatibility path.
+    /// Reconstructs the level grouping as owned `Vec`s: level 0 holds the cells all
+    /// of whose inputs are primary inputs (or undriven nets), and every cell sits one
+    /// level above the deepest cell driving one of its inputs. Analyses should
+    /// iterate [`Self::ops`] / [`Self::level`] instead; this owned copy is for
+    /// inspection and tests.
+    ///
+    /// # Example
+    /// ```
+    /// use dpsyn_netlist::{CellKind, Netlist};
+    /// let mut netlist = Netlist::new("chain");
+    /// let a = netlist.add_input("a");
+    /// let b = netlist.add_input("b");
+    /// let x = netlist.add_gate(CellKind::And2, &[a, b]).unwrap()[0];
+    /// netlist.add_gate(CellKind::Not, &[x]).unwrap();
+    /// netlist.add_gate(CellKind::Xor2, &[a, b]).unwrap();
+    /// let levels = netlist.compile().unwrap().levels();
+    /// assert_eq!(levels.len(), 2);
+    /// assert_eq!(levels[0].len(), 2); // the AND and the XOR are independent
+    /// assert_eq!(levels[1].len(), 1); // the NOT reads the AND
+    /// ```
     pub fn levels(&self) -> Vec<Vec<CellId>> {
         (0..self.level_count())
             .map(|level| self.level(level).iter().map(|op| op.cell).collect())

@@ -16,12 +16,14 @@
 //!   timing-only delta never touches the power cone and vice versa.
 //!
 //! The propagation semantics (how a cell's outputs are recomputed from its inputs)
-//! live in `dpsyn-timing` and `dpsyn-power`, which drive the worklist through
-//! [`DirtyWorklist::drain`] with a recompute closure; this crate only owns the
-//! structural machinery. The invariant every consumer relies on: as long as a dirty
-//! cell always rewrites *all* of its outputs (values **and** auxiliary per-net data)
-//! and reports exactly the output pins whose stored value changed bits, the arrays
-//! after a drain are bit-identical to the arrays a fresh full pass would produce.
+//! live in `dpsyn-timing` and `dpsyn-power`, whose one stateful entry point,
+//! `rerun_delta`, primes a fresh channel with a full pass on its first call and
+//! afterwards drives the worklist through [`DirtyWorklist::drain`] with a recompute
+//! closure; this crate only owns the structural machinery. The invariant every
+//! consumer relies on: as long as a dirty cell always rewrites *all* of its outputs
+//! (values **and** auxiliary per-net data) and reports exactly the output pins whose
+//! stored value changed bits, the arrays after a drain are bit-identical to the
+//! arrays a fresh full pass would produce.
 
 use crate::cell::CellId;
 use crate::compiled::{CompiledNetlist, CompiledOp};
@@ -33,6 +35,8 @@ use crate::graph::NetId;
 /// mentioned keep their current value in the [`DeltaState`]. Callers may freely
 /// include unchanged values — the delta entry points compare bits and skip them — so
 /// the cheapest correct usage is to push the full profile of the new design point.
+/// On a fresh [`DeltaState`] the first `rerun_delta` applies the entries on top of
+/// the analysis defaults (arrival 0, probability 0.5) in a full pass.
 /// The buffers are reusable across points via [`InputDelta::clear`].
 #[derive(Debug, Clone, Default)]
 pub struct InputDelta {
@@ -227,7 +231,7 @@ impl DirtyWorklist {
 /// The persistent timing channel: per-net arrival times plus the critical-path
 /// predecessor links, and the dirty worklist that re-propagates them.
 ///
-/// Owned by [`DeltaState`]; filled by `dpsyn-timing`'s full prime and mutated by its
+/// Owned by [`DeltaState`]; filled and then updated by `dpsyn-timing`'s
 /// `rerun_delta`. The arrays are indexed by [`NetId::index`].
 #[derive(Debug, Clone)]
 pub struct TimingChannel {
@@ -237,14 +241,15 @@ pub struct TimingChannel {
     pub worst_predecessor: Vec<Option<NetId>>,
     /// The channel's dirty-cone worklist.
     pub worklist: DirtyWorklist,
-    /// Whether a full pass has primed the arrays (deltas require a primed channel).
+    /// Whether a full pass has filled the arrays. The next `rerun_delta` on an
+    /// unprimed channel is that full pass.
     pub primed: bool,
 }
 
 /// The persistent power channel: per-net signal probabilities, per-cell energies and
 /// the running totals, plus the dirty worklist that re-propagates them.
 ///
-/// Owned by [`DeltaState`]; filled by `dpsyn-power`'s full prime and mutated by its
+/// Owned by [`DeltaState`]; filled and then updated by `dpsyn-power`'s
 /// `rerun_delta`.
 #[derive(Debug, Clone)]
 pub struct PowerChannel {
@@ -258,7 +263,8 @@ pub struct PowerChannel {
     pub total_activity: f64,
     /// The channel's dirty-cone worklist.
     pub worklist: DirtyWorklist,
-    /// Whether a full pass has primed the arrays (deltas require a primed channel).
+    /// Whether a full pass has filled the arrays. The next `rerun_delta` on an
+    /// unprimed channel is that full pass.
     pub primed: bool,
 }
 
@@ -307,7 +313,8 @@ pub struct DeltaState {
 }
 
 impl DeltaState {
-    /// Creates unprimed state sized for — and bound to — `compiled`.
+    /// Creates unprimed state bound to `compiled`; each analysis's first
+    /// `rerun_delta` on it sizes and fills its channel with a full pass.
     pub fn new(compiled: &CompiledNetlist) -> Self {
         DeltaState {
             timing: TimingChannel {
@@ -329,12 +336,12 @@ impl DeltaState {
         }
     }
 
-    /// Rebinds primed state to a recompile of the *same* netlist after a local,
+    /// Rebinds state to a recompile of the *same* netlist after a local,
     /// shape-preserving edit (an input-pin rewire or a same-arity kind change): the
     /// worklists are rebuilt against the new levelization and every cell whose
     /// compiled op differs between `old` and `new` is seeded dirty in **both**
     /// channels, so the next `rerun_delta` of each analysis re-propagates exactly
-    /// the affected cone.
+    /// the affected cone (an unprimed channel still gets its full priming pass).
     ///
     /// Callers must also re-resolve their technology tables against `new` (a kind
     /// change can introduce a kind the old resolution never filled in) — the
@@ -344,7 +351,7 @@ impl DeltaState {
     ///
     /// Panics when the programs disagree on net count, cell count, primary inputs or
     /// the driven-net set — such edits change the value universe and need a fresh
-    /// [`DeltaState`] plus a full prime instead.
+    /// [`DeltaState`] (whose first `rerun_delta` is a full pass) instead.
     pub fn rebind(&mut self, old: &CompiledNetlist, new: &CompiledNetlist) {
         assert_eq!(
             old.net_count(),

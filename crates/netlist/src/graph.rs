@@ -299,49 +299,6 @@ impl Netlist {
         CompiledNetlist::compile(self)
     }
 
-    /// Computes a topological order of the cells (inputs before the cells that read
-    /// them).
-    ///
-    /// The order is the concatenation of the levels of [`Netlist::levelize`], which is
-    /// exactly what a FIFO worklist would emit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] when the netlist is cyclic.
-    pub fn topological_order(&self) -> Result<Vec<CellId>, NetlistError> {
-        Ok(self.compile()?.ops().iter().map(|op| op.cell).collect())
-    }
-
-    /// Groups the cells into topological levels: level 0 holds the cells all of whose
-    /// inputs are primary inputs (or undriven nets), and every cell sits one level
-    /// above the deepest cell driving one of its inputs.
-    ///
-    /// Concatenating the levels yields a valid topological order; the grouping is what
-    /// levelized simulators (and, later, parallel evaluation) consume, because all
-    /// cells within a level are mutually independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] when the netlist is cyclic.
-    ///
-    /// # Example
-    /// ```
-    /// use dpsyn_netlist::{CellKind, Netlist};
-    /// let mut netlist = Netlist::new("chain");
-    /// let a = netlist.add_input("a");
-    /// let b = netlist.add_input("b");
-    /// let x = netlist.add_gate(CellKind::And2, &[a, b]).unwrap()[0];
-    /// netlist.add_gate(CellKind::Not, &[x]).unwrap();
-    /// netlist.add_gate(CellKind::Xor2, &[a, b]).unwrap();
-    /// let levels = netlist.levelize().unwrap();
-    /// assert_eq!(levels.len(), 2);
-    /// assert_eq!(levels[0].len(), 2); // the AND and the XOR are independent
-    /// assert_eq!(levels[1].len(), 1); // the NOT reads the AND
-    /// ```
-    pub fn levelize(&self) -> Result<Vec<Vec<CellId>>, NetlistError> {
-        Ok(self.compile()?.levels())
-    }
-
     /// Validates the invariants that do not require a traversal: every net is driven
     /// by exactly one source (a cell output or a primary input) and every marked
     /// output exists. Callers that also compile the netlist get the remaining
@@ -565,16 +522,6 @@ impl Netlist {
         }
         words
     }
-
-    /// Longest path length (in cells) from any primary input or constant to any net.
-    ///
-    /// This is a purely structural depth (every cell counts as one level) used in
-    /// reports and tests; the technology-aware delay lives in the timing crate. It
-    /// equals [`CompiledNetlist::level_count`] — callers holding a compiled program
-    /// should read that instead of re-traversing here.
-    pub fn logic_depth(&self) -> usize {
-        self.compile().map(|c| c.level_count()).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -600,7 +547,7 @@ mod tests {
         assert_eq!(netlist.net_count(), 5);
         assert_eq!(netlist.inputs().len(), 3);
         assert_eq!(netlist.outputs().len(), 2);
-        assert_eq!(netlist.logic_depth(), 1);
+        assert_eq!(netlist.compile().unwrap().level_count(), 1);
     }
 
     #[test]
@@ -709,13 +656,14 @@ mod tests {
         let stage2 = netlist.add_gate(CellKind::Not, &[stage1]).unwrap()[0];
         let stage3 = netlist.add_gate(CellKind::Xor2, &[stage2, a]).unwrap()[0];
         netlist.mark_output(stage3);
-        let order = netlist.topological_order().unwrap();
+        let compiled = netlist.compile().unwrap();
+        let order: Vec<CellId> = compiled.ops().iter().map(|op| op.cell).collect();
         let positions: Vec<usize> = (0..netlist.cell_count())
             .map(|cell| order.iter().position(|c| c.index() == cell).unwrap())
             .collect();
         assert!(positions[0] < positions[1]);
         assert!(positions[1] < positions[2]);
-        assert_eq!(netlist.logic_depth(), 3);
+        assert_eq!(compiled.level_count(), 3);
     }
 
     #[test]
@@ -729,7 +677,7 @@ mod tests {
         let xor = netlist.add_gate(CellKind::Xor2, &[and, or]).unwrap()[0];
         let not = netlist.add_gate(CellKind::Not, &[xor]).unwrap()[0];
         netlist.mark_output(not);
-        let levels = netlist.levelize().unwrap();
+        let levels = netlist.compile().unwrap().levels();
         assert_eq!(levels.len(), 3);
         assert_eq!(levels[0].len(), 2);
         assert_eq!(levels[1].len(), 1);
@@ -754,11 +702,12 @@ mod tests {
     #[test]
     fn levelize_matches_logic_depth() {
         let netlist = full_adder_netlist();
-        let levels = netlist.levelize().unwrap();
-        assert_eq!(levels.len(), netlist.logic_depth());
-        assert!(netlist.levelize().unwrap().concat().len() == netlist.cell_count());
+        let compiled = netlist.compile().unwrap();
+        let levels = compiled.levels();
+        assert_eq!(levels.len(), compiled.level_count());
+        assert!(levels.concat().len() == netlist.cell_count());
         let empty = Netlist::new("empty");
-        assert!(empty.levelize().unwrap().is_empty());
+        assert!(empty.compile().unwrap().levels().is_empty());
     }
 
     #[test]
@@ -855,16 +804,19 @@ mod tests {
         let xor = netlist.add_gate(CellKind::Xor2, &[and, or]).unwrap()[0];
         netlist.mark_output(xor);
         let compiled = netlist.compile().unwrap();
-        assert_eq!(compiled.levels(), netlist.levelize().unwrap());
-        assert_eq!(compiled.level_count(), netlist.logic_depth());
+        // The AND and the OR read only inputs; the XOR reads both.
+        assert_eq!(
+            compiled.levels(),
+            vec![vec![CellId(0), CellId(1)], vec![CellId(2)]]
+        );
+        assert_eq!(compiled.level_count(), 2);
         assert_eq!(compiled.cell_count(), netlist.cell_count());
         assert_eq!(compiled.net_count(), netlist.net_count());
         assert_eq!(compiled.inputs(), netlist.inputs());
         assert_eq!(compiled.outputs(), netlist.outputs());
         // Ops are the levelized concatenation, and pins mirror the cells.
-        let order = netlist.topological_order().unwrap();
         let op_cells: Vec<CellId> = compiled.ops().iter().map(|op| op.cell).collect();
-        assert_eq!(op_cells, order);
+        assert_eq!(op_cells, compiled.levels().concat());
         for op in compiled.ops() {
             let cell = netlist.cell(op.cell);
             assert_eq!(op.kind, cell.kind());
@@ -894,13 +846,11 @@ mod tests {
             .add_cell(CellKind::Buf, "g1", vec![out], vec![loop_net])
             .unwrap();
         let compiled_err = netlist.compile().unwrap_err();
-        let levelize_err = netlist.levelize().unwrap_err();
-        assert_eq!(compiled_err, levelize_err);
         assert!(matches!(
             compiled_err,
             NetlistError::CombinationalCycle { cell } if cell == CellId(0)
         ));
-        assert_eq!(netlist.logic_depth(), 0);
+        assert!(netlist.validate().is_err());
     }
 
     #[test]

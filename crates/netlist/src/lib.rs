@@ -40,7 +40,6 @@ mod compiled;
 mod delta;
 mod error;
 mod graph;
-mod stats;
 mod verilog;
 mod word;
 
@@ -49,7 +48,6 @@ pub use compiled::{CompiledNetlist, CompiledOp, StructuralHasher};
 pub use delta::{DeltaState, DirtyWorklist, InputDelta, PowerChannel, TimingChannel};
 pub use error::NetlistError;
 pub use graph::{Net, NetId, Netlist};
-pub use stats::NetlistStats;
 pub use word::{Word, WordMap};
 
 #[cfg(test)]

@@ -47,12 +47,12 @@ proptest! {
     fn random_dags_are_valid(choices in prop::collection::vec((0usize..10, 0usize..64, 0usize..64, 0usize..64), 1..60)) {
         let netlist = seed_dag(&choices);
         prop_assert!(netlist.validate().is_ok());
-        let order = netlist.topological_order().expect("acyclic by construction");
-        prop_assert_eq!(order.len(), netlist.cell_count());
+        let compiled = netlist.compile().expect("acyclic by construction");
+        prop_assert_eq!(compiled.op_count(), netlist.cell_count());
         // Every cell appears after the drivers of its inputs.
         let mut position = vec![usize::MAX; netlist.cell_count()];
-        for (rank, cell) in order.iter().enumerate() {
-            position[cell.index()] = rank;
+        for (rank, op) in compiled.ops().iter().enumerate() {
+            position[op.cell.index()] = rank;
         }
         for (id, cell) in netlist.cells() {
             for input in cell.inputs() {

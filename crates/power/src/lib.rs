@@ -20,6 +20,16 @@
 //! both by the probability propagation below and by the power-driven allocation
 //! algorithm in `dpsyn-core`.
 //!
+//! The analysis runs over a compiled netlist ([`CompiledNetlist`]) and has two entry
+//! points:
+//!
+//! * [`ProbabilityAnalysis::run_compiled`] — the stateless full pass;
+//! * [`IncrementalPower::rerun_delta`] — the stateful pass over a caller-owned
+//!   [`DeltaState`]: its first call on a fresh state is the full pass under the
+//!   defaults (unmentioned inputs at p = 0.5) plus the delta's entries, and every
+//!   later call re-propagates only the dirty cone. Both produce bit-identical
+//!   reports for the same profile.
+//!
 //! # Example
 //!
 //! ```
@@ -35,12 +45,13 @@
 //! let b = netlist.add_input("b");
 //! let y = netlist.add_gate(CellKind::And2, &[a, b])?[0];
 //! netlist.mark_output(y);
+//! let compiled = netlist.compile()?;
 //! let mut probabilities = BTreeMap::new();
 //! probabilities.insert(a, 0.5);
 //! probabilities.insert(b, 0.5);
 //! let report = ProbabilityAnalysis::new(&TechLibrary::unit())
 //!     .with_input_probabilities(probabilities)
-//!     .run(&netlist)?;
+//!     .run_compiled(&compiled)?;
 //! assert!((report.probability(y) - 0.25).abs() < 1e-12);
 //! # Ok(())
 //! # }
@@ -49,9 +60,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dpsyn_netlist::{
-    CellKind, CompiledNetlist, CompiledOp, DeltaState, InputDelta, NetId, Netlist, NetlistError,
-};
+use dpsyn_netlist::{CellKind, CompiledNetlist, CompiledOp, DeltaState, InputDelta, NetId};
 use dpsyn_tech::{ResolvedTech, TechError, TechLibrary};
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -62,14 +71,12 @@ pub mod q_transform;
 /// Errors produced by probability propagation and power estimation.
 #[derive(Debug)]
 pub enum PowerError {
-    /// The netlist is structurally invalid (cycle, ...).
-    Netlist(NetlistError),
     /// The technology library does not cover a cell kind used by the netlist.
     Tech(TechError),
     /// An input probability is outside `[0, 1]`.
     InvalidProbability {
-        /// The offending net (`None` when the default probability itself is invalid).
-        net: Option<NetId>,
+        /// The offending net.
+        net: NetId,
         /// The offending value.
         probability: f64,
     },
@@ -78,18 +85,11 @@ pub enum PowerError {
 impl fmt::Display for PowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PowerError::Netlist(error) => write!(f, "invalid netlist: {error}"),
             PowerError::Tech(error) => write!(f, "incomplete technology library: {error}"),
-            PowerError::InvalidProbability { net, probability } => match net {
-                Some(net) => write!(
-                    f,
-                    "signal probability {probability} of net {net} is outside [0, 1]"
-                ),
-                None => write!(
-                    f,
-                    "default signal probability {probability} is outside [0, 1]"
-                ),
-            },
+            PowerError::InvalidProbability { net, probability } => write!(
+                f,
+                "signal probability {probability} of net {net} is outside [0, 1]"
+            ),
         }
     }
 }
@@ -97,16 +97,9 @@ impl fmt::Display for PowerError {
 impl Error for PowerError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            PowerError::Netlist(error) => Some(error),
             PowerError::Tech(error) => Some(error),
             PowerError::InvalidProbability { .. } => None,
         }
-    }
-}
-
-impl From<NetlistError> for PowerError {
-    fn from(error: NetlistError) -> Self {
-        PowerError::Netlist(error)
     }
 }
 
@@ -116,12 +109,18 @@ impl From<TechError> for PowerError {
     }
 }
 
+/// The signal probability of primary inputs the profile does not mention: unbiased.
+const DEFAULT_PROBABILITY: f64 = 0.5;
+
 /// Configurable signal-probability propagation and power estimation.
+///
+/// Construct with a technology library, optionally provide per-net input
+/// probabilities (unmentioned inputs are unbiased, p = 0.5), then
+/// [`run_compiled`](ProbabilityAnalysis::run_compiled) it over a compiled netlist.
 #[derive(Debug, Clone)]
 pub struct ProbabilityAnalysis<'lib> {
     tech: &'lib TechLibrary,
     input_probabilities: BTreeMap<NetId, f64>,
-    default_probability: f64,
 }
 
 impl<'lib> ProbabilityAnalysis<'lib> {
@@ -130,7 +129,6 @@ impl<'lib> ProbabilityAnalysis<'lib> {
         ProbabilityAnalysis {
             tech,
             input_probabilities: BTreeMap::new(),
-            default_probability: 0.5,
         }
     }
 
@@ -146,36 +144,10 @@ impl<'lib> ProbabilityAnalysis<'lib> {
         self
     }
 
-    /// Sets the probability assumed for inputs that are not explicitly specified.
-    pub fn default_probability(mut self, probability: f64) -> Self {
-        self.default_probability = probability;
-        self
-    }
-
-    /// Runs the propagation and power estimation over `netlist`.
-    ///
-    /// This convenience entry point compiles the netlist internally; callers that
-    /// already hold the shared [`CompiledNetlist`] program should use
-    /// [`ProbabilityAnalysis::run_compiled`] so the levelization happens exactly once
-    /// per netlist rather than once per analysis.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the netlist is invalid, the library does not cover a used
-    /// cell kind, or a probability is outside `[0, 1]`.
-    pub fn run(&self, netlist: &Netlist) -> Result<PowerReport, PowerError> {
-        self.tech.check_coverage(netlist)?;
-        self.check_probabilities()?;
-        let compiled = netlist.compile()?;
-        let resolved = self.tech.resolve(&compiled)?;
-        Ok(self.propagate(&compiled, &resolved))
-    }
-
-    /// Runs the propagation over an already-compiled program: a single pass over the
-    /// flat op array with the library resolved once into per-kind energy tables — no
-    /// map lookups, no per-cell allocation and no graph traversal in the loop. The
-    /// report is bit-identical to [`ProbabilityAnalysis::run`] on the originating
-    /// netlist.
+    /// Runs the propagation over a compiled program: a single pass over the flat op
+    /// array with the library resolved once into per-kind energy tables — no map
+    /// lookups, no per-cell allocation and no graph traversal in the loop. Map keys
+    /// that are not primary inputs are validated but ignored.
     ///
     /// # Errors
     ///
@@ -183,101 +155,59 @@ impl<'lib> ProbabilityAnalysis<'lib> {
     /// probability is outside `[0, 1]`.
     pub fn run_compiled(&self, compiled: &CompiledNetlist) -> Result<PowerReport, PowerError> {
         let resolved = self.tech.resolve(compiled)?;
-        self.check_probabilities()?;
-        Ok(self.propagate(compiled, &resolved))
-    }
-
-    fn check_probabilities(&self) -> Result<(), PowerError> {
-        for (net, probability) in self.input_probabilities.iter() {
-            check_probability(Some(*net), *probability)?;
+        for (net, probability) in &self.input_probabilities {
+            check_probability(*net, *probability)?;
         }
-        check_probability(None, self.default_probability)
-    }
-
-    /// The single-pass probability/energy propagation over the compiled program.
-    fn propagate(&self, compiled: &CompiledNetlist, resolved: &ResolvedTech) -> PowerReport {
-        let mut probability = Vec::new();
-        let mut cell_energy = Vec::new();
-        let (total_energy, total_activity) = propagate_into(
-            compiled,
-            resolved,
-            &self.input_probabilities,
-            self.default_probability,
-            &mut probability,
-            &mut cell_energy,
-        );
-        PowerReport {
+        let mut probability = vec![DEFAULT_PROBABILITY; compiled.net_count()];
+        for net in compiled.inputs() {
+            if let Some(value) = self.input_probabilities.get(net) {
+                probability[net.index()] = *value;
+            }
+        }
+        let mut cell_energy = vec![0.0; compiled.cell_count()];
+        let (total_energy, total_activity) =
+            propagate_into(compiled, &resolved, &mut probability, &mut cell_energy);
+        Ok(PowerReport {
             probability,
             cell_energy,
             total_energy,
             total_activity,
             voltage: self.tech.voltage(),
-        }
+        })
     }
 }
 
-/// Validates one probability with the exact predicate of [`ProbabilityAnalysis::run`].
-fn check_probability(net: Option<NetId>, probability: f64) -> Result<(), PowerError> {
+/// Validates one probability: it must lie in `[0, 1]`.
+fn check_probability(net: NetId, probability: f64) -> Result<(), PowerError> {
     if !(0.0..=1.0).contains(&probability) || !probability.is_finite() {
         return Err(PowerError::InvalidProbability { net, probability });
     }
     Ok(())
 }
 
-/// The full probability/energy propagation, writing into caller-provided
-/// (persistent) buffers and returning `(total_energy, total_activity)`.
+/// The full probability/energy propagation over arrays whose primary-input entries
+/// already hold their probabilities (every other net [`DEFAULT_PROBABILITY`]),
+/// returning `(total_energy, total_activity)`.
 ///
-/// Shared verbatim by [`ProbabilityAnalysis::run_compiled`] and
-/// [`IncrementalPower::run_full`], which is what makes the primed [`DeltaState`]
+/// Shared verbatim by [`ProbabilityAnalysis::run_compiled`] and the priming call of
+/// [`IncrementalPower::rerun_delta`], which is what makes the primed [`DeltaState`]
 /// arrays bit-identical to a fresh report.
 fn propagate_into(
     compiled: &CompiledNetlist,
     resolved: &ResolvedTech,
-    input_probabilities: &BTreeMap<NetId, f64>,
-    default_probability: f64,
-    probability: &mut Vec<f64>,
-    cell_energy: &mut Vec<f64>,
+    probability: &mut [f64],
+    cell_energy: &mut [f64],
 ) -> (f64, f64) {
-    probability.clear();
-    probability.resize(compiled.net_count(), default_probability);
-    for net in compiled.inputs() {
-        probability[net.index()] = input_probabilities
-            .get(net)
-            .copied()
-            .unwrap_or(default_probability);
-    }
-    cell_energy.clear();
-    cell_energy.resize(compiled.cell_count(), 0.0);
-    let mut total_energy = 0.0f64;
-    let mut total_activity = 0.0f64;
     for op in compiled.ops() {
-        let mut inputs = [0.0f64; 3];
-        for (slot, net) in op.input_nets().iter().enumerate() {
-            inputs[slot] = probability[net.index()];
-        }
-        let outputs = propagate_op(op.kind, &inputs);
-        let weights = &resolved.energy[op.kind.table_index()];
-        let mut energy = 0.0;
-        for (pin, net) in op.output_nets().iter().enumerate() {
-            let p = outputs[pin];
-            probability[net.index()] = p;
-            let activity = p * (1.0 - p);
-            total_activity += activity;
-            energy += weights[pin] * activity;
-        }
-        cell_energy[op.cell.index()] = energy;
-        total_energy += energy;
+        step_op(op, resolved, probability, cell_energy);
     }
-    (total_energy, total_activity)
+    recompute_totals(compiled, probability, cell_energy)
 }
 
-/// Recomputes one cell on the delta path: probabilities through `propagate_op`, the
-/// per-cell energy from the per-kind weights. Returns the bitmask of output pins
-/// whose stored probability changed bits — the early-termination signal.
-///
-/// The energy accumulates `weights[pin] * (p * (1 − p))` in pin order, the exact
-/// expression and order of the full pass, so a recomputed cell's energy is
-/// bit-identical to what a fresh pass computes.
+/// Recomputes one cell: probabilities through `propagate_op`, the per-cell energy
+/// as `weights[pin] * (p * (1 − p))` accumulated in pin order from the per-kind
+/// weights. Returns the bitmask of output pins whose stored probability changed
+/// bits — the early-termination signal of the delta path.
 #[inline]
 fn step_op(
     op: &CompiledOp,
@@ -306,13 +236,12 @@ fn step_op(
     changed
 }
 
-/// Recomputes the two totals from the (delta-updated) per-net probabilities and
-/// per-cell energies, replicating the full pass's accumulation **order** exactly:
-/// per-pin activities stream into `total_activity` in op-major pin order and
-/// per-cell energies into `total_energy` in op order, each into its own
-/// accumulator — so the floating-point rounding sequence, and therefore every bit of
-/// both totals, matches a fresh pass. This is the O(cells) tail that keeps delta
-/// reports bit-identical without re-running `propagate_op` on clean cells.
+/// The two totals of the per-net probabilities and per-cell energies, in one fixed
+/// accumulation **order**: per-pin activities stream into `total_activity` in
+/// op-major pin order and per-cell energies into `total_energy` in op order, each
+/// into its own accumulator. Every pass — full or delta — sums through here, so the
+/// floating-point rounding sequence, and therefore every bit of both totals, is the
+/// same whichever way the arrays were filled.
 fn recompute_totals(
     compiled: &CompiledNetlist,
     probability: &[f64],
@@ -342,13 +271,10 @@ fn recompute_totals(
 pub struct IncrementalPower {
     resolved: ResolvedTech,
     voltage: f64,
-    default_probability: f64,
 }
 
 impl IncrementalPower {
     /// Resolves the library against `compiled` once, for reuse across every delta.
-    /// Unmentioned inputs default to the unbiased probability 0.5, matching
-    /// [`ProbabilityAnalysis::new`].
     ///
     /// # Errors
     ///
@@ -357,77 +283,26 @@ impl IncrementalPower {
         Ok(IncrementalPower {
             resolved: tech.resolve(compiled)?,
             voltage: tech.voltage(),
-            default_probability: 0.5,
         })
     }
 
-    /// Sets the probability assumed for inputs missing from the prime profile.
-    pub fn default_probability(mut self, probability: f64) -> Self {
-        self.default_probability = probability;
-        self
-    }
-
-    /// Primes (or re-primes) the state with a full pass under
-    /// `input_probabilities`, returning the same report a fresh
-    /// [`ProbabilityAnalysis::run_compiled`] would.
+    /// Applies an input delta to the state's power channel and returns the report
+    /// of the cumulative profile, bit-identical to a fresh
+    /// [`ProbabilityAnalysis::run_compiled`] under it.
     ///
-    /// # Errors
-    ///
-    /// Returns an error when a probability (or the default) is outside `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `state` is bound (via [`DeltaState::new`] /
-    /// [`DeltaState::rebind`]) to a different program than `compiled`.
-    pub fn run_full(
-        &self,
-        compiled: &CompiledNetlist,
-        input_probabilities: &BTreeMap<NetId, f64>,
-        state: &mut DeltaState,
-    ) -> Result<PowerReport, PowerError> {
-        for (net, probability) in input_probabilities {
-            check_probability(Some(*net), *probability)?;
-        }
-        check_probability(None, self.default_probability)?;
-        assert_eq!(
-            state.bound_hash,
-            compiled.structural_hash(),
-            "run_full requires a DeltaState bound to this exact program \
-             (DeltaState::new / rebind)"
-        );
-        let channel = &mut state.power;
-        channel.worklist.reset();
-        let (total_energy, total_activity) = propagate_into(
-            compiled,
-            &self.resolved,
-            input_probabilities,
-            self.default_probability,
-            &mut channel.probability,
-            &mut channel.cell_energy,
-        );
-        channel.total_energy = total_energy;
-        channel.total_activity = total_activity;
-        channel.primed = true;
-        Ok(PowerReport {
-            probability: channel.probability.clone(),
-            cell_energy: channel.cell_energy.clone(),
-            total_energy,
-            total_activity,
-            voltage: self.voltage,
-        })
-    }
-
-    /// Applies an input delta and re-propagates probabilities **only through the
-    /// dirty cone**, then (if any cell was recomputed) rebuilds the two aggregate
-    /// figures with the exact accumulation order of a full pass. The report is
-    /// bit-identical to a fresh full pass under the cumulative profile; a delta that
-    /// touches nothing returns the stored figures untouched.
+    /// * On a **fresh** state (never successfully run), this is the priming full
+    ///   pass: every input is unbiased (p = 0.5) except those the delta assigns.
+    /// * On a **primed** state, only the dirty cone is re-propagated, then (if any
+    ///   cell was recomputed) the two aggregate figures are rebuilt in the fixed
+    ///   accumulation order; a delta that touches nothing returns the stored
+    ///   figures untouched.
     ///
     /// The delta is validated **before** any state is mutated, so a failed call
-    /// leaves the state exactly as it was. Assignments to nets that are **not
-    /// primary inputs** of the program (including unknown nets) are validated for
-    /// value but otherwise ignored — exactly how the full passes treat profile map
-    /// keys that are not primary inputs — so they can never corrupt the state.
+    /// leaves the state exactly as it was (a fresh state stays unprimed).
+    /// Assignments to nets that are **not primary inputs** of the program
+    /// (including unknown nets) are validated for value but otherwise ignored —
+    /// exactly how [`ProbabilityAnalysis::run_compiled`] treats such profile map
+    /// keys — so they can never corrupt the state.
     ///
     /// # Errors
     ///
@@ -435,8 +310,9 @@ impl IncrementalPower {
     ///
     /// # Panics
     ///
-    /// Panics when the state was never primed with [`IncrementalPower::run_full`],
-    /// or is bound to a different program than `compiled` (structural-hash check).
+    /// Panics when `state` is bound (via [`DeltaState::new`] /
+    /// [`DeltaState::rebind`]) to a different program than `compiled`
+    /// (structural-hash check).
     pub fn rerun_delta(
         &self,
         compiled: &CompiledNetlist,
@@ -444,17 +320,13 @@ impl IncrementalPower {
         delta: &InputDelta,
     ) -> Result<PowerReport, PowerError> {
         for (net, probability) in delta.probabilities() {
-            check_probability(Some(*net), *probability)?;
+            check_probability(*net, *probability)?;
         }
         assert_eq!(
             state.bound_hash,
             compiled.structural_hash(),
             "rerun_delta requires a DeltaState bound to this exact program \
              (DeltaState::new / rebind)"
-        );
-        assert!(
-            state.power.primed,
-            "rerun_delta requires a state primed by run_full on the same program"
         );
         // Split borrows: the drain closure mutates the value arrays while the
         // worklist advances.
@@ -466,28 +338,42 @@ impl IncrementalPower {
                     total_energy,
                     total_activity,
                     worklist,
-                    ..
+                    primed,
                 },
             input_mask,
             ..
         } = state;
-        for (net, new_probability) in delta.probabilities() {
-            if !input_mask.get(net.index()).copied().unwrap_or(false) {
-                continue;
+        let inputs = delta
+            .probabilities()
+            .iter()
+            .filter(|(net, _)| input_mask.get(net.index()).copied().unwrap_or(false));
+        if *primed {
+            for (net, new_probability) in inputs {
+                if probability[net.index()].to_bits() != new_probability.to_bits() {
+                    probability[net.index()] = *new_probability;
+                    worklist.seed_readers(compiled, *net);
+                }
             }
-            if probability[net.index()].to_bits() != new_probability.to_bits() {
-                probability[net.index()] = *new_probability;
-                worklist.seed_readers(compiled, *net);
+            let resolved = &self.resolved;
+            let processed = worklist.drain(compiled, |op| {
+                step_op(op, resolved, probability, cell_energy)
+            });
+            if processed > 0 {
+                (*total_energy, *total_activity) =
+                    recompute_totals(compiled, probability, cell_energy);
             }
-        }
-        let resolved = &self.resolved;
-        let processed = worklist.drain(compiled, |op| {
-            step_op(op, resolved, probability, cell_energy)
-        });
-        if processed > 0 {
-            let (energy, activity) = recompute_totals(compiled, probability, cell_energy);
-            *total_energy = energy;
-            *total_activity = activity;
+        } else {
+            worklist.reset();
+            probability.clear();
+            probability.resize(compiled.net_count(), DEFAULT_PROBABILITY);
+            for (net, value) in inputs {
+                probability[net.index()] = *value;
+            }
+            cell_energy.clear();
+            cell_energy.resize(compiled.cell_count(), 0.0);
+            (*total_energy, *total_activity) =
+                propagate_into(compiled, &self.resolved, probability, cell_energy);
+            *primed = true;
         }
         Ok(PowerReport {
             probability: probability.clone(),
@@ -649,6 +535,15 @@ impl PowerReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpsyn_netlist::Netlist;
+
+    /// The stateless full pass over a freshly compiled `netlist`.
+    fn run(
+        analysis: ProbabilityAnalysis<'_>,
+        netlist: &Netlist,
+    ) -> Result<PowerReport, PowerError> {
+        analysis.run_compiled(&netlist.compile().unwrap())
+    }
 
     fn single_gate(kind: CellKind, probabilities: &[f64]) -> f64 {
         let mut netlist = Netlist::new("gate");
@@ -662,7 +557,7 @@ mod tests {
         for (net, p) in inputs.iter().zip(probabilities.iter()) {
             analysis = analysis.input_probability(*net, *p);
         }
-        analysis.run(&netlist).unwrap().probability(out)
+        run(analysis, &netlist).unwrap().probability(out)
     }
 
     /// Brute-force output probability of a cell over all input combinations weighted by
@@ -723,18 +618,21 @@ mod tests {
     }
 
     #[test]
-    fn default_probability_applies_to_unspecified_inputs() {
+    fn unspecified_inputs_are_unbiased() {
         let mut netlist = Netlist::new("or");
         let a = netlist.add_input("a");
         let b = netlist.add_input("b");
         let y = netlist.add_gate(CellKind::Or2, &[a, b]).unwrap()[0];
         netlist.mark_output(y);
         let lib = TechLibrary::unit();
-        let report = ProbabilityAnalysis::new(&lib)
-            .default_probability(1.0)
-            .run(&netlist)
-            .unwrap();
-        assert!((report.probability(y) - 1.0).abs() < 1e-12);
+        let report = run(
+            ProbabilityAnalysis::new(&lib).input_probability(a, 0.5),
+            &netlist,
+        )
+        .unwrap();
+        // `b` is unmentioned, so it is unbiased too: p(a ∨ b) = 1 − 0.5·0.5.
+        assert_eq!(report.probability(b), 0.5);
+        assert!((report.probability(y) - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -749,7 +647,7 @@ mod tests {
         netlist.mark_output(outs[0]);
         netlist.mark_output(outs[1]);
         let lib = TechLibrary::unit();
-        let report = ProbabilityAnalysis::new(&lib).run(&netlist).unwrap();
+        let report = run(ProbabilityAnalysis::new(&lib), &netlist).unwrap();
         assert!((report.total_energy() - 0.5).abs() < 1e-12);
         assert!(report.power_mw() > report.total_energy());
         assert!((report.total_activity() - 0.5).abs() < 1e-12);
@@ -757,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn run_compiled_is_bit_identical_to_run() {
+    fn first_rerun_delta_is_bit_identical_to_run_compiled() {
         let mut netlist = Netlist::new("mix");
         let a = netlist.add_input("a");
         let b = netlist.add_input("b");
@@ -767,13 +665,23 @@ mod tests {
         netlist.mark_output(xor);
         let compiled = netlist.compile().unwrap();
         for lib in [TechLibrary::unit(), TechLibrary::lcbg10pv_like()] {
-            let analysis = ProbabilityAnalysis::new(&lib)
+            let fresh = ProbabilityAnalysis::new(&lib)
                 .input_probability(a, 0.17)
                 .input_probability(c, 0.93)
-                .default_probability(0.4);
-            let from_netlist = analysis.run(&netlist).unwrap();
-            let from_compiled = analysis.run_compiled(&compiled).unwrap();
-            assert_eq!(from_netlist, from_compiled);
+                .run_compiled(&compiled)
+                .unwrap();
+            let engine = IncrementalPower::new(&lib, &compiled).unwrap();
+            let mut state = DeltaState::new(&compiled);
+            let mut delta = InputDelta::new();
+            delta.set_probability(a, 0.17);
+            delta.set_probability(c, 0.93);
+            let primed = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
+            assert_eq!(primed, fresh);
+            assert_eq!(
+                primed.total_energy().to_bits(),
+                fresh.total_energy().to_bits()
+            );
+            assert!(state.power.primed && !state.timing.primed);
         }
     }
 
@@ -810,7 +718,9 @@ mod tests {
         let mut state = DeltaState::new(&compiled);
         let mut oracle: BTreeMap<NetId, f64> = BTreeMap::new();
         oracle.insert(a, 0.17);
-        let primed = engine.run_full(&compiled, &oracle, &mut state).unwrap();
+        let mut prime = InputDelta::new();
+        prime.set_probability(a, 0.17);
+        let primed = engine.rerun_delta(&compiled, &mut state, &prime).unwrap();
         assert_eq!(
             primed,
             ProbabilityAnalysis::new(&lib)
@@ -857,7 +767,7 @@ mod tests {
         let engine = IncrementalPower::new(&lib, &compiled).unwrap();
         let mut state = DeltaState::new(&compiled);
         engine
-            .run_full(&compiled, &BTreeMap::new(), &mut state)
+            .rerun_delta(&compiled, &mut state, &InputDelta::new())
             .unwrap();
         // `y` is a driven internal/output net and the foreign net's index is out of
         // range; the fresh path validates such map entries but never applies them.
@@ -890,7 +800,7 @@ mod tests {
         let engine = IncrementalPower::new(&lib, &compiled).unwrap();
         let mut state = DeltaState::new(&compiled);
         engine
-            .run_full(&compiled, &BTreeMap::new(), &mut state)
+            .rerun_delta(&compiled, &mut state, &InputDelta::new())
             .unwrap();
         let mut other = Netlist::new("other");
         let oa = other.add_input("a");
@@ -915,26 +825,24 @@ mod tests {
         let lib = TechLibrary::unit();
         let engine = IncrementalPower::new(&lib, &compiled).unwrap();
         let mut state = DeltaState::new(&compiled);
-        let baseline = engine
-            .run_full(&compiled, &BTreeMap::new(), &mut state)
-            .unwrap();
         let mut delta = InputDelta::new();
         delta.set_probability(a, 2.0);
+        // A failed priming call leaves the fresh state unprimed.
+        let result = engine.rerun_delta(&compiled, &mut state, &delta);
+        assert!(matches!(
+            result,
+            Err(PowerError::InvalidProbability { net, .. }) if net == a
+        ));
+        assert!(!state.power.primed);
+        let baseline = engine
+            .rerun_delta(&compiled, &mut state, &InputDelta::new())
+            .unwrap();
         let result = engine.rerun_delta(&compiled, &mut state, &delta);
         assert!(matches!(result, Err(PowerError::InvalidProbability { .. })));
         let unchanged = engine
             .rerun_delta(&compiled, &mut state, &InputDelta::new())
             .unwrap();
         assert_eq!(unchanged, baseline);
-        // An invalid default is also rejected up front.
-        let biased = IncrementalPower::new(&lib, &compiled)
-            .unwrap()
-            .default_probability(-0.5);
-        let result = biased.run_full(&compiled, &BTreeMap::new(), &mut state);
-        assert!(matches!(
-            result,
-            Err(PowerError::InvalidProbability { net: None, .. })
-        ));
     }
 
     #[test]
@@ -950,7 +858,7 @@ mod tests {
         netlist.mark_output(outs[1]);
         let compiled = netlist.compile().unwrap();
         let lib = TechLibrary::lcbg10pv_like();
-        let report = ProbabilityAnalysis::new(&lib).run(&netlist).unwrap();
+        let report = run(ProbabilityAnalysis::new(&lib), &netlist).unwrap();
         let resolved = lib.resolve(&compiled).unwrap();
         let mut rates = vec![0.0; compiled.net_count()];
         for net in [outs[0], outs[1]] {
@@ -987,13 +895,15 @@ mod tests {
         let y = netlist.add_gate(CellKind::Buf, &[a]).unwrap()[0];
         netlist.mark_output(y);
         let lib = TechLibrary::unit();
-        let result = ProbabilityAnalysis::new(&lib)
-            .input_probability(a, 1.5)
-            .run(&netlist);
+        let result = run(
+            ProbabilityAnalysis::new(&lib).input_probability(a, 1.5),
+            &netlist,
+        );
         assert!(matches!(result, Err(PowerError::InvalidProbability { .. })));
-        let result = ProbabilityAnalysis::new(&lib)
-            .default_probability(-0.1)
-            .run(&netlist);
+        let result = run(
+            ProbabilityAnalysis::new(&lib).input_probability(a, f64::NAN),
+            &netlist,
+        );
         assert!(matches!(result, Err(PowerError::InvalidProbability { .. })));
     }
 
@@ -1004,7 +914,7 @@ mod tests {
         let y = netlist.add_gate(CellKind::Buf, &[a]).unwrap()[0];
         netlist.mark_output(y);
         let lib = TechLibrary::builder("incomplete").build().unwrap();
-        let result = ProbabilityAnalysis::new(&lib).run(&netlist);
+        let result = run(ProbabilityAnalysis::new(&lib), &netlist);
         assert!(matches!(result, Err(PowerError::Tech(_))));
     }
 
@@ -1016,7 +926,7 @@ mod tests {
         netlist.mark_output(one);
         netlist.mark_output(zero);
         let lib = TechLibrary::unit();
-        let report = ProbabilityAnalysis::new(&lib).run(&netlist).unwrap();
+        let report = run(ProbabilityAnalysis::new(&lib), &netlist).unwrap();
         assert_eq!(report.switching_activity(one), 0.0);
         assert_eq!(report.switching_activity(zero), 0.0);
         assert_eq!(report.total_energy(), 0.0);
@@ -1040,11 +950,10 @@ mod tests {
         }
         netlist.mark_output(current);
         let lib = TechLibrary::unit();
-        let report = ProbabilityAnalysis::new(&lib)
+        let analysis = ProbabilityAnalysis::new(&lib)
             .input_probability(netlist.inputs()[0], 0.9)
-            .input_probability(netlist.inputs()[1], 0.05)
-            .run(&netlist)
-            .unwrap();
+            .input_probability(netlist.inputs()[1], 0.05);
+        let report = run(analysis, &netlist).unwrap();
         for p in report.probabilities() {
             assert!((0.0..=1.0).contains(p), "probability {p} escaped [0,1]");
         }

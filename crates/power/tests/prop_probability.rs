@@ -78,10 +78,11 @@ proptest! {
         }
         netlist.mark_output(current);
         let lib = TechLibrary::lcbg10pv_like();
+        let compiled = netlist.compile().expect("acyclic");
         let report = ProbabilityAnalysis::new(&lib)
             .input_probability(a, p0)
             .input_probability(b, p1)
-            .run(&netlist)
+            .run_compiled(&compiled)
             .expect("propagation");
         for p in report.probabilities() {
             prop_assert!((-1e-9..=1.0 + 1e-9).contains(p));

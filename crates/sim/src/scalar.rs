@@ -23,13 +23,14 @@ pub struct Simulator<'nl> {
 }
 
 impl<'nl> Simulator<'nl> {
-    /// Compiles a netlist for simulation (computes a topological order once).
+    /// Compiles a netlist for simulation: the cells are evaluated in the op order
+    /// of the compiled program (a topological order), computed once.
     ///
     /// # Errors
     ///
     /// Returns an error when the netlist contains a combinational cycle.
     pub fn compile(netlist: &'nl Netlist) -> Result<Self, SimError> {
-        let order = netlist.topological_order()?;
+        let order = netlist.compile()?.ops().iter().map(|op| op.cell).collect();
         Ok(Simulator { netlist, order })
     }
 

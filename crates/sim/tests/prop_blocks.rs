@@ -118,9 +118,17 @@ proptest! {
         let (netlist, _) = random_dag(&choices);
         let block_sim = BlockSim::compile(&netlist, 1).expect("acyclic by construction");
         prop_assert_eq!(block_sim.compiled().op_count(), netlist.cell_count());
+        // Structural depth: every cell sits one level above its deepest driver.
+        let mut depth = vec![0usize; netlist.net_count()];
+        for op in block_sim.compiled().ops() {
+            let level = 1 + op.input_nets().iter().map(|net| depth[net.index()]).max().unwrap_or(0);
+            for net in op.output_nets() {
+                depth[net.index()] = level;
+            }
+        }
         prop_assert_eq!(
             block_sim.compiled().level_count(),
-            netlist.levelize().expect("acyclic").len()
+            depth.iter().copied().max().unwrap_or(0)
         );
         prop_assert_eq!(block_sim.net_count(), netlist.net_count());
         prop_assert_eq!(block_sim.inputs(), netlist.inputs());

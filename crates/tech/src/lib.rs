@@ -28,7 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dpsyn_netlist::{CellKind, CompiledNetlist, Netlist, StructuralHasher};
+use dpsyn_netlist::{CellKind, CompiledNetlist, StructuralHasher};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -225,8 +225,8 @@ impl TechLibrary {
     /// # Panics
     ///
     /// Panics if the library has no entry for `kind`; the built-in libraries cover
-    /// every kind, and [`TechLibrary::check_coverage`] verifies coverage of custom ones
-    /// against a concrete netlist.
+    /// every kind, and [`TechLibrary::resolve`] verifies coverage of custom ones
+    /// against a compiled netlist.
     pub fn cell(&self, kind: CellKind) -> &CellCharacteristics {
         self.cells
             .get(&kind)
@@ -268,41 +268,6 @@ impl TechLibrary {
         self.cell(kind).switch_energy[output]
     }
 
-    /// Total cell area of a netlist under this library.
-    ///
-    /// # Example
-    /// ```
-    /// use dpsyn_netlist::{CellKind, Netlist};
-    /// use dpsyn_tech::TechLibrary;
-    /// let mut netlist = Netlist::new("demo");
-    /// let a = netlist.add_input("a");
-    /// let b = netlist.add_input("b");
-    /// let c = netlist.add_input("c");
-    /// netlist.add_gate(CellKind::Fa, &[a, b, c]).unwrap();
-    /// let lib = TechLibrary::unit();
-    /// assert_eq!(lib.netlist_area(&netlist), 7.0);
-    /// ```
-    pub fn netlist_area(&self, netlist: &Netlist) -> f64 {
-        netlist
-            .cells()
-            .map(|(_, cell)| self.area(cell.kind()))
-            .sum()
-    }
-
-    /// Verifies the library covers every cell kind used by a netlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::MissingCell`] for the first uncovered kind.
-    pub fn check_coverage(&self, netlist: &Netlist) -> Result<(), TechError> {
-        for (_, cell) in netlist.cells() {
-            if !self.cells.contains_key(&cell.kind()) {
-                return Err(TechError::MissingCell(cell.kind()));
-            }
-        }
-        Ok(())
-    }
-
     /// Whether the library has an entry for `kind`.
     pub fn covers(&self, kind: CellKind) -> bool {
         self.cells.contains_key(&kind)
@@ -315,8 +280,7 @@ impl TechLibrary {
     /// # Errors
     ///
     /// Returns [`TechError::MissingCell`] for the first uncovered kind, in order of
-    /// first appearance in the cell table (the same kind
-    /// [`TechLibrary::check_coverage`] reports).
+    /// first appearance in the cell table.
     pub fn resolve(&self, compiled: &CompiledNetlist) -> Result<ResolvedTech, TechError> {
         let mut resolved = ResolvedTech {
             delay: [[0.0; 2]; CellKind::COUNT],
@@ -337,9 +301,21 @@ impl TechLibrary {
         Ok(resolved)
     }
 
-    /// Total cell area of a compiled netlist, summed in cell-index order (the same
-    /// fold [`TechLibrary::netlist_area`] performs, so the result is bit-identical)
-    /// but with the per-kind areas resolved once.
+    /// Total cell area of a compiled netlist, summed in cell-index order with the
+    /// per-kind areas resolved once.
+    ///
+    /// # Example
+    /// ```
+    /// use dpsyn_netlist::{CellKind, Netlist};
+    /// use dpsyn_tech::TechLibrary;
+    /// let mut netlist = Netlist::new("demo");
+    /// let a = netlist.add_input("a");
+    /// let b = netlist.add_input("b");
+    /// let c = netlist.add_input("c");
+    /// netlist.add_gate(CellKind::Fa, &[a, b, c]).unwrap();
+    /// let lib = TechLibrary::unit();
+    /// assert_eq!(lib.compiled_area(&netlist.compile().unwrap()), 7.0);
+    /// ```
     pub fn compiled_area(&self, compiled: &CompiledNetlist) -> f64 {
         let mut area_by_kind = [0.0f64; CellKind::COUNT];
         for (kind, _) in compiled.kind_counts() {
@@ -422,7 +398,7 @@ impl TechLibraryBuilder {
     ///
     /// Returns an error when a declared cell has the wrong number of per-output values
     /// or a negative / non-finite value. Coverage of all kinds is *not* required here;
-    /// use [`TechLibrary::check_coverage`] against a concrete netlist instead.
+    /// [`TechLibrary::resolve`] checks it against a compiled netlist instead.
     pub fn build(self) -> Result<TechLibrary, TechError> {
         for (kind, characteristics) in &self.cells {
             let expected_outputs = kind.output_count();
@@ -487,6 +463,7 @@ impl fmt::Display for TechLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpsyn_netlist::Netlist;
 
     #[test]
     fn unit_library_matches_paper_examples() {
@@ -526,9 +503,10 @@ mod tests {
         let c = netlist.add_input("c");
         netlist.add_gate(CellKind::Fa, &[a, b, c]).unwrap();
         netlist.add_gate(CellKind::And2, &[a, b]).unwrap();
+        let compiled = netlist.compile().unwrap();
         let lib = TechLibrary::lcbg10pv_like();
-        assert!(lib.check_coverage(&netlist).is_ok());
-        assert!((lib.netlist_area(&netlist) - 8.5).abs() < 1e-9);
+        assert!(lib.resolve(&compiled).is_ok());
+        assert!((lib.compiled_area(&compiled) - 8.5).abs() < 1e-9);
     }
 
     #[test]
@@ -537,13 +515,10 @@ mod tests {
         let mut netlist = Netlist::new("demo");
         let a = netlist.add_input("a");
         netlist.add_gate(CellKind::Not, &[a]).unwrap();
-        assert_eq!(
-            lib.check_coverage(&netlist),
-            Err(TechError::MissingCell(CellKind::Not))
-        );
+        netlist.add_gate(CellKind::Xor2, &[a, a]).unwrap();
         assert!(!lib.covers(CellKind::Not));
         assert!(TechLibrary::unit().covers(CellKind::Not));
-        // `resolve` reports the same first-appearance kind as `check_coverage`.
+        // `resolve` reports the first uncovered kind in cell order.
         let compiled = netlist.compile().unwrap();
         assert_eq!(
             lib.resolve(&compiled).unwrap_err(),
@@ -573,7 +548,8 @@ mod tests {
         // Kinds absent from the program stay zeroed.
         assert_eq!(resolved.area[CellKind::Mux2.table_index()], 0.0);
         // The compiled area equals the per-cell fold bit for bit.
-        assert_eq!(lib.compiled_area(&compiled), lib.netlist_area(&netlist));
+        let folded: f64 = netlist.cells().map(|(_, cell)| lib.area(cell.kind())).sum();
+        assert_eq!(lib.compiled_area(&compiled), folded);
     }
 
     #[test]

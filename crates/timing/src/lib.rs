@@ -6,9 +6,17 @@
 //! with per-net arrival times, the critical delay and the critical path.
 //!
 //! The propagation is a **single pass over the shared compiled program**
-//! ([`CompiledNetlist`]) with the library resolved once into per-kind delay tables;
-//! [`TimingAnalysis::run_compiled`] lets callers that analyse the same netlist several
-//! ways (timing, power, simulation) levelize it exactly once.
+//! ([`CompiledNetlist`]) with the library resolved once into per-kind delay tables.
+//! Callers compile a netlist once and hand the program to every analysis (timing,
+//! power, simulation), so it is levelized exactly once.
+//!
+//! The analysis has two entry points:
+//!
+//! * [`TimingAnalysis::run_compiled`] — the stateless full pass;
+//! * [`IncrementalTiming::rerun_delta`] — the stateful pass over a caller-owned
+//!   [`DeltaState`]: its first call on a fresh state is the full pass under the
+//!   defaults plus the delta's entries, and every later call re-propagates only the
+//!   dirty cone. Both produce bit-identical reports for the same profile.
 //!
 //! # Example
 //!
@@ -27,12 +35,13 @@
 //! let outs = netlist.add_gate(CellKind::Fa, &[a, b, c])?;
 //! netlist.mark_output(outs[0]);
 //! netlist.mark_output(outs[1]);
+//! let compiled = netlist.compile()?;
 //!
 //! let mut arrivals = BTreeMap::new();
 //! arrivals.insert(a, 3.0);
 //! let report = TimingAnalysis::new(&TechLibrary::unit())
 //!     .with_input_arrivals(arrivals)
-//!     .run(&netlist)?;
+//!     .run_compiled(&compiled)?;
 //! // sum arrives at max(3,0,0) + Ds = 5, carry at +Dc = 4
 //! assert_eq!(report.arrival(outs[0]), 5.0);
 //! assert_eq!(report.arrival(outs[1]), 4.0);
@@ -44,9 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dpsyn_netlist::{
-    CompiledNetlist, CompiledOp, DeltaState, InputDelta, NetId, Netlist, NetlistError,
-};
+use dpsyn_netlist::{CompiledNetlist, CompiledOp, DeltaState, InputDelta, NetId};
 use dpsyn_tech::{ResolvedTech, TechError, TechLibrary};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -56,8 +63,6 @@ use std::fmt;
 /// Errors produced by static timing analysis.
 #[derive(Debug)]
 pub enum TimingError {
-    /// The netlist is structurally invalid (cycle, floating net, ...).
-    Netlist(NetlistError),
     /// The technology library does not cover a cell kind used by the netlist.
     Tech(TechError),
     /// An input arrival time is negative or not finite.
@@ -72,7 +77,6 @@ pub enum TimingError {
 impl fmt::Display for TimingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TimingError::Netlist(error) => write!(f, "invalid netlist: {error}"),
             TimingError::Tech(error) => write!(f, "incomplete technology library: {error}"),
             TimingError::InvalidArrival { net, arrival } => {
                 write!(
@@ -87,16 +91,9 @@ impl fmt::Display for TimingError {
 impl Error for TimingError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            TimingError::Netlist(error) => Some(error),
             TimingError::Tech(error) => Some(error),
             TimingError::InvalidArrival { .. } => None,
         }
-    }
-}
-
-impl From<NetlistError> for TimingError {
-    fn from(error: NetlistError) -> Self {
-        TimingError::Netlist(error)
     }
 }
 
@@ -109,7 +106,7 @@ impl From<TechError> for TimingError {
 /// Configurable static timing analysis.
 ///
 /// Construct with a technology library, optionally provide per-net input arrival times,
-/// then [`run`](TimingAnalysis::run) it over a netlist.
+/// then [`run_compiled`](TimingAnalysis::run_compiled) it over a compiled netlist.
 #[derive(Debug, Clone)]
 pub struct TimingAnalysis<'lib> {
     tech: &'lib TechLibrary,
@@ -137,29 +134,10 @@ impl<'lib> TimingAnalysis<'lib> {
         self
     }
 
-    /// Runs the analysis over `netlist`.
-    ///
-    /// This convenience entry point compiles the netlist internally; callers that
-    /// already hold the shared [`CompiledNetlist`] program should use
-    /// [`TimingAnalysis::run_compiled`] so the levelization happens exactly once per
-    /// netlist rather than once per analysis.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the netlist is invalid, the library does not cover a used
-    /// cell kind, or an input arrival is negative / non-finite.
-    pub fn run(&self, netlist: &Netlist) -> Result<TimingReport, TimingError> {
-        self.tech.check_coverage(netlist)?;
-        self.check_arrivals()?;
-        let compiled = netlist.compile()?;
-        let resolved = self.tech.resolve(&compiled)?;
-        Ok(self.propagate(&compiled, &resolved))
-    }
-
-    /// Runs the analysis over an already-compiled program: a single pass over the
-    /// flat op array with the library resolved once into per-kind delay tables — no
-    /// map lookups and no graph traversal in the loop. The report is bit-identical
-    /// to [`TimingAnalysis::run`] on the originating netlist.
+    /// Runs the analysis over a compiled program: a single pass over the flat op
+    /// array with the library resolved once into per-kind delay tables — no map
+    /// lookups and no graph traversal in the loop. Inputs without an arrival time
+    /// arrive at 0; map keys that are not primary inputs are validated but ignored.
     ///
     /// # Errors
     ///
@@ -167,38 +145,22 @@ impl<'lib> TimingAnalysis<'lib> {
     /// arrival is negative / non-finite.
     pub fn run_compiled(&self, compiled: &CompiledNetlist) -> Result<TimingReport, TimingError> {
         let resolved = self.tech.resolve(compiled)?;
-        self.check_arrivals()?;
-        Ok(self.propagate(compiled, &resolved))
-    }
-
-    fn check_arrivals(&self) -> Result<(), TimingError> {
         for (net, arrival) in &self.input_arrivals {
             check_arrival(*net, *arrival)?;
         }
-        Ok(())
-    }
-
-    /// The single-pass arrival propagation over the compiled program.
-    fn propagate(&self, compiled: &CompiledNetlist, resolved: &ResolvedTech) -> TimingReport {
-        let mut arrival = Vec::new();
-        let mut worst_predecessor = Vec::new();
-        propagate_into(
-            compiled,
-            resolved,
-            &self.input_arrivals,
-            &mut arrival,
-            &mut worst_predecessor,
-        );
-        let (critical_output, critical_path) = finalize(compiled, &arrival, &worst_predecessor);
-        TimingReport {
-            arrival,
-            critical_output,
-            critical_path,
+        let mut arrival = vec![0.0; compiled.net_count()];
+        for net in compiled.inputs() {
+            if let Some(value) = self.input_arrivals.get(net) {
+                arrival[net.index()] = *value;
+            }
         }
+        let mut worst_predecessor = vec![None; compiled.net_count()];
+        propagate_into(compiled, &resolved, &mut arrival, &mut worst_predecessor);
+        Ok(report(compiled, arrival, &worst_predecessor))
     }
 }
 
-/// Validates one arrival value with the exact predicate of [`TimingAnalysis::run`].
+/// Validates one arrival value: it must be finite and non-negative.
 fn check_arrival(net: NetId, arrival: f64) -> Result<(), TimingError> {
     if !arrival.is_finite() || arrival < 0.0 {
         return Err(TimingError::InvalidArrival { net, arrival });
@@ -206,27 +168,18 @@ fn check_arrival(net: NetId, arrival: f64) -> Result<(), TimingError> {
     Ok(())
 }
 
-/// The full arrival propagation, writing into caller-provided (persistent) buffers.
+/// The full arrival propagation over arrays whose primary-input entries already
+/// hold their arrival times (every other net 0, every link `None`).
 ///
-/// Shared verbatim by [`TimingAnalysis::run_compiled`] and
-/// [`IncrementalTiming::run_full`], which is what makes the primed [`DeltaState`]
+/// Shared verbatim by [`TimingAnalysis::run_compiled`] and the priming call of
+/// [`IncrementalTiming::rerun_delta`], which is what makes the primed [`DeltaState`]
 /// arrays bit-identical to a fresh report.
 fn propagate_into(
     compiled: &CompiledNetlist,
     resolved: &ResolvedTech,
-    input_arrivals: &BTreeMap<NetId, f64>,
-    arrival: &mut Vec<f64>,
-    worst_predecessor: &mut Vec<Option<NetId>>,
+    arrival: &mut [f64],
+    worst_predecessor: &mut [Option<NetId>],
 ) {
-    arrival.clear();
-    arrival.resize(compiled.net_count(), 0.0);
-    // The input net on the worst path into each net's driver, used to rebuild the
-    // critical path after propagation.
-    worst_predecessor.clear();
-    worst_predecessor.resize(compiled.net_count(), None);
-    for net in compiled.inputs() {
-        arrival[net.index()] = input_arrivals.get(net).copied().unwrap_or(0.0);
-    }
     for op in compiled.ops() {
         step_op(op, resolved, arrival, worst_predecessor);
     }
@@ -265,12 +218,13 @@ fn step_op(
     changed
 }
 
-/// Rebuilds the critical output and path from the (possibly delta-updated) arrays.
-fn finalize(
+/// Builds the report from the (possibly delta-updated) arrays: the critical output
+/// is the latest primary output and the critical path follows the worst links back.
+fn report(
     compiled: &CompiledNetlist,
-    arrival: &[f64],
+    arrival: Vec<f64>,
     worst_predecessor: &[Option<NetId>],
-) -> (Option<NetId>, Vec<NetId>) {
+) -> TimingReport {
     let critical_output = compiled
         .outputs()
         .iter()
@@ -288,15 +242,19 @@ fn finalize(
             path
         })
         .unwrap_or_default();
-    (critical_output, critical_path)
+    TimingReport {
+        arrival,
+        critical_output,
+        critical_path,
+    }
 }
 
 /// Incremental static timing analysis over one compiled program.
 ///
 /// The library is resolved **once** per program at construction and reused across
 /// every delta; the persistent per-net arrays live in a [`DeltaState`] owned by the
-/// caller, so one primed state can absorb an arbitrary sequence of input-profile
-/// deltas (and, via [`DeltaState::rebind`], local rewires) at dirty-cone cost.
+/// caller, so one state can absorb an arbitrary sequence of input-profile deltas
+/// (and, via [`DeltaState::rebind`], local rewires) at dirty-cone cost.
 ///
 /// Every report is **bit-identical** to what a fresh
 /// [`TimingAnalysis::run_compiled`] with the same cumulative input profile would
@@ -310,7 +268,6 @@ fn finalize(
 /// use dpsyn_netlist::{CellKind, DeltaState, InputDelta, Netlist};
 /// use dpsyn_tech::TechLibrary;
 /// use dpsyn_timing::{IncrementalTiming, TimingAnalysis};
-/// use std::collections::BTreeMap;
 ///
 /// let mut netlist = Netlist::new("chain");
 /// let a = netlist.add_input("a");
@@ -322,7 +279,8 @@ fn finalize(
 ///
 /// let engine = IncrementalTiming::new(&lib, &compiled).unwrap();
 /// let mut state = DeltaState::new(&compiled);
-/// engine.run_full(&compiled, &BTreeMap::new(), &mut state).unwrap();
+/// // The first call primes the state with a full pass (every input at 0).
+/// engine.rerun_delta(&compiled, &mut state, &InputDelta::new()).unwrap();
 ///
 /// let mut delta = InputDelta::new();
 /// delta.set_arrival(a, 2.5);
@@ -351,63 +309,24 @@ impl IncrementalTiming {
         })
     }
 
-    /// Primes (or re-primes) the state with a full pass under `input_arrivals`
-    /// (inputs not mentioned arrive at 0), returning the same report a fresh
-    /// [`TimingAnalysis::run_compiled`] would.
+    /// Applies an input delta to the state's timing channel and returns the report
+    /// of the cumulative profile, bit-identical to a fresh
+    /// [`TimingAnalysis::run_compiled`] under it.
     ///
-    /// # Errors
-    ///
-    /// Returns an error when an arrival is negative or not finite.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `state` is bound (via [`DeltaState::new`] /
-    /// [`DeltaState::rebind`]) to a different program than `compiled`.
-    pub fn run_full(
-        &self,
-        compiled: &CompiledNetlist,
-        input_arrivals: &BTreeMap<NetId, f64>,
-        state: &mut DeltaState,
-    ) -> Result<TimingReport, TimingError> {
-        for (net, arrival) in input_arrivals {
-            check_arrival(*net, *arrival)?;
-        }
-        assert_eq!(
-            state.bound_hash,
-            compiled.structural_hash(),
-            "run_full requires a DeltaState bound to this exact program \
-             (DeltaState::new / rebind)"
-        );
-        let channel = &mut state.timing;
-        channel.worklist.reset();
-        propagate_into(
-            compiled,
-            &self.resolved,
-            input_arrivals,
-            &mut channel.arrival,
-            &mut channel.worst_predecessor,
-        );
-        channel.primed = true;
-        let (critical_output, critical_path) =
-            finalize(compiled, &channel.arrival, &channel.worst_predecessor);
-        Ok(TimingReport {
-            arrival: channel.arrival.clone(),
-            critical_output,
-            critical_path,
-        })
-    }
-
-    /// Applies an input delta and re-propagates arrivals **only through the dirty
-    /// cone**: readers of inputs whose value actually changed (bit comparison) are
-    /// seeded, advanced level by level over the fanout CSR, and each branch stops as
-    /// soon as a recomputed arrival is bit-identical to the stored one. The report is
-    /// bit-identical to a fresh full pass under the cumulative profile.
+    /// * On a **fresh** state (never successfully run), this is the priming full
+    ///   pass: every input arrives at 0 except those the delta assigns.
+    /// * On a **primed** state, only the dirty cone is re-propagated: readers of
+    ///   inputs whose value actually changed (bit comparison) — plus any cells
+    ///   [`DeltaState::rebind`] seeded — are advanced level by level over the fanout
+    ///   CSR, and each branch stops as soon as a recomputed arrival is bit-identical
+    ///   to the stored one.
     ///
     /// The delta is validated **before** any state is mutated, so a failed call
-    /// leaves the state exactly as it was. Assignments to nets that are **not
-    /// primary inputs** of the program (including unknown nets) are validated for
-    /// value but otherwise ignored — exactly how the full passes treat profile map
-    /// keys that are not primary inputs — so they can never corrupt the state.
+    /// leaves the state exactly as it was (a fresh state stays unprimed).
+    /// Assignments to nets that are **not primary inputs** of the program
+    /// (including unknown nets) are validated for value but otherwise ignored —
+    /// exactly how [`TimingAnalysis::run_compiled`] treats such profile map keys —
+    /// so they can never corrupt the state.
     ///
     /// # Errors
     ///
@@ -415,8 +334,9 @@ impl IncrementalTiming {
     ///
     /// # Panics
     ///
-    /// Panics when the state was never primed with [`IncrementalTiming::run_full`],
-    /// or is bound to a different program than `compiled` (structural-hash check).
+    /// Panics when `state` is bound (via [`DeltaState::new`] /
+    /// [`DeltaState::rebind`]) to a different program than `compiled`
+    /// (structural-hash check).
     pub fn rerun_delta(
         &self,
         compiled: &CompiledNetlist,
@@ -432,10 +352,6 @@ impl IncrementalTiming {
             "rerun_delta requires a DeltaState bound to this exact program \
              (DeltaState::new / rebind)"
         );
-        assert!(
-            state.timing.primed,
-            "rerun_delta requires a state primed by run_full on the same program"
-        );
         // Split borrows: the drain closure mutates the value arrays while the
         // worklist advances.
         let DeltaState {
@@ -444,30 +360,39 @@ impl IncrementalTiming {
                     arrival,
                     worst_predecessor,
                     worklist,
-                    ..
+                    primed,
                 },
             input_mask,
             ..
         } = state;
-        for (net, new_arrival) in delta.arrivals() {
-            if !input_mask.get(net.index()).copied().unwrap_or(false) {
-                continue;
+        let inputs = delta
+            .arrivals()
+            .iter()
+            .filter(|(net, _)| input_mask.get(net.index()).copied().unwrap_or(false));
+        if *primed {
+            for (net, new_arrival) in inputs {
+                if arrival[net.index()].to_bits() != new_arrival.to_bits() {
+                    arrival[net.index()] = *new_arrival;
+                    worklist.seed_readers(compiled, *net);
+                }
             }
-            if arrival[net.index()].to_bits() != new_arrival.to_bits() {
-                arrival[net.index()] = *new_arrival;
-                worklist.seed_readers(compiled, *net);
+            let resolved = &self.resolved;
+            worklist.drain(compiled, |op| {
+                step_op(op, resolved, arrival, worst_predecessor)
+            });
+        } else {
+            worklist.reset();
+            arrival.clear();
+            arrival.resize(compiled.net_count(), 0.0);
+            worst_predecessor.clear();
+            worst_predecessor.resize(compiled.net_count(), None);
+            for (net, value) in inputs {
+                arrival[net.index()] = *value;
             }
+            propagate_into(compiled, &self.resolved, arrival, worst_predecessor);
+            *primed = true;
         }
-        let resolved = &self.resolved;
-        worklist.drain(compiled, |op| {
-            step_op(op, resolved, arrival, worst_predecessor)
-        });
-        let (critical_output, critical_path) = finalize(compiled, arrival, worst_predecessor);
-        Ok(TimingReport {
-            arrival: arrival.clone(),
-            critical_output,
-            critical_path,
-        })
+        Ok(report(compiled, arrival.clone(), worst_predecessor))
     }
 }
 
@@ -526,7 +451,10 @@ impl TimingReport {
     /// # let b = netlist.add_input("b");
     /// # let y = netlist.add_gate(CellKind::Xor2, &[a, b]).unwrap()[0];
     /// # netlist.mark_output(y);
-    /// let report = TimingAnalysis::new(&TechLibrary::unit()).run(&netlist).unwrap();
+    /// # let compiled = netlist.compile().unwrap();
+    /// let report = TimingAnalysis::new(&TechLibrary::unit())
+    ///     .run_compiled(&compiled)
+    ///     .unwrap();
     /// assert_eq!(report.slack(2.5), 1.5);
     /// ```
     pub fn slack(&self, required: f64) -> f64 {
@@ -542,7 +470,7 @@ impl TimingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpsyn_netlist::CellKind;
+    use dpsyn_netlist::{CellKind, Netlist};
 
     fn chain_netlist() -> (Netlist, Vec<NetId>) {
         // a -> NOT -> XOR(b) -> FA(c, const1) chain to exercise multi-level paths.
@@ -559,11 +487,16 @@ mod tests {
         (netlist, vec![a, b, c, fa[0], fa[1]])
     }
 
+    /// The stateless full pass over a freshly compiled `netlist`.
+    fn run(analysis: TimingAnalysis<'_>, netlist: &Netlist) -> Result<TimingReport, TimingError> {
+        analysis.run_compiled(&netlist.compile().unwrap())
+    }
+
     #[test]
     fn zero_arrival_defaults() {
         let (netlist, nets) = chain_netlist();
         let lib = TechLibrary::unit();
-        let report = TimingAnalysis::new(&lib).run(&netlist).unwrap();
+        let report = run(TimingAnalysis::new(&lib), &netlist).unwrap();
         // not: 0, xor2: +1, fa sum: +2 => 3; carry => 2.
         assert_eq!(report.arrival(nets[3]), 3.0);
         assert_eq!(report.arrival(nets[4]), 2.0);
@@ -575,10 +508,11 @@ mod tests {
     fn uneven_arrivals_shift_the_critical_path() {
         let (netlist, nets) = chain_netlist();
         let lib = TechLibrary::unit();
-        let report = TimingAnalysis::new(&lib)
-            .input_arrival(nets[2], 10.0)
-            .run(&netlist)
-            .unwrap();
+        let report = run(
+            TimingAnalysis::new(&lib).input_arrival(nets[2], 10.0),
+            &netlist,
+        )
+        .unwrap();
         // c arrives at 10, so the FA sum arrives at 12.
         assert_eq!(report.arrival(nets[3]), 12.0);
         assert_eq!(report.critical_delay(), 12.0);
@@ -591,7 +525,7 @@ mod tests {
     fn critical_path_is_connected() {
         let (netlist, _) = chain_netlist();
         let lib = TechLibrary::lcbg10pv_like();
-        let report = TimingAnalysis::new(&lib).run(&netlist).unwrap();
+        let report = run(TimingAnalysis::new(&lib), &netlist).unwrap();
         let path = report.critical_path();
         assert!(path.len() >= 2);
         // Arrival times along the path are non-decreasing.
@@ -604,7 +538,7 @@ mod tests {
     fn max_arrival_over_set() {
         let (netlist, nets) = chain_netlist();
         let lib = TechLibrary::unit();
-        let report = TimingAnalysis::new(&lib).run(&netlist).unwrap();
+        let report = run(TimingAnalysis::new(&lib), &netlist).unwrap();
         assert_eq!(report.max_arrival([nets[3], nets[4]]), 3.0);
         assert_eq!(report.max_arrival(Vec::new()), 0.0);
     }
@@ -613,13 +547,15 @@ mod tests {
     fn invalid_arrival_is_rejected() {
         let (netlist, nets) = chain_netlist();
         let lib = TechLibrary::unit();
-        let result = TimingAnalysis::new(&lib)
-            .input_arrival(nets[0], -1.0)
-            .run(&netlist);
+        let result = run(
+            TimingAnalysis::new(&lib).input_arrival(nets[0], -1.0),
+            &netlist,
+        );
         assert!(matches!(result, Err(TimingError::InvalidArrival { .. })));
-        let result = TimingAnalysis::new(&lib)
-            .input_arrival(nets[0], f64::NAN)
-            .run(&netlist);
+        let result = run(
+            TimingAnalysis::new(&lib).input_arrival(nets[0], f64::NAN),
+            &netlist,
+        );
         assert!(matches!(result, Err(TimingError::InvalidArrival { .. })));
     }
 
@@ -627,7 +563,7 @@ mod tests {
     fn missing_library_entry_is_reported() {
         let (netlist, _) = chain_netlist();
         let lib = TechLibrary::builder("incomplete").build().unwrap();
-        let result = TimingAnalysis::new(&lib).run(&netlist);
+        let result = run(TimingAnalysis::new(&lib), &netlist);
         assert!(matches!(result, Err(TimingError::Tech(_))));
     }
 
@@ -641,21 +577,28 @@ mod tests {
         // STA itself only needs a topological order; the floating net simply arrives at
         // time zero, mirroring how downstream tools treat unconstrained inputs.
         let lib = TechLibrary::unit();
-        let report = TimingAnalysis::new(&lib).run(&netlist).unwrap();
+        let report = run(TimingAnalysis::new(&lib), &netlist).unwrap();
         assert_eq!(report.critical_delay(), 0.0);
     }
 
     #[test]
-    fn run_compiled_is_bit_identical_to_run() {
+    fn first_rerun_delta_is_bit_identical_to_run_compiled() {
         let (netlist, nets) = chain_netlist();
         let compiled = netlist.compile().unwrap();
         for lib in [TechLibrary::unit(), TechLibrary::lcbg10pv_like()] {
-            let analysis = TimingAnalysis::new(&lib)
+            let fresh = TimingAnalysis::new(&lib)
                 .input_arrival(nets[0], 1.25)
-                .input_arrival(nets[2], 0.5);
-            let from_netlist = analysis.run(&netlist).unwrap();
-            let from_compiled = analysis.run_compiled(&compiled).unwrap();
-            assert_eq!(from_netlist, from_compiled);
+                .input_arrival(nets[2], 0.5)
+                .run_compiled(&compiled)
+                .unwrap();
+            let engine = IncrementalTiming::new(&lib, &compiled).unwrap();
+            let mut state = DeltaState::new(&compiled);
+            let mut delta = InputDelta::new();
+            delta.set_arrival(nets[0], 1.25);
+            delta.set_arrival(nets[2], 0.5);
+            let primed = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
+            assert_eq!(primed, fresh);
+            assert!(state.timing.primed && !state.power.primed);
         }
     }
 
@@ -677,7 +620,7 @@ mod tests {
     fn empty_netlist_has_zero_delay() {
         let netlist = Netlist::new("empty");
         let lib = TechLibrary::unit();
-        let report = TimingAnalysis::new(&lib).run(&netlist).unwrap();
+        let report = run(TimingAnalysis::new(&lib), &netlist).unwrap();
         assert_eq!(report.critical_delay(), 0.0);
         assert!(report.critical_output().is_none());
         assert!(report.critical_path().is_empty());
@@ -691,7 +634,9 @@ mod tests {
         let engine = IncrementalTiming::new(&lib, &compiled).unwrap();
         let mut state = DeltaState::new(&compiled);
         let mut oracle: BTreeMap<NetId, f64> = BTreeMap::new();
-        let primed = engine.run_full(&compiled, &oracle, &mut state).unwrap();
+        let primed = engine
+            .rerun_delta(&compiled, &mut state, &InputDelta::new())
+            .unwrap();
         assert_eq!(
             primed,
             TimingAnalysis::new(&lib).run_compiled(&compiled).unwrap()
@@ -727,7 +672,7 @@ mod tests {
         let engine = IncrementalTiming::new(&lib, &compiled).unwrap();
         let mut state = DeltaState::new(&compiled);
         engine
-            .run_full(&compiled, &BTreeMap::new(), &mut state)
+            .rerun_delta(&compiled, &mut state, &InputDelta::new())
             .unwrap();
         // nets[3] is the FA sum — an internal/output net, not a primary input; the
         // unknown NetId is out of range entirely. The fresh path validates such map
@@ -759,7 +704,7 @@ mod tests {
         let engine = IncrementalTiming::new(&lib, &compiled).unwrap();
         let mut state = DeltaState::new(&compiled);
         engine
-            .run_full(&compiled, &BTreeMap::new(), &mut state)
+            .rerun_delta(&compiled, &mut state, &InputDelta::new())
             .unwrap();
         // A different netlist (even a same-sized one) must be rejected outright.
         let (mut other, _) = chain_netlist();
@@ -781,11 +726,15 @@ mod tests {
         ));
         let engine = IncrementalTiming::new(&lib, &compiled).unwrap();
         let mut state = DeltaState::new(&compiled);
-        let baseline = engine
-            .run_full(&compiled, &BTreeMap::new(), &mut state)
-            .unwrap();
         let mut delta = InputDelta::new();
         delta.set_arrival(nets[0], f64::NAN);
+        // A failed priming call leaves the fresh state unprimed.
+        let result = engine.rerun_delta(&compiled, &mut state, &delta);
+        assert!(matches!(result, Err(TimingError::InvalidArrival { .. })));
+        assert!(!state.timing.primed);
+        let baseline = engine
+            .rerun_delta(&compiled, &mut state, &InputDelta::new())
+            .unwrap();
         let result = engine.rerun_delta(&compiled, &mut state, &delta);
         assert!(matches!(result, Err(TimingError::InvalidArrival { .. })));
         // The failed delta must not have touched the state: an empty rerun still
@@ -800,14 +749,15 @@ mod tests {
     fn error_display_and_source() {
         let (netlist, nets) = chain_netlist();
         let lib = TechLibrary::unit();
-        let error = TimingAnalysis::new(&lib)
-            .input_arrival(nets[0], -2.0)
-            .run(&netlist)
-            .unwrap_err();
+        let error = run(
+            TimingAnalysis::new(&lib).input_arrival(nets[0], -2.0),
+            &netlist,
+        )
+        .unwrap_err();
         assert!(error.to_string().contains("-2"));
         assert!(Error::source(&error).is_none());
         let lib = TechLibrary::builder("incomplete").build().unwrap();
-        let error = TimingAnalysis::new(&lib).run(&netlist).unwrap_err();
+        let error = run(TimingAnalysis::new(&lib), &netlist).unwrap_err();
         assert!(Error::source(&error).is_some());
     }
 }

@@ -12,16 +12,19 @@
 //!   profiles, and
 //! * all ten benchmark designs of the paper's Table 1, synthesized end to end.
 //!
-//! It also pins the deduplicated graph traversals (`levelize`,
-//! `topological_order`, the fanout CSR, `logic_depth`) to the legacy Kahn
-//! traversal, including the cycle-culprit error.
+//! Each random-DAG comparison covers both full passes: the stateless
+//! `run_compiled` and the priming `rerun_delta` on a fresh `DeltaState`.
+//!
+//! It also pins the compiled program's traversals (its levels, op order, fanout
+//! CSR and level count) to the legacy Kahn traversal, including the cycle-culprit
+//! error, and the compiled area to the legacy per-cell fold.
 
 use dpsyn_core::{Objective, Synthesizer};
 use dpsyn_modules::multiplier::wallace_multiply;
-use dpsyn_netlist::{CellId, CellKind, NetId, Netlist};
-use dpsyn_power::{propagate_cell, ProbabilityAnalysis};
+use dpsyn_netlist::{CellId, CellKind, DeltaState, InputDelta, NetId, Netlist};
+use dpsyn_power::{propagate_cell, IncrementalPower, ProbabilityAnalysis};
 use dpsyn_tech::TechLibrary;
-use dpsyn_timing::TimingAnalysis;
+use dpsyn_timing::{IncrementalTiming, TimingAnalysis};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
@@ -110,6 +113,15 @@ fn legacy_logic_depth(netlist: &Netlist) -> usize {
     max_depth
 }
 
+/// The pre-refactor `TechLibrary::netlist_area`: per-cell area lookups summed in
+/// cell-index order.
+fn legacy_area(netlist: &Netlist, tech: &TechLibrary) -> f64 {
+    netlist
+        .cells()
+        .map(|(_, cell)| tech.area(cell.kind()))
+        .sum()
+}
+
 /// The pre-refactor STA loop: topological walk with a `tech.output_delay` map lookup
 /// per cell. Returns (arrivals, critical output, critical path).
 fn legacy_timing(
@@ -163,15 +175,12 @@ fn legacy_power(
     netlist: &Netlist,
     tech: &TechLibrary,
     input_probabilities: &BTreeMap<NetId, f64>,
-    default_probability: f64,
+    default: f64,
 ) -> (Vec<f64>, Vec<f64>, f64, f64) {
     let order = legacy_levelize(netlist).expect("acyclic").concat();
-    let mut probability = vec![default_probability; netlist.net_count()];
+    let mut probability = vec![default; netlist.net_count()];
     for net in netlist.inputs() {
-        probability[net.index()] = input_probabilities
-            .get(net)
-            .copied()
-            .unwrap_or(default_probability);
+        probability[net.index()] = input_probabilities.get(net).copied().unwrap_or(default);
     }
     let mut cell_energy = vec![0.0f64; netlist.cell_count()];
     let mut total_energy = 0.0f64;
@@ -283,18 +292,15 @@ fn traversals_match_legacy_on_random_dags() {
     for seed in 0..64 {
         let netlist = random_dag(seed);
         let levels = legacy_levelize(&netlist).expect("acyclic by construction");
-        assert_eq!(netlist.levelize().unwrap(), levels, "seed {seed}");
+        let compiled = netlist.compile().unwrap();
+        assert_eq!(compiled.levels(), levels, "seed {seed}");
+        let order: Vec<CellId> = compiled.ops().iter().map(|op| op.cell).collect();
+        assert_eq!(order, levels.concat(), "seed {seed}");
         assert_eq!(
-            netlist.topological_order().unwrap(),
-            levels.concat(),
-            "seed {seed}"
-        );
-        assert_eq!(
-            netlist.logic_depth(),
+            compiled.level_count(),
             legacy_logic_depth(&netlist),
             "seed {seed}"
         );
-        let compiled = netlist.compile().unwrap();
         assert_eq!(compiled.level_count(), levels.len(), "seed {seed}");
         // Fanout CSR vs the allocating map, entry for entry.
         let legacy = legacy_fanout_map(&netlist);
@@ -325,7 +331,7 @@ fn cycle_culprits_match_legacy() {
         .add_cell(CellKind::Buf, "g2", vec![mid], vec![loop_net])
         .unwrap();
     let legacy = legacy_levelize(&netlist).unwrap_err();
-    let refactored = netlist.levelize().unwrap_err();
+    let refactored = netlist.compile().unwrap_err();
     match refactored {
         dpsyn_netlist::NetlistError::CombinationalCycle { cell } => {
             assert_eq!(cell, legacy)
@@ -346,10 +352,15 @@ fn timing_reports_match_legacy_on_random_dags() {
             let (legacy_arrival, legacy_output, legacy_path) =
                 legacy_timing(&netlist, tech, &arrivals);
             let analysis = TimingAnalysis::new(tech).with_input_arrivals(arrivals.clone());
-            for report in [
-                analysis.run(&netlist).unwrap(),
-                analysis.run_compiled(&compiled).unwrap(),
-            ] {
+            let mut prime = InputDelta::new();
+            for (net, arrival) in &arrivals {
+                prime.set_arrival(*net, *arrival);
+            }
+            let primed = IncrementalTiming::new(tech, &compiled)
+                .unwrap()
+                .rerun_delta(&compiled, &mut DeltaState::new(&compiled), &prime)
+                .unwrap();
+            for report in [analysis.run_compiled(&compiled).unwrap(), primed] {
                 assert_bits_eq("arrival", report.arrivals(), &legacy_arrival);
                 assert_eq!(report.critical_output(), legacy_output, "seed {seed}");
                 assert_eq!(report.critical_path(), legacy_path, "seed {seed}");
@@ -365,18 +376,21 @@ fn power_reports_match_legacy_on_random_dags() {
     for seed in 0..64 {
         let netlist = random_dag(seed);
         let (_, probabilities) = random_profiles(&netlist, seed);
-        let default_probability = Rng(seed).unit();
         let compiled = netlist.compile().unwrap();
         for tech in [&lib, &unit] {
             let (legacy_p, legacy_cell_energy, legacy_total, legacy_activity) =
-                legacy_power(&netlist, tech, &probabilities, default_probability);
-            let analysis = ProbabilityAnalysis::new(tech)
-                .with_input_probabilities(probabilities.clone())
-                .default_probability(default_probability);
-            for report in [
-                analysis.run(&netlist).unwrap(),
-                analysis.run_compiled(&compiled).unwrap(),
-            ] {
+                legacy_power(&netlist, tech, &probabilities, 0.5);
+            let analysis =
+                ProbabilityAnalysis::new(tech).with_input_probabilities(probabilities.clone());
+            let mut prime = InputDelta::new();
+            for (net, probability) in &probabilities {
+                prime.set_probability(*net, *probability);
+            }
+            let primed = IncrementalPower::new(tech, &compiled)
+                .unwrap()
+                .rerun_delta(&compiled, &mut DeltaState::new(&compiled), &prime)
+                .unwrap();
+            for report in [analysis.run_compiled(&compiled).unwrap(), primed] {
                 assert_bits_eq("probability", report.probabilities(), &legacy_p);
                 let cell_energy: Vec<f64> = netlist
                     .cells()
@@ -435,7 +449,7 @@ fn synthesized_benchmark_reports_match_legacy() {
                 "{} energy",
                 design.name()
             );
-            let legacy_area = lib.netlist_area(netlist);
+            let legacy_area = legacy_area(netlist, &lib);
             assert_eq!(
                 report.area.to_bits(),
                 legacy_area.to_bits(),
@@ -512,7 +526,7 @@ fn skew_profiled_wallace_multiplier_matches_legacy() {
 
     assert_eq!(
         lib.compiled_area(&compiled).to_bits(),
-        lib.netlist_area(&netlist).to_bits()
+        legacy_area(&netlist, &lib).to_bits()
     );
     assert_eq!(compiled.cell_count(), netlist.cell_count());
     assert_eq!(compiled.level_count(), legacy_logic_depth(&netlist));

@@ -3,7 +3,7 @@
 //! Verilog emitter produces one assignment per cell output.
 
 use dpsyn_core::{Objective, Synthesizer};
-use dpsyn_netlist::NetlistStats;
+use dpsyn_netlist::CellKind;
 use dpsyn_power::ProbabilityAnalysis;
 use dpsyn_sim::{measure_toggles, BlockSim, Stimulus, ToggleCounter, BLOCK_SIZES, DEFAULT_BLOCK};
 use dpsyn_tech::TechLibrary;
@@ -45,7 +45,7 @@ fn assert_analytic_tracks_simulation(
     }
     let analytic = ProbabilityAnalysis::new(&lib)
         .with_input_probabilities(probabilities)
-        .run(synthesized.netlist())
+        .run_compiled(synthesized.compiled())
         .expect("power analysis");
     let toggles = measure_toggles(
         synthesized.netlist(),
@@ -157,7 +157,7 @@ fn block_engine_matches_lanes_exactly_and_analytic_power_within_divergence_budge
     }
     let analytic = ProbabilityAnalysis::new(&lib)
         .with_input_probabilities(probabilities)
-        .run(netlist)
+        .run_compiled(simulator.compiled())
         .expect("power analysis");
     let mut analytic_rates = vec![0.0; simulator.net_count()];
     let mut simulated_rates = vec![0.0; simulator.net_count()];
@@ -213,7 +213,7 @@ fn engine_arrival_estimate_matches_static_timing_analysis() {
     }
     let timing = TimingAnalysis::new(&lib)
         .with_input_arrivals(arrivals)
-        .run(synthesized.netlist())
+        .run_compiled(synthesized.compiled())
         .expect("sta");
     // The critical output is behind the final adder, so the full critical delay must be
     // at least the tree's estimated completion time.
@@ -232,9 +232,10 @@ fn verilog_emission_covers_every_cell() {
         .run()
         .expect("synthesis");
     let verilog = synthesized.to_verilog();
-    let stats = NetlistStats::of(synthesized.netlist());
+    let netlist = synthesized.netlist();
     // One assign per single-output cell, two per adder cell.
-    let expected_assigns = stats.cell_count() + stats.adder_count();
+    let expected_assigns =
+        netlist.cell_count() + netlist.count_kind(CellKind::Fa) + netlist.count_kind(CellKind::Ha);
     assert_eq!(verilog.matches("assign").count(), expected_assigns);
     assert!(verilog.contains("module x2_x_y_datapath"));
     assert!(verilog.trim_end().ends_with("endmodule"));

@@ -5,7 +5,9 @@
 //! `IncrementalTiming` / `IncrementalPower` is **bit-identical** to a fresh
 //! `run_compiled` of the cumulative configuration — including along branches the
 //! dirty-cone worklist terminated early (values recomputed to identical bits) and
-//! after `DeltaState::rebind` migrated the state across a recompile.
+//! after `DeltaState::rebind` migrated the state across a recompile. The first
+//! `rerun_delta` on a fresh state is the priming full pass, so it is held to the
+//! same oracle under the defaults plus the delta's entries.
 //!
 //! The oracle is deliberately dumb: cumulative `BTreeMap` profiles re-run through
 //! the full single-pass analyses on every step.
@@ -133,6 +135,21 @@ fn perturb(
     delta
 }
 
+/// A delta assigning every entry of both profile maps, in map order.
+fn profile_delta(
+    arrivals: &BTreeMap<NetId, f64>,
+    probabilities: &BTreeMap<NetId, f64>,
+) -> InputDelta {
+    let mut delta = InputDelta::new();
+    for (net, arrival) in arrivals {
+        delta.set_arrival(*net, *arrival);
+    }
+    for (net, probability) in probabilities {
+        delta.set_probability(*net, *probability);
+    }
+    delta
+}
+
 /// The fresh-run oracles for the cumulative profile.
 fn fresh_reports(
     lib: &TechLibrary,
@@ -176,11 +193,12 @@ fn random_profile_perturbation_sequences_are_bit_identical() {
                 probabilities.insert(net, rng.unit());
             }
         }
+        let prime = profile_delta(&arrivals, &probabilities);
         let primed_timing = timing_engine
-            .run_full(&compiled, &arrivals, &mut state)
+            .rerun_delta(&compiled, &mut state, &prime)
             .expect("prime timing");
         let primed_power = power_engine
-            .run_full(&compiled, &probabilities, &mut state)
+            .rerun_delta(&compiled, &mut state, &prime)
             .expect("prime power");
         let (fresh_timing, fresh_power) = fresh_reports(&lib, &compiled, &arrivals, &probabilities);
         assert_timing_identical(&format!("seed {seed} prime"), &primed_timing, &fresh_timing);
@@ -205,6 +223,170 @@ fn random_profile_perturbation_sequences_are_bit_identical() {
             assert_timing_identical(&label, &incremental_timing, &fresh_timing);
             assert_power_identical(&label, &incremental_power, &fresh_power);
         }
+    }
+}
+
+#[test]
+fn first_rerun_delta_on_a_fresh_state_is_the_full_pass() {
+    for seed in 0..48u64 {
+        let netlist = random_dag(seed);
+        let compiled = netlist.compile().expect("acyclic");
+        let lib = if seed % 2 == 0 {
+            TechLibrary::lcbg10pv_like()
+        } else {
+            TechLibrary::unit()
+        };
+        let timing_engine = IncrementalTiming::new(&lib, &compiled).expect("resolve");
+        let power_engine = IncrementalPower::new(&lib, &compiled).expect("resolve");
+        let mut rng = Rng(seed ^ 0xf1257);
+        let mut arrivals: BTreeMap<NetId, f64> = BTreeMap::new();
+        let mut probabilities: BTreeMap<NetId, f64> = BTreeMap::new();
+        // A random subset of inputs, no-op re-assertions of the defaults included;
+        // the rest keep the defaults (arrival 0, probability 0.5).
+        let mut delta = perturb(
+            &mut rng,
+            netlist.inputs(),
+            &mut arrivals,
+            &mut probabilities,
+        );
+        // A repeated assignment: the later entry wins, as in a map insert.
+        let first = netlist.inputs()[0];
+        delta.set_arrival(first, 0.75);
+        arrivals.insert(first, 0.75);
+        delta.set_probability(first, 0.125);
+        probabilities.insert(first, 0.125);
+        let label = format!("seed {seed} first call");
+        let mut state = DeltaState::new(&compiled);
+        let timing = timing_engine
+            .rerun_delta(&compiled, &mut state, &delta)
+            .expect("priming timing");
+        let power = power_engine
+            .rerun_delta(&compiled, &mut state, &delta)
+            .expect("priming power");
+        let (fresh_timing, fresh_power) = fresh_reports(&lib, &compiled, &arrivals, &probabilities);
+        assert_timing_identical(&label, &timing, &fresh_timing);
+        assert_power_identical(&label, &power, &fresh_power);
+        assert!(state.timing.primed && state.power.primed);
+
+        // An empty first call is the full pass under the defaults alone.
+        let mut state = DeltaState::new(&compiled);
+        let empty = InputDelta::new();
+        let timing = timing_engine
+            .rerun_delta(&compiled, &mut state, &empty)
+            .expect("default timing");
+        let power = power_engine
+            .rerun_delta(&compiled, &mut state, &empty)
+            .expect("default power");
+        let (fresh_timing, fresh_power) =
+            fresh_reports(&lib, &compiled, &BTreeMap::new(), &BTreeMap::new());
+        let label = format!("seed {seed} empty first call");
+        assert_timing_identical(&label, &timing, &fresh_timing);
+        assert_power_identical(&label, &power, &fresh_power);
+    }
+}
+
+#[test]
+fn a_failed_first_call_leaves_the_state_unprimed() {
+    for seed in 0..16u64 {
+        let netlist = random_dag(seed);
+        let compiled = netlist.compile().expect("acyclic");
+        let lib = TechLibrary::lcbg10pv_like();
+        let mut state = DeltaState::new(&compiled);
+
+        // A library without one of the program's cell kinds: the engines cannot be
+        // built, so no call ever reaches the state.
+        let missing = compiled.kind_counts()[0].0;
+        let mut builder = TechLibrary::builder("incomplete");
+        for kind in CellKind::all().into_iter().filter(|kind| *kind != missing) {
+            builder = builder.cell(kind, lib.cell(kind).clone());
+        }
+        let incomplete = builder.build().expect("valid partial library");
+        assert!(IncrementalTiming::new(&incomplete, &compiled).is_err());
+        assert!(IncrementalPower::new(&incomplete, &compiled).is_err());
+        assert!(!state.timing.primed && !state.power.primed);
+
+        // A NaN in the delta fails both priming calls before any mutation.
+        let timing_engine = IncrementalTiming::new(&lib, &compiled).expect("resolve");
+        let power_engine = IncrementalPower::new(&lib, &compiled).expect("resolve");
+        let input = netlist.inputs()[seed as usize % netlist.inputs().len()];
+        let mut poisoned = InputDelta::new();
+        poisoned.set_arrival(input, f64::NAN);
+        poisoned.set_probability(input, f64::NAN);
+        assert!(timing_engine
+            .rerun_delta(&compiled, &mut state, &poisoned)
+            .is_err());
+        assert!(power_engine
+            .rerun_delta(&compiled, &mut state, &poisoned)
+            .is_err());
+        assert!(!state.timing.primed && !state.power.primed);
+
+        // The next valid call is still the priming full pass.
+        let mut arrivals = BTreeMap::new();
+        let mut probabilities = BTreeMap::new();
+        arrivals.insert(input, 2.5);
+        probabilities.insert(input, 0.3);
+        let delta = profile_delta(&arrivals, &probabilities);
+        let timing = timing_engine
+            .rerun_delta(&compiled, &mut state, &delta)
+            .expect("valid timing");
+        let power = power_engine
+            .rerun_delta(&compiled, &mut state, &delta)
+            .expect("valid power");
+        let (fresh_timing, fresh_power) = fresh_reports(&lib, &compiled, &arrivals, &probabilities);
+        let label = format!("seed {seed} after failures");
+        assert_timing_identical(&label, &timing, &fresh_timing);
+        assert_power_identical(&label, &power, &fresh_power);
+    }
+}
+
+#[test]
+fn non_input_and_out_of_range_keys_are_ignored_on_the_priming_call() {
+    for seed in 0..16u64 {
+        let netlist = random_dag(seed);
+        let compiled = netlist.compile().expect("acyclic");
+        let lib = TechLibrary::unit();
+        let input = netlist.inputs()[0];
+        // A driven net (never a primary input) and an index past the program's nets.
+        let internal = compiled.ops()[0].output_nets()[0];
+        let mut other = Netlist::new("other");
+        let foreign = (0..=netlist.net_count())
+            .map(|index| other.add_input(format!("x{index}")))
+            .last()
+            .expect("at least one net");
+        assert!(foreign.index() >= compiled.net_count());
+        let mut delta = InputDelta::new();
+        let mut arrivals = BTreeMap::new();
+        let mut probabilities = BTreeMap::new();
+        for (net, arrival, probability) in
+            [(internal, 9.0, 0.9), (foreign, 4.0, 0.1), (input, 1.5, 0.2)]
+        {
+            delta.set_arrival(net, arrival);
+            delta.set_probability(net, probability);
+            arrivals.insert(net, arrival);
+            probabilities.insert(net, probability);
+        }
+        let mut state = DeltaState::new(&compiled);
+        let timing = IncrementalTiming::new(&lib, &compiled)
+            .expect("resolve")
+            .rerun_delta(&compiled, &mut state, &delta)
+            .expect("priming timing");
+        let power = IncrementalPower::new(&lib, &compiled)
+            .expect("resolve")
+            .rerun_delta(&compiled, &mut state, &delta)
+            .expect("priming power");
+        let (fresh_timing, fresh_power) = fresh_reports(&lib, &compiled, &arrivals, &probabilities);
+        let label = format!("seed {seed} stray keys");
+        assert_timing_identical(&label, &timing, &fresh_timing);
+        assert_power_identical(&label, &power, &fresh_power);
+        // The stray keys changed nothing: the input-only profile reports the same.
+        let (clean_timing, clean_power) = fresh_reports(
+            &lib,
+            &compiled,
+            &BTreeMap::from([(input, 1.5)]),
+            &BTreeMap::from([(input, 0.2)]),
+        );
+        assert_timing_identical(&label, &timing, &clean_timing);
+        assert_power_identical(&label, &power, &clean_power);
     }
 }
 
@@ -283,13 +465,14 @@ fn random_local_rewires_rebind_and_stay_bit_identical() {
             probabilities.insert(net, rng.unit());
         }
         let mut state = DeltaState::new(&compiled);
+        let prime = profile_delta(&arrivals, &probabilities);
         IncrementalTiming::new(&lib, &compiled)
             .expect("resolve")
-            .run_full(&compiled, &arrivals, &mut state)
+            .rerun_delta(&compiled, &mut state, &prime)
             .expect("prime timing");
         IncrementalPower::new(&lib, &compiled)
             .expect("resolve")
-            .run_full(&compiled, &probabilities, &mut state)
+            .rerun_delta(&compiled, &mut state, &prime)
             .expect("prime power");
 
         for round in 0..8 {
@@ -352,10 +535,10 @@ fn early_termination_keeps_untouched_cones_bit_identical() {
     let mut arrivals = BTreeMap::new();
     let mut probabilities = BTreeMap::new();
     timing_engine
-        .run_full(&compiled, &arrivals, &mut state)
+        .rerun_delta(&compiled, &mut state, &InputDelta::new())
         .unwrap();
     power_engine
-        .run_full(&compiled, &probabilities, &mut state)
+        .rerun_delta(&compiled, &mut state, &InputDelta::new())
         .unwrap();
     // Zero-probability AND input: changing the other input never changes the AND's
     // output probability, so the whole left power cone terminates at level 0.

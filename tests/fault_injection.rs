@@ -677,6 +677,35 @@ mod serve_faults {
         server.join().expect("joins").expect("exits cleanly");
     }
 
+    /// A request's `threads` is untrusted: a count no host could spawn or allocate
+    /// per-worker state for must not abort the server. The engine caps its workers
+    /// at the chunk count, so the request is answered like a one-thread request
+    /// and the connection keeps serving.
+    #[test]
+    fn an_oversized_thread_count_is_answered_and_the_connection_keeps_serving() {
+        let socket = sock("threads");
+        let config = ServeConfig::new(socket.clone());
+        let server = std::thread::spawn(move || serve(&config));
+
+        let mut stream = connect(&socket);
+        let huge = SWEEP.replace(r#""threads":1"#, r#""threads":100000000000000000"#);
+        assert_ne!(huge, SWEEP);
+        stream
+            .write_all(huge.as_bytes())
+            .expect("huge request sends");
+        let response = read_response(&mut stream);
+        assert!(response.ok, "answered: {}", response.error);
+        assert_eq!(response.points, 2);
+        stream.write_all(SWEEP.as_bytes()).expect("sweep sends");
+        let healthy = read_response(&mut stream);
+        assert!(healthy.ok, "the connection kept serving: {}", healthy.error);
+        assert_eq!(healthy.summary, response.summary);
+        drop(stream);
+
+        shutdown(&socket);
+        server.join().expect("joins").expect("exits cleanly");
+    }
+
     /// Satellite: a slow-loris client parking a partial line is rejected with a
     /// typed `deadline` response once the read deadline passes.
     #[test]
