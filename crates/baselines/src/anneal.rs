@@ -45,7 +45,8 @@
 //! and the search uses [`Netlist::rewire_input`] only.
 
 use crate::flow::{BaselineError, FlowResult};
-use dpsyn_core::{input_profiles, FinalAdderKind, Objective, SelectionStrategy, Synthesizer};
+use crate::Flow;
+use dpsyn_core::{input_profiles, FinalAdderKind, SelectionStrategy};
 use dpsyn_ir::{Expr, InputSpec};
 use dpsyn_netlist::{CellId, CellKind, CompiledNetlist, DeltaState, InputDelta, Netlist};
 use dpsyn_power::{IncrementalPower, PowerReport};
@@ -260,24 +261,10 @@ fn swap_groups(netlist: &Netlist, compiled: &CompiledNetlist) -> Vec<Vec<(CellId
         .collect()
 }
 
-/// The paper-style `fa_anneal` flow: `fa_random(seed)` tree allocation with a
-/// ripple root, improved by delta-scored greedy descent. See the module docs.
-///
-/// # Errors
-///
-/// Returns an error if lowering, synthesis or any analysis fails.
-pub fn fa_anneal(
-    expr: &Expr,
-    spec: &InputSpec,
-    width: u32,
-    tech: &TechLibrary,
-    seed: u64,
-) -> Result<FlowResult, BaselineError> {
-    fa_anneal_with_stats(expr, spec, width, tech, seed).map(|(result, _)| result)
-}
-
-/// [`fa_anneal`] plus the loop counters, for callers asserting *how* the result
-/// was produced (the throughput bench and the equivalence suites).
+/// The `fa_anneal` flow ([`Flow::FaAnneal`]): `fa_random(seed)` tree allocation with
+/// a ripple root, improved by delta-scored greedy descent (see the module docs),
+/// plus the loop counters, for callers asserting *how* the result was produced (the
+/// throughput bench and the equivalence suites).
 ///
 /// # Errors
 ///
@@ -307,15 +294,20 @@ pub fn fa_anneal_observed(
     seed: u64,
     mut observer: impl FnMut(&AnnealStep<'_>),
 ) -> Result<(FlowResult, AnnealStats), BaselineError> {
-    let design = Synthesizer::new(expr, spec)
-        .objective(Objective::Power)
-        .technology(tech)
-        .output_width(width)
-        .name("fa_anneal")
-        .strategy(SelectionStrategy::Random(seed))
-        .final_adder(FinalAdderKind::Ripple)
-        .run()?;
-    let (mut netlist, word_map, mut compiled, _report) = design.into_analysis_parts();
+    let FlowResult {
+        mut netlist,
+        word_map,
+        mut compiled,
+        area,
+        ..
+    } = Flow::FaAnneal(seed).fa_tree(
+        expr,
+        spec,
+        width,
+        tech,
+        SelectionStrategy::Random(seed),
+        FinalAdderKind::Ripple,
+    )?;
 
     // Prime each channel of the fresh state with one full pass under the design's
     // input profile.
@@ -332,8 +324,7 @@ pub fn fa_anneal_observed(
     let mut power_engine = IncrementalPower::new(tech, &compiled)?;
     let mut timing = timing_engine.rerun_delta(&compiled, &mut state, &profile)?;
     let mut power = power_engine.rerun_delta(&compiled, &mut state, &profile)?;
-    // Swaps never change the cell set, so area is invariant across the search.
-    let area = tech.compiled_area(&compiled);
+    // Swaps never change the cell set, so the start's area holds across the search.
 
     let groups = swap_groups(&netlist, &compiled);
     let mut stats = AnnealStats {
@@ -449,6 +440,7 @@ pub fn fa_anneal_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpsyn_core::{Objective, Synthesizer};
     use dpsyn_ir::parse_expr;
     use dpsyn_sim::check_equivalence;
 
@@ -468,7 +460,7 @@ mod tests {
     #[test]
     fn anneal_preserves_function() {
         let (expr, spec, lib) = setup();
-        let result = fa_anneal(&expr, &spec, 9, &lib, 3).unwrap();
+        let result = Flow::FaAnneal(3).run(&expr, &spec, 9, &lib).unwrap();
         check_equivalence(&result.netlist, &result.word_map, &expr, &spec, 9, 128, 5).unwrap();
     }
 
@@ -518,7 +510,7 @@ mod tests {
             .final_adder(FinalAdderKind::Ripple)
             .run()
             .unwrap();
-        let result = fa_anneal(&expr, &spec, 9, &lib, 3).unwrap();
+        let result = Flow::FaAnneal(3).run(&expr, &spec, 9, &lib).unwrap();
         assert!(result.switching_energy <= start.report().switching_energy);
         assert!(result.delay <= start.report().delay);
         assert_eq!(result.area.to_bits(), start.report().area.to_bits());

@@ -8,33 +8,15 @@
 //! flattened and rebuilt as balanced binary trees, which is the standard "tree height
 //! reduction" a conventional RTL optimiser performs.
 
-use crate::flow::{BaselineError, FlowResult};
+use crate::flow::BaselineError;
 use dpsyn_ir::{Expr, InputSpec, IrError};
 use dpsyn_modules::builders::{AdderKind, MultiplierKind};
 use dpsyn_modules::{adder, zero_extend};
 use dpsyn_netlist::{NetId, Netlist, Word, WordMap};
-use dpsyn_tech::TechLibrary;
 use std::collections::BTreeMap;
 
-/// Synthesizes `expr` with the conventional operation-level flow and analyses the
-/// result under the design's input characteristics.
-///
-/// # Errors
-///
-/// Returns an error when the expression references undeclared variables, when netlist
-/// construction fails, or when an analysis fails.
-pub fn conventional(
-    expr: &Expr,
-    spec: &InputSpec,
-    width: u32,
-    tech: &TechLibrary,
-) -> Result<FlowResult, BaselineError> {
-    let (netlist, word_map) = conventional_netlist(expr, spec, width)?;
-    FlowResult::analyze("conventional", netlist, word_map, spec, tech)
-}
-
-/// The synthesis step of [`conventional`] alone: builds the netlist and its
-/// word-level interface **without running any analysis**.
+/// The synthesis step of [`Flow::Conventional`](crate::Flow::Conventional): builds
+/// the netlist and its word-level interface **without running any analysis**.
 ///
 /// Module binding never looks at the spec's arrival or probability profiles — only at
 /// variable names and widths — so two design points that differ solely in their input
@@ -46,7 +28,7 @@ pub fn conventional(
 ///
 /// Returns an error when the expression references undeclared variables or netlist
 /// construction fails.
-pub fn conventional_netlist(
+pub(crate) fn conventional_netlist(
     expr: &Expr,
     spec: &InputSpec,
     width: u32,
@@ -187,13 +169,15 @@ fn flatten_additions<'e>(expr: &'e Expr, terms: &mut Vec<&'e Expr>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Flow, FlowResult};
     use dpsyn_ir::parse_expr;
     use dpsyn_sim::check_equivalence;
+    use dpsyn_tech::TechLibrary;
 
     fn check(source: &str, spec: &InputSpec, width: u32) -> FlowResult {
         let expr = parse_expr(source).unwrap();
         let lib = TechLibrary::lcbg10pv_like();
-        let result = conventional(&expr, spec, width, &lib).unwrap();
+        let result = Flow::Conventional.run(&expr, spec, width, &lib).unwrap();
         check_equivalence(
             &result.netlist,
             &result.word_map,
@@ -259,7 +243,7 @@ mod tests {
     fn unknown_variable_is_reported() {
         let spec = InputSpec::builder().var("a", 3).build().unwrap();
         let expr = parse_expr("a + ghost").unwrap();
-        let result = conventional(&expr, &spec, 5, &TechLibrary::unit());
+        let result = Flow::Conventional.run(&expr, &spec, 5, &TechLibrary::unit());
         assert!(matches!(result, Err(BaselineError::Ir(_))));
     }
 

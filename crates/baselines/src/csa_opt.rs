@@ -10,7 +10,7 @@
 //! arrival skew cannot be exploited and the full-width compressor rows spend full
 //! adders on positions that hold constant zeros.
 
-use crate::flow::{BaselineError, FlowResult};
+use crate::flow::BaselineError;
 use dpsyn_ir::{Expr, InputSpec, Polynomial};
 use dpsyn_modules::builders::AdderKind;
 use dpsyn_modules::compressor::carry_save_row;
@@ -26,37 +26,21 @@ struct Operand {
     arrival: f64,
 }
 
-/// Synthesizes `expr` with the word-level CSA_OPT flow and analyses the result.
+/// The synthesis step of [`Flow::CsaOpt`](crate::Flow::CsaOpt): builds the netlist
+/// and its word-level interface **without running the timing/power analyses**.
 ///
-/// # Errors
-///
-/// Returns an error when the expression references undeclared variables, reduces to a
-/// constant zero, or when netlist construction / analysis fails.
-pub fn csa_opt(
-    expr: &Expr,
-    spec: &InputSpec,
-    width: u32,
-    tech: &TechLibrary,
-) -> Result<FlowResult, BaselineError> {
-    let (netlist, word_map) = csa_opt_netlist(expr, spec, width, tech)?;
-    FlowResult::analyze("csa_opt", netlist, word_map, spec, tech)
-}
-
-/// The synthesis step of [`csa_opt`] alone: builds the netlist and its word-level
-/// interface **without running the timing/power analyses**.
-///
-/// Unlike [`crate::conventional_netlist`], the structure here *does* depend on the
-/// spec's arrival profile (operands are compressed earliest-words-first using the
-/// library's delays), so profile-only re-runs may or may not reproduce the same
-/// netlist — callers that cache compiled programs must verify structural identity
-/// (e.g. via `Netlist::structural_hash` plus a cell-by-cell check) before reusing
-/// one, and fall back to a full analysis otherwise.
+/// Unlike `conventional_netlist`, the structure here *does* depend on the spec's
+/// arrival profile (operands are compressed earliest-words-first using the library's
+/// delays), so profile-only re-runs may or may not reproduce the same netlist —
+/// callers that cache compiled programs must verify structural identity (e.g. via
+/// `Netlist::structural_hash` plus a cell-by-cell check) before reusing one, and
+/// fall back to a full analysis otherwise.
 ///
 /// # Errors
 ///
 /// Returns an error when the expression references undeclared variables, reduces to a
 /// constant zero, or when netlist construction fails.
-pub fn csa_opt_netlist(
+pub(crate) fn csa_opt_netlist(
     expr: &Expr,
     spec: &InputSpec,
     width: u32,
@@ -243,13 +227,14 @@ pub fn csa_opt_netlist(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Flow, FlowResult};
     use dpsyn_ir::parse_expr;
     use dpsyn_sim::check_equivalence;
 
     fn check(source: &str, spec: &InputSpec, width: u32) -> FlowResult {
         let expr = parse_expr(source).unwrap();
         let lib = TechLibrary::lcbg10pv_like();
-        let result = csa_opt(&expr, spec, width, &lib).unwrap();
+        let result = Flow::CsaOpt.run(&expr, spec, width, &lib).unwrap();
         check_equivalence(
             &result.netlist,
             &result.word_map,
@@ -313,7 +298,7 @@ mod tests {
     fn empty_expression_is_rejected() {
         let spec = InputSpec::builder().var("a", 4).build().unwrap();
         let expr = parse_expr("a - a").unwrap();
-        let result = csa_opt(&expr, &spec, 5, &TechLibrary::unit());
+        let result = Flow::CsaOpt.run(&expr, &spec, 5, &TechLibrary::unit());
         assert!(matches!(result, Err(BaselineError::EmptyExpression)));
     }
 
@@ -321,7 +306,7 @@ mod tests {
     fn unknown_variable_is_rejected() {
         let spec = InputSpec::builder().var("a", 4).build().unwrap();
         let expr = parse_expr("a + ghost").unwrap();
-        let result = csa_opt(&expr, &spec, 5, &TechLibrary::unit());
+        let result = Flow::CsaOpt.run(&expr, &spec, 5, &TechLibrary::unit());
         assert!(matches!(result, Err(BaselineError::Ir(_))));
     }
 
@@ -338,8 +323,8 @@ mod tests {
             .unwrap();
         let expr = parse_expr("x*y + y*z + x + z").unwrap();
         let lib = TechLibrary::lcbg10pv_like();
-        let word_level = csa_opt(&expr, &spec, 13, &lib).unwrap();
-        let bit_level = crate::fa_aot(&expr, &spec, 13, &lib).unwrap();
+        let word_level = Flow::CsaOpt.run(&expr, &spec, 13, &lib).unwrap();
+        let bit_level = Flow::FaAot.run(&expr, &spec, 13, &lib).unwrap();
         assert!(
             word_level.area >= bit_level.area,
             "csa_opt area {} vs fa_aot area {}",

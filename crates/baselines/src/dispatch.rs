@@ -1,39 +1,43 @@
 //! Uniform dispatch over every synthesis flow of the evaluation.
 //!
 //! The table/figure harness and the design-space exploration engine both need to run
-//! "one of the six flows" data-driven rather than calling six differently-shaped
-//! functions. [`Flow`] names each flow as a value (the `FaRandom` variant carries its
-//! seed so a run is reproducible from the value alone) and [`Flow::run`] dispatches to
-//! the corresponding free function with the shared
-//! `(expr, spec, width, tech) -> FlowResult` signature.
+//! "one of the seven flows" data-driven rather than calling seven differently-shaped
+//! engines. [`Flow`] names each flow as a value (the seeded variants carry their seed
+//! so a run is reproducible from the value alone); [`Flow::synthesize`] is the one
+//! place that maps a flow onto its engine, and [`Flow::run`] follows it with the
+//! shared analysis bundle.
 
+use crate::anneal::fa_anneal_with_stats;
+use crate::conventional::conventional_netlist;
+use crate::csa_opt::csa_opt_netlist;
 use crate::flow::{BaselineError, FlowResult};
-use crate::{
-    conventional, conventional_netlist, csa_opt, csa_opt_netlist, fa_alp, fa_anneal, fa_aot,
-    fa_random, wallace_fixed,
-};
-use dpsyn_core::Objective;
+use dpsyn_core::{FinalAdderKind, Objective, SelectionStrategy, Synthesizer};
 use dpsyn_ir::{Expr, InputSpec};
 use dpsyn_netlist::{Netlist, WordMap};
 use dpsyn_tech::TechLibrary;
 use std::fmt;
 
-/// The outcome of [`Flow::synthesize`]: the synthesis step of a flow, decoupled from
-/// its analyses where the flow permits it.
+/// The outcome of [`Flow::synthesize`]: the synthesis step of a flow, with the
+/// analysis left to the caller where the flow's result allows it.
 ///
 /// The two module-binding flows (`conventional`, `csa_opt`) build their netlists
-/// without ever running timing or power, so they can hand back an
+/// without ever running timing or power, and hand back an
 /// [`FlowSynthesis::Unanalyzed`] netlist for the caller to analyse — possibly through
 /// the incremental delta path when a structurally identical program is already
-/// cached. The FA-tree flows analyse *during* construction (arrival-ordered and
-/// probability-ordered selection need live analysis values), so splitting would only
-/// run the analyses twice; they return the finished [`FlowSynthesis::Analyzed`]
-/// result instead.
+/// cached.
+///
+/// The other flows return the finished [`FlowSynthesis::Analyzed`] result. For the
+/// four FA-tree flows this is not a matter of need: `allocate_fa_tree` selects from
+/// its own arrival and probability estimates, and `Synthesizer::run` runs the
+/// analysis bundle afterwards. They stay `Analyzed` because the exploration engine
+/// writes analysis-stage store records for `Unanalyzed` points only, so sending them
+/// through its cache would add records and change the memo file. `fa_anneal` scores
+/// every move with the delta analyses, so its result is analysed by construction.
 #[derive(Debug, Clone)]
 pub enum FlowSynthesis {
     /// A bare synthesized netlist; no analysis has run yet.
     Unanalyzed(Box<SynthesizedParts>),
-    /// A fully analysed result (flows whose engines analyse during construction).
+    /// A fully analysed result (every flow but the two module-binding ones).
     Analyzed(Box<FlowResult>),
 }
 
@@ -128,7 +132,8 @@ impl Flow {
         }
     }
 
-    /// Runs the flow on one design point.
+    /// Runs the flow on one design point: [`Flow::synthesize`], then — for the
+    /// module-binding flows — [`FlowResult::analyze`].
     ///
     /// # Errors
     ///
@@ -140,24 +145,21 @@ impl Flow {
         width: u32,
         tech: &TechLibrary,
     ) -> Result<FlowResult, BaselineError> {
-        match self {
-            Flow::Conventional => conventional(expr, spec, width, tech),
-            Flow::CsaOpt => csa_opt(expr, spec, width, tech),
-            Flow::WallaceFixed => wallace_fixed(expr, spec, width, tech),
-            Flow::FaRandom(seed) => fa_random(expr, spec, width, tech, *seed),
-            Flow::FaAot => fa_aot(expr, spec, width, tech),
-            Flow::FaAlp => fa_alp(expr, spec, width, tech),
-            Flow::FaAnneal(seed) => fa_anneal(expr, spec, width, tech, *seed),
+        match self.synthesize(expr, spec, width, tech)? {
+            FlowSynthesis::Unanalyzed(parts) => {
+                FlowResult::analyze(parts.flow, parts.netlist, parts.word_map, spec, tech)
+            }
+            FlowSynthesis::Analyzed(result) => Ok(*result),
         }
     }
 
-    /// Runs only the synthesis step of the flow where that is cheaper than the full
-    /// [`Flow::run`], for callers that analyse (or delta-re-analyse) separately.
+    /// Runs the synthesis step of the flow, for callers that analyse (or
+    /// delta-re-analyse) separately.
     ///
     /// For `Conventional` and `CsaOpt` this skips the whole timing + power + area
-    /// bundle; for every other flow it is equivalent to [`Flow::run`] and returns the
-    /// finished result. In both cases, following an `Unanalyzed` outcome with
-    /// [`FlowResult::analyze`] reproduces [`Flow::run`] bit for bit.
+    /// bundle; every other flow returns its finished result (see [`FlowSynthesis`]
+    /// for why). Following an `Unanalyzed` outcome with [`FlowResult::analyze`] is
+    /// exactly [`Flow::run`].
     ///
     /// # Errors
     ///
@@ -170,27 +172,61 @@ impl Flow {
         width: u32,
         tech: &TechLibrary,
     ) -> Result<FlowSynthesis, BaselineError> {
-        match self {
-            Flow::Conventional => {
-                let (netlist, word_map) = conventional_netlist(expr, spec, width)?;
-                Ok(FlowSynthesis::Unanalyzed(Box::new(SynthesizedParts {
-                    flow: "conventional",
-                    netlist,
-                    word_map,
-                })))
+        let unanalyzed = |(netlist, word_map)| {
+            FlowSynthesis::Unanalyzed(Box::new(SynthesizedParts {
+                flow: self.name(),
+                netlist,
+                word_map,
+            }))
+        };
+        let analyzed = |result| FlowSynthesis::Analyzed(Box::new(result));
+        let strategy = match *self {
+            Flow::Conventional => return Ok(unanalyzed(conventional_netlist(expr, spec, width)?)),
+            Flow::CsaOpt => return Ok(unanalyzed(csa_opt_netlist(expr, spec, width, tech)?)),
+            Flow::FaAnneal(seed) => {
+                return Ok(analyzed(
+                    fa_anneal_with_stats(expr, spec, width, tech, seed)?.0,
+                ))
             }
-            Flow::CsaOpt => {
-                let (netlist, word_map) = csa_opt_netlist(expr, spec, width, tech)?;
-                Ok(FlowSynthesis::Unanalyzed(Box::new(SynthesizedParts {
-                    flow: "csa_opt",
-                    netlist,
-                    word_map,
-                })))
-            }
-            _ => self
-                .run(expr, spec, width, tech)
-                .map(|result| FlowSynthesis::Analyzed(Box::new(result))),
-        }
+            Flow::WallaceFixed => SelectionStrategy::RowOrder,
+            Flow::FaRandom(seed) => SelectionStrategy::Random(seed),
+            Flow::FaAot | Flow::FaAlp => self.objective().default_strategy(),
+        };
+        let result = self.fa_tree(expr, spec, width, tech, strategy, FinalAdderKind::default())?;
+        Ok(analyzed(result))
+    }
+
+    /// Runs the global FA-tree engine of `dpsyn-core` under this flow's objective
+    /// and name (which also names the netlist module) with the given selection
+    /// strategy and final adder.
+    pub(crate) fn fa_tree(
+        self,
+        expr: &Expr,
+        spec: &InputSpec,
+        width: u32,
+        tech: &TechLibrary,
+        strategy: SelectionStrategy,
+        final_adder: FinalAdderKind,
+    ) -> Result<FlowResult, BaselineError> {
+        let design = Synthesizer::new(expr, spec)
+            .objective(self.objective())
+            .technology(tech)
+            .output_width(width)
+            .name(self.name())
+            .strategy(strategy)
+            .final_adder(final_adder)
+            .run()?;
+        let (netlist, word_map, compiled, report) = design.into_parts();
+        Ok(FlowResult {
+            flow: self.name().to_string(),
+            netlist,
+            word_map,
+            compiled,
+            delay: report.delay,
+            area: report.area,
+            switching_energy: report.switching_energy,
+            power_mw: report.power_mw,
+        })
     }
 }
 
@@ -208,6 +244,83 @@ impl fmt::Display for Flow {
 mod tests {
     use super::*;
     use dpsyn_ir::parse_expr;
+    use dpsyn_sim::check_equivalence;
+
+    /// Each flow's engine configuration, spelled out independently of the
+    /// dispatch: the module-binding builders plus the shared analysis, the core
+    /// synthesizer under each flow's objective, strategy and module name, and the
+    /// anneal search.
+    fn direct(
+        flow: Flow,
+        expr: &Expr,
+        spec: &InputSpec,
+        width: u32,
+        lib: &TechLibrary,
+    ) -> FlowResult {
+        let engine = |objective: Objective, strategy: Option<SelectionStrategy>| {
+            let mut synthesizer = Synthesizer::new(expr, spec)
+                .objective(objective)
+                .technology(lib)
+                .output_width(width)
+                .name(flow.name());
+            if let Some(strategy) = strategy {
+                synthesizer = synthesizer.strategy(strategy);
+            }
+            let (netlist, word_map, compiled, report) = synthesizer.run().unwrap().into_parts();
+            FlowResult {
+                flow: flow.name().to_string(),
+                netlist,
+                word_map,
+                compiled,
+                delay: report.delay,
+                area: report.area,
+                switching_energy: report.switching_energy,
+                power_mw: report.power_mw,
+            }
+        };
+        match flow {
+            Flow::Conventional => {
+                let (netlist, word_map) = conventional_netlist(expr, spec, width).unwrap();
+                FlowResult::analyze("conventional", netlist, word_map, spec, lib).unwrap()
+            }
+            Flow::CsaOpt => {
+                let (netlist, word_map) = csa_opt_netlist(expr, spec, width, lib).unwrap();
+                FlowResult::analyze("csa_opt", netlist, word_map, spec, lib).unwrap()
+            }
+            Flow::WallaceFixed => engine(Objective::Timing, Some(SelectionStrategy::RowOrder)),
+            Flow::FaRandom(seed) => engine(Objective::Power, Some(SelectionStrategy::Random(seed))),
+            Flow::FaAot => engine(Objective::Timing, None),
+            Flow::FaAlp => engine(Objective::Power, None),
+            Flow::FaAnneal(seed) => {
+                fa_anneal_with_stats(expr, spec, width, lib, seed)
+                    .unwrap()
+                    .0
+            }
+        }
+    }
+
+    const ALL: [Flow; 7] = [
+        Flow::Conventional,
+        Flow::CsaOpt,
+        Flow::WallaceFixed,
+        Flow::FaRandom(11),
+        Flow::FaAot,
+        Flow::FaAlp,
+        Flow::FaAnneal(11),
+    ];
+
+    fn setup() -> (Expr, InputSpec, TechLibrary) {
+        (
+            parse_expr("a*b + c + 7").unwrap(),
+            InputSpec::builder()
+                .var_with_arrival("a", 4, 1.0)
+                .var("b", 4)
+                .var_with_probability("c", 4, 0.2)
+                .build()
+                .unwrap(),
+            TechLibrary::lcbg10pv_like(),
+        )
+    }
 
     #[test]
     fn dispatch_matches_the_free_functions() {
@@ -219,36 +332,73 @@ mod tests {
             .build()
             .unwrap();
         let lib = TechLibrary::lcbg10pv_like();
-        let direct = [
-            conventional(&expr, &spec, 8, &lib).unwrap(),
-            csa_opt(&expr, &spec, 8, &lib).unwrap(),
-            wallace_fixed(&expr, &spec, 8, &lib).unwrap(),
-            fa_random(&expr, &spec, 8, &lib, 11).unwrap(),
-            fa_aot(&expr, &spec, 8, &lib).unwrap(),
-            fa_alp(&expr, &spec, 8, &lib).unwrap(),
-            fa_anneal(&expr, &spec, 8, &lib, 11).unwrap(),
-        ];
-        let flows = [
-            Flow::Conventional,
-            Flow::CsaOpt,
-            Flow::WallaceFixed,
-            Flow::FaRandom(11),
-            Flow::FaAot,
-            Flow::FaAlp,
-            Flow::FaAnneal(11),
-        ];
-        for (flow, reference) in flows.iter().zip(&direct) {
+        for flow in ALL {
+            let reference = direct(flow, &expr, &spec, 8, &lib);
             let dispatched = flow.run(&expr, &spec, 8, &lib).unwrap();
             assert_eq!(dispatched.flow, reference.flow, "{flow}");
-            // Dispatch must be bit-identical to the direct call, not merely close.
-            assert_eq!(dispatched.delay, reference.delay, "{flow}");
-            assert_eq!(dispatched.area, reference.area, "{flow}");
+            // Dispatch must be bit-identical to the direct call, not merely close,
+            // down to the netlist's module name.
             assert_eq!(
-                dispatched.switching_energy, reference.switching_energy,
+                dispatched.delay.to_bits(),
+                reference.delay.to_bits(),
                 "{flow}"
             );
-            assert_eq!(dispatched.power_mw, reference.power_mw, "{flow}");
+            assert_eq!(
+                dispatched.area.to_bits(),
+                reference.area.to_bits(),
+                "{flow}"
+            );
+            assert_eq!(
+                dispatched.switching_energy.to_bits(),
+                reference.switching_energy.to_bits(),
+                "{flow}"
+            );
+            assert_eq!(
+                dispatched.power_mw.to_bits(),
+                reference.power_mw.to_bits(),
+                "{flow}"
+            );
+            assert_eq!(dispatched.netlist, reference.netlist, "{flow}");
+            assert_eq!(dispatched.netlist.name(), flow.name(), "{flow}");
         }
+    }
+
+    #[test]
+    fn fa_tree_flows_preserve_function() {
+        let (expr, spec, lib) = setup();
+        for flow in [
+            Flow::FaAot,
+            Flow::FaAlp,
+            Flow::WallaceFixed,
+            Flow::FaRandom(3),
+        ] {
+            let result = flow.run(&expr, &spec, 9, &lib).unwrap();
+            check_equivalence(&result.netlist, &result.word_map, &expr, &spec, 9, 128, 5)
+                .unwrap_or_else(|error| panic!("{flow}: {error}"));
+        }
+    }
+
+    #[test]
+    fn fa_aot_is_at_least_as_fast_as_wallace_fixed() {
+        let (expr, spec, lib) = setup();
+        let ours = Flow::FaAot.run(&expr, &spec, 9, &lib).unwrap();
+        let fixed = Flow::WallaceFixed.run(&expr, &spec, 9, &lib).unwrap();
+        assert!(ours.delay <= fixed.delay + 1e-9);
+    }
+
+    #[test]
+    fn fa_alp_is_no_worse_than_random_on_average() {
+        let (expr, spec, lib) = setup();
+        let low_power = Flow::FaAlp.run(&expr, &spec, 9, &lib).unwrap();
+        let mut random_total = 0.0;
+        let runs = 5;
+        for seed in 0..runs {
+            random_total += Flow::FaRandom(seed)
+                .run(&expr, &spec, 9, &lib)
+                .unwrap()
+                .switching_energy;
+        }
+        assert!(low_power.switching_energy <= random_total / runs as f64 + 1e-9);
     }
 
     #[test]
@@ -261,15 +411,7 @@ mod tests {
             .build()
             .unwrap();
         let lib = TechLibrary::lcbg10pv_like();
-        for flow in [
-            Flow::Conventional,
-            Flow::CsaOpt,
-            Flow::WallaceFixed,
-            Flow::FaRandom(11),
-            Flow::FaAot,
-            Flow::FaAlp,
-            Flow::FaAnneal(11),
-        ] {
+        for flow in ALL {
             let reference = flow.run(&expr, &spec, 8, &lib).unwrap();
             let result = match flow.synthesize(&expr, &spec, 8, &lib).unwrap() {
                 FlowSynthesis::Unanalyzed(parts) => {

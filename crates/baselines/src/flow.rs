@@ -1,11 +1,10 @@
 //! Common result type and analysis helper shared by every synthesis flow.
 
-use dpsyn_core::input_profiles;
 use dpsyn_ir::InputSpec;
 use dpsyn_netlist::{CompiledNetlist, Netlist, NetlistError, WordMap};
-use dpsyn_power::{PowerError, ProbabilityAnalysis};
+use dpsyn_power::PowerError;
 use dpsyn_tech::TechLibrary;
-use dpsyn_timing::{TimingAnalysis, TimingError};
+use dpsyn_timing::TimingError;
 use std::error::Error;
 use std::fmt;
 
@@ -20,7 +19,7 @@ pub enum BaselineError {
     Timing(TimingError),
     /// Power analysis failed.
     Power(PowerError),
-    /// The FA-tree engine (used by the wrapper flows) failed.
+    /// The FA-tree engine of `dpsyn-core` (behind the FA-tree flows) failed.
     Core(dpsyn_core::SynthesisError),
     /// The expression has no addends / operands to implement.
     EmptyExpression,
@@ -113,9 +112,8 @@ pub struct FlowResult {
 
 impl FlowResult {
     /// Analyses a freshly built netlist (timing, power, area) under the design's input
-    /// characteristics and wraps everything into a `FlowResult`.
-    ///
-    /// The netlist is compiled **once**; every analysis runs over the shared program.
+    /// characteristics through [`dpsyn_core::analyze_netlist`] and wraps everything
+    /// into a `FlowResult`.
     ///
     /// # Errors
     ///
@@ -127,16 +125,8 @@ impl FlowResult {
         spec: &InputSpec,
         tech: &TechLibrary,
     ) -> Result<Self, BaselineError> {
-        netlist.validate_structure()?;
-        let compiled = netlist.compile()?;
-        let (arrivals, probabilities) = input_profiles(&word_map, spec);
-        let timing = TimingAnalysis::new(tech)
-            .with_input_arrivals(arrivals)
-            .run_compiled(&compiled)?;
-        let power = ProbabilityAnalysis::new(tech)
-            .with_input_probabilities(probabilities)
-            .run_compiled(&compiled)?;
-        let area = tech.compiled_area(&compiled);
+        let (compiled, timing, power, area) =
+            dpsyn_core::analyze_netlist::<BaselineError>(&netlist, &word_map, spec, tech)?;
         Ok(FlowResult {
             flow: flow.into(),
             delay: timing.critical_delay(),
@@ -147,25 +137,6 @@ impl FlowResult {
             word_map,
             compiled,
         })
-    }
-
-    /// Wraps an already-analysed design from the core synthesizer, inheriting its
-    /// compiled program.
-    pub fn from_synthesized(
-        flow: impl Into<String>,
-        design: dpsyn_core::SynthesizedDesign,
-    ) -> Self {
-        let (netlist, word_map, compiled, report) = design.into_analysis_parts();
-        FlowResult {
-            flow: flow.into(),
-            netlist,
-            word_map,
-            compiled,
-            delay: report.delay,
-            area: report.area,
-            switching_energy: report.switching_energy,
-            power_mw: report.power_mw,
-        }
     }
 
     /// Delay improvement of `self` over `other` as a fraction (positive = faster).

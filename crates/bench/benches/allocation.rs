@@ -2,7 +2,7 @@
 //! polynomial-time claim) as the number of addends grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpsyn_baselines::{fa_alp, fa_aot};
+use dpsyn_baselines::Flow;
 use dpsyn_designs::workloads::{random_sum, SumWorkload};
 use dpsyn_tech::TechLibrary;
 
@@ -23,7 +23,9 @@ fn bench_allocation(criterion: &mut Criterion) {
             &design,
             |bencher, design| {
                 bencher.iter(|| {
-                    fa_aot(design.expr(), design.spec(), design.output_width(), &lib).unwrap()
+                    Flow::FaAot
+                        .run(design.expr(), design.spec(), design.output_width(), &lib)
+                        .unwrap()
                 })
             },
         );
@@ -32,7 +34,9 @@ fn bench_allocation(criterion: &mut Criterion) {
             &design,
             |bencher, design| {
                 bencher.iter(|| {
-                    fa_alp(design.expr(), design.spec(), design.output_width(), &lib).unwrap()
+                    Flow::FaAlp
+                        .run(design.expr(), design.spec(), design.output_width(), &lib)
+                        .unwrap()
                 })
             },
         );

@@ -63,7 +63,7 @@ pub use final_adder::FinalAdderKind;
 pub use report::SynthesisReport;
 pub use schedule::{sc_lp, sc_t, ColumnOutcome};
 pub use strategy::{Objective, SelectionStrategy};
-pub use synthesizer::{input_profiles, SynthesizedDesign, Synthesizer};
+pub use synthesizer::{analyze_netlist, input_profiles, SynthesizedDesign, Synthesizer};
 
 #[cfg(test)]
 mod tests {

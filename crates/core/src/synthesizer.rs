@@ -7,10 +7,10 @@ use crate::leaves::build_leaves;
 use crate::report::SynthesisReport;
 use crate::strategy::{Objective, SelectionStrategy};
 use dpsyn_ir::{Expr, InputSpec, LoweringOptions};
-use dpsyn_netlist::{CompiledNetlist, NetId, Netlist, Word, WordMap};
-use dpsyn_power::ProbabilityAnalysis;
+use dpsyn_netlist::{CompiledNetlist, NetId, Netlist, NetlistError, Word, WordMap};
+use dpsyn_power::{PowerError, PowerReport, ProbabilityAnalysis};
 use dpsyn_tech::TechLibrary;
-use dpsyn_timing::TimingAnalysis;
+use dpsyn_timing::{TimingAnalysis, TimingError, TimingReport};
 use std::collections::BTreeMap;
 
 /// Collects the per-net input profiles of a synthesized design: the arrival times and
@@ -36,6 +36,40 @@ pub fn input_profiles(
         }
     }
     (arrivals, probabilities)
+}
+
+/// The one analysis bundle behind every flow: checks the netlist's structure,
+/// compiles it **once**, and runs static timing, probability-based power and area
+/// over that shared program under `spec`'s per-bit input profiles.
+///
+/// [`Synthesizer::run`] and the rival flows' analysis both end here, so every flow
+/// is measured by the same code. The error type is the caller's: each flow keeps
+/// reporting failures in its own terms.
+///
+/// # Errors
+///
+/// Fails when the netlist is structurally invalid or cyclic, or when the technology
+/// library does not cover one of its cells.
+pub fn analyze_netlist<E>(
+    netlist: &Netlist,
+    word_map: &WordMap,
+    spec: &InputSpec,
+    tech: &TechLibrary,
+) -> Result<(CompiledNetlist, TimingReport, PowerReport, f64), E>
+where
+    E: From<NetlistError> + From<TimingError> + From<PowerError>,
+{
+    netlist.validate_structure()?;
+    let compiled = netlist.compile()?;
+    let (arrivals, probabilities) = input_profiles(word_map, spec);
+    let timing = TimingAnalysis::new(tech)
+        .with_input_arrivals(arrivals)
+        .run_compiled(&compiled)?;
+    let power = ProbabilityAnalysis::new(tech)
+        .with_input_probabilities(probabilities)
+        .run_compiled(&compiled)?;
+    let area = tech.compiled_area(&compiled);
+    Ok((compiled, timing, power, area))
 }
 
 /// Builder-style front end for the whole synthesis flow: expression → addend matrix →
@@ -159,20 +193,8 @@ impl<'a> Synthesizer<'a> {
             netlist.mark_output(*net);
         }
         let word_map = WordMap::new(leaves.input_words, Word::new("out", outputs));
-        netlist.validate_structure()?;
-        // Compile once: the same levelized program backs validation (acyclicity),
-        // timing, power, area and the structural report fields below.
-        let compiled = netlist.compile()?;
-
-        // Static timing analysis with the spec's per-bit arrival profile.
-        let (arrivals, probabilities) = input_profiles(&word_map, self.spec);
-        let timing = TimingAnalysis::new(tech)
-            .with_input_arrivals(arrivals)
-            .run_compiled(&compiled)?;
-        let power = ProbabilityAnalysis::new(tech)
-            .with_input_probabilities(probabilities)
-            .run_compiled(&compiled)?;
-        let area = tech.compiled_area(&compiled);
+        let (compiled, timing, power, area) =
+            analyze_netlist::<SynthesisError>(&netlist, &word_map, self.spec, tech)?;
         let report = SynthesisReport {
             name: self.name.clone(),
             objective: self.objective,
@@ -243,14 +265,10 @@ impl SynthesizedDesign {
         self.netlist.to_verilog()
     }
 
-    /// Decomposes the design into its parts (netlist, interface, report).
-    pub fn into_parts(self) -> (Netlist, WordMap, SynthesisReport) {
-        (self.netlist, self.word_map, self.report)
-    }
-
-    /// Like [`SynthesizedDesign::into_parts`] but also yields the compiled program,
-    /// so downstream consumers (the flow layer, the explorer) keep sharing it.
-    pub fn into_analysis_parts(self) -> (Netlist, WordMap, CompiledNetlist, SynthesisReport) {
+    /// Decomposes the design into its parts (netlist, interface, compiled program,
+    /// report), so downstream consumers (the flow layer, the explorer) keep sharing
+    /// the compiled program.
+    pub fn into_parts(self) -> (Netlist, WordMap, CompiledNetlist, SynthesisReport) {
         (self.netlist, self.word_map, self.compiled, self.report)
     }
 }
@@ -462,7 +480,7 @@ mod tests {
             .unwrap();
         let verilog = design.to_verilog();
         assert!(verilog.contains("module my_datapath"));
-        let (netlist, map, report) = design.into_parts();
+        let (netlist, map, _, report) = design.into_parts();
         assert_eq!(netlist.outputs().len(), map.output().width() as usize);
         assert_eq!(report.name, "my_datapath");
     }

@@ -2,7 +2,7 @@
 //!
 //! Exploration jobs that share `(source, width, flow)` and differ only in their
 //! skew/bias axes usually synthesize **structurally identical** netlists (module
-//! binding never looks at input profiles; see `dpsyn_baselines::conventional_netlist`).
+//! binding never looks at input profiles; see `dpsyn_baselines::FlowSynthesis`).
 //! Compiling, resolving and analysing (or simulating) each of them afresh is pure
 //! waste, so [`CompiledCache`] keeps one entry per verified structure:
 //!
@@ -24,8 +24,11 @@
 //! 4. on any mismatch, compile once for both halves — so results are bit-identical
 //!    for any worker count, cache state and eviction history.
 //!
-//! FA-tree flows analyse during synthesis and only need the simulation half; they
-//! seed their entry from [`FlowResult::compiled`] instead of compiling again.
+//! The FA-tree flows reach the engine already analysed (`Synthesizer::run` ends in
+//! the shared analysis bundle). They are kept out of the analysis half on purpose:
+//! analysing them here would add analysis-stage store records and change the memo
+//! file. They only use the simulation half, seeding their entry from
+//! [`FlowResult::compiled`] instead of compiling again.
 //!
 //! The cache is **per worker** and lives for one run, so its activity request and
 //! technology never change: no locks, no cross-thread coherence. Residency is LRU

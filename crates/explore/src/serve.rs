@@ -847,19 +847,16 @@ fn escape_json(text: &str) -> String {
 const MAX_JSON_DEPTH: usize = 16;
 
 struct JsonParser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut parser = JsonParser { text, pos: 0 };
     parser.skip_whitespace();
     let value = parser.value(0)?;
     parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != text.len() {
         return Err(format!("trailing characters at byte {}", parser.pos));
     }
     Ok(value)
@@ -867,13 +864,13 @@ fn parse_json(text: &str) -> Result<Json, String> {
 
 impl JsonParser<'_> {
     fn skip_whitespace(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), String> {
@@ -890,7 +887,7 @@ impl JsonParser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -978,8 +975,8 @@ impl JsonParser<'_> {
         ) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
+        self.text
+            .get(start..self.pos)
             .and_then(|text| text.parse::<f64>().ok())
             .map(Json::Number)
             .ok_or_else(|| format!("invalid number at byte {start}"))
@@ -988,9 +985,8 @@ impl JsonParser<'_> {
     fn hex4(&mut self) -> Result<u16, String> {
         let end = self.pos + 4;
         let digits = self
-            .bytes
+            .text
             .get(self.pos..end)
-            .and_then(|slice| std::str::from_utf8(slice).ok())
             .and_then(|text| u16::from_str_radix(text, 16).ok())
             .ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?;
         self.pos = end;
@@ -1045,11 +1041,13 @@ impl JsonParser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let character = rest.chars().next().expect("peeked non-empty");
+                    // Consume one character in O(1): slicing the &str checks only
+                    // that the cursor sits on a character boundary.
+                    let character = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.pos))?;
                     out.push(character);
                     self.pos += character.len_utf8();
                 }
@@ -1062,6 +1060,7 @@ impl JsonParser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn json_roundtrips_the_protocol_shapes() {
@@ -1142,6 +1141,36 @@ mod tests {
             .expect_err("the nesting cap rejects the line");
         assert!(error.contains("nesting deeper than"), "{error}");
         assert!(parse_json(r#"{"flows":[{"fa_random":3}]}"#).is_ok());
+    }
+
+    /// Parsing runs before admission, so it must stay linear in the line: a
+    /// string value of a million characters (under the default 1 MiB line cap)
+    /// gets its typed reject at once instead of pinning a connection thread.
+    #[test]
+    fn million_character_strings_are_rejected_in_linear_time() {
+        let shared = Shared {
+            store: Mutex::new(ResultStore::in_memory()),
+            metrics: ServeMetrics::new(false),
+            shutdown: AtomicBool::new(false),
+            store_attached: false,
+            config: ServeConfig::new("/tmp/unused.sock"),
+        };
+        let name = "π".repeat(1_000) + &"x".repeat(999_000);
+        let line = format!(r#"{{"sources":[{{"design":"{name}"}}],"flows":["conventional"]}}"#);
+        assert!(line.len() < 1 << 20, "the line fits the default cap");
+        let started = std::time::Instant::now();
+        let response = handle_request(&line, &shared);
+        let elapsed = started.elapsed();
+        assert!(!response.ok);
+        assert!(
+            response.error.starts_with("unknown design `ππ"),
+            "{}",
+            response.error.chars().take(40).collect::<String>()
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "a 1M-character string took {elapsed:?} to reject"
+        );
     }
 
     #[test]
@@ -1309,5 +1338,224 @@ mod tests {
         let status = status.status.expect("status answers on a poisoned lock");
         assert_eq!(status.requests, 2);
         assert_eq!(status.completed, 1);
+    }
+
+    /// The request vocabulary: every protocol field and name, so generated
+    /// requests reach deep into `build_spec` instead of failing on their first key.
+    /// The first `REQUEST_FIELDS` words are the fields `build_spec` takes.
+    const REQUEST_FIELDS: usize = 11;
+    const WORDS: [&str; 32] = [
+        "sources",
+        "widths",
+        "skews",
+        "biases",
+        "flows",
+        "seed",
+        "threads",
+        "overpartition",
+        "steal",
+        "tech",
+        "sim_activity",
+        "status",
+        "shutdown",
+        "design",
+        "sum",
+        "sop",
+        "vectors",
+        "keep",
+        "busiest",
+        "round_robin",
+        "unit",
+        "lcbg10pv_like",
+        "x_squared",
+        "iir",
+        "conventional",
+        "csa_opt",
+        "wallace_fixed",
+        "fa_aot",
+        "fa_alp",
+        "fa_random",
+        "fa_anneal",
+        "",
+    ];
+
+    /// A value shaped like what request field `field` takes, drawn from `seed`
+    /// (sometimes just out of range), so whole requests get past the field checks
+    /// and reach `ExplorationSpecBuilder::build`.
+    fn shaped(field: &str, seed: u64) -> String {
+        let small = seed % 70;
+        // One time in four, a near miss: right container, wrong contents.
+        let near_miss = seed % 4 == 3;
+        let pick =
+            |options: &[&str]| options[(seed / 4 % options.len() as u64) as usize].to_string();
+        match field {
+            "sources" if near_miss => pick(&[
+                "[{}]",
+                "[[]]",
+                r#"[{"sum":-1}]"#,
+                r#"[{"design":1}]"#,
+                r#"[{"sum":2,"sop":3}]"#,
+            ]),
+            "sources" => match seed % 3 {
+                0 => r#"[{"design":"x_squared"}]"#.to_string(),
+                1 => format!(r#"[{{"sum":{small}}}]"#),
+                _ => format!(r#"[{{"sop":{small}}},{{"design":"iir"}}]"#),
+            },
+            "flows" if near_miss => pick(&[
+                "[{}]",
+                "[7]",
+                r#"[{"fa_random":1.5}]"#,
+                r#"[{"fa_random":1,"fa_anneal":2}]"#,
+                r#"["fa_aot","x_cubed"]"#,
+            ]),
+            "flows" => format!(r#"["fa_aot",{{"fa_random":{seed}}},{{"fa_anneal":{small}}}]"#),
+            "sim_activity" if near_miss => pick(&[
+                "{}",
+                r#"{"seed":1}"#,
+                r#"{"vectors":1e400}"#,
+                r#"{"seed":1,"vectors":2,"extra":3}"#,
+            ]),
+            "sim_activity" => format!(r#"{{"seed":{small},"vectors":{}}}"#, seed % 70_000),
+            "widths" => format!("[{small},{}]", seed % 9),
+            "skews" | "biases" => format!(r#"["keep",{}]"#, (seed % 80) as f64 / 100.0),
+            "threads" | "overpartition" => (seed % 5).to_string(),
+            "steal" => pick(&[r#""busiest""#, r#""round_robin""#, r#""greedy""#]),
+            "tech" => pick(&[r#""unit""#, r#""lcbg10pv_like""#, r#""fast""#]),
+            _ => seed.to_string(),
+        }
+    }
+
+    /// Valid JSON text over the protocol vocabulary: numbers at and past every
+    /// integer boundary, vocabulary and garbage strings, nested arrays and objects.
+    fn json_text() -> BoxedStrategy<String> {
+        let leaf = prop_oneof![
+            (0u64..70).prop_map(|number| number.to_string()),
+            any::<i64>().prop_map(|number| number.to_string()),
+            (-3.0f64..3.0).prop_map(|number| format!("{number}")),
+            (0usize..6).prop_map(|index| {
+                [
+                    "1e400",
+                    "-0",
+                    "18446744073709551616",
+                    "65537",
+                    "0.5",
+                    "1e-9",
+                ][index]
+                    .to_string()
+            }),
+            (0usize..WORDS.len()).prop_map(|index| format!("\"{}\"", WORDS[index])),
+            (any::<u64>(), 0usize..24).prop_map(|(seed, len)| {
+                let garbage = crate::faults::deterministic_garbage(seed, len);
+                format!("\"{}\"", escape_json(&String::from_utf8_lossy(&garbage)))
+            }),
+            (0usize..3).prop_map(|index| ["true", "false", "null"][index].to_string()),
+            (0usize..5).prop_map(|index| {
+                [
+                    r#""\u00e9\ud83e\udd80""#,
+                    r#""a\"b\\c\n\/\b\f\r\t""#,
+                    r#""π🦀""#,
+                    r#""\u0000""#,
+                    r#""\\u12""#,
+                ][index]
+                    .to_string()
+            }),
+        ];
+        leaf.prop_recursive(4, 32, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..4)
+                    .prop_map(|items| format!("[{}]", items.join(","))),
+                prop::collection::vec((0usize..WORDS.len(), inner), 0..4).prop_map(render_object),
+            ]
+        })
+    }
+
+    /// One request field: its name and, three times in four, a shaped value.
+    fn request_field() -> BoxedStrategy<(usize, String)> {
+        (0usize..REQUEST_FIELDS, 0u8..4, any::<u64>(), json_text())
+            .prop_map(|(field, choice, seed, random)| {
+                let value = if choice < 3 {
+                    shaped(WORDS[field], seed)
+                } else {
+                    random
+                };
+                (field, value)
+            })
+            .boxed()
+    }
+
+    fn render_object(fields: Vec<(usize, String)>) -> String {
+        let fields: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| format!("\"{}\":{value}", WORDS[*key]))
+            .collect();
+        format!("{{{}}}", fields.join(","))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any request line — well-formed, cut short, spliced with garbage, or
+        /// garbage outright — parses and builds to a value or a typed `Err`, and
+        /// never panics.
+        #[test]
+        fn untrusted_request_lines_never_panic(
+            sources in any::<u64>(),
+            fields in prop::collection::vec(request_field(), 0..5),
+            mutation in 0u8..10,
+            cut in any::<u64>(),
+        ) {
+            // Every line starts with the two fields a sweep cannot do without.
+            let mut fields = fields;
+            fields.insert(0, (0, shaped("sources", sources)));
+            fields.insert(1, (4, shaped("flows", sources)));
+            let well_formed = render_object(fields);
+            let garbage = crate::faults::deterministic_garbage(cut, (cut % 200) as usize);
+            let garbage = String::from_utf8(garbage).expect("garbage is printable ASCII");
+            let floor = |mut index: usize| {
+                while !well_formed.is_char_boundary(index) {
+                    index -= 1;
+                }
+                index
+            };
+            let at = floor((cut as usize) % (well_formed.len() + 1));
+            // Cut points just past a backslash or a structural byte, where a parser
+            // is mid-token.
+            let after = |bytes: &[u8]| -> Vec<usize> {
+                well_formed
+                    .bytes()
+                    .enumerate()
+                    .filter(|(_, byte)| bytes.contains(byte))
+                    .map(|(index, _)| index + 1)
+                    .collect()
+            };
+            let structural = after(b"\"{[:,");
+            let escapes = after(b"\\");
+            let marks = if mutation == 6 && !escapes.is_empty() {
+                escapes
+            } else {
+                structural
+            };
+            // After a backslash, also cut up to four bytes further (inside `\uXXXX`).
+            let mut mark = marks[(cut as usize) % marks.len()];
+            if mutation == 6 {
+                mark = floor((mark + (cut >> 32) as usize % 5).min(well_formed.len()));
+            }
+            // Half the lines stay well-formed; the rest are cut, spliced or junk.
+            let line = match mutation {
+                0..=4 => well_formed.clone(),
+                5 | 6 => well_formed[..mark].to_string(),
+                7 => well_formed[..at].to_string(),
+                8 => format!("{}{}{}", &well_formed[..at], &garbage, &well_formed[at..]),
+                _ => garbage,
+            };
+            let parsed = parse_json(&line);
+            if mutation <= 4 {
+                prop_assert!(parsed.is_ok(), "valid JSON rejected: {line}");
+            }
+            if let Ok(Json::Object(fields)) = parsed {
+                // Either outcome is fine; reaching it without a panic is the property.
+                let _ = build_spec(&fields);
+            }
+        }
     }
 }

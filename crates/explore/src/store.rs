@@ -56,12 +56,12 @@
 //! every numeric field a fixed-width lowercase-hex u64 (f64s by bit pattern) and
 //! every line carrying its own chained checksum. Loading **never fails on content**:
 //! a missing file is an empty store, a wrong header (old version, foreign file) is
-//! detected and the store rebuilt from empty ([`ResultStore::rebuilt`]), and any
-//! line that fails to parse or checksum is skipped, counted
-//! ([`ResultStore::damaged_lines`]) and **quarantined** to a sidecar file
+//! detected and the store rebuilt from empty ([`StoreHealth::rebuilt`]), and any
+//! line that fails to parse or checksum (or is not UTF-8) is skipped, counted
+//! ([`StoreHealth::damaged_lines`]) and **quarantined** to a sidecar file
 //! ([`quarantine_path`]) so the evidence of a torn or corrupted write survives the
 //! next canonical flush. A file whose final line is cut mid-record (no trailing
-//! newline) is additionally flagged as a torn tail ([`ResultStore::torn_tail`]) —
+//! newline) is additionally flagged as a torn tail ([`StoreHealth::torn_tail`]) —
 //! the signature of a process killed mid-flush. A truncated write therefore costs
 //! at most the truncated line, and the loss is visible, never silent.
 //!
@@ -461,7 +461,8 @@ struct LoadedFile {
     records: BTreeMap<EvalKey, StoredEval>,
     /// The file existed but carried a foreign or stale header.
     rebuilt: bool,
-    /// The raw text of every record line that failed to parse or checksum.
+    /// The text of every record line that failed to parse or checksum (lossy for
+    /// a line that is not UTF-8).
     damaged: Vec<String>,
     /// The file's final line was cut mid-record (no trailing newline and the
     /// partial line fails to parse) — the signature of a mid-flush kill.
@@ -474,28 +475,46 @@ fn read_file(path: &Path, faults: Option<&FaultPlan>) -> Result<LoadedFile, Expl
     if let Some(reason) = faults.and_then(FaultPlan::next_store_read_fault) {
         return Err(store_error(path, reason));
     }
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
+    // Bytes, not text: a non-UTF-8 byte is damaged content like any other, and
+    // must cost only its own line (see `parse_file`).
+    let bytes = match fs::read(path) {
+        Ok(bytes) => bytes,
         Err(error) if error.kind() == std::io::ErrorKind::NotFound => {
             return Ok(LoadedFile::default())
         }
         Err(error) => return Err(store_error(path, error)),
     };
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.first().copied() != Some(STORE_FORMAT) {
+    Ok(parse_file(&bytes))
+}
+
+/// Parses the bytes of a memo file. Content never fails: a wrong header rebuilds,
+/// and every other non-blank line is either a record or a damaged line.
+fn parse_file(bytes: &[u8]) -> LoadedFile {
+    // The lines `str::lines` would yield: split at `\n`, drop a `\r` before it,
+    // and no empty piece after a final newline.
+    let mut lines: Vec<&[u8]> = bytes
+        .split(|&byte| byte == b'\n')
+        .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+        .collect();
+    if bytes.is_empty() || bytes.ends_with(b"\n") {
+        lines.pop();
+    }
+    if lines.first().copied() != Some(STORE_FORMAT.as_bytes()) {
         // Stale version or foreign file: rebuild from empty rather than guessing.
-        return Ok(LoadedFile {
+        return LoadedFile {
             rebuilt: true,
             ..LoadedFile::default()
-        });
+        };
     }
-    let complete_tail = text.ends_with('\n');
+    let complete_tail = bytes.ends_with(b"\n");
     let mut loaded = LoadedFile::default();
     for (index, line) in lines.iter().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line) {
+        let parsed = match std::str::from_utf8(line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => parse_line(text),
+            Err(_) => None,
+        };
+        match parsed {
             Some((key, value)) => {
                 loaded
                     .records
@@ -509,11 +528,13 @@ fn read_file(path: &Path, faults: Option<&FaultPlan>) -> Result<LoadedFile, Expl
                 if index == lines.len() - 1 && !complete_tail {
                     loaded.torn_tail = true;
                 }
-                loaded.damaged.push((*line).to_string());
+                loaded
+                    .damaged
+                    .push(String::from_utf8_lossy(line).into_owned());
             }
         }
     }
-    Ok(loaded)
+    loaded
 }
 
 /// The sidecar file damaged lines of the memo file at `path` are quarantined to.
@@ -559,9 +580,12 @@ pub struct StoreHealth {
     pub records: usize,
     /// Whether the last load found a stale/foreign file and rebuilt from empty.
     pub rebuilt: bool,
-    /// Record lines the last load skipped (parse or checksum failures).
+    /// Record lines the last load skipped (parse or checksum failures, or not
+    /// UTF-8); each one is preserved in the [`quarantine_path`] sidecar.
     pub damaged_lines: usize,
-    /// Whether the last load found the file cut mid-record (mid-flush kill).
+    /// Whether the last load found the file cut mid-record — the signature of a
+    /// process killed mid-flush. The torn line is counted in `damaged_lines` and
+    /// quarantined like any other.
     pub torn_tail: bool,
     /// Total lines in the quarantine sidecar after the last load.
     pub quarantined: usize,
@@ -611,8 +635,8 @@ impl ResultStore {
 
     /// Loads (or initializes) the store at `path`. A missing file yields an empty
     /// store; a stale or foreign file is detected and rebuilt from empty
-    /// ([`rebuilt`](Self::rebuilt) reports it); corrupt lines are skipped,
-    /// counted and quarantined to the [`quarantine_path`] sidecar.
+    /// ([`health`](Self::health) reports it); corrupt lines are skipped, counted
+    /// and quarantined to the [`quarantine_path`] sidecar.
     ///
     /// # Errors
     ///
@@ -656,29 +680,6 @@ impl ResultStore {
     /// The backing memo file, when the store has one.
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
-    }
-
-    /// Whether the last load found a stale/foreign file and rebuilt from empty.
-    pub fn rebuilt(&self) -> bool {
-        self.rebuilt
-    }
-
-    /// Record lines the last load skipped (parse or checksum failures); each one
-    /// is preserved in the [`quarantine_path`] sidecar.
-    pub fn damaged_lines(&self) -> usize {
-        self.damaged_lines
-    }
-
-    /// Whether the last load found the file cut mid-record — the signature of a
-    /// process killed mid-flush. The torn line is counted in
-    /// [`damaged_lines`](Self::damaged_lines) and quarantined like any other.
-    pub fn torn_tail(&self) -> bool {
-        self.torn_tail
-    }
-
-    /// Total lines held by the quarantine sidecar after the last load.
-    pub fn quarantined(&self) -> usize {
-        self.quarantined
     }
 
     /// Snapshot of the store's integrity counters.
@@ -820,6 +821,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(stage: EvalStage, salt: u64) -> EvalKey {
         EvalKey {
@@ -1041,5 +1043,130 @@ mod tests {
         assert!(store.lookup(&key(EvalStage::Point, 1)).is_some());
         assert!(store.lookup(&key(EvalStage::Analysis, 1)).is_none());
         store.flush().expect("no backing file, nothing to do");
+    }
+
+    /// A record built from arbitrary words: any f64 bit pattern (NaN payloads
+    /// included), any counts, and a flow token of printable garbage.
+    fn record(words: &[u64], flow: u64) -> (EvalKey, StoredEval) {
+        let flow = crate::faults::deterministic_garbage(flow, 1 + (flow % 24) as usize);
+        let key = EvalKey {
+            stage: if words[0] & 1 == 0 {
+                EvalStage::Analysis
+            } else {
+                EvalStage::Point
+            },
+            structural: words[1],
+            fingerprint: [words[2], words[3]],
+            tech: words[4],
+            flow: String::from_utf8(flow).expect("garbage is printable ASCII"),
+            profiles: words[5],
+            stimulus: words[6],
+        };
+        let value = StoredEval {
+            delay: f64::from_bits(words[7]),
+            area: f64::from_bits(words[8]),
+            switching_energy: f64::from_bits(words[9]),
+            power_mw: f64::from_bits(words[10]),
+            cell_count: words[11] as usize,
+            logic_depth: words[12] as usize,
+            simulated_switch_power: f64::from_bits(words[13]),
+        };
+        (key, value)
+    }
+
+    /// Any u64, with NaNs (either sign, any payload), infinities and signed zeros
+    /// drawn far more often than uniform bits would.
+    fn float_word() -> BoxedStrategy<u64> {
+        prop_oneof![
+            any::<u64>(),
+            (1u64..1 << 52).prop_map(|payload| 0x7ff0_0000_0000_0000 | payload),
+            (1u64..1 << 52).prop_map(|payload| 0xfff0_0000_0000_0000 | payload),
+            (0usize..4).prop_map(|index| {
+                [0.0f64, -0.0, f64::INFINITY, f64::NEG_INFINITY][index].to_bits()
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `format_line` → `parse_line` gives back every key and every value bit
+        /// pattern exactly.
+        #[test]
+        fn record_lines_roundtrip_every_bit_pattern(
+            words in prop::collection::vec(float_word(), 14),
+            flow in any::<u64>(),
+        ) {
+            let (key, value) = record(&words, flow);
+            let line = format_line(&key, &value);
+            let (parsed_key, parsed_value) = parse_line(&line).expect("a formatted line parses");
+            prop_assert_eq!(&parsed_key, &key);
+            prop_assert_eq!(parsed_value.bits(), value.bits());
+            prop_assert_eq!(format_line(&parsed_key, &parsed_value), line);
+        }
+
+        /// Any body after a valid header loads: every non-blank line is either a
+        /// record or a damaged line, and only a damaged unterminated last line is a
+        /// torn tail.
+        #[test]
+        fn any_memo_body_loads_and_accounts_for_every_line(
+            lines in prop::collection::vec(
+                (
+                    0u8..5,
+                    prop::collection::vec(float_word(), 14),
+                    any::<u64>(),
+                    prop::collection::vec(any::<u8>(), 0..48),
+                ),
+                0..24,
+            ),
+            final_newline in any::<bool>(),
+        ) {
+            let mut bytes = format!("{STORE_FORMAT}\n").into_bytes();
+            let mut records = BTreeMap::new();
+            let mut damaged = 0;
+            let mut last_damaged = false;
+            for (index, (kind, words, seed, raw)) in lines.iter().enumerate() {
+                let mut words = words.clone();
+                // A distinct structural word per line keeps every record's key unique.
+                words[1] = index as u64;
+                let (key, value) = record(&words, *seed);
+                let valid = format_line(&key, &value).into_bytes();
+                let line: Vec<u8> = match kind {
+                    0 => {
+                        records.insert(key, value);
+                        valid
+                    }
+                    // A record line with one byte made non-UTF-8.
+                    1 => {
+                        let mut line = valid;
+                        let at = (*seed as usize) % line.len();
+                        line[at] = 0xff;
+                        line
+                    }
+                    // A record line cut short, as a torn write leaves it.
+                    2 => valid[..1 + (*seed as usize) % (valid.len() - 1)].to_vec(),
+                    3 => crate::faults::deterministic_garbage(*seed, 1 + raw.len()),
+                    // Raw bytes, any of them, minus line breaks.
+                    _ => raw.iter().copied().filter(|byte| !matches!(byte, b'\n' | b'\r')).collect(),
+                };
+                let blank = std::str::from_utf8(&line).is_ok_and(|text| text.trim().is_empty());
+                if kind != &0 && !blank {
+                    damaged += 1;
+                }
+                last_damaged = kind != &0 && !blank;
+                if index > 0 {
+                    bytes.push(b'\n');
+                }
+                bytes.extend_from_slice(&line);
+            }
+            if final_newline && !lines.is_empty() {
+                bytes.push(b'\n');
+            }
+            let loaded = parse_file(&bytes);
+            prop_assert!(!loaded.rebuilt);
+            prop_assert_eq!(&loaded.records, &records);
+            prop_assert_eq!(loaded.damaged.len(), damaged);
+            prop_assert_eq!(loaded.torn_tail, last_damaged && !final_newline);
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! merge to one deterministic file.
 
 use dpsyn_explore::{
-    explore_with_stats, BiasProfile, EvalKey, EvalStage, ExplorationSpec, ExplorationSpecBuilder,
-    Flow, ResultStore, SimActivity, SkewProfile, StealPolicy, StoredEval, STORE_FORMAT,
+    explore_with_stats, quarantine_path, BiasProfile, EvalKey, EvalStage, ExplorationSpec,
+    ExplorationSpecBuilder, Flow, ResultStore, SimActivity, SkewProfile, StealPolicy, StoredEval,
+    STORE_FORMAT,
 };
 use std::path::PathBuf;
 
@@ -24,8 +25,9 @@ fn scratch(test: &str) -> PathBuf {
 }
 
 /// The 48-job matrix the suite sweeps: a fixed design plus a sum workload across
-/// widths, skews, biases and four flows — both analysis stages (the FA-tree flows
-/// analyse during synthesis, `conventional`/`csa_opt` after it), both source kinds.
+/// widths, skews, biases and four flows — both synthesis outcomes (the FA-tree flows
+/// return analysed results, `conventional`/`csa_opt` are analysed through the
+/// cache), both source kinds.
 fn suite_spec() -> ExplorationSpecBuilder {
     ExplorationSpec::builder()
         .design(dpsyn_designs::x_squared())
@@ -181,14 +183,20 @@ fn corrupt_and_stale_memo_files_rebuild_instead_of_failing() {
     // A foreign file: detected, rebuilt from empty, never an error.
     std::fs::write(&path, "not a store at all\nrandom bytes\n").expect("write corrupt file");
     let store = ResultStore::load(&path).expect("corrupt files load as empty");
-    assert!(store.rebuilt(), "foreign header must report a rebuild");
+    assert!(
+        store.health().rebuilt,
+        "foreign header must report a rebuild"
+    );
     assert!(store.is_empty());
 
     // A stale version: same treatment.
     std::fs::write(&path, "dpsyn-eval-store v0\nA 0 0 0 0 0 x 0 0 0 0 0 0 0\n")
         .expect("write stale file");
     let store = ResultStore::load(&path).expect("stale files load as empty");
-    assert!(store.rebuilt(), "stale version must report a rebuild");
+    assert!(
+        store.health().rebuilt,
+        "stale version must report a rebuild"
+    );
     assert!(store.is_empty());
 
     // The previous live version (v1, no stimulus column) is stale too: its lines
@@ -196,7 +204,10 @@ fn corrupt_and_stale_memo_files_rebuild_instead_of_failing() {
     std::fs::write(&path, "dpsyn-eval-store v1\nA 0 0 0 0 0 x 0 0 0 0 0 0 0\n")
         .expect("write v1 file");
     let store = ResultStore::load(&path).expect("v1 files load as empty");
-    assert!(store.rebuilt(), "the stimulus-less v1 format must rebuild");
+    assert!(
+        store.health().rebuilt,
+        "the stimulus-less v1 format must rebuild"
+    );
     assert!(store.is_empty());
 
     // A single tampered line: skipped and counted, the healthy records survive.
@@ -211,8 +222,12 @@ fn corrupt_and_stale_memo_files_rebuild_instead_of_failing() {
     lines[1] = &tampered;
     std::fs::write(&path, lines.join("\n")).expect("write tampered store");
     let reloaded = ResultStore::load(&path).expect("tampered store loads");
-    assert!(!reloaded.rebuilt(), "the header is fine");
-    assert_eq!(reloaded.damaged_lines(), 1, "one line failed its checksum");
+    assert!(!reloaded.health().rebuilt, "the header is fine");
+    assert_eq!(
+        reloaded.health().damaged_lines,
+        1,
+        "one line failed its checksum"
+    );
     assert_eq!(reloaded.len(), 1, "the healthy record survives");
 
     // An exploration against the truncated store rebuilds the lost results.
@@ -224,8 +239,73 @@ fn corrupt_and_stale_memo_files_rebuild_instead_of_failing() {
     let (results, _) = explore_with_stats(&spec).expect("sweep over tampered store succeeds");
     assert_eq!(results.points().len(), 48);
     let rebuilt = ResultStore::load(&path).expect("rebuilt store loads");
-    assert_eq!(rebuilt.damaged_lines(), 0, "the flush rewrote clean lines");
+    assert_eq!(
+        rebuilt.health().damaged_lines,
+        0,
+        "the flush rewrote clean lines"
+    );
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn non_utf8_bytes_cost_one_line_not_the_store() {
+    let path = scratch("non-utf8");
+    let sidecar = quarantine_path(&path);
+    let _ = std::fs::remove_file(&sidecar);
+    let mut seeded = ResultStore::load(&path).expect("load for seeding");
+    seeded.record(sample_key(1), sample_value(1.0));
+    seeded.record(sample_key(2), sample_value(2.0));
+    seeded.flush().expect("seed flush");
+    let mut damaged = std::fs::read(&path).expect("read seeded store");
+    damaged.extend_from_slice(b"A 0 \xff\xfe 0\n");
+    std::fs::write(&path, &damaged).expect("write the non-UTF-8 line");
+
+    // The load counts the line as damaged, quarantines it as lossy text and keeps
+    // every other record.
+    let store = ResultStore::load(&path).expect("a non-UTF-8 line never fails a load");
+    let health = store.health();
+    assert!(!health.rebuilt, "the header is fine");
+    assert_eq!(health.damaged_lines, 1);
+    assert_eq!(store.len(), 2, "the healthy records survive");
+    let quarantined = std::fs::read_to_string(&sidecar).expect("the sidecar is UTF-8 text");
+    assert_eq!(quarantined, "A 0 \u{fffd}\u{fffd} 0\n");
+
+    // A flush re-reads the damaged file, and a store that only knows the path
+    // (the server's degraded mode) recovers through it.
+    ResultStore::empty_at(&path, None)
+        .flush()
+        .expect("a flush over a non-UTF-8 file succeeds");
+    std::fs::write(&path, &damaged).expect("restore the non-UTF-8 line");
+
+    // A sweep over that store succeeds, and its flush leaves a clean file.
+    let spec = suite_spec()
+        .store(path.clone())
+        .threads(1)
+        .build()
+        .expect("sweep spec");
+    let (results, _) = explore_with_stats(&spec).expect("sweep over a non-UTF-8 store succeeds");
+    assert_eq!(results.points().len(), 48);
+    let text = std::fs::read_to_string(&path).expect("the flushed file is UTF-8");
+    let clean = ResultStore::load(&path).expect("the flushed file loads");
+    assert_eq!(
+        clean.health().damaged_lines,
+        0,
+        "the flush rewrote clean lines"
+    );
+    assert_eq!(clean.lookup(&sample_key(1)), Some(sample_value(1.0)));
+    assert_eq!(
+        text.lines().count(),
+        clean.len() + 1,
+        "header + one line per record"
+    );
+
+    // A non-UTF-8 header marks a foreign file: rebuilt from empty.
+    std::fs::write(&path, b"dpsyn-eval-store \xff\n").expect("write a non-UTF-8 header");
+    let foreign = ResultStore::load(&path).expect("a non-UTF-8 header never fails a load");
+    assert!(foreign.health().rebuilt);
+    assert!(foreign.is_empty());
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&sidecar);
 }
 
 #[test]
@@ -386,7 +466,7 @@ fn concurrent_flushes_merge_to_one_deterministic_file() {
     );
     let merged = ResultStore::load(&path_ab).expect("merged store loads");
     assert_eq!(merged.len(), 12, "the union holds every distinct key");
-    assert_eq!(merged.damaged_lines(), 0);
+    assert_eq!(merged.health().damaged_lines, 0);
     assert!(merged.lookup(&sample_key(0)).is_some());
     assert!(merged.lookup(&sample_key(11)).is_some());
     assert!(STORE_FORMAT.starts_with("dpsyn-eval-store"));

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run -p dpsyn-core --example timing_driven_filter`.
 
-use dpsyn_baselines::{conventional, csa_opt, fa_aot};
+use dpsyn_baselines::Flow;
 use dpsyn_ir::{parse_expr, InputSpec};
 use dpsyn_tech::TechLibrary;
 use std::error::Error;
@@ -28,9 +28,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     let lib = TechLibrary::lcbg10pv_like();
     let width = 16;
 
-    let ours = fa_aot(&expr, &spec, width, &lib)?;
-    let word_level = csa_opt(&expr, &spec, width, &lib)?;
-    let reference = conventional(&expr, &spec, width, &lib)?;
+    let ours = Flow::FaAot.run(&expr, &spec, width, &lib)?;
+    let word_level = Flow::CsaOpt.run(&expr, &spec, width, &lib)?;
+    let reference = Flow::Conventional.run(&expr, &spec, width, &lib)?;
 
     println!("IIR filter core, 16-bit output, feedback taps arriving late");
     println!("{:<14} {:>10} {:>12}", "flow", "delay (ns)", "area (units)");

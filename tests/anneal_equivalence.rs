@@ -9,7 +9,7 @@
 //! rolled back through the same delta path (the rollback must land the live view
 //! exactly back on the pre-move bits), and long accepted/rejected interleavings.
 
-use dpsyn_baselines::{fa_anneal, fa_anneal_observed, input_profiles};
+use dpsyn_baselines::{fa_anneal_observed, input_profiles, Flow};
 use dpsyn_ir::{parse_expr, Expr, InputSpec};
 use dpsyn_power::ProbabilityAnalysis;
 use dpsyn_tech::TechLibrary;
@@ -40,7 +40,9 @@ fn check_search(expr: &Expr, spec: &InputSpec, width: u32, seed: u64, label: &st
     let tech = TechLibrary::lcbg10pv_like();
     // The move loop never touches the input words, so the final word map (and
     // therefore the input profiles) equals the start's; a plain run recovers it.
-    let reference = fa_anneal(expr, spec, width, &tech, seed).expect("reference run succeeds");
+    let reference = Flow::FaAnneal(seed)
+        .run(expr, spec, width, &tech)
+        .expect("reference run succeeds");
     let (arrivals, probabilities) = input_profiles(&reference.word_map, spec);
 
     let mut checked = 0u64;

@@ -27,7 +27,7 @@ fn synthesize(
     }
     let synthesized = synthesizer.run().expect("synthesis succeeds");
     let verilog = synthesized.to_verilog();
-    let (_, _, report) = synthesized.into_parts();
+    let (_, _, _, report) = synthesized.into_parts();
     (verilog, report)
 }
 
@@ -153,7 +153,7 @@ fn fa_anneal_is_a_pure_function_of_its_seed() {
         other.netlist.to_verilog(),
         "different fa_anneal seeds unexpectedly produced identical netlists"
     );
-    // The Flow wrapper is the same function: equal bits through the dispatch.
+    // The observed search and the dispatch agree bit for bit.
     let dispatched = Flow::FaAnneal(9)
         .run(design.expr(), design.spec(), design.output_width(), &lib)
         .expect("dispatched fa_anneal succeeds");

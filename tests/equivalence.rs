@@ -2,7 +2,7 @@
 //! computes the same value as the golden expression model on every benchmark design it
 //! is exercised with here.
 
-use dpsyn_baselines::{conventional, csa_opt, fa_alp, fa_aot, fa_random, wallace_fixed};
+use dpsyn_baselines::Flow;
 use dpsyn_designs::Design;
 use dpsyn_sim::check_equivalence;
 use dpsyn_tech::TechLibrary;
@@ -11,13 +11,17 @@ fn check_all_flows(design: &Design, vectors: usize) {
     let lib = TechLibrary::lcbg10pv_like();
     let width = design.output_width();
     let flows = [
-        fa_aot(design.expr(), design.spec(), width, &lib).expect("fa_aot"),
-        fa_alp(design.expr(), design.spec(), width, &lib).expect("fa_alp"),
-        wallace_fixed(design.expr(), design.spec(), width, &lib).expect("wallace_fixed"),
-        fa_random(design.expr(), design.spec(), width, &lib, 13).expect("fa_random"),
-        csa_opt(design.expr(), design.spec(), width, &lib).expect("csa_opt"),
-        conventional(design.expr(), design.spec(), width, &lib).expect("conventional"),
-    ];
+        Flow::FaAot,
+        Flow::FaAlp,
+        Flow::WallaceFixed,
+        Flow::FaRandom(13),
+        Flow::CsaOpt,
+        Flow::Conventional,
+    ]
+    .map(|flow| {
+        flow.run(design.expr(), design.spec(), width, &lib)
+            .unwrap_or_else(|error| panic!("{flow} on {}: {error}", design.name()))
+    });
     for flow in &flows {
         check_equivalence(
             &flow.netlist,

@@ -319,16 +319,16 @@ fn damaged_lines_quarantine_once_across_repeated_reloads() {
     std::fs::write(&path, format!("{}\n", lines.join("\n"))).expect("tampered file writes");
 
     for reload in 1..=3 {
-        let store = ResultStore::load(&path).expect("a damaged file loads");
+        let health = ResultStore::load(&path)
+            .expect("a damaged file loads")
+            .health();
         assert_eq!(
-            store.damaged_lines(),
-            1,
+            health.damaged_lines, 1,
             "reload {reload}: the tampered line is damaged"
         );
-        assert!(!store.torn_tail(), "damage in the middle is not a tear");
+        assert!(!health.torn_tail, "damage in the middle is not a tear");
         assert_eq!(
-            store.quarantined(),
-            1,
+            health.quarantined, 1,
             "reload {reload}: the sidecar deduplicates the same evidence"
         );
     }
