@@ -4,15 +4,23 @@
 //! pseudo-random FA input selection, `Objective::Power`) with a **ripple-carry**
 //! final adder, then descends: it proposes input-pin swaps inside the carry-save
 //! adder mass, scores every candidate through the incremental delta path
-//! ([`DeltaState::rebind`] + [`IncrementalTiming::rerun_delta`] /
-//! [`IncrementalPower::rerun_delta`], `O(dirty cone)` per move), and keeps a move
-//! only when it is a Pareto improvement (switching energy and critical delay both
-//! no worse, one strictly better, compared bit-for-bit). Rejected moves are rolled
-//! back through the *same* rewire → recompile → rebind → rerun path, so the live
-//! delta view stays bit-identical to a from-scratch analysis after every settled
-//! proposal. The one full analysis pass per channel is the priming `rerun_delta`
-//! on the fresh state; the move loop never runs one (asserted by the
-//! `anneal_throughput` bench via [`AnnealStats::full_passes`]).
+//! ([`IncrementalTiming::rerun_delta`] / [`IncrementalPower::rerun_delta`],
+//! `O(dirty cone)` per move), and keeps a move only when it is a Pareto
+//! improvement (switching energy and critical delay both no worse, one strictly
+//! better, compared bit-for-bit).
+//!
+//! A move updates the held [`CompiledNetlist`] in place when it can:
+//! [`CompiledNetlist::swap_inputs`] patches the two operands and fanout entries
+//! whenever the swap keeps the op order, and [`DeltaState::rebind_swapped`] seeds
+//! the two cells. Only a swap that reorders the ops compiles the rewired netlist
+//! and [`DeltaState::rebind`]s onto it ([`AnnealStats::patched`] /
+//! [`AnnealStats::recompiled`]). A rejected move never compiles: a patch is undone
+//! by the reverse patch, a recompiled move by rebinding onto the program held
+//! before it. Either way the dirty cones are rerun, so the live delta view stays
+//! bit-identical to a from-scratch analysis after every settled proposal. The one
+//! full analysis pass per channel is the priming `rerun_delta` on the fresh state;
+//! the move loop never runs one (asserted by the `anneal_throughput` bench via
+//! [`AnnealStats::full_passes`]).
 //!
 //! # Why the moves preserve the synthesized function
 //!
@@ -75,6 +83,12 @@ pub struct AnnealStats {
     pub accepted: u64,
     /// Scored moves rolled back through the delta path.
     pub rejected: u64,
+    /// Proposals applied by patching the held program in place
+    /// ([`CompiledNetlist::swap_inputs`]); `patched + recompiled == proposals`.
+    pub patched: u64,
+    /// Proposals that changed the op order and so compiled the swapped netlist.
+    /// The move loop compiles exactly this often: rollbacks never compile.
+    pub recompiled: u64,
     /// Candidate draws dropped before scoring (no-op pair or cycle risk).
     pub discarded: u64,
     /// `rerun_delta` calls across both channels (scoring and rollbacks).
@@ -121,16 +135,6 @@ impl SplitMix {
     fn below(&mut self, bound: usize) -> usize {
         (self.next() % bound as u64) as usize
     }
-}
-
-/// Op-index (levelized) position of every cell — drivers always precede readers,
-/// which is what makes the cheap acyclicity check below exact.
-fn op_positions(compiled: &CompiledNetlist) -> Vec<u32> {
-    let mut positions = vec![0u32; compiled.cell_count()];
-    for (index, op) in compiled.ops().iter().enumerate() {
-        positions[op.cell.index()] = index as u32;
-    }
-    positions
 }
 
 /// Finds the function-preserving move pool of a netlist: input pins of safe
@@ -320,8 +324,9 @@ pub fn fa_anneal_observed(
         profile.set_probability(net, probability);
     }
     let mut state = DeltaState::new(&compiled);
-    let mut timing_engine = IncrementalTiming::new(tech, &compiled)?;
-    let mut power_engine = IncrementalPower::new(tech, &compiled)?;
+    // Swaps never change the kind set, so the technology resolves once per search.
+    let timing_engine = IncrementalTiming::new(tech, &compiled)?;
+    let power_engine = IncrementalPower::new(tech, &compiled)?;
     let mut timing = timing_engine.rerun_delta(&compiled, &mut state, &profile)?;
     let mut power = power_engine.rerun_delta(&compiled, &mut state, &profile)?;
     // Swaps never change the cell set, so the start's area holds across the search.
@@ -335,7 +340,6 @@ pub fn fa_anneal_observed(
     };
 
     let mut rng = SplitMix(seed ^ 0xa55e_a1ed_5eed_0001);
-    let mut positions = op_positions(&compiled);
     let empty_delta = InputDelta::new();
     let mut stall = 0u64;
     while !groups.is_empty() && stats.proposals < MOVE_BUDGET && stall < STALL_LIMIT {
@@ -357,7 +361,7 @@ pub fn fa_anneal_observed(
             let forward =
                 |net: dpsyn_netlist::NetId, reader: CellId| match netlist.net(net).driver() {
                     None => true,
-                    Some((driver, _)) => positions[driver.index()] < positions[reader.index()],
+                    Some((driver, _)) => compiled.op_index(driver) < compiled.op_index(reader),
                 };
             if source_a == source_b || !forward(source_b, cell_a) || !forward(source_a, cell_b) {
                 stats.discarded += 1;
@@ -371,17 +375,24 @@ pub fn fa_anneal_observed(
             continue;
         };
 
-        // Apply the swap and score it through the delta path: recompile, rebind
-        // the persistent state, re-resolve the (cheap) engines, rerun the dirty
-        // cone of each channel with an empty input delta.
+        // Apply the swap to the netlist and to the held program: patched in place
+        // when the op order survives, otherwise recompiled, keeping the pre-move
+        // program for a rollback. Then rerun the dirty cone of each channel with
+        // an empty input delta.
         netlist.rewire_input(cell_a, pin_a, source_b)?;
         netlist.rewire_input(cell_b, pin_b, source_a)?;
-        let recompiled = netlist.compile()?;
-        state.rebind(&compiled, &recompiled);
-        timing_engine = IncrementalTiming::new(tech, &recompiled)?;
-        power_engine = IncrementalPower::new(tech, &recompiled)?;
-        let new_timing = timing_engine.rerun_delta(&recompiled, &mut state, &empty_delta)?;
-        let new_power = power_engine.rerun_delta(&recompiled, &mut state, &empty_delta)?;
+        let before = if compiled.swap_inputs(cell_a, pin_a, cell_b, pin_b) {
+            state.rebind_swapped(&compiled, [cell_a, cell_b]);
+            stats.patched += 1;
+            None
+        } else {
+            let recompiled = netlist.compile()?;
+            state.rebind(&compiled, &recompiled);
+            stats.recompiled += 1;
+            Some(std::mem::replace(&mut compiled, recompiled))
+        };
+        let new_timing = timing_engine.rerun_delta(&compiled, &mut state, &empty_delta)?;
+        let new_power = power_engine.rerun_delta(&compiled, &mut state, &empty_delta)?;
         stats.proposals += 1;
         stats.delta_reruns += 2;
 
@@ -391,26 +402,31 @@ pub fn fa_anneal_observed(
         let delay_holds = new_timing.critical_delay() <= timing.critical_delay();
         let accepted = (energy_improves && delay_holds) || (energy_holds && delay_improves);
         if accepted {
-            compiled = recompiled;
             timing = new_timing;
             power = new_power;
-            positions = op_positions(&compiled);
             stats.accepted += 1;
             stall = 0;
         } else {
-            // Roll back through the same delta path; the restored program is
-            // structurally identical to `compiled`, so the reruns land back on
-            // bit-identical reports.
+            // Roll back without compiling: undo a patch with the reverse patch, or
+            // rebind onto the program held before the move (what compiling the
+            // restored netlist would give), then rerun the dirty cones, which land
+            // back on bit-identical reports.
             netlist.rewire_input(cell_a, pin_a, source_a)?;
             netlist.rewire_input(cell_b, pin_b, source_b)?;
-            let restored = netlist.compile()?;
-            state.rebind(&recompiled, &restored);
-            timing_engine = IncrementalTiming::new(tech, &restored)?;
-            power_engine = IncrementalPower::new(tech, &restored)?;
-            timing = timing_engine.rerun_delta(&restored, &mut state, &empty_delta)?;
-            power = power_engine.rerun_delta(&restored, &mut state, &empty_delta)?;
+            match before {
+                None => {
+                    let undone = compiled.swap_inputs(cell_a, pin_a, cell_b, pin_b);
+                    assert!(undone, "the reverse of an applied patch always applies");
+                    state.rebind_swapped(&compiled, [cell_a, cell_b]);
+                }
+                Some(before) => {
+                    state.rebind(&compiled, &before);
+                    compiled = before;
+                }
+            }
+            timing = timing_engine.rerun_delta(&compiled, &mut state, &empty_delta)?;
+            power = power_engine.rerun_delta(&compiled, &mut state, &empty_delta)?;
             stats.delta_reruns += 2;
-            compiled = restored;
             stats.rejected += 1;
             stall += 1;
         }
@@ -472,6 +488,11 @@ mod tests {
         assert!(stats.proposals > 0, "no proposals scored: {stats:?}");
         assert_eq!(stats.full_passes, 2, "{stats:?}");
         assert_eq!(stats.proposals, stats.accepted + stats.rejected);
+        assert_eq!(
+            stats.proposals,
+            stats.patched + stats.recompiled,
+            "{stats:?}"
+        );
         assert_eq!(
             stats.delta_reruns,
             2 * stats.proposals + 2 * stats.rejected,
@@ -552,24 +573,39 @@ mod tests {
     }
 
     #[test]
-    fn swap_groups_reject_colliding_boundary_weights() {
-        // Two independent HAs over the same column whose sums are both outputs:
-        // one component? No — they are disconnected, hence two components, each
-        // with a sum (weight 0) and cout (weight 1) boundary — distinct weights,
-        // so both are safe and each contributes a 2-pin group.
-        let mut netlist = Netlist::new("pair");
+    fn swap_groups_reject_column_conflicts() {
+        // An HA whose sum (column 0) and cout (column 1) both feed one FA: the sum
+        // edge puts the FA at column 0, the carry edge at column 1, so the
+        // component has no consistent arithmetic interpretation.
+        let mut netlist = Netlist::new("conflict");
         let a = netlist.add_input("a");
         let b = netlist.add_input("b");
         let first = netlist.add_gate(CellKind::Ha, &[a, b]).unwrap();
-        netlist.mark_output(first[0]);
-        netlist.mark_output(first[1]);
-        // A second adder consuming the first's *both* outputs at one column:
-        // sum (w=0) and cout (w=1) feed the same Fa — column conflict.
         let clash = netlist
             .add_gate(CellKind::Fa, &[first[0], first[1], a])
             .unwrap();
         netlist.mark_output(clash[0]);
         netlist.mark_output(clash[1]);
+        let compiled = netlist.compile().unwrap();
+        assert!(swap_groups(&netlist, &compiled).is_empty());
+    }
+
+    #[test]
+    fn swap_groups_reject_colliding_boundary_weights() {
+        // FA(a, b, c) whose sum feeds HA(s, d), with the FA's cout and both HA
+        // outputs observed: columns are consistent and the FA sum is internal, but
+        // the FA cout and the HA cout are both boundary bits of weight 1, so the
+        // invariant total no longer pins down the individual bits.
+        let mut netlist = Netlist::new("collide");
+        let a = netlist.add_input("a");
+        let b = netlist.add_input("b");
+        let c = netlist.add_input("c");
+        let d = netlist.add_input("d");
+        let full = netlist.add_gate(CellKind::Fa, &[a, b, c]).unwrap();
+        let half = netlist.add_gate(CellKind::Ha, &[full[0], d]).unwrap();
+        netlist.mark_output(full[1]);
+        netlist.mark_output(half[0]);
+        netlist.mark_output(half[1]);
         let compiled = netlist.compile().unwrap();
         assert!(swap_groups(&netlist, &compiled).is_empty());
     }

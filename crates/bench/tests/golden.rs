@@ -1,6 +1,7 @@
 //! Golden outputs: the paper-table binaries and the full exploration sweep must
 //! print exactly the committed reference bytes in `perfbench/golden/`, and the
-//! figure, ablation and smoke-sweep binaries the bytes in `tests/golden/`. Any
+//! figure, ablation and smoke-sweep binaries the bytes in `tests/golden/`, where
+//! the memo file a cold full sweep flushes into its store also lives. Any
 //! drift in synthesis, analysis, simulation or rendering fails here instead of
 //! surfacing as a manual diff.
 
@@ -21,15 +22,19 @@ fn stdout_of(binary: &str, args: &[&str]) -> String {
 }
 
 /// Compares line by line first, so a mismatch names the first differing line.
-fn assert_golden(binary: &str, args: &[&str], golden: &str) {
-    let actual = stdout_of(binary, args);
+fn assert_same(label: &str, actual: &str, golden: &str) {
     for (index, (got, want)) in actual.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "{binary}: line {} differs", index + 1);
+        assert_eq!(got, want, "{label}: line {} differs", index + 1);
     }
     assert_eq!(
         actual, golden,
-        "{binary}: output differs from the golden file"
+        "{label}: output differs from the golden file"
     );
+}
+
+/// Runs `binary` with `args` and compares its stdout with `golden`.
+fn assert_golden(binary: &str, args: &[&str], golden: &str) {
+    assert_same(binary, &stdout_of(binary, args), golden);
 }
 
 #[test]
@@ -52,10 +57,23 @@ fn table2_matches_golden() {
 
 #[test]
 fn full_explore_sweep_matches_golden() {
-    assert_golden(
-        env!("CARGO_BIN_EXE_explore"),
-        &[],
-        include_str!("../../../perfbench/golden/explore_full.txt"),
+    let summary = include_str!("../../../perfbench/golden/explore_full.txt");
+    assert_golden(env!("CARGO_BIN_EXE_explore"), &[], summary);
+    // A cold store changes no stdout byte, and the memo file the sweep flushes
+    // into it is a contract of its own (the same bytes at any thread count).
+    let store = std::env::temp_dir().join(format!(
+        "dpsyn-golden-explore-store-{}.txt",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&store);
+    let path = store.to_str().expect("temporary path is UTF-8");
+    assert_golden(env!("CARGO_BIN_EXE_explore"), &["--store", path], summary);
+    let flushed = std::fs::read_to_string(&store).expect("the sweep flushed its store");
+    std::fs::remove_file(&store).expect("remove the temporary store");
+    assert_same(
+        "explore --store",
+        &flushed,
+        include_str!("golden/explore_full_store.txt"),
     );
 }
 

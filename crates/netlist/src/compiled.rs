@@ -16,6 +16,10 @@
 //!   arena (offsets + entries) instead of a `Vec<Vec<_>>`;
 //! * **stable net-slot map**: programs index dense per-net buffers by
 //!   [`NetId::index`], so one `Vec` per analysis replaces any keyed map;
+//! * **cell and driver maps**: the op index of every cell
+//!   ([`CompiledNetlist::op_index`]) and the driving op of every net, which let
+//!   [`CompiledNetlist::swap_inputs`] patch a pin swap in place instead of
+//!   recompiling;
 //! * **kind tables**: the per-cell kind array (cell-index order) and the kind
 //!   histogram, which analyses use to resolve technology parameters once per kind
 //!   instead of once per cell.
@@ -148,6 +152,9 @@ pub(crate) fn hash_structure<'n>(
     hasher.finish()
 }
 
+/// [`CompiledNetlist`]'s `net_driver` entry of a net no cell drives.
+const UNDRIVEN: u32 = u32::MAX;
+
 /// One levelized instruction of a [`CompiledNetlist`]: a cell kind plus the net
 /// indices of its pins and the identity of the originating cell.
 ///
@@ -196,6 +203,11 @@ pub struct CompiledNetlist {
     level_offsets: Vec<usize>,
     fanout_offsets: Vec<u32>,
     fanout_readers: Vec<(CellId, u32)>,
+    /// Op index of every cell, indexed by [`CellId::index`].
+    op_of_cell: Vec<u32>,
+    /// `op index << 1 | output pin` of every net's driver, [`UNDRIVEN`] for nets no
+    /// cell drives.
+    net_driver: Vec<u32>,
     cell_kinds: Vec<CellKind>,
     kind_counts: Vec<(CellKind, usize)>,
     structural_hash: u64,
@@ -259,6 +271,8 @@ impl CompiledNetlist {
             .map(|(index, _)| CellId(index as u32))
             .collect();
         let mut ops = Vec::with_capacity(cell_count);
+        let mut op_of_cell = vec![0u32; cell_count];
+        let mut net_driver = vec![UNDRIVEN; net_count];
         let mut level_offsets = vec![0];
         while !current.is_empty() {
             let mut next = Vec::new();
@@ -269,8 +283,10 @@ impl CompiledNetlist {
                     ins[slot] = *net;
                 }
                 let mut outs = [NetId(0); 2];
+                op_of_cell[cell_id.index()] = ops.len() as u32;
                 for (slot, net) in cell.outputs().iter().enumerate() {
                     outs[slot] = *net;
+                    net_driver[net.index()] = (ops.len() as u32) << 1 | slot as u32;
                     let begin = fanout_offsets[net.index()] as usize;
                     let end = fanout_offsets[net.index() + 1] as usize;
                     for (reader, _) in &fanout_readers[begin..end] {
@@ -306,6 +322,8 @@ impl CompiledNetlist {
             level_offsets,
             fanout_offsets,
             fanout_readers,
+            op_of_cell,
+            net_driver,
             cell_kinds,
             kind_counts,
             structural_hash: netlist.structural_hash(),
@@ -378,6 +396,146 @@ impl CompiledNetlist {
         &self.fanout_readers[begin..end]
     }
 
+    /// The position of `cell`'s op in [`Self::ops`] (drivers always sit at lower
+    /// positions than their readers).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cell` does not belong to the compiled netlist.
+    #[inline]
+    pub fn op_index(&self, cell: CellId) -> usize {
+        self.op_of_cell[cell.index()] as usize
+    }
+
+    /// Exchanges the source nets of input pin `pin_a` of cell `a` and input pin
+    /// `pin_b` of cell `b` **in place**, when the exchange keeps the op order:
+    /// afterwards the program is `==` a fresh [`Netlist::compile`] of the netlist
+    /// with the same two pins rewired (fanout CSR, op order and
+    /// [`Self::structural_hash`] included), at the cost of the two fanout slices
+    /// plus one hash pass instead of a levelization.
+    ///
+    /// Kahn levelization puts a cell one level above its deepest driver and orders
+    /// each level by *ready event* — the `(driver op, output pin, reader cell, reader
+    /// pin)` of the fanout entry that releases the cell last. The patch holds when
+    /// neither swapped cell changes level and each one's new ready event still sorts
+    /// between those of its level neighbours; then no other op moves either. An
+    /// exchange that would close a cycle always changes a level, so it is refused
+    /// too. Applying the same call again undoes an applied exchange exactly.
+    ///
+    /// Returns `false`, with the program untouched, when the op order would change;
+    /// the caller then compiles the rewired netlist instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a cell does not belong to the program or a pin is not one of its
+    /// input pins.
+    ///
+    /// # Example
+    /// ```
+    /// use dpsyn_netlist::{CellKind, Netlist};
+    /// let mut netlist = Netlist::new("swap");
+    /// let a = netlist.add_input("a");
+    /// let b = netlist.add_input("b");
+    /// let c = netlist.add_input("c");
+    /// netlist.add_gate(CellKind::And2, &[a, b]).unwrap();
+    /// netlist.add_gate(CellKind::Or2, &[c, a]).unwrap();
+    /// let (and, or) = (netlist.cells().next().unwrap().0, netlist.cells().nth(1).unwrap().0);
+    /// let mut compiled = netlist.compile().unwrap();
+    /// // AND reads `c` on pin 1 and OR reads `b` on pin 0: every cell stays on level 0.
+    /// assert!(compiled.swap_inputs(and, 1, or, 0));
+    /// netlist.rewire_input(and, 1, c).unwrap();
+    /// netlist.rewire_input(or, 0, b).unwrap();
+    /// assert_eq!(compiled, netlist.compile().unwrap());
+    /// ```
+    pub fn swap_inputs(&mut self, a: CellId, pin_a: usize, b: CellId, pin_b: usize) -> bool {
+        let (op_a, op_b) = (self.op_index(a), self.op_index(b));
+        assert!(
+            pin_a < self.ops[op_a].kind.input_count() && pin_b < self.ops[op_b].kind.input_count(),
+            "swap_inputs: pin out of range"
+        );
+        self.exchange(op_a, pin_a, op_b, pin_b);
+        if self.keeps_place(op_a) && self.keeps_place(op_b) {
+            self.structural_hash = hash_structure(
+                self.net_count,
+                &self.inputs,
+                &self.outputs,
+                self.op_of_cell.iter().map(|&op| {
+                    let op = &self.ops[op as usize];
+                    (op.kind, op.input_nets(), op.output_nets())
+                }),
+            );
+            true
+        } else {
+            self.exchange(op_a, pin_a, op_b, pin_b);
+            false
+        }
+    }
+
+    /// Swaps the two operands and moves their fanout entries between the two source
+    /// slices, keeping each slice in `(reader cell, pin)` order as compiled.
+    fn exchange(&mut self, op_a: usize, pin_a: usize, op_b: usize, pin_b: usize) {
+        let reader_a = (self.ops[op_a].cell, pin_a as u32);
+        let reader_b = (self.ops[op_b].cell, pin_b as u32);
+        let source_a = self.ops[op_a].ins[pin_a];
+        let source_b = self.ops[op_b].ins[pin_b];
+        self.ops[op_a].ins[pin_a] = source_b;
+        self.ops[op_b].ins[pin_b] = source_a;
+        for (source, old, new) in [
+            (source_a, reader_a, reader_b),
+            (source_b, reader_b, reader_a),
+        ] {
+            let begin = self.fanout_offsets[source.index()] as usize;
+            let end = self.fanout_offsets[source.index() + 1] as usize;
+            let slice = &mut self.fanout_readers[begin..end];
+            let at = slice
+                .iter()
+                .position(|entry| *entry == old)
+                .expect("every operand has its fanout entry");
+            slice[at] = new;
+            slice.sort_unstable();
+        }
+    }
+
+    /// Whether a cell output drives the net with index `net`.
+    pub(crate) fn is_driven(&self, net: usize) -> bool {
+        self.net_driver[net] != UNDRIVEN
+    }
+
+    /// The level holding op position `op`.
+    fn level_of(&self, op: usize) -> usize {
+        self.level_offsets.partition_point(|&offset| offset <= op) - 1
+    }
+
+    /// The ready event of the op at `op` under the current operands: the latest
+    /// `(driver op, output pin, reader cell, reader pin)` among its driven inputs,
+    /// `None` when no input is driven.
+    fn ready_event(&self, op: usize) -> Option<(u32, u32, CellId, usize)> {
+        let op = &self.ops[op];
+        op.input_nets()
+            .iter()
+            .enumerate()
+            .filter_map(|(pin, net)| {
+                let driver = self.net_driver[net.index()];
+                (driver != UNDRIVEN).then_some((driver >> 1, driver & 1, op.cell, pin))
+            })
+            .max()
+    }
+
+    /// Whether the op at `op` keeps its level and its place within it under the
+    /// current operands (see [`Self::swap_inputs`]).
+    fn keeps_place(&self, op: usize) -> bool {
+        let level = self.level_of(op);
+        let Some(event) = self.ready_event(op) else {
+            // No driven input: level 0, which is ordered by cell index.
+            return level == 0;
+        };
+        let (first, last) = (self.level_offsets[level], self.level_offsets[level + 1] - 1);
+        level > 0
+            && self.level_of(event.0 as usize) + 1 == level
+            && (op == first || self.ready_event(op - 1) < Some(event))
+            && (op == last || Some(event) < self.ready_event(op + 1))
+    }
+
     /// The kind of every cell, indexed by [`CellId::index`] (cell-index order, i.e.
     /// the order [`Netlist::cells`] iterates in — not op order).
     #[inline]
@@ -423,8 +581,7 @@ impl CompiledNetlist {
     /// iterates in), as opposed to the levelized op order of [`Self::ops`].
     ///
     /// Used by structural verification (comparing a freshly synthesized netlist
-    /// against a cached program cell by cell) and by [`crate::DeltaState::rebind`]'s
-    /// changed-cell diff.
+    /// against a cached program cell by cell).
     pub fn cell_ops(&self) -> Vec<CompiledOp> {
         let placeholder = CompiledOp {
             kind: CellKind::Const0,

@@ -90,8 +90,6 @@ impl InputDelta {
 /// the readers to wake when a recomputed output actually changed.
 #[derive(Debug, Clone)]
 pub struct DirtyWorklist {
-    /// Op index of every cell, indexed by [`CellId::index`].
-    op_of_cell: Vec<u32>,
     /// Level of every op, indexed by op index.
     op_level: Vec<u32>,
     /// Whether an op is currently enqueued, indexed by op index.
@@ -106,7 +104,6 @@ impl DirtyWorklist {
     /// Creates an empty worklist sized for `compiled`.
     pub fn new(compiled: &CompiledNetlist) -> Self {
         let mut worklist = DirtyWorklist {
-            op_of_cell: Vec::new(),
             op_level: Vec::new(),
             queued: Vec::new(),
             levels: Vec::new(),
@@ -120,8 +117,6 @@ impl DirtyWorklist {
     /// queues. Used by [`DeltaState::rebind`] after a structural edit.
     pub fn rebuild(&mut self, compiled: &CompiledNetlist) {
         let cell_count = compiled.cell_count();
-        self.op_of_cell.clear();
-        self.op_of_cell.resize(cell_count, 0);
         self.op_level.clear();
         self.op_level.resize(cell_count, 0);
         self.queued.clear();
@@ -131,13 +126,11 @@ impl DirtyWorklist {
             queue.clear();
         }
         self.pending = 0;
-        let mut index = 0u32;
+        let mut start = 0;
         for level in 0..compiled.level_count() {
-            for op in compiled.level(level) {
-                self.op_of_cell[op.cell.index()] = index;
-                self.op_level[index as usize] = level as u32;
-                index += 1;
-            }
+            let end = start + compiled.level(level).len();
+            self.op_level[start..end].fill(level as u32);
+            start = end;
         }
     }
 
@@ -172,13 +165,13 @@ impl DirtyWorklist {
     /// Enqueues every cell reading `net` (the seed step for a changed input value).
     pub fn seed_readers(&mut self, compiled: &CompiledNetlist, net: NetId) {
         for (reader, _) in compiled.fanout(net) {
-            self.enqueue(self.op_of_cell[reader.index()]);
+            self.enqueue(compiled.op_index(*reader) as u32);
         }
     }
 
     /// Enqueues a single cell (the seed step for a changed cell after a rewire).
-    pub fn seed_cell(&mut self, cell: CellId) {
-        self.enqueue(self.op_of_cell[cell.index()]);
+    pub fn seed_cell(&mut self, compiled: &CompiledNetlist, cell: CellId) {
+        self.enqueue(compiled.op_index(cell) as u32);
     }
 
     /// Drains the worklist level by level, calling `recompute` on every dirty op.
@@ -307,8 +300,9 @@ pub struct DeltaState {
     /// [`CompiledNetlist::structural_hash`] of the bound program. The incremental
     /// analyses assert this against the program they are handed on every call, so
     /// pairing a state with the wrong program panics immediately instead of
-    /// silently producing wrong results. Maintained by [`DeltaState::new`] /
-    /// [`DeltaState::rebind`]; treat as read-only.
+    /// silently producing wrong results. Maintained by [`DeltaState::new`],
+    /// [`DeltaState::rebind`] and [`DeltaState::rebind_swapped`]; treat as
+    /// read-only.
     pub bound_hash: u64,
 }
 
@@ -343,9 +337,14 @@ impl DeltaState {
     /// channels, so the next `rerun_delta` of each analysis re-propagates exactly
     /// the affected cone (an unprimed channel still gets its full priming pass).
     ///
-    /// Callers must also re-resolve their technology tables against `new` (a kind
-    /// change can introduce a kind the old resolution never filled in) — the
-    /// incremental analyses in `dpsyn-timing` / `dpsyn-power` are cheap to rebuild.
+    /// Callers re-resolve their technology tables (rebuild the incremental analyses
+    /// of `dpsyn-timing` / `dpsyn-power`) against `new` only when a cell kind
+    /// changed, since a kind change can introduce a kind the old resolution never
+    /// filled in; a rewire keeps the kind set, so the analyses carry over.
+    ///
+    /// When the op order is unchanged and the program was patched in place by
+    /// [`CompiledNetlist::swap_inputs`], [`DeltaState::rebind_swapped`] does the same
+    /// job without the diff and the worklist rebuild.
     ///
     /// # Panics
     ///
@@ -368,33 +367,35 @@ impl DeltaState {
             new.inputs(),
             "rebind requires unchanged primary inputs"
         );
-        let driven = |compiled: &CompiledNetlist| {
-            let mut driven = vec![false; compiled.net_count()];
-            for op in compiled.ops() {
-                for net in op.output_nets() {
-                    driven[net.index()] = true;
-                }
-            }
-            driven
-        };
-        assert_eq!(
-            driven(old),
-            driven(new),
+        assert!(
+            (0..old.net_count()).all(|net| old.is_driven(net) == new.is_driven(net)),
             "rebind requires an unchanged driven-net set (undriven nets keep \
              analysis defaults that only a full prime restores)"
         );
         self.timing.worklist.rebuild(new);
         self.power.worklist.rebuild(new);
-        let old_by_cell = old.cell_ops();
-        let new_by_cell = new.cell_ops();
-        for (old_op, new_op) in old_by_cell.iter().zip(new_by_cell.iter()) {
-            if old_op != new_op {
-                self.timing.worklist.seed_cell(new_op.cell);
-                self.power.worklist.seed_cell(new_op.cell);
+        for index in 0..new.cell_count() {
+            let cell = CellId(index as u32);
+            if old.ops()[old.op_index(cell)] != new.ops()[new.op_index(cell)] {
+                self.timing.worklist.seed_cell(new, cell);
+                self.power.worklist.seed_cell(new, cell);
             }
         }
         self.input_mask = input_mask(new);
         self.bound_hash = new.structural_hash();
+    }
+
+    /// Rebinds state to `patched` after [`CompiledNetlist::swap_inputs`] exchanged
+    /// input pins of `cells` in place (it returned `true`): the op order, the levels
+    /// and the net universe are unchanged, so the worklists keep their tables and
+    /// only the two swapped cells are seeded dirty in **both** channels — the seed
+    /// set [`DeltaState::rebind`] would derive from the two programs.
+    pub fn rebind_swapped(&mut self, patched: &CompiledNetlist, cells: [CellId; 2]) {
+        for cell in cells {
+            self.timing.worklist.seed_cell(patched, cell);
+            self.power.worklist.seed_cell(patched, cell);
+        }
+        self.bound_hash = patched.structural_hash();
     }
 }
 
@@ -480,7 +481,7 @@ mod tests {
         assert!(worklist.is_empty());
         assert_eq!(worklist.drain(&compiled, |_| 0b11), 0);
         // The worklist stays usable after a reset.
-        worklist.seed_cell(compiled.ops()[0].cell);
+        worklist.seed_cell(&compiled, compiled.ops()[0].cell);
         assert_eq!(worklist.drain(&compiled, |_| 0), 1);
     }
 
@@ -506,6 +507,39 @@ mod tests {
         });
         assert_eq!(power_seeded, vec![CellId(3)]);
         let _ = nets;
+    }
+
+    #[test]
+    fn rebind_swapped_seeds_what_rebind_would() {
+        let (mut netlist, nets) = chain();
+        let old = netlist.compile().unwrap();
+        // AND(a, b) and XOR(a, b) trade `b` and `a`: both stay on level 0.
+        let (and, xor) = (CellId(0), CellId(3));
+        let mut patched = old.clone();
+        assert!(patched.swap_inputs(and, 1, xor, 0));
+        netlist.rewire_input(and, 1, nets[0]).unwrap();
+        netlist.rewire_input(xor, 0, nets[1]).unwrap();
+        let recompiled = netlist.compile().unwrap();
+        assert_eq!(patched, recompiled);
+        let mut by_patch = DeltaState::new(&old);
+        by_patch.rebind_swapped(&patched, [and, xor]);
+        let mut by_rebind = DeltaState::new(&old);
+        by_rebind.rebind(&old, &recompiled);
+        let seeded = |state: &mut DeltaState| {
+            let mut cells = Vec::new();
+            state.timing.worklist.drain(&patched, |op| {
+                cells.push(op.cell);
+                0
+            });
+            state.power.worklist.drain(&patched, |op| {
+                cells.push(op.cell);
+                0
+            });
+            cells
+        };
+        assert_eq!(seeded(&mut by_patch), vec![and, xor, and, xor]);
+        assert_eq!(seeded(&mut by_rebind), vec![and, xor, and, xor]);
+        assert_eq!(by_patch.bound_hash, by_rebind.bound_hash);
     }
 
     #[test]

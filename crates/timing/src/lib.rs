@@ -317,9 +317,9 @@ impl IncrementalTiming {
     ///   pass: every input arrives at 0 except those the delta assigns.
     /// * On a **primed** state, only the dirty cone is re-propagated: readers of
     ///   inputs whose value actually changed (bit comparison) — plus any cells
-    ///   [`DeltaState::rebind`] seeded — are advanced level by level over the fanout
-    ///   CSR, and each branch stops as soon as a recomputed arrival is bit-identical
-    ///   to the stored one.
+    ///   [`DeltaState::rebind`] or [`DeltaState::rebind_swapped`] seeded — are
+    ///   advanced level by level over the fanout CSR, and each branch stops as soon
+    ///   as a recomputed arrival is bit-identical to the stored one.
     ///
     /// The delta is validated **before** any state is mutated, so a failed call
     /// leaves the state exactly as it was (a fresh state stays unprimed).

@@ -1,13 +1,15 @@
-//! Bit-identity wall for the `fa_anneal` local search: at every checkpoint of the
-//! move loop, a from-scratch `compile()` plus full timing/power/area analysis of
-//! the current netlist must agree **bit for bit** with the annealer's live
-//! `DeltaState` view — the reports its `rerun_delta` scoring carries between
-//! proposals.
+//! Bit-identity wall for the `fa_anneal` local search. After **every** settled
+//! proposal the program the annealer carries — patched in place or recompiled —
+//! must equal a from-scratch `compile()` of the current netlist. At every
+//! checkpoint of the move loop, a full timing/power/area analysis of that program
+//! must also agree **bit for bit** with the annealer's live `DeltaState` view —
+//! the reports its `rerun_delta` scoring carries between proposals.
 //!
 //! The observer hook fires after every *settled* proposal, so the checkpoints
 //! deliberately include adversarial states: moves that were scored, rejected and
-//! rolled back through the same delta path (the rollback must land the live view
-//! exactly back on the pre-move bits), and long accepted/rejected interleavings.
+//! rolled back without compiling (the rollback must land the program and the live
+//! view exactly back on the pre-move bits), and long accepted/rejected
+//! interleavings.
 
 use dpsyn_baselines::{fa_anneal_observed, input_profiles, Flow};
 use dpsyn_ir::{parse_expr, Expr, InputSpec};
@@ -15,8 +17,9 @@ use dpsyn_power::ProbabilityAnalysis;
 use dpsyn_tech::TechLibrary;
 use dpsyn_timing::TimingAnalysis;
 
-/// Checkpoint cadence: every `CHECK_EVERY`-th settled proposal is cross-checked,
-/// plus the first `CHECK_FIRST_REJECTED` rollbacks unconditionally.
+/// Checkpoint cadence of the full-analysis cross-check: every `CHECK_EVERY`-th
+/// settled proposal, plus the first `CHECK_FIRST_REJECTED` rollbacks
+/// unconditionally. The carried program is compared on every proposal.
 const CHECK_EVERY: u64 = 16;
 const CHECK_FIRST_REJECTED: u64 = 8;
 
@@ -49,6 +52,13 @@ fn check_search(expr: &Expr, spec: &InputSpec, width: u32, seed: u64, label: &st
     let mut checked_rejected = 0u64;
     let mut saw_rejected = 0u64;
     let (result, stats) = fa_anneal_observed(expr, spec, width, &tech, seed, |step| {
+        // The carried program is exactly what compiling the carried netlist gives.
+        let fresh_compiled = step.netlist.compile().expect("settled netlist is acyclic");
+        assert_eq!(
+            *step.compiled, fresh_compiled,
+            "{label}: carried program diverged at proposal {} (accepted: {})",
+            step.stats.proposals, step.accepted
+        );
         if !step.accepted {
             saw_rejected += 1;
         }
@@ -61,16 +71,6 @@ fn check_search(expr: &Expr, spec: &InputSpec, width: u32, seed: u64, label: &st
         if !step.accepted {
             checked_rejected += 1;
         }
-        // The carried program is exactly what compiling the carried netlist gives.
-        let fresh_compiled = step
-            .netlist
-            .compile()
-            .expect("checkpoint netlist is acyclic");
-        assert_eq!(
-            *step.compiled, fresh_compiled,
-            "{label}: carried program diverged at proposal {}",
-            step.stats.proposals
-        );
         // Whole-report bit-identity against from-scratch analyses, not just the
         // headline figures: arrivals and probabilities of every net included.
         let fresh_timing = TimingAnalysis::new(&tech)
@@ -116,6 +116,11 @@ fn check_search(expr: &Expr, spec: &InputSpec, width: u32, seed: u64, label: &st
              ({stats:?})"
         );
     }
+    assert_eq!(
+        stats.patched + stats.recompiled,
+        stats.proposals,
+        "{label}: every proposal is either patched or recompiled ({stats:?})"
+    );
     // The observed run retraces the reference run move for move.
     assert_eq!(
         result.netlist.to_verilog(),
@@ -135,7 +140,12 @@ fn live_view_matches_from_scratch_analysis_on_the_polynomial() {
 
 #[test]
 fn live_view_matches_from_scratch_analysis_on_table_designs() {
-    for design in [dpsyn_designs::iir(), dpsyn_designs::x2_x_y()] {
+    // `kalman` is the 1k-cell Table-2 design.
+    for design in [
+        dpsyn_designs::iir(),
+        dpsyn_designs::x2_x_y(),
+        dpsyn_designs::kalman(),
+    ] {
         check_search(
             design.expr(),
             design.spec(),
