@@ -15,9 +15,9 @@
 //! The harness runs three stages, in order:
 //!
 //! 1. **Bit-identity** (before any timing): the real engine's sweep output must be
-//!    byte-identical across 1/2/4/8 workers, both steal policies and coarse/fine
-//!    over-partitioning.
-//! 2. **Scheduler simulation**: both schedules are replayed deterministically
+//!    byte-identical across 1/2/4/8 workers.
+//! 2. **Scheduler simulation**: the engine's schedule and the PR-5 static chunker
+//!    (rebuilt here from the job list) are replayed deterministically
 //!    against a per-job cost model measured off the evaluated points (full cost ∝
 //!    compiled cell count; delta reruns cost a quarter of that, the conservative
 //!    end of the committed `BENCH_incremental.json` 3–4.3× speedups; a worker's
@@ -32,7 +32,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpsyn_baselines::Flow;
 use dpsyn_explore::{
-    explore, schedule_preview, ExplorationResults, ExplorationSpec, SkewProfile, StealPolicy,
+    explore, schedule_preview, ExplorationResults, ExplorationSpec, Job, SkewProfile,
 };
 
 /// Simulated worker count: the schedule comparison models a four-core host.
@@ -47,7 +47,7 @@ const DELTA_COST_FRACTION: f64 = 0.25;
 /// (1200 cells, source 4, scheduled last), five skew points each, one cacheable
 /// flow — so every group is a five-job delta chain and the dominant group carries
 /// roughly half the sweep's total work.
-fn spec(threads: usize, policy: StealPolicy, overpartition: usize) -> ExplorationSpec {
+fn spec(threads: usize) -> ExplorationSpec {
     ExplorationSpec::builder()
         .design(dpsyn_designs::x_squared())
         .design(dpsyn_designs::x_cubed())
@@ -65,8 +65,6 @@ fn spec(threads: usize, policy: StealPolicy, overpartition: usize) -> Exploratio
         .flows([Flow::Conventional])
         .seed(29)
         .threads(threads)
-        .steal_policy(policy)
-        .overpartition(overpartition)
         .build()
         .expect("starvation workload is well-formed")
 }
@@ -87,24 +85,17 @@ fn fingerprint(results: &ExplorationResults) -> Vec<(String, u64, u64, u64)> {
         .collect()
 }
 
-/// Stage 1: byte-identical sweep output for any worker count, policy and chunking.
+/// Stage 1: byte-identical sweep output for any worker count.
 fn bit_identity_gate() -> ExplorationResults {
-    let reference = explore(&spec(1, StealPolicy::BusiestVictim, 1))
-        .expect("single-threaded starvation sweep succeeds");
+    let reference = explore(&spec(1)).expect("single-threaded starvation sweep succeeds");
     let reference_bits = fingerprint(&reference);
-    for policy in [StealPolicy::BusiestVictim, StealPolicy::RoundRobin] {
-        for threads in [2, 4, 8] {
-            for overpartition in [1, 4] {
-                let run = explore(&spec(threads, policy, overpartition))
-                    .expect("work-stealing starvation sweep succeeds");
-                assert_eq!(
-                    reference_bits,
-                    fingerprint(&run),
-                    "starvation sweep diverged at {threads} threads, {policy:?}, \
-                     overpartition {overpartition}"
-                );
-            }
-        }
+    for threads in [2, 4, 8] {
+        let run = explore(&spec(threads)).expect("work-stealing starvation sweep succeeds");
+        assert_eq!(
+            reference_bits,
+            fingerprint(&run),
+            "starvation sweep diverged at {threads} threads"
+        );
     }
     reference
 }
@@ -116,6 +107,21 @@ struct SimSchedule {
     worker_queues: Vec<Vec<usize>>,
 }
 
+/// The dense group id of a job: the index of the first group leader it is a delta
+/// peer of, registering it as a new leader when there is none.
+fn group_of(jobs: &[Job], leaders: &mut Vec<usize>, job: usize) -> usize {
+    match leaders
+        .iter()
+        .position(|&seen| jobs[seen].is_delta_peer(&jobs[job]))
+    {
+        Some(group) => group,
+        None => {
+            leaders.push(job);
+            leaders.len() - 1
+        }
+    }
+}
+
 /// Extracts a simulatable schedule from the engine's preview, tagging every chunk
 /// with a dense group id (chunks of delta-peer jobs share one).
 fn sim_schedule(spec: &ExplorationSpec) -> SimSchedule {
@@ -125,25 +131,36 @@ fn sim_schedule(spec: &ExplorationSpec) -> SimSchedule {
     let chunks = preview
         .chunks()
         .iter()
-        .map(|chunk| {
-            let leader = chunk[0];
-            let group = match leaders
-                .iter()
-                .position(|&seen| jobs[seen].is_delta_peer(&jobs[leader]))
-            {
-                Some(group) => group,
-                None => {
-                    leaders.push(leader);
-                    leaders.len() - 1
-                }
-            };
-            (group, chunk.clone())
-        })
+        .map(|chunk| (group_of(&jobs, &mut leaders, chunk[0]), chunk.clone()))
         .collect();
     SimSchedule {
         chunks,
         worker_queues: preview.worker_queues().to_vec(),
     }
+}
+
+/// The PR-5 static chunker, rebuilt from the job list: every delta-peer group (in
+/// first-appearance order, jobs in canonical order) cut into chunks of
+/// `ceil(len / threads)` jobs, claimed from one global list.
+fn static_chunks(spec: &ExplorationSpec) -> Vec<(usize, Vec<usize>)> {
+    let jobs = spec.jobs();
+    let mut leaders: Vec<usize> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for job in 0..jobs.len() {
+        let group = group_of(&jobs, &mut leaders, job);
+        groups.resize_with(leaders.len(), Vec::new);
+        groups[group].push(job);
+    }
+    groups
+        .iter()
+        .enumerate()
+        .flat_map(|(group, members)| {
+            let size = members.len().div_ceil(spec.threads());
+            members
+                .chunks(size)
+                .map(move |chunk| (group, chunk.to_vec()))
+        })
+        .collect()
 }
 
 /// Per-worker simulation state: current clock, accumulated busy time and the set of
@@ -189,9 +206,9 @@ fn worst_idle(workers: &[SimWorker]) -> f64 {
 /// Replays the PR-5 static scheduler: chunks claimed in schedule order from a
 /// global counter by whichever worker frees up first (ties to the lowest index) —
 /// exactly what `fetch_add` over the chunk list did.
-fn simulate_static(schedule: &SimSchedule, full_cost: &[f64]) -> Vec<SimWorker> {
+fn simulate_static(chunks: &[(usize, Vec<usize>)], full_cost: &[f64]) -> Vec<SimWorker> {
     let mut workers = vec![SimWorker::default(); SIM_THREADS];
-    for (group, jobs) in &schedule.chunks {
+    for (group, jobs) in chunks {
         let next = (0..workers.len())
             .min_by(|&a, &b| workers[a].time.total_cmp(&workers[b].time))
             .expect("at least one worker");
@@ -202,7 +219,7 @@ fn simulate_static(schedule: &SimSchedule, full_cost: &[f64]) -> Vec<SimWorker> 
 
 /// Replays the work-stealing scheduler: every worker drains its seeded queue from
 /// the front; an idle worker steals from the back of the fullest remaining queue
-/// (ties to the lowest index), matching `StealPolicy::BusiestVictim`.
+/// (ties to the highest index), as the engine does.
 fn simulate_stealing(schedule: &SimSchedule, full_cost: &[f64]) -> Vec<SimWorker> {
     let mut workers = vec![SimWorker::default(); SIM_THREADS];
     let mut queues: Vec<Vec<usize>> = schedule.worker_queues.clone();
@@ -241,8 +258,8 @@ fn starvation_gate(reference: &ExplorationResults) {
         .iter()
         .map(|point| point.metrics.cell_count as f64)
         .collect();
-    let static_schedule = sim_schedule(&spec(SIM_THREADS, StealPolicy::BusiestVictim, 1));
-    let stealing_schedule = sim_schedule(&spec(SIM_THREADS, StealPolicy::BusiestVictim, 4));
+    let static_schedule = static_chunks(&spec(SIM_THREADS));
+    let stealing_schedule = sim_schedule(&spec(SIM_THREADS));
     let static_workers = simulate_static(&static_schedule, &full_cost);
     let stealing_workers = simulate_stealing(&stealing_schedule, &full_cost);
     let static_idle = worst_idle(&static_workers);
@@ -253,7 +270,7 @@ fn starvation_gate(reference: &ExplorationResults) {
          \"stealing_worst_idle_cells\": {:.1}, \"idle_reduction\": {:.2}}}",
         full_cost.len(),
         SIM_THREADS,
-        static_schedule.chunks.len(),
+        static_schedule.len(),
         stealing_schedule.chunks.len(),
         static_idle,
         stealing_idle,
@@ -277,7 +294,7 @@ fn bench_explore_starvation(criterion: &mut Criterion) {
         group.bench_function(
             format!("dominant_group_25_jobs_threads_{threads}"),
             |bencher| {
-                let spec = spec(threads, StealPolicy::BusiestVictim, 4);
+                let spec = spec(threads);
                 bencher.iter(|| black_box(explore(&spec).expect("exploration succeeds")))
             },
         );

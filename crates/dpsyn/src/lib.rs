@@ -33,7 +33,7 @@
 //! | Generators | [`modules`] | word-level adder/multiplier builders |
 //! | Analysis | [`power`], [`timing`] | probability & static timing analysis |
 //! | Engine | [`core`] | the FA-tree allocation synthesizer |
-//! | Evaluation | [`designs`], [`baselines`], [`bench`] | workloads, rival flows, tables |
+//! | Evaluation | [`designs`], [`baselines`], [`bench`](mod@bench) | workloads, rival flows, tables |
 //! | Exploration | [`explore`] | multi-threaded design-space sweeps + Pareto reduction |
 
 pub use dpsyn_baselines as baselines;

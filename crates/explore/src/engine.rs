@@ -4,7 +4,7 @@ use crate::cache::{CompiledCache, PointError};
 use crate::error::ExploreError;
 use crate::job::Job;
 use crate::pareto::{pareto_front, PointMetrics};
-use crate::spec::{ExplorationSpec, StealPolicy};
+use crate::spec::ExplorationSpec;
 use crate::store::{
     profile_digest, stimulus_digest, stimulus_layout_digest, EvalKey, ResultStore, StoreHealth,
     StoredEval,
@@ -185,32 +185,37 @@ impl ExploreStats {
 /// # Chunk-size invariant
 ///
 /// Each group of `len` jobs is cut into `ceil(len / chunk_size)` chunks with
-/// `chunk_size = ceil(len / target)` and `target = min(len, threads × overpartition)`,
+/// `chunk_size = ceil(len / target)` and `target = min(len, threads × OVERPARTITION)`,
 /// so for every group:
 ///
 /// * `1 ≤ chunk_size ≤ len` — every chunk is non-empty and no `.max(1)` patch-up is
 ///   needed (`div_ceil` of a non-empty group by a non-zero target is already ≥ 1);
-/// * the group yields at most `min(len, threads × overpartition)` chunks — never more
+/// * the group yields at most `min(len, threads × OVERPARTITION)` chunks — never more
 ///   degenerate one-job chunks than the workers can actually use, even when
 ///   `threads > len`;
-/// * with `threads × overpartition ≥ len` the schedule degenerates to per-job chunks
-///   (maximal parallelism), and with one thread at `overpartition = 1` each group is
-///   a single maximal delta chain.
+/// * with `threads × OVERPARTITION ≥ len` the schedule degenerates to per-job chunks
+///   (maximal parallelism).
 ///
-/// The `overpartition` factor (see
-/// [`ExplorationSpecBuilder::overpartition`](crate::ExplorationSpecBuilder::overpartition))
-/// cuts groups finer than one chunk per worker so stealing can re-balance the tail of
-/// a dominant group. Finer chunks cost nothing when they stay on their seeded worker:
-/// the worker's [`CompiledCache`] entry survives across consecutive same-group
-/// chunks, so only the first chunk of a group **per worker** pays the full
-/// compile-and-prime path — every later leader is a verified hash hit that re-runs
-/// the delta path, exactly like a mid-chunk point.
+/// [`OVERPARTITION`] cuts groups finer than one chunk per worker so stealing can
+/// re-balance the tail of a dominant group. Finer chunks cost nothing when they stay
+/// on their seeded worker: the worker's [`CompiledCache`] entry survives across
+/// consecutive same-group chunks, so only the first chunk of a group **per worker**
+/// pays the full compile-and-prime path — every later leader is a verified hash hit
+/// that re-runs the delta path, exactly like a mid-chunk point.
 struct Schedule {
     /// Job indices, group-major; within a group the canonical (skew, bias) order.
     order: Vec<usize>,
     /// Half-open ranges into `order`, one per claimable chunk.
     chunks: Vec<Range<usize>>,
 }
+
+/// Chunks per worker each `(source, width, flow)` group is cut into (capped at the
+/// group length). On the `explore` binary's 6-point groups, four gives one-job
+/// chunks at two or more workers, so a steal can take any single point of a
+/// dominant group's tail, while a single worker still runs each group as
+/// consecutive chunks that share one warm cache entry. Like every scheduling
+/// choice it moves wall-clock time, never results.
+const OVERPARTITION: usize = 4;
 
 fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Schedule {
     // The flow's position in the specification (not its value) keys the sort so the
@@ -242,7 +247,7 @@ fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Schedule {
         // See the type-level chunk-size invariant: capping the chunk target at the
         // group length keeps `threads > len` from requesting more one-job chunks
         // than the group has jobs, and `div_ceil` by the non-zero target is ≥ 1.
-        let target = spec.threads().saturating_mul(spec.overpartition()).min(len);
+        let target = spec.threads().saturating_mul(OVERPARTITION).min(len);
         let chunk_size = len.div_ceil(target);
         let mut begin = group.start;
         while begin < group.end {
@@ -286,14 +291,12 @@ fn seed_queues(chunk_count: usize, workers: usize) -> Vec<VecDeque<usize>> {
 /// synthesis + analysis chain each), so the locks are uncontended in practice.
 struct StealQueues {
     queues: Vec<Mutex<VecDeque<usize>>>,
-    policy: StealPolicy,
 }
 
 impl StealQueues {
-    fn new(seeded: Vec<VecDeque<usize>>, policy: StealPolicy) -> Self {
+    fn new(seeded: Vec<VecDeque<usize>>) -> Self {
         StealQueues {
             queues: seeded.into_iter().map(Mutex::new).collect(),
-            policy,
         }
     }
 
@@ -305,39 +308,30 @@ impl StealQueues {
             .pop_front()
     }
 
-    /// Steals one chunk from the top of a victim's deque, per the steal policy.
+    /// Steals one chunk from the top of the busiest other deque (the one with the
+    /// most queued chunks, ties to the highest index): the victim that would
+    /// otherwise hold the longest tail of unstarted work.
     ///
     /// Returns `None` only when every other queue is empty at scan time — and since
     /// chunks are only ever *removed* after seeding, an all-empty scan proves every
     /// chunk has been claimed, so the thief can retire without losing work.
     fn steal(&self, thief: usize) -> Option<usize> {
         loop {
-            let victim = match self.policy {
-                StealPolicy::BusiestVictim => self
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(index, _)| *index != thief)
-                    .map(|(index, queue)| {
-                        let len = queue
-                            .lock()
-                            .expect("worker queues are never poisoned")
-                            .len();
-                        (len, index)
-                    })
-                    .filter(|(len, _)| *len > 0)
-                    .max_by_key(|(len, _)| *len)
-                    .map(|(_, index)| index),
-                StealPolicy::RoundRobin => (1..self.queues.len())
-                    .map(|offset| (thief + offset) % self.queues.len())
-                    .find(|&victim| {
-                        !self.queues[victim]
-                            .lock()
-                            .expect("worker queues are never poisoned")
-                            .is_empty()
-                    }),
-            };
-            let victim = victim?;
+            let victim = self
+                .queues
+                .iter()
+                .enumerate()
+                .filter(|(index, _)| *index != thief)
+                .map(|(index, queue)| {
+                    let len = queue
+                        .lock()
+                        .expect("worker queues are never poisoned")
+                        .len();
+                    (len, index)
+                })
+                .filter(|(len, _)| *len > 0)
+                .max_by_key(|(len, _)| *len)
+                .map(|(_, index)| index)?;
             // The victim may have drained between the scan and this lock; rescan.
             if let Some(chunk) = self.queues[victim]
                 .lock()
@@ -398,21 +392,21 @@ pub fn schedule_preview(spec: &ExplorationSpec) -> SchedulePreview {
 /// the Pareto front.
 ///
 /// The scheduler is **work-stealing over group-chunks**: every worker owns a deque
-/// of chunk indices seeded contiguously from the group-major [`Schedule`], pops
+/// of chunk indices seeded contiguously from the group-major schedule (each
+/// `(source, width, flow)` group cut into at most four chunks per worker), pops
 /// locally from the bottom (keeping consecutive chunks of a group — and therefore
 /// their shared compiled-program cache entry — on one thread), and when its own
-/// deque runs dry steals from the top of a victim chosen by the specification's
-/// [`StealPolicy`], so a dominant `(source, width, flow)` group can never strand the
-/// other workers while one of them grinds through it.
+/// deque runs dry steals from the top of the busiest other deque, so a dominant
+/// group can never strand the other workers while one of them grinds through it.
 ///
 /// A chunk's first point runs through the full synthesis + analysis path whenever
 /// the worker's cache misses (priming the entry), and every other point of the chunk
 /// re-analyses through the cache's delta path — falling back to the full path
 /// whenever the synthesized structure does not verify against the cached program.
 /// Every result lands in a preallocated write-once slot keyed by its canonical job
-/// index, so the returned results are **bit-identical for any worker count, steal
-/// policy and overpartition factor** (the delta path's reports are bit-identical to
-/// full re-analysis by construction, and the property suites pin that down).
+/// index, so the returned results are **bit-identical for any worker count and any
+/// steal order** (the delta path's reports are bit-identical to full re-analysis by
+/// construction, and the property suites pin that down).
 ///
 /// # Errors
 ///
@@ -489,7 +483,7 @@ pub fn explore_with_store(
     let jobs = spec.jobs();
     let plan = schedule(spec, &jobs);
     let workers = worker_count(spec, plan.chunks.len());
-    let queues = StealQueues::new(seed_queues(plan.chunks.len(), workers), spec.steal_policy());
+    let queues = StealQueues::new(seed_queues(plan.chunks.len(), workers));
     let memo = store.map(|store| StoreContext {
         store,
         tech_digest: spec.tech().identity_digest(),
@@ -852,7 +846,7 @@ mod tests {
 
     /// A workload spec whose matrix has one group of `skews × biases` jobs per
     /// `(width, flow)` combination.
-    fn spec(threads: usize, overpartition: usize) -> ExplorationSpec {
+    fn spec(threads: usize) -> ExplorationSpec {
         ExplorationSpec::builder()
             .sum_workload(3)
             .widths([3, 4])
@@ -864,7 +858,6 @@ mod tests {
             .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
             .flows([Flow::Conventional, Flow::FaAot])
             .threads(threads)
-            .overpartition(overpartition)
             .build()
             .expect("schedule test spec is well-formed")
     }
@@ -888,7 +881,7 @@ mod tests {
         }
         assert!(seen.iter().all(|&claimed| claimed), "schedule misses jobs");
         // Per-group chunk cap: count chunks per (source, width, flow) group.
-        let cap = spec.threads() * spec.overpartition();
+        let cap = spec.threads() * OVERPARTITION;
         let mut group_chunks: Vec<(usize, usize)> = Vec::new(); // (leader job, chunks)
         for chunk in preview.chunks() {
             match group_chunks
@@ -922,9 +915,7 @@ mod tests {
     #[test]
     fn chunking_respects_invariants_across_thread_counts() {
         for threads in [1, 2, 3, 4, 7, 8, 64] {
-            for overpartition in [1, 2, 4] {
-                assert_schedule_invariants(&spec(threads, overpartition));
-            }
+            assert_schedule_invariants(&spec(threads));
         }
     }
 
@@ -933,7 +924,7 @@ mod tests {
         // 24 jobs under 64 workers: the old `ceil(len/threads)` sizing already gave
         // one-job chunks; the tightened target additionally caps the chunk count at
         // the group length, so there are never more (degenerate) chunks than jobs.
-        let spec = spec(64, 4);
+        let spec = spec(64);
         let preview = schedule_preview(&spec);
         assert_eq!(preview.chunks().len(), spec.jobs().len());
         assert!(preview.chunks().iter().all(|chunk| chunk.len() == 1));
@@ -946,30 +937,29 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_without_overpartition_is_one_chunk_per_group() {
-        let spec = spec(1, 1);
+    fn single_thread_queues_every_group_as_chunks_of_two() {
+        let spec = spec(1);
         let preview = schedule_preview(&spec);
-        // 2 widths × 2 flows = 4 groups of skews × biases = 6 jobs each.
-        assert_eq!(preview.chunks().len(), 4);
-        assert!(preview.chunks().iter().all(|chunk| chunk.len() == 6));
+        // 2 widths × 2 flows = 4 groups of skews × biases = 6 jobs each; one
+        // thread targets min(6, 1 × 4) = 4 chunks, so chunks of ceil(6 / 4) = 2.
+        assert_eq!(preview.chunks().len(), 12);
+        assert!(preview.chunks().iter().all(|chunk| chunk.len() == 2));
         assert_eq!(preview.worker_queues().len(), 1);
-        assert_eq!(preview.worker_queues()[0], vec![0, 1, 2, 3]);
+        assert_eq!(preview.worker_queues()[0], (0..12).collect::<Vec<_>>());
     }
 
     #[test]
     fn overpartition_splits_groups_finer_for_stealing() {
-        // Groups of 6 at 2 threads: overpartition 1 → chunks of 3; overpartition 4
-        // (target 8 > len 6) → per-job chunks.
-        let coarse = schedule_preview(&spec(2, 1));
-        assert!(coarse.chunks().iter().all(|chunk| chunk.len() == 3));
-        let fine = schedule_preview(&spec(2, 4));
-        assert!(fine.chunks().iter().all(|chunk| chunk.len() == 1));
+        // Groups of 6 at two workers: target min(6, 2 × 4) = 6, so every job is its
+        // own chunk — six stealable units per group instead of one per worker.
+        let preview = schedule_preview(&spec(2));
+        assert!(preview.chunks().iter().all(|chunk| chunk.len() == 1));
     }
 
     #[test]
     fn remainder_groups_keep_chunks_within_one_of_each_other() {
-        // A 5-job group at 2 threads, overpartition 1: ceil(5/2) = 3 → chunks of
-        // 3 and 2 — the remainder chunk is smaller, never empty.
+        // A 5-job group at 1 thread: target min(5, 4) = 4, ceil(5/4) = 2 → chunks
+        // of 2, 2 and 1 — the remainder chunk is smaller, never empty.
         let spec = ExplorationSpec::builder()
             .sum_workload(3)
             .width(3)
@@ -981,13 +971,12 @@ mod tests {
                 SkewProfile::Uniform(4.0),
             ])
             .flow(Flow::Conventional)
-            .threads(2)
-            .overpartition(1)
+            .threads(1)
             .build()
             .expect("spec is well-formed");
         let preview = schedule_preview(&spec);
         let sizes: Vec<usize> = preview.chunks().iter().map(Vec::len).collect();
-        assert_eq!(sizes, vec![3, 2]);
+        assert_eq!(sizes, vec![2, 2, 1]);
     }
 
     #[test]
@@ -1022,8 +1011,9 @@ mod tests {
     fn sim_contexts_are_built_once_per_group_and_reused() {
         use crate::spec::SimActivity;
         // 2 widths × 2 flows = 4 (source, width, flow) groups of 3 skews × 2
-        // biases = 6 jobs each. One worker, overpartition 1: every group runs as
-        // one chunk. Both flows bind modules without looking at input profiles,
+        // biases = 6 jobs each. One worker runs each group as three consecutive
+        // chunks of 2, and its cache entry survives from one chunk to the next.
+        // Both flows bind modules without looking at input profiles,
         // so every point of a group synthesizes the identical structure and the
         // simulated metric must compile exactly one block program (and draw one
         // stimulus batch) per group, absorbing the other five points as verified
@@ -1040,7 +1030,6 @@ mod tests {
             .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
             .flows([Flow::Conventional, Flow::CsaOpt])
             .threads(1)
-            .overpartition(1)
             .sim_activity(SimActivity {
                 seed: 11,
                 vectors: 512,
@@ -1080,7 +1069,6 @@ mod tests {
             .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
             .flows([Flow::Conventional, Flow::CsaOpt])
             .threads(1)
-            .overpartition(1)
             .build()
             .expect("analytic twin is well-formed");
         let (results, stats) = explore_with_stats(&analytic).expect("analytic sweep runs");
@@ -1094,24 +1082,22 @@ mod tests {
     }
 
     #[test]
-    fn steal_queues_drain_exactly_once_under_both_policies() {
-        for policy in [StealPolicy::BusiestVictim, StealPolicy::RoundRobin] {
-            let queues = StealQueues::new(seed_queues(10, 3), policy);
-            // Worker 2 drains its own queue then steals everything else dry.
-            let mut claimed = Vec::new();
-            while let Some(chunk) = queues.pop_own(2) {
-                claimed.push(chunk);
-            }
-            while let Some(chunk) = queues.steal(2) {
-                claimed.push(chunk);
-            }
-            claimed.sort_unstable();
-            assert_eq!(claimed, (0..10).collect::<Vec<_>>());
-            assert_eq!(
-                queues.steal(0),
-                None,
-                "drained queues have nothing to steal"
-            );
+    fn steal_queues_drain_exactly_once() {
+        let queues = StealQueues::new(seed_queues(10, 3));
+        // Worker 2 drains its own queue then steals everything else dry.
+        let mut claimed = Vec::new();
+        while let Some(chunk) = queues.pop_own(2) {
+            claimed.push(chunk);
         }
+        while let Some(chunk) = queues.steal(2) {
+            claimed.push(chunk);
+        }
+        claimed.sort_unstable();
+        assert_eq!(claimed, (0..10).collect::<Vec<_>>());
+        assert_eq!(
+            queues.steal(0),
+            None,
+            "drained queues have nothing to steal"
+        );
     }
 }

@@ -18,9 +18,6 @@ pub enum ExploreError {
     /// jobs. (Leaving `threads` unset defaults to the host's available parallelism
     /// instead.)
     ZeroWorkers,
-    /// The `overpartition` factor is zero; each group needs at least one chunk
-    /// target per worker.
-    ZeroOverpartition,
     /// The width axis contains a zero; operands need at least one bit.
     ZeroWidth,
     /// A workload source was declared but the width axis is empty, so the source would
@@ -95,13 +92,6 @@ impl fmt::Display for ExploreError {
                     f,
                     "`threads` is zero; at least one worker thread is required \
                      (leave it unset to default to the available parallelism)"
-                )
-            }
-            ExploreError::ZeroOverpartition => {
-                write!(
-                    f,
-                    "`overpartition` is zero; each group needs at least one chunk \
-                     target per worker"
                 )
             }
             ExploreError::ZeroWidth => {

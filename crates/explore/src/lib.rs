@@ -9,11 +9,11 @@
 //!    [`BiasProfile`]s and the [`Flow`]s of `dpsyn-baselines`.
 //! 2. [`explore`] shards the resulting jobs across `std::thread::scope` workers
 //!    under a **work-stealing scheduler**: each worker owns a deque of group-chunks
-//!    seeded from the schedule and steals from a victim (per [`StealPolicy`]) when
-//!    its own deque runs dry. Every job is a pure function of the specification and
+//!    seeded from the schedule and steals from the busiest other worker when its
+//!    own deque runs dry. Every job is a pure function of the specification and
 //!    every result lands in a write-once slot keyed by job index, so the outcome is
-//!    **bit-identical for any worker count, steal policy and overpartition factor**
-//!    — the property the determinism suite pins down.
+//!    **bit-identical for any worker count and any steal order** — the property
+//!    the determinism suite pins down.
 //! 3. Each synthesized point is reduced to [`PointMetrics`] (delay from static timing
 //!    analysis, switching power from probability propagation, cell area and structure
 //!    from the netlist), and the whole run is dominance-filtered into a Pareto front
@@ -78,7 +78,7 @@ pub use pareto::{pareto_front, PointMetrics};
 pub use serve::{serve, ServeConfig, ServeResponse};
 pub use spec::{
     BiasProfile, ExplorationSpec, ExplorationSpecBuilder, ExprSource, SimActivity, SkewProfile,
-    StealPolicy, MAX_SIM_VECTORS,
+    MAX_SIM_VECTORS,
 };
 pub use store::{
     profile_digest, quarantine_path, stimulus_digest, stimulus_layout_digest, EvalKey, EvalStage,

@@ -14,7 +14,7 @@
 //! {"sources":[{"design":"x_squared"},{"sum":3}],"widths":[4],
 //!  "skews":["keep",2.0],"biases":["keep"],
 //!  "flows":["conventional","csa_opt",{"fa_random":11}],
-//!  "seed":7,"threads":2,"overpartition":4,"steal":"busiest","tech":"lcbg10pv_like",
+//!  "seed":7,"threads":2,"tech":"lcbg10pv_like",
 //!  "sim_activity":{"seed":11,"vectors":4096}}
 //! ```
 //!
@@ -72,7 +72,7 @@ use crate::engine::explore_with_store;
 use crate::error::ExploreError;
 use crate::faults::FaultPlan;
 use crate::metrics::{ServeMetrics, ServeStatus};
-use crate::spec::{BiasProfile, ExplorationSpec, SimActivity, SkewProfile, StealPolicy};
+use crate::spec::{BiasProfile, ExplorationSpec, SimActivity, SkewProfile};
 use crate::store::ResultStore;
 use dpsyn_baselines::Flow;
 use dpsyn_designs::Design;
@@ -148,7 +148,8 @@ struct Shared {
     store_attached: bool,
 }
 
-/// One parsed response line of the protocol; see the [module docs](self).
+/// One parsed response line of the [`serve`] protocol; the `serve` module docs
+/// list its fields.
 #[derive(Debug, Clone, Default)]
 pub struct ServeResponse {
     /// Whether the request succeeded.
@@ -707,20 +708,6 @@ fn build_spec(fields: &[(String, Json)]) -> Result<ExplorationSpec, String> {
             "threads" => {
                 builder = builder.threads(value.as_usize().ok_or("`threads` must be an integer")?);
             }
-            "overpartition" => {
-                builder = builder.overpartition(
-                    value
-                        .as_usize()
-                        .ok_or("`overpartition` must be an integer")?,
-                );
-            }
-            "steal" => {
-                builder = builder.steal_policy(match value.as_str() {
-                    Some("busiest") => StealPolicy::BusiestVictim,
-                    Some("round_robin") => StealPolicy::RoundRobin,
-                    _ => return Err("`steal` is \"busiest\" or \"round_robin\"".to_string()),
-                });
-            }
             "tech" => {
                 builder = builder.tech(match value.as_str() {
                     Some("unit") => TechLibrary::unit(),
@@ -1062,6 +1049,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Server state for calling `handle_request` directly: no store file, no
+    /// socket.
+    fn storeless_shared() -> Shared {
+        Shared {
+            store: Mutex::new(ResultStore::in_memory()),
+            metrics: ServeMetrics::new(false),
+            shutdown: AtomicBool::new(false),
+            store_attached: false,
+            config: ServeConfig::new("/tmp/unused.sock"),
+        }
+    }
+
     #[test]
     fn json_roundtrips_the_protocol_shapes() {
         let line = r#"{"sources":[{"design":"x_squared"},{"sum":3}],"widths":[4,8],
@@ -1132,6 +1131,20 @@ mod tests {
     }
 
     #[test]
+    fn retired_scheduler_fields_are_unknown_request_fields() {
+        let shared = storeless_shared();
+        for line in [r#"{"steal":"busiest"}"#, r#"{"overpartition":4}"#] {
+            let response = handle_request(line, &shared);
+            assert!(!response.ok, "{line} must be rejected");
+            assert!(
+                response.error.contains("unknown request field"),
+                "{line} -> {}",
+                response.error
+            );
+        }
+    }
+
+    #[test]
     fn deeply_nested_lines_are_rejected_without_exhausting_the_stack() {
         // Connection handlers run on default-stack spawned threads, so parse there.
         let deep = "[".repeat(100_000);
@@ -1148,13 +1161,7 @@ mod tests {
     /// gets its typed reject at once instead of pinning a connection thread.
     #[test]
     fn million_character_strings_are_rejected_in_linear_time() {
-        let shared = Shared {
-            store: Mutex::new(ResultStore::in_memory()),
-            metrics: ServeMetrics::new(false),
-            shutdown: AtomicBool::new(false),
-            store_attached: false,
-            config: ServeConfig::new("/tmp/unused.sock"),
-        };
+        let shared = storeless_shared();
         let name = "π".repeat(1_000) + &"x".repeat(999_000);
         let line = format!(r#"{{"sources":[{{"design":"{name}"}}],"flows":["conventional"]}}"#);
         assert!(line.len() < 1 << 20, "the line fits the default cap");
@@ -1313,13 +1320,7 @@ mod tests {
         let guard = lock_store(&store);
         assert!(guard.is_empty(), "the store data survives the poisoning");
         drop(guard);
-        let shared = Shared {
-            store: Mutex::new(ResultStore::in_memory()),
-            metrics: ServeMetrics::new(false),
-            shutdown: AtomicBool::new(false),
-            store_attached: false,
-            config: ServeConfig::new("/tmp/unused.sock"),
-        };
+        let shared = storeless_shared();
         // Poison the shared server store the same way...
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = shared.store.lock().expect("first lock is clean");
@@ -1342,8 +1343,9 @@ mod tests {
 
     /// The request vocabulary: every protocol field and name, so generated
     /// requests reach deep into `build_spec` instead of failing on their first key.
-    /// The first `REQUEST_FIELDS` words are the fields `build_spec` takes.
-    const REQUEST_FIELDS: usize = 11;
+    /// The first `REQUEST_FIELDS` words are the fields `build_spec` takes;
+    /// `overpartition` and `steal` were fields once and must now be rejected.
+    const REQUEST_FIELDS: usize = 9;
     const WORDS: [&str; 32] = [
         "sources",
         "widths",
@@ -1352,10 +1354,10 @@ mod tests {
         "flows",
         "seed",
         "threads",
-        "overpartition",
-        "steal",
         "tech",
         "sim_activity",
+        "overpartition",
+        "steal",
         "status",
         "shutdown",
         "design",
@@ -1418,8 +1420,7 @@ mod tests {
             "sim_activity" => format!(r#"{{"seed":{small},"vectors":{}}}"#, seed % 70_000),
             "widths" => format!("[{small},{}]", seed % 9),
             "skews" | "biases" => format!(r#"["keep",{}]"#, (seed % 80) as f64 / 100.0),
-            "threads" | "overpartition" => (seed % 5).to_string(),
-            "steal" => pick(&[r#""busiest""#, r#""round_robin""#, r#""greedy""#]),
+            "threads" => (seed % 5).to_string(),
             "tech" => pick(&[r#""unit""#, r#""lcbg10pv_like""#, r#""fast""#]),
             _ => seed.to_string(),
         }

@@ -145,22 +145,6 @@ impl fmt::Display for BiasProfile {
     fmt_profile_display!();
 }
 
-/// How an idle worker of the work-stealing engine picks the victim it steals a
-/// chunk from. Both policies steal from the **top** (back) of the victim's deque —
-/// the chunk farthest from what the victim's compiled cache is currently warm for —
-/// and neither affects results, only wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Steal from the worker with the most queued chunks (the default): the victim
-    /// that would otherwise hold the longest tail of unstarted work.
-    #[default]
-    BusiestVictim,
-    /// Scan the other workers round-robin starting after the thief's own index and
-    /// steal from the first non-empty queue: cheaper victim selection (no full
-    /// scan), at the cost of occasionally picking a nearly-drained victim.
-    RoundRobin,
-}
-
 /// The simulated switching-activity metric of a sweep: when attached to a
 /// specification, every evaluated point is additionally simulated on the SIMD block
 /// engine of `dpsyn-sim` under `vectors` seeded biased stimulus vectors, producing a
@@ -185,13 +169,6 @@ pub struct SimActivity {
 /// request could ask for terabytes and abort the process; larger counts are
 /// rejected with [`ExploreError::InvalidSimVectors`].
 pub const MAX_SIM_VECTORS: usize = 65_536;
-
-/// Default over-partitioning factor: each `(source, width, flow)` group is cut into
-/// up to `threads × 4` chunks (capped at the group length). Finer chunks let the
-/// work-stealing scheduler re-balance a dominant group's tail, and cost nothing when
-/// unstolen — a worker's compiled cache survives across its consecutive same-group
-/// chunks, so only the first chunk per worker pays the full prime.
-pub(crate) const DEFAULT_OVERPARTITION: usize = 4;
 
 /// The full description of one design-space exploration.
 ///
@@ -232,8 +209,6 @@ pub struct ExplorationSpec {
     pub(crate) tech: TechLibrary,
     pub(crate) seed: u64,
     pub(crate) threads: usize,
-    pub(crate) steal_policy: StealPolicy,
-    pub(crate) overpartition: usize,
     /// Whether every evaluated point keeps its full [`dpsyn_baselines::FlowResult`].
     ///
     /// This is the **single** storage of the flag: the builder wraps a spec and
@@ -265,17 +240,6 @@ impl ExplorationSpec {
     /// The worker count the engine will use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The steal policy of the work-stealing scheduler.
-    pub fn steal_policy(&self) -> StealPolicy {
-        self.steal_policy
-    }
-
-    /// The over-partitioning factor: each `(source, width, flow)` group is cut into
-    /// at most `threads × overpartition` chunks (capped at the group length).
-    pub fn overpartition(&self) -> usize {
-        self.overpartition
     }
 
     /// The technology library every flow synthesizes against.
@@ -389,9 +353,9 @@ impl ExplorationSpec {
 /// Builder for [`ExplorationSpec`]; see the type-level example.
 ///
 /// The builder wraps the specification it is assembling instead of duplicating every
-/// field: each setter writes straight into the wrapped spec, and [`build`]
-/// (`ExplorationSpecBuilder::build`) only validates and unwraps it — there is no
-/// field-by-field copy that could drift out of sync.
+/// field: each setter writes straight into the wrapped spec, and
+/// [`build`](Self::build) only validates and unwraps it — there is no field-by-field
+/// copy that could drift out of sync.
 #[derive(Debug, Clone)]
 pub struct ExplorationSpecBuilder {
     spec: ExplorationSpec,
@@ -412,8 +376,6 @@ impl Default for ExplorationSpecBuilder {
                 tech: TechLibrary::lcbg10pv_like(),
                 seed: 1,
                 threads: 1,
-                steal_policy: StealPolicy::default(),
-                overpartition: DEFAULT_OVERPARTITION,
                 retain_artifacts: false,
                 store_path: None,
                 sim_activity: None,
@@ -511,32 +473,12 @@ impl ExplorationSpecBuilder {
         self
     }
 
-    /// Sets the worker-thread count. When never called, [`build`]
-    /// (`ExplorationSpecBuilder::build`) defaults to the host's
-    /// [`std::thread::available_parallelism`] (falling back to 1 when the host
-    /// cannot report it). Results are bit-identical for every worker count; more
-    /// workers only change the wall-clock time.
+    /// Sets the worker-thread count. When never called, [`build`](Self::build)
+    /// defaults to the host's [`std::thread::available_parallelism`] (falling back
+    /// to 1 when the host cannot report it). Results are bit-identical for every
+    /// worker count; more workers only change the wall-clock time.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Sets the work-stealing victim-selection policy (default:
-    /// [`StealPolicy::BusiestVictim`]). Steal policies affect only scheduling —
-    /// results stay bit-identical under every policy.
-    pub fn steal_policy(mut self, policy: StealPolicy) -> Self {
-        self.spec.steal_policy = policy;
-        self
-    }
-
-    /// Sets the over-partitioning factor (default: 4): each `(source, width, flow)`
-    /// group is cut into at most `threads × overpartition` chunks, capped at the
-    /// group length, so stealing can re-balance a dominant group's tail. `1`
-    /// reproduces one-chunk-per-worker splitting; larger factors trade finer
-    /// balancing against more (cheap) chunk claims. Like the steal policy, the
-    /// factor never changes results.
-    pub fn overpartition(mut self, overpartition: usize) -> Self {
-        self.spec.overpartition = overpartition;
         self
     }
 
@@ -555,11 +497,11 @@ impl ExplorationSpecBuilder {
     /// Attaches the persistent cross-run result store at `path` (default: none).
     /// [`explore`](crate::explore) then loads the memo file before running, serves
     /// warm hits from it, and flushes the union of old and fresh records back
-    /// atomically afterwards. Combined with [`retain_artifacts`]
-    /// (`ExplorationSpecBuilder::retain_artifacts`), store **lookups** are
-    /// disabled (results are still recorded): a memoized record carries figures,
-    /// not the synthesized netlist, so only fresh evaluation can honour the
-    /// retention contract exactly.
+    /// atomically afterwards. Combined with
+    /// [`retain_artifacts`](Self::retain_artifacts), store **lookups** are disabled
+    /// (results are still recorded): a memoized record carries figures, not the
+    /// synthesized netlist, so only fresh evaluation can honour the retention
+    /// contract exactly.
     pub fn store(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.spec.store_path = Some(path.into());
         self
@@ -591,8 +533,7 @@ impl ExplorationSpecBuilder {
     /// # Errors
     ///
     /// Returns a typed [`ExploreError`] when the `threads` field is explicitly zero,
-    /// the `overpartition` factor is zero, a width is zero, a workload source lacks
-    /// widths or operands, a skew/bias profile is invalid or conflicts with another,
+    /// a width is zero, a workload source lacks widths or operands, a skew/bias profile is invalid or conflicts with another,
     /// a simulated-activity request asks for fewer than 2 or more than
     /// [`MAX_SIM_VECTORS`] vectors, or the matrix
     /// enumerates no jobs.
@@ -604,9 +545,6 @@ impl ExplorationSpecBuilder {
             // keeps them all fed and results are worker-count independent anyway.
             None => std::thread::available_parallelism().map_or(1, |cores| cores.get()),
         };
-        if self.spec.overpartition == 0 {
-            return Err(ExploreError::ZeroOverpartition);
-        }
         if self.spec.widths.contains(&0) {
             return Err(ExploreError::ZeroWidth);
         }

@@ -131,8 +131,8 @@ impl EvalStage {
     }
 }
 
-/// The exact identity a stored evaluation is keyed by; see the
-/// [module documentation](self) for what each component covers.
+/// The exact identity a stored evaluation is keyed by; the `store` module docs say
+/// what each component covers.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EvalKey {
     /// Which pipeline level the record memoizes.
@@ -592,8 +592,8 @@ pub struct StoreHealth {
 }
 
 /// The persistent result store: an in-memory record map plus (optionally) the memo
-/// file it loads from and flushes to. See the [module documentation](self) for the
-/// key semantics and the on-disk format.
+/// file it loads from and flushes to. The `store` module docs give the key
+/// semantics and the on-disk format.
 #[derive(Debug, Clone)]
 pub struct ResultStore {
     path: Option<PathBuf>,

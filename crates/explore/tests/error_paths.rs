@@ -59,18 +59,6 @@ fn unset_threads_default_to_the_available_parallelism() {
 }
 
 #[test]
-fn zero_overpartition() {
-    let error = ExplorationSpec::builder()
-        .design(dpsyn_designs::x_squared())
-        .flow(Flow::FaAot)
-        .overpartition(0)
-        .build()
-        .expect_err("a zero overpartition factor must not build");
-    assert!(matches!(error, ExploreError::ZeroOverpartition));
-    assert!(error.to_string().contains("`overpartition`"));
-}
-
-#[test]
 fn sim_vector_counts_outside_the_supported_range() {
     let build = |vectors| {
         ExplorationSpec::builder()
@@ -257,7 +245,6 @@ fn error_display_is_covered_for_every_variant() {
     let variants: Vec<ExploreError> = vec![
         ExploreError::EmptyMatrix,
         ExploreError::ZeroWorkers,
-        ExploreError::ZeroOverpartition,
         ExploreError::ZeroWidth,
         ExploreError::MissingWidths,
         ExploreError::EmptySource,

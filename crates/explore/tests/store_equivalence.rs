@@ -1,15 +1,14 @@
 //! End-to-end equivalence suite for the persistent cross-run result store.
 //!
 //! The store's whole contract is *invisibility*: a warm-store sweep must render
-//! byte-identically to a cold one, under every thread count and steal policy, for
-//! partial warm-ups, and with artifact retention in play — while corrupt or stale
-//! memo files degrade to a rebuild, never to wrong answers, and concurrent flushes
-//! merge to one deterministic file.
+//! byte-identically to a cold one, under every thread count, for partial warm-ups,
+//! and with artifact retention in play — while corrupt or stale memo files degrade
+//! to a rebuild, never to wrong answers, and concurrent flushes merge to one
+//! deterministic file.
 
 use dpsyn_explore::{
     explore_with_stats, quarantine_path, BiasProfile, EvalKey, EvalStage, ExplorationSpec,
-    ExplorationSpecBuilder, Flow, ResultStore, SimActivity, SkewProfile, StealPolicy, StoredEval,
-    STORE_FORMAT,
+    ExplorationSpecBuilder, Flow, ResultStore, SimActivity, SkewProfile, StoredEval, STORE_FORMAT,
 };
 use std::path::PathBuf;
 
@@ -40,7 +39,7 @@ fn suite_spec() -> ExplorationSpecBuilder {
 }
 
 #[test]
-fn warm_store_is_byte_identical_across_threads_policies_and_partial_warmups() {
+fn warm_store_is_byte_identical_across_threads_and_partial_warmups() {
     let path = scratch("equivalence");
     // Cold reference run: populates the store from empty.
     let spec = suite_spec()
@@ -63,28 +62,25 @@ fn warm_store_is_byte_identical_across_threads_policies_and_partial_warmups() {
         .expect("plain run succeeds");
     assert_eq!(plain.render_summary(), cold_summary);
 
-    // Warm reruns: every thread count × steal policy serves all 48 jobs from the
-    // store and renders byte-identically.
-    for threads in [1, 2, 4] {
-        for policy in [StealPolicy::BusiestVictim, StealPolicy::RoundRobin] {
-            let warm_spec = suite_spec()
-                .store(path.clone())
-                .threads(threads)
-                .steal_policy(policy)
-                .build()
-                .expect("warm spec is well-formed");
-            let (warm, stats) = explore_with_stats(&warm_spec).expect("warm run succeeds");
-            assert_eq!(
-                warm.render_summary(),
-                cold_summary,
-                "warm summary diverged at {threads} thread(s), {policy:?}"
-            );
-            assert_eq!(
-                stats.total_store_hits(),
-                jobs,
-                "a fully warmed store must serve every job ({threads} thread(s), {policy:?})"
-            );
-        }
+    // Warm reruns: every thread count serves all 48 jobs from the store and
+    // renders byte-identically.
+    for threads in [1, 2, 3, 4] {
+        let warm_spec = suite_spec()
+            .store(path.clone())
+            .threads(threads)
+            .build()
+            .expect("warm spec is well-formed");
+        let (warm, stats) = explore_with_stats(&warm_spec).expect("warm run succeeds");
+        assert_eq!(
+            warm.render_summary(),
+            cold_summary,
+            "warm summary diverged at {threads} thread(s)"
+        );
+        assert_eq!(
+            stats.total_store_hits(),
+            jobs,
+            "a fully warmed store must serve every job ({threads} thread(s))"
+        );
     }
 
     // Mixed run: warm only half the flow axis first, then sweep the full matrix —

@@ -8,7 +8,7 @@ use dpsyn_netlist::{CellKind, NetId, Netlist, NetlistError};
 ///
 /// Every bit position gets one full adder; the carry word is shifted left by one
 /// position (its LSB is constant 0). Operands of different widths are zero-extended.
-/// This is the building block of word-level CSA allocation (the paper's reference [8],
+/// This is the building block of word-level CSA allocation (the paper's reference \[8\],
 /// reproduced as the `csa_opt` baseline).
 ///
 /// # Errors

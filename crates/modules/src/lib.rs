@@ -9,7 +9,7 @@
 //! All generators operate on an existing [`Netlist`], take their operands as slices of
 //! bit nets (LSB first) and return the result bits, so they compose freely; the
 //! [`builders`] module wraps the most common ones into standalone netlists with a
-//! [`WordMap`] interface for tests and examples.
+//! [`WordMap`](dpsyn_netlist::WordMap) interface for tests and examples.
 //!
 //! Provided generators:
 //!

@@ -192,7 +192,7 @@ impl CompiledOp {
 /// A [`Netlist`] compiled once into a dense, levelized three-address program plus the
 /// shared lookup structures every analysis needs (fanout CSR, kind tables).
 ///
-/// See the [module documentation](self) for the layout and an example; build one with
+/// The `compiled` module docs give the layout and an example; build one with
 /// [`Netlist::compile`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledNetlist {

@@ -265,7 +265,7 @@ fn recompute_totals(
 /// The library is resolved **once** per program at construction; the persistent
 /// per-net/per-cell arrays live in a caller-owned [`DeltaState`]. Every report is
 /// **bit-identical** to a fresh [`ProbabilityAnalysis::run_compiled`] under the same
-/// cumulative input profile (see [`recompute_totals`] for why the aggregate figures
+/// cumulative input profile (see `recompute_totals` for why the aggregate figures
 /// keep their exact bits).
 #[derive(Debug, Clone)]
 pub struct IncrementalPower {
