@@ -4,7 +4,9 @@
 //! the memo file a cold full sweep flushes into its store also lives. Any
 //! drift in synthesis, analysis, simulation or rendering fails here instead of
 //! surfacing as a manual diff. A scripted session against an in-process
-//! exploration server is held to `tests/golden/serve_session.txt` the same way.
+//! exploration server is held to `tests/golden/serve_session.txt` the same way,
+//! and the memo file it leaves after every response to
+//! `tests/golden/serve_session_store.txt`.
 
 use std::process::Command;
 
@@ -179,23 +181,46 @@ fn serve_session_matches_golden() {
     };
     let mut responses = BufReader::new(stream.try_clone().expect("clone the stream"));
     let mut session = String::new();
-    for request in SERVE_SCRIPT {
+    let mut memo = String::new();
+    for (index, request) in SERVE_SCRIPT.iter().enumerate() {
         stream
             .write_all(format!("{request}\n").as_bytes())
             .expect("request sends");
         responses
             .read_line(&mut session)
             .expect("response line arrives");
+        memo.push_str(&memo_line(&format!("request {}", index + 1), &store));
     }
     drop((stream, responses));
     server
         .join()
         .expect("server thread joins")
         .expect("server exits cleanly");
+    memo.push_str(&memo_line("shutdown", &store));
     std::fs::remove_file(&store).expect("remove the temporary store");
     assert_same(
         "serve session",
         &session,
         include_str!("golden/serve_session.txt"),
     );
+    assert_same(
+        "serve session memo file",
+        &memo,
+        include_str!("golden/serve_session_store.txt"),
+    );
+}
+
+/// One line of the serve session's memo-file record: the file's byte length and
+/// the 64-bit FNV-1a digest of its bytes (`missing` before the first flush).
+#[cfg(unix)]
+fn memo_line(label: &str, path: &std::path::Path) -> String {
+    match std::fs::read(path) {
+        Ok(bytes) => {
+            let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            format!("{label}: {} bytes, fnv1a64 {digest:016x}\n", bytes.len())
+        }
+        Err(_) => format!("{label}: missing\n"),
+    }
 }

@@ -1,72 +1,6 @@
-//! Long-lived exploration service over a Unix domain socket.
-//!
-//! `explore --serve <socket>` (see the `dpsyn-bench` binary) turns the exploration
-//! engine into a server: clients connect to the socket and speak a newline-delimited
-//! JSON protocol — one request line per [`ExplorationSpec`], one response line back —
-//! while every request shares the **same** persistent [`ResultStore`], so repeated
-//! or overlapping sweeps from any number of clients collapse to warm lookups.
-//!
-//! # Protocol
-//!
-//! A request is one JSON object on one line:
-//!
-//! ```json
-//! {"sources":[{"design":"x_squared"},{"sum":3}],"widths":[4],
-//!  "skews":["keep",2.0],"biases":["keep"],
-//!  "flows":["conventional","csa_opt",{"fa_random":11}],
-//!  "seed":7,"threads":2,"tech":"lcbg10pv_like",
-//!  "sim_activity":{"seed":11,"vectors":4096}}
-//! ```
-//!
-//! Every field maps straight onto the [`ExplorationSpec`] builder; unknown fields
-//! are rejected (a typo must not silently change the sweep). The optional
-//! `sim_activity` object requests the simulated switching metric
-//! ([`SimActivity`]): it must carry exactly an integer `seed` and a `vectors`
-//! count, and any malformed combination (missing half, unknown extra field, a
-//! vector count below 2) is rejected with a typed reason. `{"shutdown":true}`
-//! asks the server to stop: it finishes every in-flight request, takes no new
-//! connections, flushes the store one final time and removes the socket file.
-//!
-//! The response is one JSON object on one line:
-//!
-//! ```json
-//! {"ok":true,"jobs":24,"points":24,"store_hits":18,"summary":"..."}
-//! ```
-//!
-//! with `summary` the full [`render_summary`](crate::ExplorationResults::render_summary)
-//! text (byte-identical to a batch run of the same spec), `store` the store state
-//! (`"ok"`, `"degraded"` or `"none"`) and `quarantined` the count of jobs whose
-//! every evaluation attempt panicked; or `{"ok":false,"error":"..."}` when the
-//! request is malformed or the run fails. A request the server *sheds* (rather
-//! than fails) additionally carries a machine-readable `reject` kind:
-//! `{"ok":false,"reject":"overloaded","error":"..."}` — kinds are `overloaded`
-//! (the in-flight admission cap is reached), `oversized` (a request line exceeds
-//! the byte cap) and `deadline` (a partial line sat unfinished past the read
-//! deadline; the latter two also close the connection). `{"status":{}}` bypasses
-//! admission and answers the server's [`ServeStatus`] — request/rejection
-//! counters, in-flight sweeps, queue depth, store hit-rate and store health — as
-//! `{"ok":true,"status":{...}}`. Responses are produced by [`ServeResponse`]'s
-//! writer and parsed back by [`ServeResponse::parse`], so clients need no JSON
-//! library either.
-//!
-//! # Concurrency and the shared store
-//!
-//! Each connection runs on its own thread. A request snapshots the store under a
-//! brief lock, explores against the immutable snapshot (no lock held during the
-//! sweep — concurrent requests run truly in parallel), then merges its fresh
-//! records back and flushes under the lock. Two overlapping requests therefore
-//! cannot corrupt the store, and whichever finishes second gets the first one's
-//! records on its next request.
-//!
-//! # Degrade, don't die
-//!
-//! The server treats its store as an accelerator, never as a dependency. When the
-//! memo file cannot be loaded at startup, it serves from an empty in-memory store
-//! that *keeps* the configured path ([`ResultStore::empty_at`]); when a flush
-//! fails, the request still answers with its computed results and the response
-//! (and `status`) flags `"store":"degraded"`. Every later flush retries the real
-//! file, so the store heals the moment the path does — the `tests/fault_injection.rs`
-//! wall drives both transitions with an injected store outage.
+//! Long-lived exploration service over a Unix domain socket. The wire protocol,
+//! the shared-store rules and the degraded mode are documented on [`serve`], so
+//! they show in `cargo doc`.
 
 use crate::engine::explore_with_store;
 use crate::error::ExploreError;
@@ -92,6 +26,8 @@ const READ_TIMEOUT: Duration = Duration::from_millis(250);
 /// Configuration of one [`serve`] call. Build the common shape with
 /// [`ServeConfig::new`] and override fields as needed; the robustness knobs
 /// (line cap, admission cap, deadlines) default to generous production values.
+/// The wire protocol these fields bound, and how requests share the store at
+/// `store_path`, are documented on [`serve`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Path of the Unix domain socket to listen on (an existing socket file at
@@ -139,7 +75,8 @@ impl ServeConfig {
 
 /// Everything a connection thread needs, shared once per [`serve`] call.
 struct Shared {
-    store: Mutex<ResultStore>,
+    /// The current store version; requests snapshot it by `Arc` clone.
+    store: Mutex<Arc<ResultStore>>,
     metrics: ServeMetrics,
     shutdown: AtomicBool,
     config: ServeConfig,
@@ -148,8 +85,8 @@ struct Shared {
     store_attached: bool,
 }
 
-/// One parsed response line of the [`serve`] protocol; the `serve` module docs
-/// list its fields.
+/// One parsed response line of the [`serve`] protocol; the [`serve`] docs list
+/// its fields.
 #[derive(Debug, Clone, Default)]
 pub struct ServeResponse {
     /// Whether the request succeeded.
@@ -305,7 +242,7 @@ fn serve_error(message: impl std::fmt::Display) -> ExploreError {
 /// A poisoned store lock only means another request thread panicked *between*
 /// merge steps; the store itself is always in a consistent state (merge is
 /// per-record), so serving continues with the data as-is.
-fn lock_store(store: &Mutex<ResultStore>) -> MutexGuard<'_, ResultStore> {
+fn lock_store(store: &Mutex<Arc<ResultStore>>) -> MutexGuard<'_, Arc<ResultStore>> {
     store
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -315,10 +252,84 @@ fn lock_store(store: &Mutex<ResultStore>) -> MutexGuard<'_, ResultStore> {
 /// socket, serves each connection on its own thread against the shared store, then
 /// drains every in-flight request, flushes the store and removes the socket file.
 ///
-/// The server **degrades instead of dying**: an unloadable store file starts it
-/// in degraded compute-through mode ([`ResultStore::empty_at`]), and the final
-/// flush is best-effort — its failure is reported on stderr, never as an error
-/// (the computed answers were already delivered to the clients).
+/// `explore --serve <socket>` (see the `dpsyn-bench` binary) turns the exploration
+/// engine into a server: clients connect to the socket and speak a newline-delimited
+/// JSON protocol — one request line per [`ExplorationSpec`], one response line back —
+/// while every request shares the **same** persistent [`ResultStore`], so repeated
+/// or overlapping sweeps from any number of clients collapse to warm lookups.
+///
+/// # Protocol
+///
+/// A request is one JSON object on one line:
+///
+/// ```json
+/// {"sources":[{"design":"x_squared"},{"sum":3}],"widths":[4],
+///  "skews":["keep",2.0],"biases":["keep"],
+///  "flows":["conventional","csa_opt",{"fa_random":11}],
+///  "seed":7,"threads":2,"tech":"lcbg10pv_like",
+///  "sim_activity":{"seed":11,"vectors":4096}}
+/// ```
+///
+/// Every field maps straight onto the [`ExplorationSpec`] builder; unknown fields
+/// are rejected (a typo must not silently change the sweep). The optional
+/// `sim_activity` object requests the simulated switching metric
+/// ([`SimActivity`]): it must carry exactly an integer `seed` and a `vectors`
+/// count, and any malformed combination (missing half, unknown extra field, a
+/// vector count below 2) is rejected with a typed reason. `{"shutdown":true}`
+/// asks the server to stop: it finishes every in-flight request, takes no new
+/// connections, flushes the store one final time and removes the socket file.
+///
+/// The response is one JSON object on one line:
+///
+/// ```json
+/// {"ok":true,"jobs":24,"points":24,"store_hits":18,"summary":"..."}
+/// ```
+///
+/// with `summary` the full [`render_summary`](crate::ExplorationResults::render_summary)
+/// text (byte-identical to a batch run of the same spec), `store` the store state
+/// (`"ok"`, `"degraded"` or `"none"`) and `quarantined` the count of jobs whose
+/// every evaluation attempt panicked; or `{"ok":false,"error":"..."}` when the
+/// request is malformed or the run fails. A request the server *sheds* (rather
+/// than fails) additionally carries a machine-readable `reject` kind:
+/// `{"ok":false,"reject":"overloaded","error":"..."}` — kinds are `overloaded`
+/// (the in-flight admission cap is reached), `oversized` (a request line exceeds
+/// the byte cap) and `deadline` (a partial line sat unfinished past the read
+/// deadline; the latter two also close the connection). `{"status":{}}` bypasses
+/// admission and answers the server's [`ServeStatus`] — request/rejection
+/// counters, in-flight sweeps, queue depth, store hit-rate and store health — as
+/// `{"ok":true,"status":{...}}`. Responses are produced by [`ServeResponse`]'s
+/// writer and parsed back by [`ServeResponse::parse`], so clients need no JSON
+/// library either.
+///
+/// # Concurrency and the shared store
+///
+/// Each connection runs on its own thread. The shared store is one immutable
+/// version behind an `Arc`. A request takes its snapshot as an `Arc` clone under
+/// a brief lock, so a snapshot costs the same at any store size. It explores
+/// against that snapshot with no lock held, so concurrent requests run in
+/// parallel. It then drops the snapshot, re-locks, merges its fresh records into
+/// the shared version and flushes it. The merge copies the store only when
+/// another in-flight request still holds the old version. Two overlapping
+/// requests therefore cannot corrupt the store, and whichever finishes second
+/// gets the first one's records on its next request.
+///
+/// The flush under the lock costs what changed ([`ResultStore::flush`]). A request
+/// that recorded nothing new, such as an all-hit repeat, does no file I/O. A
+/// request with fresh records rewrites the memo file but parses it only when
+/// another writer changed it, and verifies its write by comparing bytes.
+///
+/// # Degrade, don't die
+///
+/// The server treats its store as an accelerator, never as a dependency. When the
+/// memo file cannot be loaded at startup, it serves from an empty in-memory store
+/// that *keeps* the configured path ([`ResultStore::empty_at`]); when a flush
+/// fails, the request still answers with its computed results and the response
+/// (and `status`) flags `"store":"degraded"`. Every later flush retries the real
+/// file, so the store heals the moment the path does — the `tests/fault_injection.rs`
+/// wall drives both transitions with an injected store outage.
+///
+/// The final flush is best-effort too: its failure is reported on stderr, never
+/// as an error (the computed answers were already delivered to the clients).
 ///
 /// # Errors
 ///
@@ -340,7 +351,7 @@ pub fn serve(config: &ServeConfig) -> Result<(), ExploreError> {
         None => ResultStore::in_memory(),
     };
     let shared = Arc::new(Shared {
-        store: Mutex::new(store),
+        store: Mutex::new(Arc::new(store)),
         metrics: ServeMetrics::new(degraded),
         shutdown: AtomicBool::new(false),
         store_attached: config.store_path.is_some(),
@@ -384,7 +395,7 @@ pub fn serve(config: &ServeConfig) -> Result<(), ExploreError> {
     for handle in handlers {
         let _ = handle.join();
     }
-    if let Err(error) = lock_store(&shared.store).flush() {
+    if let Err(error) = Arc::make_mut(&mut lock_store(&shared.store)).flush() {
         eprintln!("explore-serve: final store flush failed: {error}");
     }
     let _ = std::fs::remove_file(&config.socket);
@@ -557,15 +568,20 @@ fn handle_request(line: &str, shared: &Shared) -> ServeResponse {
     }
     // Snapshot under a brief lock; the sweep itself runs lock-free so overlapping
     // requests explore in parallel.
-    let snapshot = lock_store(&shared.store).clone();
-    match explore_with_store(&spec, Some(&snapshot)) {
+    let snapshot = Arc::clone(&lock_store(&shared.store));
+    let explored = explore_with_store(&spec, Some(&snapshot));
+    // Drop the snapshot before merging, so the merge copies the store only when
+    // another in-flight request still holds this version.
+    drop(snapshot);
+    match explored {
         Ok((results, stats, fresh)) => {
             let mut guard = lock_store(&shared.store);
-            guard.merge(fresh);
+            let store = Arc::make_mut(&mut guard);
+            store.merge(fresh);
             // Compute-through degradation: a failing flush marks the store
             // degraded but the computed results still answer the request —
             // the next successful flush clears the flag.
-            match guard.flush() {
+            match store.flush() {
                 Ok(()) => shared.metrics.set_degraded(false),
                 Err(error) => {
                     eprintln!("explore-serve: store flush failed, serving degraded: {error}");
@@ -1053,7 +1069,7 @@ mod tests {
     /// socket.
     fn storeless_shared() -> Shared {
         Shared {
-            store: Mutex::new(ResultStore::in_memory()),
+            store: Mutex::new(Arc::new(ResultStore::in_memory())),
             metrics: ServeMetrics::new(false),
             shutdown: AtomicBool::new(false),
             store_attached: false,
@@ -1309,7 +1325,7 @@ mod tests {
     /// the whole server.
     #[test]
     fn poisoned_store_lock_recovers_and_requests_still_answer() {
-        let store = Arc::new(Mutex::new(ResultStore::in_memory()));
+        let store = Arc::new(Mutex::new(Arc::new(ResultStore::in_memory())));
         let poisoner = Arc::clone(&store);
         let _ = std::thread::spawn(move || {
             let _guard = poisoner.lock().expect("first lock is clean");

@@ -1,100 +1,35 @@
-//! The persistent cross-run evaluation store.
-//!
-//! PR 5/6 made repeated sweep points cheap *within* one [`explore`](crate::explore)
-//! call (per-worker compiled-program cache + delta reruns), but every process still
-//! re-evaluated the whole matrix from scratch. This module promotes that reuse
-//! across runs, processes and clients: a [`ResultStore`] memoizes the analysed
-//! figures of every evaluated point under an exact [`EvalKey`] and persists them in
-//! a versioned on-disk memo file, so a warm-store sweep collapses to near-lookup
-//! cost while its output stays **byte-identical** to a cold run (the stored figures
-//! are f64 bit patterns, and the summary is a pure function of the points).
-//!
-//! # The evaluation key
-//!
-//! A stored result is only ever served when *everything* an analysis can observe is
-//! provably identical. Two key stages share one shape ([`EvalKey`]):
-//!
-//! * [`EvalStage::Analysis`] — keyed on the synthesized netlist, exactly as the
-//!   issue of record specifies: the structural hash, a 128-bit fingerprint of the
-//!   **exact** structural serialization ([`Netlist::structural_words`] — the
-//!   lossless, versioned counterpart of the folded `cell_ops` identity the
-//!   per-worker cache verifies), the technology-library identity digest
-//!   ([`TechLibrary::identity_digest`](dpsyn_tech::TechLibrary::identity_digest)),
-//!   the flow name, and a digest of the per-net input profiles. This serves the
-//!   synthesize-then-analyse flows (`conventional`, `csa_opt`): a warm hit skips the
-//!   whole compile + timing + power + area bundle.
-//! * [`EvalStage::Point`] — keyed one level earlier, on the materialized design
-//!   itself (name, expression text, output width, every input bit's arrival and
-//!   probability), the flow and the tech digest. Flows that analyse *during*
-//!   synthesis (the FA-tree family) never expose an unanalysed netlist, so only a
-//!   design-level key can collapse them to lookup cost; for the module-binding
-//!   flows it additionally skips synthesis. Point hits are what makes a fully warm
-//!   sweep near-free.
-//!
-//! Both fingerprints are independently-seeded splitmix64 chains
-//! ([`StructuralHasher::with_seed`]) over canonical word streams, so a stored
-//! result can never be served across a renamed design, an edited tech library, a
-//! different flow seed or a reprofiled input — each of those perturbs its digest.
-//!
-//! Both stages additionally carry a **stimulus digest**: `0` for a purely analytic
-//! run, and a digest of the simulated-activity identity (seed, vector count, batch
-//! shape — plus, at the analysis stage, the exact bit-to-net stimulus layout) when
-//! the sweep carries the simulated switching metric. A simulated record can
-//! therefore never be served to a non-simulated sweep or vice versa, and two
-//! different stimulus configurations never alias.
-//!
-//! # The memo file
-//!
-//! The on-disk format is deliberately line-oriented and self-checking:
-//!
-//! ```text
-//! dpsyn-eval-store v2
-//! A <structural> <fp0> <fp1> <tech> <profiles> <stimulus> <flow> <delay> <area> <energy> <power> <cells> <depth> <sim_power> <checksum>
-//! P ...
-//! ```
-//!
-//! every numeric field a fixed-width lowercase-hex u64 (f64s by bit pattern) and
-//! every line carrying its own chained checksum. Loading **never fails on content**:
-//! a missing file is an empty store, a wrong header (old version, foreign file) is
-//! detected and the store rebuilt from empty ([`StoreHealth::rebuilt`]), and any
-//! line that fails to parse or checksum (or is not UTF-8) is skipped, counted
-//! ([`StoreHealth::damaged_lines`]) and **quarantined** to a sidecar file
-//! ([`quarantine_path`]) so the evidence of a torn or corrupted write survives the
-//! next canonical flush. A file whose final line is cut mid-record (no trailing
-//! newline) is additionally flagged as a torn tail ([`StoreHealth::torn_tail`]) —
-//! the signature of a process killed mid-flush. A truncated write therefore costs
-//! at most the truncated line, and the loss is visible, never silent.
-//!
-//! For crash-safety testing, a [`FaultPlan`] can be attached
-//! ([`ResultStore::load_with_faults`]): every read and write of the memo file then
-//! consults the plan first, so a suite can kill a flush at an exact step and
-//! assert the recovery — see [`crate::faults`].
-//!
-//! [`ResultStore::flush`] is atomic and merge-convergent: it re-reads the file,
-//! unions the on-disk records into its own (ties broken by the deterministic
-//! smaller-value rule, so the union is commutative), writes a temp file **sorted by
-//! key** and renames it over the store, then re-reads to verify its own records
-//! survived — retrying when a concurrent flush won the rename race. Because the
-//! merged record set and the line format are both canonical, the final file bytes
-//! are independent of which process flushed last.
+//! The persistent cross-run evaluation store. [`ResultStore`] carries the key
+//! semantics, the on-disk memo-file format and the flush rules in its rustdoc, so
+//! they show in `cargo doc`.
 
 use crate::error::ExploreError;
 use crate::faults::{FaultPlan, WriteFault};
 use dpsyn_baselines::Flow;
 use dpsyn_designs::Design;
 use dpsyn_netlist::{NetId, Netlist, StructuralHasher};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Header line of the memo file; the version suffix guards the record layout.
 pub const STORE_FORMAT: &str = "dpsyn-eval-store v2";
 
 /// Bounded retries for the flush merge-verify loop under concurrent writers.
 const FLUSH_ATTEMPTS: usize = 16;
+
+/// Temp files this process has written, numbering each flush's temp file.
+static TEMP_FILES: AtomicU64 = AtomicU64::new(0);
+
+/// Held for the whole read–write–verify of every flush in this process. The
+/// verify only checks a flush's own records, so without it a flush that read the
+/// file before another's rename and renamed after that one's verify would drop
+/// the other's records, which had already reported success.
+static FLUSHING: Mutex<()> = Mutex::new(());
 
 /// Independent seeds for the two fingerprint chains, the two profile/primary
 /// digests and the per-line checksum. Any two digests of the same words differ
@@ -131,8 +66,8 @@ impl EvalStage {
     }
 }
 
-/// The exact identity a stored evaluation is keyed by; the `store` module docs say
-/// what each component covers.
+/// The exact identity a stored evaluation is keyed by; the [`ResultStore`] docs
+/// say what each component covers.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EvalKey {
     /// Which pipeline level the record memoizes.
@@ -404,6 +339,44 @@ fn line_checksum(key: &EvalKey, value: &StoredEval) -> u64 {
     hasher.finish()
 }
 
+/// Appends `word` as 16 lowercase hex digits, the `{:016x}` rendering.
+fn push_hex(out: &mut Vec<u8>, word: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 16];
+    for (index, digit) in digits.iter_mut().enumerate() {
+        *digit = DIGITS[(word >> (60 - 4 * index)) as usize & 0xf];
+    }
+    out.extend_from_slice(&digits);
+}
+
+/// Appends one record line, without its newline: the key's
+/// [`Display`](EvalKey#impl-Display-for-EvalKey) text, the seven value words and
+/// the checksum, space-separated.
+fn push_line(out: &mut Vec<u8>, key: &EvalKey, value: &StoredEval) {
+    out.extend_from_slice(key.stage.tag().as_bytes());
+    let key_words = [
+        key.structural,
+        key.fingerprint[0],
+        key.fingerprint[1],
+        key.tech,
+        key.profiles,
+        key.stimulus,
+    ];
+    for word in key_words {
+        out.push(b' ');
+        push_hex(out, word);
+    }
+    out.push(b' ');
+    out.extend_from_slice(key.flow.as_bytes());
+    for word in value.bits().into_iter().chain([line_checksum(key, value)]) {
+        out.push(b' ');
+        push_hex(out, word);
+    }
+}
+
+/// The `format!` rendering of a record line: the reference [`push_line`] is
+/// tested against.
+#[cfg(test)]
 fn format_line(key: &EvalKey, value: &StoredEval) -> String {
     let bits = value.bits();
     format!(
@@ -469,22 +442,24 @@ struct LoadedFile {
     torn_tail: bool,
 }
 
-/// Reads a memo file; missing files and corrupt content never fail — only a true
-/// I/O error (permissions, hardware, or an injected read fault) does.
-fn read_file(path: &Path, faults: Option<&FaultPlan>) -> Result<LoadedFile, ExploreError> {
+/// Reads the raw bytes of a memo file, `None` when it does not exist. Only a true
+/// I/O error (permissions, hardware, or an injected read fault) fails.
+fn read_bytes(path: &Path, faults: Option<&FaultPlan>) -> Result<Option<Vec<u8>>, ExploreError> {
     if let Some(reason) = faults.and_then(FaultPlan::next_store_read_fault) {
         return Err(store_error(path, reason));
     }
     // Bytes, not text: a non-UTF-8 byte is damaged content like any other, and
     // must cost only its own line (see `parse_file`).
-    let bytes = match fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(error) if error.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(LoadedFile::default())
-        }
-        Err(error) => return Err(store_error(path, error)),
-    };
-    Ok(parse_file(&bytes))
+    match fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(error) if error.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(error) => Err(store_error(path, error)),
+    }
+}
+
+/// Parses what [`read_bytes`] returned; a missing file is an empty store.
+fn parse_read(bytes: Option<&[u8]>) -> LoadedFile {
+    bytes.map(parse_file).unwrap_or_default()
 }
 
 /// Parses the bytes of a memo file. Content never fails: a wrong header rebuilds,
@@ -592,8 +567,81 @@ pub struct StoreHealth {
 }
 
 /// The persistent result store: an in-memory record map plus (optionally) the memo
-/// file it loads from and flushes to. The `store` module docs give the key
-/// semantics and the on-disk format.
+/// file it loads from and flushes to.
+///
+/// Within one [`explore`](crate::explore) call, repeated sweep points are already
+/// cheap (a per-worker compiled-program cache and delta reruns). The store carries
+/// that reuse across runs, processes and clients: it memoizes the analysed figures
+/// of every evaluated point under an exact [`EvalKey`] and persists them in a
+/// versioned memo file. A warm-store sweep collapses to near-lookup cost while its
+/// output stays **byte-identical** to a cold run, because the stored figures are
+/// f64 bit patterns and the summary is a pure function of the points.
+///
+/// # The evaluation key
+///
+/// A stored result is only ever served when *everything* an analysis can observe is
+/// provably identical. Two key stages share one shape ([`EvalKey`]):
+///
+/// * [`EvalStage::Analysis`] is keyed on the synthesized netlist: the structural
+///   hash, a 128-bit fingerprint of the **exact** structural serialization
+///   ([`Netlist::structural_words`], the lossless, versioned counterpart of the
+///   folded `cell_ops` identity the per-worker cache verifies), the
+///   technology-library identity digest
+///   ([`TechLibrary::identity_digest`](dpsyn_tech::TechLibrary::identity_digest)),
+///   the flow name, and a digest of the per-net input profiles. This serves the
+///   synthesize-then-analyse flows (`conventional`, `csa_opt`): a warm hit skips
+///   the whole compile + timing + power + area bundle.
+/// * [`EvalStage::Point`] is keyed one level earlier, on the materialized design
+///   itself (name, expression text, output width, every input bit's arrival and
+///   probability), the flow and the tech digest. Flows that analyse *during*
+///   synthesis (the FA-tree family) never expose an unanalysed netlist, so only a
+///   design-level key can collapse them to lookup cost; for the module-binding
+///   flows it also skips synthesis. Point hits are what make a fully warm sweep
+///   near-free.
+///
+/// Both fingerprints are independently-seeded splitmix64 chains
+/// ([`StructuralHasher::with_seed`]) over canonical word streams, so a stored
+/// result can never be served across a renamed design, an edited tech library, a
+/// different flow seed or a reprofiled input: each of those perturbs its digest.
+///
+/// Both stages also carry a **stimulus digest**: `0` for a purely analytic run,
+/// and a digest of the simulated-activity identity (seed, vector count, batch
+/// shape, plus the exact bit-to-net stimulus layout at the analysis stage) when
+/// the sweep carries the simulated switching metric. A simulated record can
+/// therefore never be served to a non-simulated sweep or vice versa, and two
+/// different stimulus configurations never alias.
+///
+/// # The memo file
+///
+/// The on-disk format is line-oriented and self-checking:
+///
+/// ```text
+/// dpsyn-eval-store v2
+/// A <structural> <fp0> <fp1> <tech> <profiles> <stimulus> <flow> <delay> <area> <energy> <power> <cells> <depth> <sim_power> <checksum>
+/// P ...
+/// ```
+///
+/// Every numeric field is a fixed-width lowercase-hex u64 (f64s by bit pattern)
+/// and every line carries its own chained checksum. Loading **never fails on
+/// content**: a missing file is an empty store, a wrong header (old version,
+/// foreign file) is detected and the store rebuilt from empty
+/// ([`StoreHealth::rebuilt`]), and any line that fails to parse or checksum (or is
+/// not UTF-8) is skipped, counted ([`StoreHealth::damaged_lines`]) and
+/// **quarantined** to a sidecar file ([`quarantine_path`]), so the evidence of a
+/// torn or corrupted write survives the next canonical flush. A file whose final
+/// line is cut mid-record (no trailing newline) is also flagged as a torn tail
+/// ([`StoreHealth::torn_tail`]), the signature of a process killed mid-flush. A
+/// truncated write therefore costs at most the truncated line, and the loss is
+/// visible, never silent.
+///
+/// For crash-safety testing, a [`FaultPlan`] can be attached
+/// ([`load_with_faults`](Self::load_with_faults)): every read and write of the memo
+/// file then consults the plan first, so a suite can kill a flush at an exact step
+/// and assert the recovery (see [`crate::faults`]).
+///
+/// [`flush`](Self::flush) is atomic and merge-convergent, and it costs what
+/// changed: a store with nothing new does no I/O, and bytes the store already
+/// knows are never parsed again. Its rustdoc gives the rules.
 #[derive(Debug, Clone)]
 pub struct ResultStore {
     path: Option<PathBuf>,
@@ -602,6 +650,14 @@ pub struct ResultStore {
     damaged_lines: usize,
     torn_tail: bool,
     quarantined: usize,
+    /// The exact bytes of the memo file as this store last read and merged it, or
+    /// wrote and verified it; `None` while the file was absent or never seen.
+    /// Every record in these bytes is already in `records` (records only ever
+    /// merge in), so a pre-read that returns them has nothing to merge.
+    disk: Option<Arc<[u8]>>,
+    /// Whether `records` may hold something the memo file lacks: set by a new key
+    /// or a merge that changes a value, cleared only by a verified flush.
+    dirty: bool,
     /// Fault-injection plan every file read/write consults; `None` in production.
     faults: Option<Arc<FaultPlan>>,
 }
@@ -617,6 +673,8 @@ impl ResultStore {
             damaged_lines: 0,
             torn_tail: false,
             quarantined: 0,
+            disk: None,
+            dirty: false,
             faults: None,
         }
     }
@@ -625,9 +683,11 @@ impl ResultStore {
     /// the filesystem. The server's degraded mode starts from this when the memo
     /// file cannot be loaded: sweeps compute through in memory, and every flush
     /// retries the real file — so the store recovers the moment the path does.
+    /// The store starts dirty, so its first flush writes the file.
     pub fn empty_at(path: impl Into<PathBuf>, faults: Option<Arc<FaultPlan>>) -> Self {
         ResultStore {
             path: Some(path.into()),
+            dirty: true,
             faults,
             ..ResultStore::in_memory()
         }
@@ -636,7 +696,8 @@ impl ResultStore {
     /// Loads (or initializes) the store at `path`. A missing file yields an empty
     /// store; a stale or foreign file is detected and rebuilt from empty
     /// ([`health`](Self::health) reports it); corrupt lines are skipped, counted
-    /// and quarantined to the [`quarantine_path`] sidecar.
+    /// and quarantined to the [`quarantine_path`] sidecar. The store starts dirty,
+    /// so its first [`flush`](Self::flush) rewrites the file as canonical bytes.
     ///
     /// # Errors
     ///
@@ -658,7 +719,8 @@ impl ResultStore {
         faults: Option<Arc<FaultPlan>>,
     ) -> Result<Self, ExploreError> {
         let path = path.into();
-        let loaded = read_file(&path, faults.as_deref())?;
+        let bytes = read_bytes(&path, faults.as_deref())?;
+        let loaded = parse_read(bytes.as_deref());
         let quarantined = if loaded.damaged.is_empty() {
             fs::read_to_string(quarantine_path(&path))
                 .map(|text| text.lines().filter(|line| !line.trim().is_empty()).count())
@@ -673,6 +735,8 @@ impl ResultStore {
             damaged_lines: loaded.damaged.len(),
             torn_tail: loaded.torn_tail,
             quarantined,
+            disk: bytes.map(Arc::from),
+            dirty: true,
             faults,
         })
     }
@@ -710,12 +774,22 @@ impl ResultStore {
     }
 
     /// Records one evaluation; a conflicting resident value is resolved by the
-    /// deterministic merge rule.
+    /// deterministic merge rule. Only a new key or a changed value leaves the
+    /// store with something to [`flush`](Self::flush).
     pub fn record(&mut self, key: EvalKey, value: StoredEval) {
-        self.records
-            .entry(key)
-            .and_modify(|resident| *resident = merged(*resident, value))
-            .or_insert(value);
+        match self.records.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+                self.dirty = true;
+            }
+            Entry::Occupied(mut resident) => {
+                let winner = merged(*resident.get(), value);
+                if winner != *resident.get() {
+                    resident.insert(winner);
+                    self.dirty = true;
+                }
+            }
+        }
     }
 
     /// Merges a batch of records (e.g. the fresh results of one exploration).
@@ -726,11 +800,32 @@ impl ResultStore {
     }
 
     /// Writes the store to its memo file atomically (temp file + rename) after
-    /// union-merging whatever is on disk, then verifies its own records survived —
+    /// union-merging whatever is on disk, then verifies its own records survived,
     /// retrying when a concurrent flush won the rename race. Afterwards the file
     /// holds the deterministic union: records sorted by key, one canonical line
-    /// each, so the final bytes are independent of flush order. A store without a
-    /// path returns immediately.
+    /// each, so the final bytes are independent of flush order.
+    ///
+    /// A flush costs what changed:
+    ///
+    /// * A store without a path, or one with nothing new since its last verified
+    ///   flush, returns `Ok(())` with no file I/O. [`load`](Self::load) and
+    ///   [`empty_at`](Self::empty_at) start dirty, and a failed flush leaves the
+    ///   store dirty, so a degraded store keeps retrying.
+    /// * Otherwise the flush reads the file, and parses and merges it only when its
+    ///   bytes differ from the exact bytes the store last read and merged or wrote
+    ///   and verified. Damaged lines found there are quarantined to the
+    ///   [`quarantine_path`] sidecar before the rewrite drops them.
+    /// * After the write it reads the file back. Bytes equal to the payload verify
+    ///   the flush outright; other bytes (a writer in another process won the
+    ///   rename) are parsed and checked for this store's records, and the loop
+    ///   retries when they are missing.
+    ///
+    /// Flushes within one process take turns, so stores of one process that share
+    /// a path never drop each other's records. Writers in separate processes are
+    /// not serialized.
+    ///
+    /// Bytes are compared exactly, never by digest. A dirty flush does one read,
+    /// one write and one read per attempt, the steps a [`FaultPlan`] counts.
     ///
     /// # Errors
     ///
@@ -740,19 +835,43 @@ impl ResultStore {
         let Some(path) = self.path.clone() else {
             return Ok(());
         };
+        if !self.dirty {
+            return Ok(());
+        }
+        // A flush that panicked cannot have left the file half-written (the
+        // rename is atomic), so a poisoned lock is still good.
+        let _flushing = FLUSHING
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let faults = self.faults.clone();
         for _ in 0..FLUSH_ATTEMPTS {
-            let on_disk = read_file(&path, faults.as_deref())?;
-            self.merge(on_disk.records);
-            self.write_atomic(&path)?;
-            let reread = read_file(&path, faults.as_deref())?;
-            let converged = self.records.iter().all(|(key, value)| {
-                reread
-                    .records
-                    .get(key)
-                    .is_some_and(|disk| merged(*disk, *value) == *disk)
-            });
+            let on_disk = read_bytes(&path, faults.as_deref())?;
+            if on_disk.as_deref() != self.disk.as_deref() {
+                let loaded = parse_read(on_disk.as_deref());
+                if !loaded.damaged.is_empty() {
+                    self.quarantined = quarantine_damaged(&path, &loaded.damaged);
+                }
+                self.merge(loaded.records);
+                self.disk = on_disk.map(Arc::from);
+            }
+            let payload = self.render();
+            self.write_atomic(&path, &payload)?;
+            let reread = read_bytes(&path, faults.as_deref())?;
+            let converged = reread.as_deref() == Some(payload.as_slice()) || {
+                let reread = parse_read(reread.as_deref());
+                self.records.iter().all(|(key, value)| {
+                    reread
+                        .records
+                        .get(key)
+                        .is_some_and(|disk| merged(*disk, *value) == *disk)
+                })
+            };
             if converged {
+                // The payload's records are exactly this store's, so it is the
+                // right `disk` even when another writer's bytes are on the file:
+                // the next dirty flush then parses and merges theirs.
+                self.disk = Some(Arc::from(payload));
+                self.dirty = false;
                 return Ok(());
             }
         }
@@ -762,7 +881,21 @@ impl ResultStore {
         ))
     }
 
-    fn write_atomic(&self, path: &Path) -> Result<(), ExploreError> {
+    /// The canonical memo-file bytes of the store: the header, then one line per
+    /// record in key order.
+    fn render(&self) -> Vec<u8> {
+        // Record lines are about 250 bytes; one allocation covers the file.
+        let mut out = Vec::with_capacity(256 * (self.records.len() + 1));
+        out.extend_from_slice(STORE_FORMAT.as_bytes());
+        out.push(b'\n');
+        for (key, value) in &self.records {
+            push_line(&mut out, key, value);
+            out.push(b'\n');
+        }
+        out
+    }
+
+    fn write_atomic(&self, path: &Path, payload: &[u8]) -> Result<(), ExploreError> {
         let fault = self
             .faults
             .as_deref()
@@ -774,22 +907,19 @@ impl ResultStore {
             .file_name()
             .and_then(|name| name.to_str())
             .unwrap_or("store");
-        let temp = path.with_file_name(format!("{file_name}.tmp.{}", std::process::id()));
-        let mut out = String::with_capacity(64 * (self.records.len() + 1));
-        out.push_str(STORE_FORMAT);
-        out.push('\n');
-        for (key, value) in &self.records {
-            out.push_str(&format_line(key, value));
-            out.push('\n');
-        }
+        // Per flush, not per process: no two flushes of one process ever share a
+        // temp file, whatever serializes them.
+        let flush_id = TEMP_FILES.fetch_add(1, Ordering::Relaxed);
+        let temp =
+            path.with_file_name(format!("{file_name}.tmp.{}.{flush_id}", std::process::id()));
         // An injected torn write truncates the payload and still renames it into
         // place (the tear lands in the real memo file — the data loss of a kill
         // right after the rename); a crash-before-rename writes the full temp
         // file and leaves it orphaned. Both then report the injected error, as a
         // killed process would leave its caller with a failed flush.
         let payload = match fault {
-            Some(WriteFault::Torn { keep_bytes }) => &out.as_bytes()[..keep_bytes.min(out.len())],
-            _ => out.as_bytes(),
+            Some(WriteFault::Torn { keep_bytes }) => &payload[..keep_bytes.min(payload.len())],
+            _ => payload,
         };
         let write = || -> std::io::Result<()> {
             let mut file = fs::File::create(&temp)?;
@@ -1045,6 +1175,106 @@ mod tests {
         store.flush().expect("no backing file, nothing to do");
     }
 
+    /// A scratch memo file for one test, with its quarantine sidecar removed.
+    fn scratch(test: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "dpsyn-store-unit-{}-{test}.txt",
+            std::process::id()
+        ));
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_file(quarantine_path(&path));
+        path
+    }
+
+    fn cleanup(path: &Path) {
+        let _ = fs::remove_file(path);
+        let _ = fs::remove_file(quarantine_path(path));
+    }
+
+    #[test]
+    fn a_clean_flush_does_no_io() {
+        let path = scratch("clean-flush");
+        // The load is read 1; the first flush is read 2, write 1 and read 3. Every
+        // store read and write after that fails.
+        let plan = FaultPlan::builder()
+            .store_read_outage(4, u64::MAX)
+            .store_write_outage(2, u64::MAX)
+            .build();
+        let mut store =
+            ResultStore::load_with_faults(&path, Some(Arc::clone(&plan))).expect("store loads");
+        store.record(key(EvalStage::Point, 1), value(1.0));
+        store
+            .flush()
+            .expect("the first flush runs before the outage");
+        assert_eq!((plan.read_ops(), plan.write_ops()), (3, 1));
+
+        store
+            .flush()
+            .expect("a flush with nothing new touches no file");
+        store.record(key(EvalStage::Point, 1), value(1.0));
+        store.record(key(EvalStage::Point, 1), value(2.0));
+        store
+            .flush()
+            .expect("re-recording a resident value or a losing one is not new");
+        assert_eq!((plan.read_ops(), plan.write_ops()), (3, 1), "no I/O at all");
+
+        store.record(key(EvalStage::Point, 2), value(1.0));
+        assert!(store.flush().is_err(), "a new key makes the flush read");
+        assert!(
+            store.flush().is_err(),
+            "a failed flush leaves the store dirty, so it retries"
+        );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_flush_over_stale_disk_bytes_still_unions_both_sides() {
+        let path = scratch("stale-disk");
+        let mut first = ResultStore::load(&path).expect("first store loads");
+        first.record(key(EvalStage::Point, 1), value(1.0));
+        first.flush().expect("first flush");
+        // Another store rewrites the file behind the first one's back.
+        let mut second = ResultStore::load(&path).expect("second store loads");
+        second.record(key(EvalStage::Point, 2), value(2.0));
+        second.flush().expect("second flush");
+        first.record(key(EvalStage::Analysis, 3), value(3.0));
+        first.flush().expect("a flush over stale disk bytes");
+
+        let union = ResultStore::load(&path).expect("union loads");
+        assert_eq!(union.len(), 3, "the flush merged the other store's record");
+        assert_eq!(first.len(), 3, "and took it into memory");
+        assert_eq!(fs::read(&path).expect("read union"), first.render());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn the_first_flush_after_a_non_canonical_load_writes_canonical_bytes() {
+        let path = scratch("non-canonical");
+        let line = |salt, delay| format_line(&key(EvalStage::Point, salt), &value(delay));
+        // Unsorted lines, one key twice with different values, CRLF line ends and
+        // no final newline.
+        let text = format!(
+            "{STORE_FORMAT}\r\n{}\r\n{}\n{}\r\n{}",
+            line(9, 1.0),
+            line(2, 4.0),
+            line(2, 3.0),
+            line(5, 1.0)
+        );
+        fs::write(&path, text).expect("write a non-canonical file");
+        let mut store = ResultStore::load(&path).expect("non-canonical file loads");
+        assert_eq!(store.health().damaged_lines, 0);
+        store.flush().expect("the first flush rewrites");
+
+        let mut canonical = String::from(STORE_FORMAT);
+        for (salt, delay) in [(2, 3.0), (5, 1.0), (9, 1.0)] {
+            canonical.push('\n');
+            canonical.push_str(&line(salt, delay));
+        }
+        canonical.push('\n');
+        assert_eq!(fs::read_to_string(&path).expect("read rewrite"), canonical);
+        cleanup(&path);
+    }
+
     /// A record built from arbitrary words: any f64 bit pattern (NaN payloads
     /// included), any counts, and a flow token of printable garbage.
     fn record(words: &[u64], flow: u64) -> (EvalKey, StoredEval) {
@@ -1103,6 +1333,18 @@ mod tests {
             prop_assert_eq!(&parsed_key, &key);
             prop_assert_eq!(parsed_value.bits(), value.bits());
             prop_assert_eq!(format_line(&parsed_key, &parsed_value), line);
+        }
+
+        /// The fixed-width writer renders exactly the `format!` line.
+        #[test]
+        fn fixed_width_writer_matches_the_format_reference(
+            words in prop::collection::vec(float_word(), 14),
+            flow in any::<u64>(),
+        ) {
+            let (key, value) = record(&words, flow);
+            let mut line = Vec::new();
+            push_line(&mut line, &key, &value);
+            prop_assert_eq!(String::from_utf8(line).expect("lines are ASCII"), format_line(&key, &value));
         }
 
         /// Any body after a valid header loads: every non-blank line is either a

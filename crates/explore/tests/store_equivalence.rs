@@ -469,3 +469,84 @@ fn concurrent_flushes_merge_to_one_deterministic_file() {
     let _ = std::fs::remove_file(&path_ab);
     let _ = std::fs::remove_file(&path_ba);
 }
+
+#[test]
+fn a_flush_quarantines_damaged_lines_another_writer_left() {
+    let path = scratch("flush-quarantine");
+    let sidecar = quarantine_path(&path);
+    let _ = std::fs::remove_file(&sidecar);
+    let mut store = ResultStore::load(&path).expect("store loads");
+    store.record(sample_key(1), sample_value(1.0));
+    store.flush().expect("first flush");
+    assert_eq!(store.health().quarantined, 0);
+
+    // Another process leaves a garbage line after this store loaded.
+    let mut bytes = std::fs::read(&path).expect("read the flushed file");
+    bytes.extend_from_slice(b"garbage left by another writer\n");
+    std::fs::write(&path, &bytes).expect("append the garbage line");
+    store.record(sample_key(2), sample_value(2.0));
+    store.flush().expect("the second flush succeeds");
+
+    let quarantined = std::fs::read_to_string(&sidecar).expect("the sidecar exists");
+    assert_eq!(quarantined, "garbage left by another writer\n");
+    assert_eq!(store.health().quarantined, 1);
+    let reloaded = ResultStore::load(&path).expect("the rewrite loads");
+    assert_eq!(reloaded.len(), 2);
+    assert_eq!(
+        reloaded.health().damaged_lines,
+        0,
+        "the rewrite is canonical"
+    );
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&sidecar);
+}
+
+#[test]
+fn racing_flushes_from_one_process_merge_to_the_sequential_bytes() {
+    // Four stores in one process, each over the same path with its own disjoint
+    // records, flush at the same moment. No flush may drop another's records
+    // (each verify checks only its own), and no two may share a temp file.
+    const WRITERS: u64 = 4;
+    let records_of =
+        |writer: u64| (0..16).map(move |index| (sample_key(writer * 100 + index), writer));
+    let path = scratch("racing-flushes");
+    let mut stores: Vec<ResultStore> = (0..WRITERS)
+        .map(|writer| {
+            let mut store = ResultStore::load(&path).expect("store loads");
+            for (key, salt) in records_of(writer) {
+                store.record(key, sample_value(salt as f64));
+            }
+            store
+        })
+        .collect();
+    let start = std::sync::Barrier::new(WRITERS as usize);
+    std::thread::scope(|scope| {
+        for store in &mut stores {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                store.flush().expect("a racing flush converges");
+            });
+        }
+    });
+    let raced = std::fs::read(&path).expect("read the raced file");
+
+    let sequential_path = scratch("sequential-flushes");
+    for writer in 0..WRITERS {
+        let mut store = ResultStore::load(&sequential_path).expect("store loads");
+        for (key, salt) in records_of(writer) {
+            store.record(key, sample_value(salt as f64));
+        }
+        store.flush().expect("a sequential flush");
+    }
+    let sequential = std::fs::read(&sequential_path).expect("read the sequential file");
+
+    assert_eq!(
+        raced, sequential,
+        "racing flushes must leave the sequential bytes"
+    );
+    let union = ResultStore::load(&path).expect("the union loads");
+    assert_eq!(union.len(), 64, "the union holds every writer's records");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&sequential_path);
+}

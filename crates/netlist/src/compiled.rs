@@ -1,28 +1,5 @@
 //! The compiled-analysis layer: a netlist flattened into a levelized three-address
-//! program shared by every analysis.
-//!
-//! [`CompiledNetlist`] is built **once** per netlist ([`Netlist::compile`]) and then
-//! reused by every downstream consumer — the 64-lane simulator, static timing
-//! analysis, probability/power propagation and the design-space explorer — so the
-//! Kahn levelization, the fanout map and the per-cell bookkeeping are computed a
-//! single time instead of once per analysis:
-//!
-//! * **flat op array** ([`CompiledOp`]): one fixed-stride record per cell, holding the
-//!   kind and the net indices of its pins, in levelized order (concatenating the
-//!   levels yields a valid topological order);
-//! * **level offsets**: `ops[level_offset(i)..level_offset(i + 1)]` are the mutually
-//!   independent cells of level `i`;
-//! * **fanout CSR**: the `(reader cell, input pin)` pairs of every net, in one dense
-//!   arena (offsets + entries) instead of a `Vec<Vec<_>>`;
-//! * **stable net-slot map**: programs index dense per-net buffers by
-//!   [`NetId::index`], so one `Vec` per analysis replaces any keyed map;
-//! * **cell and driver maps**: the op index of every cell
-//!   ([`CompiledNetlist::op_index`]) and the driving op of every net, which let
-//!   [`CompiledNetlist::swap_inputs`] patch a pin swap in place instead of
-//!   recompiling;
-//! * **kind tables**: the per-cell kind array (cell-index order) and the kind
-//!   histogram, which analyses use to resolve technology parameters once per kind
-//!   instead of once per cell.
+//! program shared by every analysis. [`CompiledNetlist`] documents the layout.
 //!
 //! # Example
 //!
@@ -192,8 +169,28 @@ impl CompiledOp {
 /// A [`Netlist`] compiled once into a dense, levelized three-address program plus the
 /// shared lookup structures every analysis needs (fanout CSR, kind tables).
 ///
-/// The `compiled` module docs give the layout and an example; build one with
-/// [`Netlist::compile`].
+/// Build one with [`Netlist::compile`], **once** per netlist, and reuse it in every
+/// downstream consumer: the 64-lane simulator, static timing analysis,
+/// probability/power propagation and the design-space explorer. The Kahn
+/// levelization, the fanout map and the per-cell bookkeeping are then computed a
+/// single time instead of once per analysis. The layout:
+///
+/// * **flat op array** ([`CompiledOp`]): one fixed-stride record per cell, holding the
+///   kind and the net indices of its pins, in levelized order (concatenating the
+///   levels yields a valid topological order);
+/// * **level offsets**: `ops[level_offset(i)..level_offset(i + 1)]` are the mutually
+///   independent cells of level `i`;
+/// * **fanout CSR**: the `(reader cell, input pin)` pairs of every net, in one dense
+///   arena (offsets + entries) instead of a `Vec<Vec<_>>`;
+/// * **stable net-slot map**: programs index dense per-net buffers by
+///   [`NetId::index`], so one `Vec` per analysis replaces any keyed map;
+/// * **cell and driver maps**: the op index of every cell
+///   ([`op_index`](Self::op_index)) and the driving op of every net, which let
+///   [`swap_inputs`](Self::swap_inputs) patch a pin swap in place instead of
+///   recompiling;
+/// * **kind tables**: the per-cell kind array (cell-index order) and the kind
+///   histogram, which analyses use to resolve technology parameters once per kind
+///   instead of once per cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledNetlist {
     net_count: usize,
