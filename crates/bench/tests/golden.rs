@@ -6,8 +6,14 @@
 //! surfacing as a manual diff. A scripted session against an in-process
 //! exploration server is held to `tests/golden/serve_session.txt` the same way,
 //! and the memo file it leaves after every response to
-//! `tests/golden/serve_session_store.txt`.
+//! `tests/golden/serve_session_store.txt`. The Verilog of every Table-1 design
+//! under every flow is pinned by length and digest in
+//! `tests/golden/verilog_table1.txt`.
+//!
+//! Run with `DPSYN_BLESS=1` to rewrite every golden file whose bytes differ
+//! instead of comparing; the rewrite then shows up in `git diff` for review.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 /// Runs one of this package's binaries with `args` and returns its stdout.
@@ -35,9 +41,32 @@ fn assert_same(label: &str, actual: &str, golden: &str) {
     );
 }
 
-/// Runs `binary` with `args` and compares its stdout with `golden`.
-fn assert_golden(binary: &str, args: &[&str], golden: &str) {
-    assert_same(binary, &stdout_of(binary, args), golden);
+/// Holds `actual` to the golden file at `path` (relative to this package). With
+/// `DPSYN_BLESS=1` the file is rewritten instead, and only when its bytes differ.
+fn check_golden(label: &str, actual: &str, path: &str) {
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(path);
+    let golden = std::fs::read_to_string(&file);
+    if std::env::var_os("DPSYN_BLESS").is_some_and(|value| value == "1") {
+        if golden.as_deref().ok() != Some(actual) {
+            std::fs::write(&file, actual)
+                .unwrap_or_else(|error| panic!("cannot bless {}: {error}", file.display()));
+        }
+        return;
+    }
+    let golden = golden.unwrap_or_else(|error| panic!("cannot read {}: {error}", file.display()));
+    assert_same(label, actual, &golden);
+}
+
+/// Runs `binary` with `args` and holds its stdout to the golden file at `path`.
+fn assert_golden(binary: &str, args: &[&str], path: &str) {
+    check_golden(binary, &stdout_of(binary, args), path);
+}
+
+/// The 64-bit FNV-1a digest of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
@@ -45,7 +74,7 @@ fn table1_matches_golden() {
     assert_golden(
         env!("CARGO_BIN_EXE_table1"),
         &[],
-        include_str!("../../../perfbench/golden/table1.txt"),
+        "../../perfbench/golden/table1.txt",
     );
 }
 
@@ -54,13 +83,13 @@ fn table2_matches_golden() {
     assert_golden(
         env!("CARGO_BIN_EXE_table2"),
         &[],
-        include_str!("../../../perfbench/golden/table2.txt"),
+        "../../perfbench/golden/table2.txt",
     );
 }
 
 #[test]
 fn full_explore_sweep_matches_golden() {
-    let summary = include_str!("../../../perfbench/golden/explore_full.txt");
+    let summary = "../../perfbench/golden/explore_full.txt";
     assert_golden(env!("CARGO_BIN_EXE_explore"), &[], summary);
     // A cold store changes no stdout byte, and the memo file the sweep flushes
     // into it is a contract of its own (the same bytes at any thread count).
@@ -73,10 +102,10 @@ fn full_explore_sweep_matches_golden() {
     assert_golden(env!("CARGO_BIN_EXE_explore"), &["--store", path], summary);
     let flushed = std::fs::read_to_string(&store).expect("the sweep flushed its store");
     std::fs::remove_file(&store).expect("remove the temporary store");
-    assert_same(
+    check_golden(
         "explore --store",
         &flushed,
-        include_str!("golden/explore_full_store.txt"),
+        "tests/golden/explore_full_store.txt",
     );
 }
 
@@ -85,7 +114,7 @@ fn figure2_matches_golden() {
     assert_golden(
         env!("CARGO_BIN_EXE_figure2"),
         &[],
-        include_str!("golden/figure2.txt"),
+        "tests/golden/figure2.txt",
     );
 }
 
@@ -94,7 +123,7 @@ fn figure4_matches_golden() {
     assert_golden(
         env!("CARGO_BIN_EXE_figure4"),
         &[],
-        include_str!("golden/figure4.txt"),
+        "tests/golden/figure4.txt",
     );
 }
 
@@ -103,7 +132,7 @@ fn ablation_matches_golden() {
     assert_golden(
         env!("CARGO_BIN_EXE_ablation"),
         &[],
-        include_str!("golden/ablation.txt"),
+        "tests/golden/ablation.txt",
     );
 }
 
@@ -112,7 +141,7 @@ fn smoke_explore_sweep_matches_golden() {
     assert_golden(
         env!("CARGO_BIN_EXE_explore"),
         &["--smoke"],
-        include_str!("golden/explore_smoke.txt"),
+        "tests/golden/explore_smoke.txt",
     );
 }
 
@@ -198,15 +227,11 @@ fn serve_session_matches_golden() {
         .expect("server exits cleanly");
     memo.push_str(&memo_line("shutdown", &store));
     std::fs::remove_file(&store).expect("remove the temporary store");
-    assert_same(
-        "serve session",
-        &session,
-        include_str!("golden/serve_session.txt"),
-    );
-    assert_same(
+    check_golden("serve session", &session, "tests/golden/serve_session.txt");
+    check_golden(
         "serve session memo file",
         &memo,
-        include_str!("golden/serve_session_store.txt"),
+        "tests/golden/serve_session_store.txt",
     );
 }
 
@@ -215,12 +240,44 @@ fn serve_session_matches_golden() {
 #[cfg(unix)]
 fn memo_line(label: &str, path: &std::path::Path) -> String {
     match std::fs::read(path) {
-        Ok(bytes) => {
-            let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
-                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-            format!("{label}: {} bytes, fnv1a64 {digest:016x}\n", bytes.len())
-        }
+        Ok(bytes) => format!(
+            "{label}: {} bytes, fnv1a64 {:016x}\n",
+            bytes.len(),
+            fnv1a64(&bytes)
+        ),
         Err(_) => format!("{label}: missing\n"),
     }
+}
+
+/// Every Table-1 design under every flow — the five named flows, `fa_random` at
+/// the Table-2 seeds 1 to 5 and `fa_anneal` at its Table-2 seed 1 — emits the
+/// same Verilog bytes and the same structural hash: one line per pair with the
+/// `to_verilog()` byte length, its FNV-1a digest and `structural_hash`.
+#[test]
+fn table1_verilog_matches_golden() {
+    use dpsyn_baselines::Flow;
+    use std::fmt::Write as _;
+
+    let lib = dpsyn_tech::TechLibrary::lcbg10pv_like();
+    let mut flows = Flow::NAMED.to_vec();
+    flows.extend((1..=5).map(Flow::FaRandom));
+    flows.push(Flow::FaAnneal(1));
+    let mut record = String::new();
+    for design in dpsyn_designs::table1_designs() {
+        for flow in &flows {
+            let result = flow
+                .run(design.expr(), design.spec(), design.output_width(), &lib)
+                .unwrap_or_else(|error| panic!("{} {flow}: {error}", design.name()));
+            let verilog = result.netlist.to_verilog();
+            let _ = writeln!(
+                record,
+                "{} {flow}: {} bytes, fnv1a64 {:016x}, structural {:016x}",
+                design.name(),
+                verilog.len(),
+                fnv1a64(verilog.as_bytes()),
+                result.netlist.structural_hash()
+            );
+        }
+    }
+    check_golden("table1 verilog", &record, "tests/golden/verilog_table1.txt");
 }

@@ -3,10 +3,10 @@
 //! need.
 
 use crate::allocation::LeafAddend;
-use dpsyn_ir::{Addend, AddendMatrix, BitRef, InputSpec};
+use dpsyn_ir::{Addend, AddendMatrix, BitProfile, BitRef, InputSpec};
 use dpsyn_netlist::{CellKind, NetId, Netlist, NetlistError, Word};
 use dpsyn_tech::TechLibrary;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// The leaf structures of a synthesized design: the per-column leaf addends and the
 /// input words created for the primary inputs.
@@ -14,6 +14,38 @@ use std::collections::BTreeMap;
 pub(crate) struct Leaves {
     pub(crate) columns: Vec<Vec<LeafAddend>>,
     pub(crate) input_words: Vec<Word>,
+}
+
+/// Every primary-input bit of a design under a dense key: bit `b` of the `v`-th
+/// variable of `spec.vars()` is slot `offsets[v] + b` of the net and profile
+/// tables, so a literal costs one name search instead of a string-keyed map lookup
+/// per use.
+struct InputBits<'s> {
+    /// Variable names in `spec.vars()` order, which is name order.
+    names: Vec<&'s str>,
+    /// First slot of each variable, plus its width.
+    offsets: Vec<(u32, u32)>,
+    nets: Vec<NetId>,
+    profiles: Vec<BitProfile>,
+}
+
+impl InputBits<'_> {
+    /// The dense slot of `literal`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the literal names no declared bit; lowering validates every
+    /// literal against the input spec.
+    fn slot(&self, literal: &BitRef) -> u32 {
+        let (offset, _) = self
+            .names
+            .binary_search(&literal.var.as_str())
+            .ok()
+            .map(|var| self.offsets[var])
+            .filter(|&(_, width)| literal.bit < width)
+            .expect("lowering validated every literal against the input spec");
+        offset + literal.bit
+    }
 }
 
 /// Builds the primary inputs and the addend-generation logic (partial-product AND trees,
@@ -28,21 +60,31 @@ pub(crate) fn build_leaves(
     tech: &TechLibrary,
 ) -> Result<Leaves, NetlistError> {
     // Primary inputs: one net per bit of every declared variable.
-    let mut bit_nets: BTreeMap<BitRef, NetId> = BTreeMap::new();
-    let mut input_words = Vec::new();
+    let total = spec.total_bits() as usize;
+    let mut bits = InputBits {
+        names: Vec::with_capacity(spec.len()),
+        offsets: Vec::with_capacity(spec.len()),
+        nets: Vec::with_capacity(total),
+        profiles: Vec::with_capacity(total),
+    };
+    let mut input_words = Vec::with_capacity(spec.len());
     for var in spec.vars() {
-        let bits: Vec<NetId> = (0..var.width())
-            .map(|bit| {
-                let net = netlist.add_input(format!("{}[{}]", var.name(), bit));
-                bit_nets.insert(BitRef::new(var.name(), bit), net);
-                net
-            })
-            .collect();
-        input_words.push(Word::new(var.name(), bits));
+        bits.names.push(var.name());
+        bits.offsets.push((bits.nets.len() as u32, var.width()));
+        let first = bits.nets.len();
+        for bit in 0..var.width() {
+            bits.nets
+                .push(netlist.add_input(format!("{}[{}]", var.name(), bit)));
+        }
+        bits.profiles.extend_from_slice(var.bits());
+        input_words.push(Word::new(var.name(), bits.nets[first..].to_vec()));
     }
 
-    // Shared generation networks, keyed by the (sorted) literal set and complement flag.
-    let mut cache: BTreeMap<(Vec<BitRef>, bool), LeafAddend> = BTreeMap::new();
+    // Shared generation networks, one map per complement flag, keyed by the slots
+    // of the (sorted) literal set; `key` and `level` are reused across addends.
+    let mut cache: [HashMap<Box<[u32]>, LeafAddend>; 2] = Default::default();
+    let mut key: Vec<u32> = Vec::new();
+    let mut level: Vec<NetId> = Vec::new();
     let mut columns: Vec<Vec<LeafAddend>> = vec![Vec::new(); matrix.width() as usize];
     for (column, addends) in matrix.columns() {
         for addend in addends {
@@ -52,13 +94,18 @@ pub(crate) fn build_leaves(
                     literals,
                     complement,
                 } => {
-                    let key = (literals.clone(), *complement);
-                    if let Some(existing) = cache.get(&key) {
+                    key.clear();
+                    key.extend(literals.iter().map(|literal| bits.slot(literal)));
+                    let products = &mut cache[usize::from(*complement)];
+                    if key.len() == 1 && !*complement {
+                        // A plain input bit builds no gate, so there is nothing to share.
+                        build_product(netlist, &key, false, &bits, tech, &mut level)?
+                    } else if let Some(existing) = products.get(key.as_slice()) {
                         existing.clone()
                     } else {
                         let leaf =
-                            build_product(netlist, literals, *complement, spec, tech, &bit_nets)?;
-                        cache.insert(key, leaf.clone());
+                            build_product(netlist, &key, *complement, &bits, tech, &mut level)?;
+                        products.insert(key.as_slice().into(), leaf.clone());
                         leaf
                     }
                 }
@@ -72,52 +119,40 @@ pub(crate) fn build_leaves(
     })
 }
 
-/// Builds the AND tree (plus optional output inverter) of one product addend and
-/// annotates it with its estimated arrival time and probability.
+/// Builds the AND tree (plus optional output inverter) of one product addend over
+/// the input-bit `slots` and annotates it with its estimated arrival time and
+/// probability. `level` is a reused buffer.
 fn build_product(
     netlist: &mut Netlist,
-    literals: &[BitRef],
+    slots: &[u32],
     complement: bool,
-    spec: &InputSpec,
+    bits: &InputBits<'_>,
     tech: &TechLibrary,
-    bit_nets: &BTreeMap<BitRef, NetId>,
+    level: &mut Vec<NetId>,
 ) -> Result<LeafAddend, NetlistError> {
-    let nets: Vec<NetId> = literals
-        .iter()
-        .map(|literal| {
-            bit_nets
-                .get(literal)
-                .copied()
-                .expect("lowering validated every literal against the input spec")
-        })
-        .collect();
-    let mut arrival = literals
-        .iter()
-        .filter_map(|literal| spec.bit_profile(&literal.var, literal.bit))
-        .map(|profile| profile.arrival)
-        .fold(0.0, f64::max);
-    let mut probability: f64 = literals
-        .iter()
-        .map(|literal| {
-            spec.bit_profile(&literal.var, literal.bit)
-                .map(|profile| profile.probability)
-                .unwrap_or(0.5)
-        })
-        .product();
-    // Balanced AND tree over the literal nets.
-    let mut level = nets;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            if pair.len() == 2 {
-                next.push(netlist.add_gate(CellKind::And2, &[pair[0], pair[1]])?[0]);
-            } else {
-                next.push(pair[0]);
-            }
-        }
-        level = next;
+    let mut arrival = 0.0_f64;
+    let mut probability = 1.0_f64;
+    for &slot in slots {
+        let profile = bits.profiles[slot as usize];
+        arrival = arrival.max(profile.arrival);
+        probability *= profile.probability;
     }
-    arrival += tech.and_tree_delay(literals.len());
+    // Balanced AND tree over the literal nets, reduced in place: each pass pairs
+    // neighbours left to right and carries an odd one over.
+    level.clear();
+    level.extend(slots.iter().map(|&slot| bits.nets[slot as usize]));
+    while level.len() > 1 {
+        let mut next = 0;
+        for read in (0..level.len()).step_by(2) {
+            level[next] = match level.get(read + 1) {
+                Some(&right) => netlist.add_gate(CellKind::And2, &[level[read], right])?[0],
+                None => level[read],
+            };
+            next += 1;
+        }
+        level.truncate(next);
+    }
+    arrival += tech.and_tree_delay(slots.len());
     let mut net = level[0];
     if complement {
         net = netlist.add_gate(CellKind::Not, &[net])?[0];

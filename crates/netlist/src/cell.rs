@@ -1,6 +1,7 @@
 //! Primitive cell kinds and cell instances.
 
 use crate::graph::NetId;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifier of a cell inside a [`crate::Netlist`].
@@ -92,6 +93,7 @@ impl CellKind {
     }
 
     /// Number of input pins of the cell kind.
+    #[inline]
     pub fn input_count(self) -> usize {
         match self {
             CellKind::Fa | CellKind::And3 | CellKind::Xor3 | CellKind::Mux2 => 3,
@@ -102,6 +104,7 @@ impl CellKind {
     }
 
     /// Number of output pins of the cell kind.
+    #[inline]
     pub fn output_count(self) -> usize {
         match self {
             CellKind::Fa | CellKind::Ha => 2,
@@ -189,13 +192,55 @@ impl fmt::Display for CellKind {
     }
 }
 
+/// The name of a net or a cell.
+///
+/// Only Verilog emission and error messages read names, so a name
+/// [`crate::Netlist::add_gate`] gives is not built when the gate is: it records the
+/// kind the cell was created with, the cell index and the output pin, and renders
+/// on read. A later [`crate::Netlist::replace_cell_kind`] therefore never renames.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Name {
+    /// Text given by the caller: ports, `add_net`, `add_cell`, `set_net_name` and the
+    /// constant cells.
+    Explicit(String),
+    /// `{mnemonic}_{cell}` for a cell (`pin: None`), `{mnemonic}_{cell}_o{pin}` for
+    /// one of its output nets.
+    Derived {
+        kind: CellKind,
+        cell: u32,
+        pin: Option<u8>,
+    },
+}
+
+impl Name {
+    /// The name's text: borrowed when explicit, rendered when derived.
+    pub(crate) fn text(&self) -> Cow<'_, str> {
+        match self {
+            Name::Explicit(text) => Cow::Borrowed(text),
+            Name::Derived {
+                kind,
+                cell,
+                pin: None,
+            } => Cow::Owned(format!("{}_{cell}", kind.mnemonic())),
+            Name::Derived {
+                kind,
+                cell,
+                pin: Some(pin),
+            } => Cow::Owned(format!("{}_{cell}_o{pin}", kind.mnemonic())),
+        }
+    }
+}
+
 /// An instantiated cell: a kind plus its input and output net connections.
+///
+/// The pins live inline, sized for the widest kinds (3 inputs, 2 outputs) as in
+/// [`crate::CompiledOp`]; the kind determines how many are live.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
     pub(crate) kind: CellKind,
-    pub(crate) name: String,
-    pub(crate) inputs: Vec<NetId>,
-    pub(crate) outputs: Vec<NetId>,
+    pub(crate) name: Name,
+    pub(crate) ins: [NetId; 3],
+    pub(crate) outs: [NetId; 2],
 }
 
 impl Cell {
@@ -205,18 +250,20 @@ impl Cell {
     }
 
     /// The instance name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> Cow<'_, str> {
+        self.name.text()
     }
 
     /// The nets connected to the input pins, in pin order.
+    #[inline]
     pub fn inputs(&self) -> &[NetId] {
-        &self.inputs
+        &self.ins[..self.kind.input_count()]
     }
 
     /// The nets connected to the output pins, in pin order.
+    #[inline]
     pub fn outputs(&self) -> &[NetId] {
-        &self.outputs
+        &self.outs[..self.kind.output_count()]
     }
 }
 

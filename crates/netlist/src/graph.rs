@@ -1,8 +1,9 @@
 //! The netlist graph: nets, cells, connectivity and validation.
 
-use crate::cell::{Cell, CellId, CellKind};
+use crate::cell::{Cell, CellId, CellKind, Name};
 use crate::compiled::CompiledNetlist;
 use crate::error::NetlistError;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifier of a net inside a [`Netlist`].
@@ -25,15 +26,15 @@ impl fmt::Display for NetId {
 /// A single-bit wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
-    pub(crate) name: String,
+    pub(crate) name: Name,
     pub(crate) driver: Option<(CellId, usize)>,
     pub(crate) is_input: bool,
 }
 
 impl Net {
     /// Human-readable name of the net.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> Cow<'_, str> {
+        self.name.text()
     }
 
     /// The cell and output pin driving this net, if any.
@@ -76,9 +77,13 @@ impl Netlist {
 
     /// Adds an internal net and returns its identifier.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+        self.push_net(Name::Explicit(name.into()))
+    }
+
+    fn push_net(&mut self, name: Name) -> NetId {
         let id = NetId(self.nets.len() as u32);
         self.nets.push(Net {
-            name: name.into(),
+            name,
             driver: None,
             is_input: false,
         });
@@ -99,7 +104,7 @@ impl Netlist {
     ///
     /// Panics when the identifier does not belong to this netlist.
     pub fn set_net_name(&mut self, net: NetId, name: impl Into<String>) {
-        self.nets[net.index()].name = name.into();
+        self.nets[net.index()].name = Name::Explicit(name.into());
     }
 
     /// Marks an existing net as a primary output. A net may be marked at most once;
@@ -126,14 +131,13 @@ impl Netlist {
         if let Some(net) = self.const_nets[slot] {
             return net;
         }
-        let kind = if value {
-            CellKind::Const1
+        let (kind, net_name, cell_name) = if value {
+            (CellKind::Const1, "const1", "const1_src")
         } else {
-            CellKind::Const0
+            (CellKind::Const0, "const0", "const0_src")
         };
-        let net = self.add_net(if value { "const1" } else { "const0" });
-        let name = format!("{}_src", if value { "const1" } else { "const0" });
-        self.add_cell(kind, name, vec![], vec![net])
+        let net = self.add_net(net_name);
+        self.add_cell(kind, cell_name, vec![], vec![net])
             .expect("constant cells have fixed arity");
         self.const_nets[slot] = Some(net);
         net
@@ -145,13 +149,53 @@ impl Netlist {
     ///
     /// Returns an error if the number of connections does not match the cell kind's pin
     /// counts, if any net does not belong to this netlist, or if an output net already
-    /// has a driver (or is a primary input).
+    /// has a driver, is a primary input, or is connected to two output pins. A failed
+    /// call leaves the netlist untouched.
     pub fn add_cell(
         &mut self,
         kind: CellKind,
         name: impl Into<String>,
         inputs: Vec<NetId>,
         outputs: Vec<NetId>,
+    ) -> Result<CellId, NetlistError> {
+        self.insert(kind, Name::Explicit(name.into()), &inputs, Some(&outputs))
+    }
+
+    /// Instantiates a cell with automatically created output nets and an automatically
+    /// generated instance name, returning the new output nets in pin order.
+    ///
+    /// This is the work-horse used by the synthesis engines. The names are derived,
+    /// not stored: the cell reads as `{mnemonic}_{cell}` and its output nets as
+    /// `{mnemonic}_{cell}_o{pin}`, after the kind it was created with.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the number of inputs does not match the kind's arity, or if
+    /// an input net does not belong to this netlist. A failed call leaves the netlist
+    /// untouched.
+    pub fn add_gate(
+        &mut self,
+        kind: CellKind,
+        inputs: &[NetId],
+    ) -> Result<Vec<NetId>, NetlistError> {
+        let name = Name::Derived {
+            kind,
+            cell: self.cells.len() as u32,
+            pin: None,
+        };
+        let id = self.insert(kind, name, inputs, None)?;
+        Ok(self.cells[id.index()].outputs().to_vec())
+    }
+
+    /// The one insert path of [`Netlist::add_cell`] and [`Netlist::add_gate`]: checks
+    /// every pin before writing anything, so a failed call leaves the netlist
+    /// untouched. `outputs: None` creates fresh output nets with derived names.
+    fn insert(
+        &mut self,
+        kind: CellKind,
+        name: Name,
+        inputs: &[NetId],
+        outputs: Option<&[NetId]>,
     ) -> Result<CellId, NetlistError> {
         if inputs.len() != kind.input_count() {
             return Err(NetlistError::InputArityMismatch {
@@ -160,62 +204,51 @@ impl Netlist {
                 expected: kind.input_count(),
             });
         }
-        if outputs.len() != kind.output_count() {
+        let given = outputs.unwrap_or_default();
+        if outputs.is_some() && given.len() != kind.output_count() {
             return Err(NetlistError::OutputArityMismatch {
                 kind,
-                supplied: outputs.len(),
+                supplied: given.len(),
                 expected: kind.output_count(),
             });
         }
-        for net in inputs.iter().chain(outputs.iter()) {
+        for net in inputs.iter().chain(given) {
             if net.index() >= self.nets.len() {
                 return Err(NetlistError::UnknownNet(*net));
             }
         }
         let id = CellId(self.cells.len() as u32);
-        for (pin, net) in outputs.iter().enumerate() {
-            let slot = &mut self.nets[net.index()];
-            if slot.driver.is_some() || slot.is_input {
+        for (pin, net) in given.iter().enumerate() {
+            let slot = &self.nets[net.index()];
+            if slot.driver.is_some() || slot.is_input || given[..pin].contains(net) {
                 return Err(NetlistError::MultipleDrivers {
                     net: *net,
                     cell: id,
                 });
             }
-            slot.driver = Some((id, pin));
         }
+        // Every check passed: from here on nothing fails.
+        let mut outs = [NetId(0); 2];
+        for (pin, slot) in outs.iter_mut().enumerate().take(kind.output_count()) {
+            *slot = match outputs {
+                Some(outputs) => outputs[pin],
+                None => self.push_net(Name::Derived {
+                    kind,
+                    cell: id.0,
+                    pin: Some(pin as u8),
+                }),
+            };
+            self.nets[slot.index()].driver = Some((id, pin));
+        }
+        let mut ins = [NetId(0); 3];
+        ins[..inputs.len()].copy_from_slice(inputs);
         self.cells.push(Cell {
             kind,
-            name: name.into(),
-            inputs,
-            outputs,
+            name,
+            ins,
+            outs,
         });
         Ok(id)
-    }
-
-    /// Instantiates a cell with automatically created output nets and an automatically
-    /// generated instance name, returning the new output nets in pin order.
-    ///
-    /// This is the work-horse used by the synthesis engines.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the number of inputs does not match the kind's arity.
-    pub fn add_gate(
-        &mut self,
-        kind: CellKind,
-        inputs: &[NetId],
-    ) -> Result<Vec<NetId>, NetlistError> {
-        let index = self.cells.len();
-        let outputs: Vec<NetId> = (0..kind.output_count())
-            .map(|pin| self.add_net(format!("{}_{}_o{}", kind.mnemonic(), index, pin)))
-            .collect();
-        self.add_cell(
-            kind,
-            format!("{}_{}", kind.mnemonic(), index),
-            inputs.to_vec(),
-            outputs.clone(),
-        )?;
-        Ok(outputs)
     }
 
     /// Looks up a net.
@@ -312,7 +345,7 @@ impl Netlist {
             if net.driver.is_none() && !net.is_input {
                 return Err(NetlistError::UndrivenNet {
                     net: id,
-                    name: net.name.clone(),
+                    name: net.name().into_owned(),
                 });
             }
         }
@@ -364,11 +397,11 @@ impl Netlist {
         if cell.index() >= self.cells.len() {
             return Err(NetlistError::UnknownCell(cell));
         }
-        let arity = self.cells[cell.index()].inputs.len();
+        let arity = self.cells[cell.index()].inputs().len();
         if pin >= arity {
             return Err(NetlistError::PinOutOfRange { cell, pin, arity });
         }
-        self.cells[cell.index()].inputs[pin] = net;
+        self.cells[cell.index()].ins[pin] = net;
         Ok(())
     }
 
@@ -408,13 +441,14 @@ impl Netlist {
                 continue;
             }
             visited[driver.index()] = true;
-            stack.extend(self.cells[driver.index()].inputs.iter().copied());
+            stack.extend_from_slice(self.cells[driver.index()].inputs());
         }
         false
     }
 
     /// Replaces the kind of an existing cell with another kind of identical arity
-    /// (e.g. `And2` → `Or2`), keeping every pin connection.
+    /// (e.g. `And2` → `Or2`), keeping every pin connection and every name: a name
+    /// [`Netlist::add_gate`] derived keeps the kind the cell was created with.
     ///
     /// # Errors
     ///
@@ -426,17 +460,17 @@ impl Netlist {
             return Err(NetlistError::UnknownCell(cell));
         }
         let slot = &mut self.cells[cell.index()];
-        if slot.inputs.len() != kind.input_count() {
+        if slot.inputs().len() != kind.input_count() {
             return Err(NetlistError::InputArityMismatch {
                 kind,
-                supplied: slot.inputs.len(),
+                supplied: slot.inputs().len(),
                 expected: kind.input_count(),
             });
         }
-        if slot.outputs.len() != kind.output_count() {
+        if slot.outputs().len() != kind.output_count() {
             return Err(NetlistError::OutputArityMismatch {
                 kind,
-                supplied: slot.outputs.len(),
+                supplied: slot.outputs().len(),
                 expected: kind.output_count(),
             });
         }
@@ -473,7 +507,7 @@ impl Netlist {
             &self.outputs,
             self.cells
                 .iter()
-                .map(|cell| (cell.kind, cell.inputs.as_slice(), cell.outputs.as_slice())),
+                .map(|cell| (cell.kind, cell.inputs(), cell.outputs())),
         )
     }
 
@@ -517,8 +551,8 @@ impl Netlist {
         words.push(self.cells.len() as u64);
         for cell in &self.cells {
             words.push(cell.kind.table_index() as u64);
-            push_nets(&mut words, &cell.inputs);
-            push_nets(&mut words, &cell.outputs);
+            push_nets(&mut words, cell.inputs());
+            push_nets(&mut words, cell.outputs());
         }
         words
     }
@@ -620,6 +654,47 @@ mod tests {
         // Driving a primary input is also rejected.
         let result = netlist.add_cell(CellKind::Not, "n1", vec![out], vec![a]);
         assert!(matches!(result, Err(NetlistError::MultipleDrivers { .. })));
+    }
+
+    #[test]
+    fn failed_add_cell_leaves_the_netlist_untouched() {
+        let mut netlist = Netlist::new("atomic");
+        let a = netlist.add_input("a");
+        let b = netlist.add_input("b");
+        let sum = netlist.add_net("sum");
+        let carry = netlist.add_net("carry");
+        netlist
+            .add_cell(CellKind::Buf, "drive_carry", vec![a], vec![carry])
+            .unwrap();
+        // The carry is already driven: the half adder is rejected, and its sum net
+        // must not keep a driver that was never pushed.
+        let before = netlist.clone();
+        assert_eq!(
+            netlist.add_cell(CellKind::Ha, "ha0", vec![a, b], vec![sum, carry]),
+            Err(NetlistError::MultipleDrivers {
+                net: carry,
+                cell: CellId(1),
+            })
+        );
+        assert_eq!(netlist, before);
+        assert_eq!(netlist.net(sum).driver(), None);
+        // The next cell takes the id the failed call would have used; the sum net
+        // still floats, and validation says so.
+        netlist.add_gate(CellKind::Not, &[a]).unwrap();
+        assert!(matches!(
+            netlist.validate(),
+            Err(NetlistError::UndrivenNet { net, .. }) if net == sum
+        ));
+        // One net on two output pins of the same call is rejected the same way.
+        let before = netlist.clone();
+        assert_eq!(
+            netlist.add_cell(CellKind::Ha, "ha1", vec![a, b], vec![sum, sum]),
+            Err(NetlistError::MultipleDrivers {
+                net: sum,
+                cell: CellId(2),
+            })
+        );
+        assert_eq!(netlist, before);
     }
 
     #[test]

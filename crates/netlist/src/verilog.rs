@@ -5,7 +5,7 @@
 //! one `assign` per cell output, using only operators every synthesis tool accepts.
 
 use crate::{CellKind, NetId, Netlist};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 impl Netlist {
@@ -29,13 +29,13 @@ impl Netlist {
     /// ```
     pub fn to_verilog(&self) -> String {
         let names = self.verilog_net_names();
-        let mut ports: Vec<String> = Vec::new();
-        for net in self.inputs() {
-            ports.push(names[net].clone());
-        }
-        for net in self.outputs() {
-            ports.push(names[net].clone());
-        }
+        let name = |net: &NetId| names[net.index()].as_str();
+        let ports: Vec<&str> = self
+            .inputs()
+            .iter()
+            .chain(self.outputs())
+            .map(name)
+            .collect();
         let mut text = String::new();
         let _ = writeln!(text, "// generated by dpsyn-netlist");
         let _ = writeln!(
@@ -45,27 +45,28 @@ impl Netlist {
             ports.join(", ")
         );
         for net in self.inputs() {
-            let _ = writeln!(text, "  input {};", names[net]);
+            let _ = writeln!(text, "  input {};", name(net));
         }
+        let mut is_output = vec![false; self.net_count()];
         for net in self.outputs() {
-            let _ = writeln!(text, "  output {};", names[net]);
+            is_output[net.index()] = true;
+            let _ = writeln!(text, "  output {};", name(net));
         }
         for (id, net) in self.nets() {
-            if !net.is_input() && !self.outputs().contains(&id) {
-                let _ = writeln!(text, "  wire {};", names[&id]);
+            if !net.is_input() && !is_output[id.index()] {
+                let _ = writeln!(text, "  wire {};", name(&id));
             }
         }
         for (_, cell) in self.cells() {
-            let input_names: Vec<&str> = cell
-                .inputs()
-                .iter()
-                .map(|net| names[net].as_str())
-                .collect();
+            let mut input_names = [""; 3];
+            for (slot, net) in input_names.iter_mut().zip(cell.inputs()) {
+                *slot = name(net);
+            }
             match cell.kind() {
                 CellKind::Fa => {
                     let (a, b, c) = (input_names[0], input_names[1], input_names[2]);
-                    let sum = &names[&cell.outputs()[0]];
-                    let carry = &names[&cell.outputs()[1]];
+                    let sum = &name(&cell.outputs()[0]);
+                    let carry = name(&cell.outputs()[1]);
                     let _ = writeln!(text, "  assign {sum} = {a} ^ {b} ^ {c};");
                     let _ = writeln!(
                         text,
@@ -74,8 +75,8 @@ impl Netlist {
                 }
                 CellKind::Ha => {
                     let (a, b) = (input_names[0], input_names[1]);
-                    let sum = &names[&cell.outputs()[0]];
-                    let carry = &names[&cell.outputs()[1]];
+                    let sum = &name(&cell.outputs()[0]);
+                    let carry = name(&cell.outputs()[1]);
                     let _ = writeln!(text, "  assign {sum} = {a} ^ {b};");
                     let _ = writeln!(text, "  assign {carry} = {a} & {b};");
                 }
@@ -83,7 +84,7 @@ impl Netlist {
                     let _ = writeln!(
                         text,
                         "  assign {} = {} & {};",
-                        names[&cell.outputs()[0]],
+                        name(&cell.outputs()[0]),
                         input_names[0],
                         input_names[1]
                     );
@@ -92,7 +93,7 @@ impl Netlist {
                     let _ = writeln!(
                         text,
                         "  assign {} = {} & {} & {};",
-                        names[&cell.outputs()[0]],
+                        name(&cell.outputs()[0]),
                         input_names[0],
                         input_names[1],
                         input_names[2]
@@ -102,7 +103,7 @@ impl Netlist {
                     let _ = writeln!(
                         text,
                         "  assign {} = {} | {};",
-                        names[&cell.outputs()[0]],
+                        name(&cell.outputs()[0]),
                         input_names[0],
                         input_names[1]
                     );
@@ -111,7 +112,7 @@ impl Netlist {
                     let _ = writeln!(
                         text,
                         "  assign {} = {} ^ {};",
-                        names[&cell.outputs()[0]],
+                        name(&cell.outputs()[0]),
                         input_names[0],
                         input_names[1]
                     );
@@ -120,7 +121,7 @@ impl Netlist {
                     let _ = writeln!(
                         text,
                         "  assign {} = {} ^ {} ^ {};",
-                        names[&cell.outputs()[0]],
+                        name(&cell.outputs()[0]),
                         input_names[0],
                         input_names[1],
                         input_names[2]
@@ -130,7 +131,7 @@ impl Netlist {
                     let _ = writeln!(
                         text,
                         "  assign {} = ~{};",
-                        names[&cell.outputs()[0]],
+                        name(&cell.outputs()[0]),
                         input_names[0]
                     );
                 }
@@ -138,7 +139,7 @@ impl Netlist {
                     let _ = writeln!(
                         text,
                         "  assign {} = {};",
-                        names[&cell.outputs()[0]],
+                        name(&cell.outputs()[0]),
                         input_names[0]
                     );
                 }
@@ -146,17 +147,17 @@ impl Netlist {
                     let _ = writeln!(
                         text,
                         "  assign {} = {} ? {} : {};",
-                        names[&cell.outputs()[0]],
+                        name(&cell.outputs()[0]),
                         input_names[2],
                         input_names[1],
                         input_names[0]
                     );
                 }
                 CellKind::Const0 => {
-                    let _ = writeln!(text, "  assign {} = 1'b0;", names[&cell.outputs()[0]]);
+                    let _ = writeln!(text, "  assign {} = 1'b0;", name(&cell.outputs()[0]));
                 }
                 CellKind::Const1 => {
-                    let _ = writeln!(text, "  assign {} = 1'b1;", names[&cell.outputs()[0]]);
+                    let _ = writeln!(text, "  assign {} = 1'b1;", name(&cell.outputs()[0]));
                 }
             }
         }
@@ -164,20 +165,25 @@ impl Netlist {
         text
     }
 
-    /// Builds a unique Verilog-safe name for every net.
-    fn verilog_net_names(&self) -> BTreeMap<NetId, String> {
-        let mut used: BTreeMap<String, usize> = BTreeMap::new();
-        let mut names = BTreeMap::new();
-        for (id, net) in self.nets() {
-            let base = sanitize(net.name());
-            let count = used.entry(base.clone()).or_insert(0);
-            let name = if *count == 0 {
-                base.clone()
-            } else {
-                format!("{base}__{count}")
+    /// Builds a unique Verilog-safe name for every net, indexed by net: the first
+    /// net with a given sanitised name keeps it, the `k`-th repeat gets `__k`.
+    fn verilog_net_names(&self) -> Vec<String> {
+        let mut used: HashMap<String, usize> = HashMap::with_capacity(self.net_count());
+        let mut names = Vec::with_capacity(self.net_count());
+        for (_, net) in self.nets() {
+            let base = sanitize(&net.name());
+            let name = match used.get_mut(&base) {
+                Some(count) => {
+                    let name = format!("{base}__{count}");
+                    *count += 1;
+                    name
+                }
+                None => {
+                    used.insert(base.clone(), 1);
+                    base
+                }
             };
-            *count += 1;
-            names.insert(id, name);
+            names.push(name);
         }
         names
     }

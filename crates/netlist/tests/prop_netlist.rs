@@ -188,6 +188,102 @@ proptest! {
             }
         }
     }
+
+    /// Random construction and edit sequences — `add_gate`, `add_cell` (onto fresh
+    /// or already-driven nets), `set_net_name` and `replace_cell_kind` — keep every
+    /// net and cell name equal to the eager naming rule (`{mnemonic}_{cell}` and
+    /// `{mnemonic}_{cell}_o{pin}` after the kind at creation; stored text
+    /// otherwise). A kind replacement never renames, a failed call changes
+    /// nothing, and neither `structural_words` nor `structural_hash` sees a name.
+    #[test]
+    fn names_follow_the_eager_rule_through_random_edits(
+        steps in prop::collection::vec(
+            (0usize..4, 0usize..12, (0usize..64, 0usize..64, 0usize..64), (0usize..64, 0usize..64), any::<bool>()),
+            1..60,
+        ),
+    ) {
+        let kinds = CellKind::all();
+        let mut netlist = Netlist::new("names");
+        let mut net_names = Vec::new();
+        let mut cell_names: Vec<String> = Vec::new();
+        for name in ["a", "b"] {
+            netlist.add_input(name);
+            net_names.push(name.to_string());
+        }
+        for (step, (op, kind_raw, (i0, i1, i2), (o0, o1), fresh)) in steps.into_iter().enumerate() {
+            let kind = kinds[kind_raw];
+            let nets: Vec<NetId> = netlist.nets().map(|(id, _)| id).collect();
+            let inputs: Vec<NetId> = [i0, i1, i2][..kind.input_count()]
+                .iter()
+                .map(|raw| nets[raw % nets.len()])
+                .collect();
+            match op {
+                0 => {
+                    let cell = netlist.cell_count();
+                    let outputs = netlist.add_gate(kind, &inputs).expect("arity matches");
+                    cell_names.push(format!("{}_{cell}", kind.mnemonic()));
+                    for (pin, net) in outputs.iter().enumerate() {
+                        prop_assert_eq!(net.index(), net_names.len());
+                        net_names.push(format!("{}_{cell}_o{pin}", kind.mnemonic()));
+                    }
+                }
+                1 => {
+                    // Fresh output nets, or nets picked at random (often already
+                    // driven, so the call fails and must leave no trace).
+                    let outputs: Vec<NetId> = [o0, o1][..kind.output_count()]
+                        .iter()
+                        .enumerate()
+                        .map(|(pin, raw)| {
+                            if fresh {
+                                let name = format!("out{step}_{pin}");
+                                net_names.push(name.clone());
+                                netlist.add_net(name)
+                            } else {
+                                nets[raw % nets.len()]
+                            }
+                        })
+                        .collect();
+                    let before = netlist.clone();
+                    let name = format!("cell{step}");
+                    match netlist.add_cell(kind, name.clone(), inputs, outputs) {
+                        Ok(_) => cell_names.push(name),
+                        Err(_) => prop_assert_eq!(&netlist, &before),
+                    }
+                }
+                2 => {
+                    let net = nets[i0 % nets.len()];
+                    let name = format!("renamed{step}");
+                    netlist.set_net_name(net, name.clone());
+                    net_names[net.index()] = name;
+                }
+                _ => {
+                    if netlist.cell_count() > 0 {
+                        let cell = netlist.cells().nth(i0 % netlist.cell_count()).expect("in range").0;
+                        let before = netlist.clone();
+                        if netlist.replace_cell_kind(cell, kind).is_err() {
+                            prop_assert_eq!(&netlist, &before);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(netlist.net_count(), net_names.len());
+            prop_assert_eq!(netlist.cell_count(), cell_names.len());
+            for (id, net) in netlist.nets() {
+                prop_assert_eq!(net.name().as_ref(), net_names[id.index()].as_str());
+            }
+            for (id, cell) in netlist.cells() {
+                prop_assert_eq!(cell.name().as_ref(), cell_names[id.index()].as_str());
+            }
+            // Renaming every net and rebuilding nothing else leaves the structure.
+            let mut renamed = netlist.clone();
+            let ids: Vec<NetId> = renamed.nets().map(|(id, _)| id).collect();
+            for id in ids {
+                renamed.set_net_name(id, format!("x{}", id.index()));
+            }
+            prop_assert_eq!(renamed.structural_words(), netlist.structural_words());
+            prop_assert_eq!(renamed.structural_hash(), netlist.structural_hash());
+        }
+    }
 }
 
 /// Two inverters feeding two AND gates: `x = AND(!a, c)` and `y = AND(!b, c)` on
