@@ -298,13 +298,7 @@ pub fn fa_anneal_observed(
     seed: u64,
     mut observer: impl FnMut(&AnnealStep<'_>),
 ) -> Result<(FlowResult, AnnealStats), BaselineError> {
-    let FlowResult {
-        mut netlist,
-        word_map,
-        mut compiled,
-        area,
-        ..
-    } = Flow::FaAnneal(seed).fa_tree(
+    let (mut netlist, word_map) = Flow::FaAnneal(seed).fa_tree(
         expr,
         spec,
         width,
@@ -312,6 +306,11 @@ pub fn fa_anneal_observed(
         SelectionStrategy::Random(seed),
         FinalAdderKind::Ripple,
     )?;
+    // Checked and compiled as the shared analysis bundle does; the delta passes
+    // below are the start's only timing and power analyses.
+    netlist.validate_structure()?;
+    let mut compiled = netlist.compile()?;
+    let area = tech.compiled_area(&compiled);
 
     // Prime each channel of the fresh state with one full pass under the design's
     // input profile.

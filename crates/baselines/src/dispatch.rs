@@ -18,26 +18,25 @@ use dpsyn_tech::TechLibrary;
 use std::fmt;
 
 /// The outcome of [`Flow::synthesize`]: the synthesis step of a flow, with the
-/// analysis left to the caller where the flow's result allows it.
+/// analysis left to the caller wherever the flow's result allows it.
 ///
-/// The two module-binding flows (`conventional`, `csa_opt`) build their netlists
-/// without ever running timing or power, and hand back an
-/// [`FlowSynthesis::Unanalyzed`] netlist for the caller to analyse — possibly through
-/// the incremental delta path when a structurally identical program is already
-/// cached.
+/// Six of the seven flows build their netlists without running timing or power and
+/// hand back an [`FlowSynthesis::Unanalyzed`] netlist for the caller to analyse —
+/// possibly through the incremental delta path when a structurally identical
+/// program is already cached. The two module-binding flows (`conventional`,
+/// `csa_opt`) never look at analysis results, and the four FA-tree flows read the
+/// input profiles only in their selection step (`allocate_fa_tree` selects from its
+/// own arrival and probability estimates), so their analysis is a separate, pure
+/// step: `Synthesizer::build_netlist` followed by the shared bundle is exactly
+/// `Synthesizer::run`.
 ///
-/// The other flows return the finished [`FlowSynthesis::Analyzed`] result. For the
-/// four FA-tree flows this is not a matter of need: `allocate_fa_tree` selects from
-/// its own arrival and probability estimates, and `Synthesizer::run` runs the
-/// analysis bundle afterwards. They stay `Analyzed` because the exploration engine
-/// writes analysis-stage store records for `Unanalyzed` points only, so sending them
-/// through its cache would add records and change the memo file. `fa_anneal` scores
+/// Only `fa_anneal` returns a finished [`FlowSynthesis::Analyzed`] result: it scores
 /// every move with the delta analyses, so its result is analysed by construction.
 #[derive(Debug, Clone)]
 pub enum FlowSynthesis {
     /// A bare synthesized netlist; no analysis has run yet.
     Unanalyzed(Box<SynthesizedParts>),
-    /// A fully analysed result (every flow but the two module-binding ones).
+    /// A fully analysed result (`fa_anneal` only).
     Analyzed(Box<FlowResult>),
 }
 
@@ -132,8 +131,24 @@ impl Flow {
         }
     }
 
-    /// Runs the flow on one design point: [`Flow::synthesize`], then — for the
-    /// module-binding flows — [`FlowResult::analyze`].
+    /// Whether the flow synthesizes the same netlist and word map whatever the
+    /// input profiles (arrival times and signal probabilities) of its design.
+    ///
+    /// True for `conventional` (module binding never reads them), `wallace_fixed`
+    /// (fixed row order) and `fa_random` (seeded order). Every other flow reads
+    /// them: `csa_opt` orders operands by word-level arrival, `fa_aot` and `fa_alp`
+    /// select by one channel and break ties on the other, and `fa_anneal` scores
+    /// its moves with both. The exploration engine synthesizes a blind flow once
+    /// per group of design points that differ only in their profiles.
+    pub fn is_profile_blind(&self) -> bool {
+        matches!(
+            self,
+            Flow::Conventional | Flow::WallaceFixed | Flow::FaRandom(_)
+        )
+    }
+
+    /// Runs the flow on one design point: [`Flow::synthesize`], then — for every
+    /// flow but `fa_anneal` — [`FlowResult::analyze`].
     ///
     /// # Errors
     ///
@@ -156,14 +171,14 @@ impl Flow {
     /// Runs the synthesis step of the flow, for callers that analyse (or
     /// delta-re-analyse) separately.
     ///
-    /// For `Conventional` and `CsaOpt` this skips the whole timing + power + area
-    /// bundle; every other flow returns its finished result (see [`FlowSynthesis`]
-    /// for why). Following an `Unanalyzed` outcome with [`FlowResult::analyze`] is
-    /// exactly [`Flow::run`].
+    /// Every flow but `fa_anneal` skips the whole timing + power + area bundle and
+    /// returns [`FlowSynthesis::Unanalyzed`]; `fa_anneal` returns its finished
+    /// result (see [`FlowSynthesis`] for why). Following an `Unanalyzed` outcome
+    /// with [`FlowResult::analyze`] is exactly [`Flow::run`].
     ///
     /// # Errors
     ///
-    /// Returns an error if lowering, synthesis — or, for the `Analyzed` flows, any
+    /// Returns an error if lowering or synthesis — or, for `fa_anneal`, any
     /// analysis — fails.
     pub fn synthesize(
         &self,
@@ -172,33 +187,29 @@ impl Flow {
         width: u32,
         tech: &TechLibrary,
     ) -> Result<FlowSynthesis, BaselineError> {
-        let unanalyzed = |(netlist, word_map)| {
-            FlowSynthesis::Unanalyzed(Box::new(SynthesizedParts {
-                flow: self.name(),
-                netlist,
-                word_map,
-            }))
-        };
-        let analyzed = |result| FlowSynthesis::Analyzed(Box::new(result));
-        let strategy = match *self {
-            Flow::Conventional => return Ok(unanalyzed(conventional_netlist(expr, spec, width)?)),
-            Flow::CsaOpt => return Ok(unanalyzed(csa_opt_netlist(expr, spec, width, tech)?)),
+        let tree =
+            |strategy| self.fa_tree(expr, spec, width, tech, strategy, FinalAdderKind::default());
+        let (netlist, word_map) = match *self {
+            Flow::Conventional => conventional_netlist(expr, spec, width)?,
+            Flow::CsaOpt => csa_opt_netlist(expr, spec, width, tech)?,
+            Flow::WallaceFixed => tree(SelectionStrategy::RowOrder)?,
+            Flow::FaRandom(seed) => tree(SelectionStrategy::Random(seed))?,
+            Flow::FaAot | Flow::FaAlp => tree(self.objective().default_strategy())?,
             Flow::FaAnneal(seed) => {
-                return Ok(analyzed(
-                    fa_anneal_with_stats(expr, spec, width, tech, seed)?.0,
-                ))
+                let (result, _) = fa_anneal_with_stats(expr, spec, width, tech, seed)?;
+                return Ok(FlowSynthesis::Analyzed(Box::new(result)));
             }
-            Flow::WallaceFixed => SelectionStrategy::RowOrder,
-            Flow::FaRandom(seed) => SelectionStrategy::Random(seed),
-            Flow::FaAot | Flow::FaAlp => self.objective().default_strategy(),
         };
-        let result = self.fa_tree(expr, spec, width, tech, strategy, FinalAdderKind::default())?;
-        Ok(analyzed(result))
+        Ok(FlowSynthesis::Unanalyzed(Box::new(SynthesizedParts {
+            flow: self.name(),
+            netlist,
+            word_map,
+        })))
     }
 
-    /// Runs the global FA-tree engine of `dpsyn-core` under this flow's objective
-    /// and name (which also names the netlist module) with the given selection
-    /// strategy and final adder.
+    /// Builds the netlist of the global FA-tree engine of `dpsyn-core` under this
+    /// flow's objective and name (which also names the netlist module) with the
+    /// given selection strategy and final adder, unanalysed.
     pub(crate) fn fa_tree(
         self,
         expr: &Expr,
@@ -207,26 +218,15 @@ impl Flow {
         tech: &TechLibrary,
         strategy: SelectionStrategy,
         final_adder: FinalAdderKind,
-    ) -> Result<FlowResult, BaselineError> {
-        let design = Synthesizer::new(expr, spec)
+    ) -> Result<(Netlist, WordMap), BaselineError> {
+        Ok(Synthesizer::new(expr, spec)
             .objective(self.objective())
             .technology(tech)
             .output_width(width)
             .name(self.name())
             .strategy(strategy)
             .final_adder(final_adder)
-            .run()?;
-        let (netlist, word_map, compiled, report) = design.into_parts();
-        Ok(FlowResult {
-            flow: self.name().to_string(),
-            netlist,
-            word_map,
-            compiled,
-            delay: report.delay,
-            area: report.area,
-            switching_energy: report.switching_energy,
-            power_mw: report.power_mw,
-        })
+            .build_netlist()?)
     }
 }
 
@@ -415,12 +415,15 @@ mod tests {
             let reference = flow.run(&expr, &spec, 8, &lib).unwrap();
             let result = match flow.synthesize(&expr, &spec, 8, &lib).unwrap() {
                 FlowSynthesis::Unanalyzed(parts) => {
-                    // Only the two module-binding flows may skip analysis.
-                    assert!(matches!(flow, Flow::Conventional | Flow::CsaOpt), "{flow}");
+                    // Every flow but the anneal search leaves analysis to the caller.
+                    assert!(!matches!(flow, Flow::FaAnneal(_)), "{flow}");
                     FlowResult::analyze(parts.flow, parts.netlist, parts.word_map, &spec, &lib)
                         .unwrap()
                 }
-                FlowSynthesis::Analyzed(result) => *result,
+                FlowSynthesis::Analyzed(result) => {
+                    assert!(matches!(flow, Flow::FaAnneal(_)), "{flow}");
+                    *result
+                }
             };
             assert_eq!(result.flow, reference.flow, "{flow}");
             assert_eq!(result.delay.to_bits(), reference.delay.to_bits(), "{flow}");

@@ -163,15 +163,13 @@ fn static_chunks(spec: &ExplorationSpec) -> Vec<(usize, Vec<usize>)> {
         .collect()
 }
 
-/// Per-worker simulation state: current clock, accumulated busy time and the set of
-/// groups whose compiled program is resident in the worker's cache. (The matrix has
-/// five groups, comfortably inside the real cache's eight-entry bound, so the model
-/// skips eviction.)
+/// Per-worker simulation state: current clock, accumulated busy time and the group
+/// whose compiled program is resident in the worker's one-entry cache.
 #[derive(Clone, Default)]
 struct SimWorker {
     time: f64,
     busy: f64,
-    resident: Vec<usize>,
+    resident: Option<usize>,
 }
 
 impl SimWorker {
@@ -181,13 +179,11 @@ impl SimWorker {
     fn run_chunk(&mut self, group: usize, jobs: &[usize], full_cost: &[f64]) {
         let mut cost = 0.0;
         for (position, &job) in jobs.iter().enumerate() {
-            let warm = position > 0 || self.resident.contains(&group);
+            let warm = position > 0 || self.resident == Some(group);
             let scale = if warm { DELTA_COST_FRACTION } else { 1.0 };
             cost += full_cost[job] * scale;
         }
-        if !self.resident.contains(&group) {
-            self.resident.push(group);
-        }
+        self.resident = Some(group);
         self.time += cost;
         self.busy += cost;
     }

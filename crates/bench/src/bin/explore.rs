@@ -11,7 +11,8 @@
 //!
 //! The worker count defaults to the host's available parallelism (the spec builder's
 //! default), and the work-stealing scheduler's per-run stats — chunks, jobs, steals
-//! and store hits per worker — are reported on stderr. `--smoke` additionally re-runs
+//! and store hits per worker, plus the points analysed on a reused structure instead
+//! of synthesizing — are reported on stderr. `--smoke` additionally re-runs
 //! its matrix single-threaded and asserts the rendered summary is byte-identical —
 //! the engine's determinism contract, checked end to end.
 //!
@@ -132,10 +133,11 @@ fn main() {
     }
     let (busiest, laziest) = stats.job_spread();
     eprintln!(
-        "scheduler: {} total steal(s), {} store hit(s), busiest/laziest worker ran \
-         {busiest}/{laziest} job(s)",
+        "scheduler: {} total steal(s), {} store hit(s), {} structure reuse(s), \
+         busiest/laziest worker ran {busiest}/{laziest} job(s)",
         stats.total_steals(),
-        stats.total_store_hits()
+        stats.total_store_hits(),
+        stats.total_structure_reuses()
     );
     let summary = results.render_summary();
     print!("{summary}");

@@ -1,6 +1,6 @@
 //! The high-level synthesis entry point.
 
-use crate::allocation::allocate_fa_tree;
+use crate::allocation::{allocate_fa_tree, ReducedRows};
 use crate::error::SynthesisError;
 use crate::final_adder::FinalAdderKind;
 use crate::leaves::build_leaves;
@@ -11,6 +11,7 @@ use dpsyn_netlist::{CompiledNetlist, NetId, Netlist, NetlistError, Word, WordMap
 use dpsyn_power::{PowerError, PowerReport, ProbabilityAnalysis};
 use dpsyn_tech::TechLibrary;
 use dpsyn_timing::{TimingAnalysis, TimingError, TimingReport};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Collects the per-net input profiles of a synthesized design: the arrival times and
@@ -28,11 +29,14 @@ pub fn input_profiles(
     let mut arrivals = BTreeMap::new();
     let mut probabilities = BTreeMap::new();
     for word in word_map.inputs() {
-        for (bit, net) in word.bits().iter().enumerate() {
-            if let Some(profile) = spec.bit_profile(word.name(), bit as u32) {
-                arrivals.insert(*net, profile.arrival);
-                probabilities.insert(*net, profile.probability);
-            }
+        // One name lookup per word; a word wider than its variable profiles only
+        // the variable's bits.
+        let Some(var) = spec.var(word.name()) else {
+            continue;
+        };
+        for (net, profile) in word.bits().iter().zip(var.bits()) {
+            arrivals.insert(*net, profile.arrival);
+            probabilities.insert(*net, profile.probability);
         }
     }
     (arrivals, probabilities)
@@ -152,7 +156,8 @@ impl<'a> Synthesizer<'a> {
         self
     }
 
-    /// Runs the full flow and returns the synthesized, analysed design.
+    /// Runs the full flow and returns the synthesized, analysed design: the netlist
+    /// of [`Synthesizer::build_netlist`] followed by [`analyze_netlist`].
     ///
     /// # Errors
     ///
@@ -160,14 +165,59 @@ impl<'a> Synthesizer<'a> {
     /// when the expression reduces to the constant zero, or when any downstream
     /// analysis fails.
     pub fn run(&self) -> Result<SynthesizedDesign, SynthesisError> {
-        let default_tech;
-        let tech = match self.tech {
-            Some(tech) => tech,
-            None => {
-                default_tech = TechLibrary::lcbg10pv_like();
-                &default_tech
-            }
+        let tech = self.technology_or_default();
+        let tree = self.build(&tech)?;
+        let (compiled, timing, power, area) =
+            analyze_netlist::<SynthesisError>(&tree.netlist, &tree.word_map, self.spec, &tech)?;
+        let report = SynthesisReport {
+            name: self.name.clone(),
+            objective: self.objective,
+            strategy: tree.strategy,
+            delay: timing.critical_delay(),
+            area,
+            switching_energy: power.total_energy(),
+            power_mw: power.power_mw(),
+            tree_fa_count: tree.rows.fa_count,
+            tree_ha_count: tree.rows.ha_count,
+            final_input_arrival: tree.rows.final_input_arrival,
+            cell_count: compiled.cell_count(),
+            net_count: compiled.net_count(),
+            logic_depth: compiled.level_count(),
+            output_width: tree.width,
         };
+        Ok(SynthesizedDesign {
+            netlist: tree.netlist,
+            word_map: tree.word_map,
+            compiled,
+            report,
+            width: tree.width,
+        })
+    }
+
+    /// Runs the synthesis half of the flow only — expression → addend matrix →
+    /// FA-tree → final adder — and returns the netlist with its word-level
+    /// interface, unanalysed. [`Synthesizer::run`] is exactly this followed by
+    /// [`analyze_netlist`], so callers that analyse on their own (or re-analyse
+    /// through a delta path) get bit-identical figures.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SynthesisError`] when lowering fails, when the expression
+    /// reduces to the constant zero, or when netlist construction fails.
+    pub fn build_netlist(&self) -> Result<(Netlist, WordMap), SynthesisError> {
+        let tree = self.build(&self.technology_or_default())?;
+        Ok((tree.netlist, tree.word_map))
+    }
+
+    /// The configured technology library, or the default one.
+    fn technology_or_default(&self) -> Cow<'a, TechLibrary> {
+        self.tech
+            .map_or_else(|| Cow::Owned(TechLibrary::lcbg10pv_like()), Cow::Borrowed)
+    }
+
+    /// The one synthesis path behind [`Synthesizer::run`] and
+    /// [`Synthesizer::build_netlist`].
+    fn build(&self, tech: &TechLibrary) -> Result<TreeNetlist, SynthesisError> {
         let mut options = match self.width {
             Some(width) => LoweringOptions::with_width(width),
             None => LoweringOptions::new(),
@@ -193,32 +243,24 @@ impl<'a> Synthesizer<'a> {
             netlist.mark_output(*net);
         }
         let word_map = WordMap::new(leaves.input_words, Word::new("out", outputs));
-        let (compiled, timing, power, area) =
-            analyze_netlist::<SynthesisError>(&netlist, &word_map, self.spec, tech)?;
-        let report = SynthesisReport {
-            name: self.name.clone(),
-            objective: self.objective,
-            strategy,
-            delay: timing.critical_delay(),
-            area,
-            switching_energy: power.total_energy(),
-            power_mw: power.power_mw(),
-            tree_fa_count: rows.fa_count,
-            tree_ha_count: rows.ha_count,
-            final_input_arrival: rows.final_input_arrival,
-            cell_count: compiled.cell_count(),
-            net_count: compiled.net_count(),
-            logic_depth: compiled.level_count(),
-            output_width: width,
-        };
-        Ok(SynthesizedDesign {
+        Ok(TreeNetlist {
             netlist,
             word_map,
-            compiled,
-            report,
+            rows,
             width,
+            strategy,
         })
     }
+}
+
+/// The unanalysed outcome of the synthesis half: the netlist and its interface
+/// plus the tree statistics and settings the report carries.
+struct TreeNetlist {
+    netlist: Netlist,
+    word_map: WordMap,
+    rows: ReducedRows,
+    width: u32,
+    strategy: SelectionStrategy,
 }
 
 /// A synthesized and analysed design: the netlist, its word-level interface, its

@@ -1,62 +1,53 @@
 //! The per-worker program cache of the exploration engine.
 //!
-//! Exploration jobs that share `(source, width, flow)` and differ only in their
-//! skew/bias axes usually synthesize **structurally identical** netlists (module
-//! binding never looks at input profiles; see `dpsyn_baselines::FlowSynthesis`).
-//! Compiling, resolving and analysing (or simulating) each of them afresh is pure
-//! waste, so [`CompiledCache`] keeps one entry per verified structure:
+//! Exploration jobs that share `(source, width, flow)` — a **group** — differ only in
+//! their skew/bias axes, and a worker runs a group's points back to back (its seeded
+//! queue is a contiguous block of the group-major schedule, and a steal takes a whole
+//! chunk). So [`CompiledCache`] holds exactly **one entry**: the current group's structure
+//! (netlist and word map), its compiled program (wrapped for the block simulator,
+//! which adds no traversal), and two optional halves built on that program:
 //!
-//! * the compiled program, its cell ops and its word map, stored once;
-//! * an optional analysis (resolved incremental timing and power, the
-//!   [`DeltaState`], the area), built on the entry's first analytic point: that
-//!   point's `rerun_delta` is the priming full pass and every later point
-//!   re-analyses as an input-profile delta over the affected cone;
-//! * an optional [`SimContext`] for the simulated metric on that same program.
+//! * an analysis (resolved incremental timing and power, the [`DeltaState`], the
+//!   area), built on the entry's first point: that point's `rerun_delta` is the
+//!   priming full pass and every later point re-analyses as an input-profile delta
+//!   over the affected cone;
+//! * a [`SimContext`] for the simulated metric on that same program.
 //!
-//! Every lookup follows one correctness ladder:
+//! A grouped point's freshly synthesized structure is **verified** against the
+//! entry (netlist and word map compared exactly); on a hit it re-analyses through
+//! `rerun_delta` (bit-identical to a fresh bundle by the delta invariant) and
+//! simulates on the cached context, on a miss it compiles once for both halves and
+//! replaces the entry. A profile-blind flow (`Flow::is_profile_blind`) synthesizes
+//! the same structure for every point of its group, so the engine skips its
+//! synthesis after the first point and analyses the entry's own structure
+//! ([`CompiledCache::structure`]).
 //!
-//! 1. probe by [`Netlist::structural_hash`] (no compile needed on the probe side);
-//! 2. **verify** a candidate cell-by-cell against the cached program's
-//!    [`CompiledNetlist::cell_ops`] plus the input/output lists and the word map —
-//!    hash equality alone is never trusted;
-//! 3. on a verified hit, re-analyse through `rerun_delta` (bit-identical to a fresh
-//!    bundle by the delta invariant) and simulate on the cached context;
-//! 4. on any mismatch, compile once for both halves — so results are bit-identical
-//!    for any worker count, cache state and eviction history.
-//!
-//! The FA-tree flows reach the engine already analysed (`Synthesizer::run` ends in
-//! the shared analysis bundle). They are kept out of the analysis half on purpose:
-//! analysing them here would add analysis-stage store records and change the memo
-//! file. They only use the simulation half, seeding their entry from
-//! [`FlowResult::compiled`] instead of compiling again.
+//! A point whose group has one point (the paper-table sweeps) has nothing to share:
+//! it takes the plain analysis bundle and a transient simulation program
+//! ([`CompiledCache::finish_alone`]) and admits no entry. So does every
+//! `fa_anneal` point, whose search analyses as it goes.
 //!
 //! The cache is **per worker** and lives for one run, so its activity request and
-//! technology never change: no locks, no cross-thread coherence. Residency is LRU
-//! with a small bound (admissions and verified hits refresh recency); eviction only
-//! ever costs speed, never correctness.
+//! technology never change: no locks, no cross-thread coherence. Replacing the entry
+//! only ever costs speed, never correctness.
 
 use crate::engine::WorkerStats;
+use crate::job::GroupKey;
 use crate::sim::SimContext;
 use crate::spec::{ExplorationSpec, SimActivity};
 use crate::store::StoredEval;
 use dpsyn_baselines::{BaselineError, FlowResult};
 use dpsyn_ir::InputSpec;
-use dpsyn_netlist::{CompiledNetlist, CompiledOp, DeltaState, InputDelta, NetId, Netlist, WordMap};
+use dpsyn_netlist::{CompiledNetlist, DeltaState, InputDelta, NetId, Netlist, WordMap};
 use dpsyn_power::{IncrementalPower, PowerReport};
 use dpsyn_sim::{BlockSim, DEFAULT_BLOCK};
 use dpsyn_tech::TechLibrary;
 use dpsyn_timing::{IncrementalTiming, TimingReport};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-
-/// Upper bound on live entries per worker; beyond it the least recently used entry
-/// is evicted. Entries hold a compiled program, primed per-net state and a stimulus
-/// batch, so the bound keeps a long exploration's memory flat while still covering
-/// the handful of structures a worker's current groups cycle through.
-const MAX_ENTRIES: usize = 8;
+use std::collections::BTreeMap;
 
 /// The per-input-net arrival times and one-probabilities of one point, as
 /// [`dpsyn_baselines::input_profiles`] produces them; borrowed from the engine,
-/// which already computed them for the persistent store's evaluation key.
+/// which also needs them for the persistent store's evaluation key.
 pub(crate) type Profiles<'a> = (&'a BTreeMap<NetId, f64>, &'a BTreeMap<NetId, f64>);
 
 /// Why a cached evaluation failed, in the terms the engine reports.
@@ -89,6 +80,32 @@ fn record(
         logic_depth: compiled.level_count(),
         simulated_switch_power: 0.0,
     }
+}
+
+/// The simulated switching power of `netlist` (the structure `program` was compiled
+/// from) under `activity` and the probabilities of `spec`, building the simulation
+/// context in `slot` on first use; tallies the point in `worker`.
+fn simulate(
+    slot: &mut Option<SimContext>,
+    (program, word_map, netlist): (&BlockSim, &WordMap, &Netlist),
+    activity: SimActivity,
+    spec: &InputSpec,
+    tech: &TechLibrary,
+    worker: &mut WorkerStats,
+) -> Result<f64, String> {
+    let context = match slot {
+        Some(context) => {
+            worker.sim_reuses += 1;
+            context
+        }
+        None => {
+            let context = SimContext::build(program, activity, spec, tech)?;
+            worker.sim_builds += 1;
+            slot.insert(context)
+        }
+    };
+    worker.sim_points += 1;
+    Ok(context.power(program, word_map, netlist, spec))
 }
 
 /// The once-resolved incremental analyses of one cached program, its value state
@@ -143,144 +160,54 @@ impl Analysis {
     }
 }
 
-/// One cached structure: the compiled program (wrapped for the block simulator,
-/// which adds no traversal), its identity in cell order, and the optional analysis
-/// and simulation halves built on it.
+/// The cached structure of the worker's current group and the halves built on its
+/// program.
 struct CacheEntry {
-    program: BlockSim,
-    /// The program's ops in cell-index order, for exact candidate verification.
-    cell_ops: Vec<CompiledOp>,
+    /// The group whose flow last synthesized (or verified) this structure.
+    group: GroupKey,
+    netlist: Netlist,
     word_map: WordMap,
+    program: BlockSim,
     analysis: Option<Analysis>,
     sim: Option<SimContext>,
 }
 
 impl CacheEntry {
-    fn new(program: BlockSim, word_map: WordMap) -> Self {
-        CacheEntry {
-            cell_ops: program.compiled().cell_ops(),
-            program,
-            word_map,
-            analysis: None,
-            sim: None,
-        }
-    }
-
     /// Compiles a missed structure once for both halves. A simulated point compiles
     /// through the block engine and reports a cycle as a simulation failure; an
     /// analytic point validates first, like `FlowResult::analyze`.
-    fn compile(netlist: &Netlist, word_map: &WordMap, simulated: bool) -> Result<Self, PointError> {
+    fn compile(
+        group: GroupKey,
+        netlist: Netlist,
+        word_map: WordMap,
+        simulated: bool,
+    ) -> Result<Self, PointError> {
         let program = if simulated {
-            BlockSim::compile(netlist, DEFAULT_BLOCK)
+            BlockSim::compile(&netlist, DEFAULT_BLOCK)
                 .map_err(|error| PointError::Sim(error.to_string()))?
         } else {
             netlist.validate_structure().map_err(BaselineError::from)?;
             let compiled = netlist.compile().map_err(BaselineError::from)?;
             BlockSim::from_compiled(compiled, DEFAULT_BLOCK)
         };
-        Ok(CacheEntry::new(program, word_map.clone()))
-    }
-
-    /// Exact structural verification of a candidate against the cached program:
-    /// net universe, primary inputs/outputs, word-level interface and every cell's
-    /// kind + pin connectivity. This is what makes a hash hit safe to reuse.
-    fn matches(&self, netlist: &Netlist, word_map: &WordMap) -> bool {
-        let compiled = self.program.compiled();
-        if netlist.net_count() != compiled.net_count()
-            || netlist.cell_count() != compiled.cell_count()
-            || netlist.inputs() != compiled.inputs()
-            || netlist.outputs() != compiled.outputs()
-            || word_map != &self.word_map
-        {
-            return false;
-        }
-        netlist.cells().all(|(id, cell)| {
-            let op = &self.cell_ops[id.index()];
-            op.kind == cell.kind()
-                && op.input_nets() == cell.inputs()
-                && op.output_nets() == cell.outputs()
+        Ok(CacheEntry {
+            group,
+            netlist,
+            word_map,
+            program,
+            analysis: None,
+            sim: None,
         })
     }
-
-    /// Simulates `netlist` (this entry's structure) under `activity` and the
-    /// probabilities of `spec`, building the simulation context on first use, and
-    /// tallies the point in `worker`.
-    fn simulate(
-        &mut self,
-        activity: SimActivity,
-        spec: &InputSpec,
-        netlist: &Netlist,
-        tech: &TechLibrary,
-        worker: &mut WorkerStats,
-    ) -> Result<f64, String> {
-        let context = match &mut self.sim {
-            Some(context) => {
-                worker.sim_reuses += 1;
-                context
-            }
-            slot @ None => {
-                let context = SimContext::build(&self.program, activity, spec, tech)?;
-                worker.sim_builds += 1;
-                slot.insert(context)
-            }
-        };
-        worker.sim_points += 1;
-        Ok(context.power(&self.program, &self.word_map, netlist, spec))
-    }
 }
 
-/// Residency bookkeeping of the cache: the resident hashes in recency order, oldest
-/// first. Admitting a brand-new hash evicts the oldest one at capacity; replacing a
-/// resident hash's entry and a verified hit both move the hash to the back.
-struct ResidencyQueue {
-    order: VecDeque<u64>,
-    capacity: usize,
-}
-
-impl ResidencyQueue {
-    fn new(capacity: usize) -> Self {
-        ResidencyQueue {
-            order: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Records that `hash` now owns a (new or replaced) entry and returns the hash
-    /// to evict when admitting a brand-new hash overflows the capacity.
-    fn admit(&mut self, hash: u64) -> Option<u64> {
-        // A replaced entry holds the newest structure and is about to serve its
-        // chunk, so it must be the *last* eviction candidate, not the next one.
-        if self.touch(hash) {
-            return None;
-        }
-        self.order.push_back(hash);
-        if self.order.len() > self.capacity {
-            self.order.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// Moves a resident `hash` to the back of the recency order; returns whether
-    /// it was resident.
-    fn touch(&mut self, hash: u64) -> bool {
-        let Some(position) = self.order.iter().position(|&resident| resident == hash) else {
-            return false;
-        };
-        self.order.remove(position);
-        self.order.push_back(hash);
-        true
-    }
-}
-
-/// A per-worker cache of compiled programs keyed by structural netlist hash; see
+/// A per-worker, one-entry cache of the current group's compiled structure; see
 /// the [module documentation](self).
 pub(crate) struct CompiledCache<'a> {
     tech: &'a TechLibrary,
     activity: Option<SimActivity>,
     retain: bool,
-    entries: HashMap<u64, CacheEntry>,
-    residency: ResidencyQueue,
+    entry: Option<CacheEntry>,
 }
 
 impl<'a> CompiledCache<'a> {
@@ -291,212 +218,163 @@ impl<'a> CompiledCache<'a> {
             tech: spec.tech(),
             activity: spec.sim_activity(),
             retain: spec.retain_artifacts,
-            entries: HashMap::new(),
-            residency: ResidencyQueue::new(MAX_ENTRIES),
+            entry: None,
         }
     }
 
-    /// The entry verified against `netlist`'s structure (the hit refreshes its
-    /// residency) or, on a miss, the one `build` makes — admitted in place of any
-    /// same-hash resident that failed to verify.
-    fn entry<E>(
-        &mut self,
-        netlist: &Netlist,
-        word_map: &WordMap,
-        build: impl FnOnce() -> Result<CacheEntry, E>,
-    ) -> Result<&mut CacheEntry, E> {
-        let hash = netlist.structural_hash();
-        if self
-            .entries
-            .get(&hash)
-            .is_some_and(|entry| entry.matches(netlist, word_map))
-        {
-            self.residency.touch(hash);
-        } else {
-            let entry = build()?;
-            if let Some(evicted) = self.residency.admit(hash) {
-                self.entries.remove(&evicted);
-            }
-            self.entries.insert(hash, entry);
-        }
-        Ok(self
-            .entries
-            .get_mut(&hash)
-            .expect("entry verified or admitted"))
+    /// The structure (netlist, word map) the cache holds for `group`, if its entry
+    /// was last synthesized or verified by that group.
+    pub(crate) fn structure(&self, group: GroupKey) -> Option<(&Netlist, &WordMap)> {
+        self.entry
+            .as_ref()
+            .filter(|entry| entry.group == group)
+            .map(|entry| (&entry.netlist, &entry.word_map))
     }
 
-    /// Analyses one synthesized-but-unanalysed point — and first simulates it under
+    /// Analyses one point of a multi-point group — and first simulates it under
     /// `spec`'s probabilities when the run carries an activity request — through
-    /// its structure's entry.
+    /// the one entry: `fresh` is the point's synthesized structure, verified against
+    /// the entry and replacing it on a miss; `None` analyses the structure the
+    /// entry holds for `group` (see [`CompiledCache::structure`]).
     ///
     /// Returns the point's store record (an analytic sweep's carries a zero
-    /// simulated figure) and, when the run retains artifacts, an artifact carrying the
-    /// point's **own** netlist and word map plus the shared compiled program. The
-    /// delta and the full path produce both bit-identically. The caller supplies
-    /// the input profiles it already computed for the store's evaluation key.
+    /// simulated figure) and, when the run retains artifacts, an artifact carrying
+    /// the point's netlist and word map plus the shared compiled program. The delta
+    /// and the full path produce both bit-identically. The caller supplies the input
+    /// profiles it already computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fresh` is `None` and the cache holds no structure for `group`.
     pub(crate) fn analyze(
         &mut self,
+        group: GroupKey,
         flow: &str,
-        netlist: Netlist,
-        word_map: WordMap,
+        fresh: Option<(Netlist, WordMap)>,
         profiles: Profiles<'_>,
         spec: &InputSpec,
         worker: &mut WorkerStats,
     ) -> Result<(StoredEval, Option<FlowResult>), PointError> {
         let (tech, activity, retain) = (self.tech, self.activity, self.retain);
-        let entry = self.entry(&netlist, &word_map, || {
-            CacheEntry::compile(&netlist, &word_map, activity.is_some())
-        })?;
+        // The point's own structure when it differs from the entry's object (a
+        // verified hit); `None` when the entry holds (or now owns) it.
+        let mut own = None;
+        match fresh {
+            None => assert!(
+                self.structure(group).is_some(),
+                "a reused structure is resident"
+            ),
+            Some((netlist, word_map)) => match &mut self.entry {
+                Some(entry) if entry.netlist == netlist && entry.word_map == word_map => {
+                    entry.group = group;
+                    own = Some((netlist, word_map));
+                }
+                slot => {
+                    *slot = Some(CacheEntry::compile(
+                        group,
+                        netlist,
+                        word_map,
+                        activity.is_some(),
+                    )?);
+                }
+            },
+        }
+        let entry = self.entry.as_mut().expect("entry verified or admitted");
         let simulated = activity
-            .map(|activity| entry.simulate(activity, spec, &netlist, tech, worker))
+            .map(|activity| {
+                simulate(
+                    &mut entry.sim,
+                    (&entry.program, &entry.word_map, &entry.netlist),
+                    activity,
+                    spec,
+                    tech,
+                    worker,
+                )
+            })
             .transpose()
             .map_err(PointError::Sim)?;
         let compiled = entry.program.compiled();
         let analysis = match &mut entry.analysis {
             Some(analysis) => analysis,
             slot @ None => {
-                // The entry may come from a simulation-first compile or an FA-tree
-                // program, so validate like `FlowResult::analyze` before resolving.
-                netlist.validate_structure().map_err(BaselineError::from)?;
+                // The entry may come from a simulation-first compile, so validate
+                // like `FlowResult::analyze` before resolving.
+                entry
+                    .netlist
+                    .validate_structure()
+                    .map_err(BaselineError::from)?;
                 slot.insert(Analysis::new(compiled, tech)?)
             }
         };
         let mut stored = analysis.rerun(compiled, profiles)?;
         stored.simulated_switch_power = simulated.unwrap_or(0.0);
-        let artifact = retain.then(|| FlowResult {
-            flow: flow.to_string(),
-            delay: stored.delay,
-            area: stored.area,
-            switching_energy: stored.switching_energy,
-            power_mw: stored.power_mw,
-            netlist,
-            word_map,
-            compiled: compiled.clone(),
+        let artifact = retain.then(|| {
+            let (netlist, word_map) =
+                own.unwrap_or_else(|| (entry.netlist.clone(), entry.word_map.clone()));
+            FlowResult {
+                flow: flow.to_string(),
+                delay: stored.delay,
+                area: stored.area,
+                switching_energy: stored.switching_energy,
+                power_mw: stored.power_mw,
+                netlist,
+                word_map,
+                compiled: compiled.clone(),
+            }
         });
         Ok((stored, artifact))
     }
 
-    /// Simulates one already-analysed point (the FA-tree flows) under `spec`'s
-    /// probabilities when the run carries an activity request, seeding a missed
-    /// structure's entry from the flow's own compiled program.
-    pub(crate) fn simulate(
-        &mut self,
-        result: &FlowResult,
+    /// Finishes a point that shares nothing with its neighbours — a one-point
+    /// group's, or an already analysed `fa_anneal` result — without touching the
+    /// entry: `result` is the flow's analysed outcome, simulated on a transient
+    /// program when the run carries an activity request.
+    ///
+    /// Returns the point's store record and, when the run retains artifacts, the
+    /// result itself.
+    pub(crate) fn finish_alone(
+        &self,
+        result: FlowResult,
         spec: &InputSpec,
         worker: &mut WorkerStats,
-    ) -> Result<Option<f64>, String> {
-        let (tech, Some(activity)) = (self.tech, self.activity) else {
-            return Ok(None);
+    ) -> Result<(StoredEval, Option<FlowResult>), String> {
+        let simulated = match self.activity {
+            None => 0.0,
+            Some(activity) => {
+                let program = BlockSim::from_compiled(result.compiled.clone(), DEFAULT_BLOCK);
+                simulate(
+                    &mut None,
+                    (&program, &result.word_map, &result.netlist),
+                    activity,
+                    spec,
+                    self.tech,
+                    worker,
+                )?
+            }
         };
-        let entry = self.entry(&result.netlist, &result.word_map, || {
-            let program = BlockSim::from_compiled(result.compiled.clone(), DEFAULT_BLOCK);
-            Ok::<_, String>(CacheEntry::new(program, result.word_map.clone()))
-        })?;
-        entry
-            .simulate(activity, spec, &result.netlist, tech, worker)
-            .map(Some)
+        let stored = StoredEval {
+            delay: result.delay,
+            area: result.area,
+            switching_energy: result.switching_energy,
+            power_mw: result.power_mw,
+            cell_count: result.compiled.cell_count(),
+            logic_depth: result.compiled.level_count(),
+            // An analytic sweep's record carries zero: its key's zero stimulus
+            // digest keeps it from ever being read back as a simulated one.
+            simulated_switch_power: simulated,
+        };
+        Ok((stored, self.retain.then_some(result)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpsyn_baselines::Flow;
     use dpsyn_netlist::{CellKind, Word};
 
-    /// Admits `hashes` in order into a fresh queue of [`MAX_ENTRIES`] capacity,
-    /// collecting the evictions it reports.
-    fn admit_all(queue: &mut ResidencyQueue, hashes: impl IntoIterator<Item = u64>) -> Vec<u64> {
-        hashes
-            .into_iter()
-            .filter_map(|hash| queue.admit(hash))
-            .collect()
-    }
-
-    #[test]
-    fn eviction_is_fifo_for_distinct_hashes() {
-        let mut queue = ResidencyQueue::new(MAX_ENTRIES);
-        let full = 1..=MAX_ENTRIES as u64;
-        assert_eq!(admit_all(&mut queue, full), Vec::<u64>::new());
-        // Exactly at the boundary: the next brand-new hash evicts the oldest, and
-        // each further one evicts in insertion order.
-        let overflow = (MAX_ENTRIES as u64 + 1)..=(MAX_ENTRIES as u64 + 3);
-        assert_eq!(admit_all(&mut queue, overflow), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn replacement_refreshes_recency_instead_of_keeping_the_old_position() {
-        let mut queue = ResidencyQueue::new(MAX_ENTRIES);
-        admit_all(&mut queue, 1..=MAX_ENTRIES as u64);
-        // Hash 1 is the oldest resident. A collision replacement re-admits it: it
-        // must move to the back of the queue, not stay first in line for eviction.
-        assert_eq!(queue.admit(1), None, "replacement never evicts");
-        // The next brand-new hash now evicts hash 2 (the oldest *unreplaced*
-        // resident) — before the fix it would have evicted the hot, just-replaced
-        // hash 1.
-        assert_eq!(queue.admit(100), Some(2));
-        // And hash 1 survives all the way to the end of the refreshed order.
-        let expected: Vec<u64> = (3..=MAX_ENTRIES as u64).collect();
-        assert_eq!(
-            admit_all(&mut queue, 101..=(100 + MAX_ENTRIES as u64 - 2)),
-            expected,
-            "the replaced hash must outlive every older resident"
-        );
-        assert_eq!(
-            queue.admit(200),
-            Some(1),
-            "hash 1 is evicted last of the originals"
-        );
-    }
-
-    #[test]
-    fn hits_refresh_recency_at_the_capacity_boundary() {
-        let mut queue = ResidencyQueue::new(MAX_ENTRIES);
-        admit_all(&mut queue, 1..=MAX_ENTRIES as u64);
-        // Queue exactly full; hash 1 is first in line for eviction. A verified hit
-        // on it must move it to the back...
-        queue.touch(1);
-        // ...so the next brand-new hash evicts hash 2, not the hot hash 1. (This
-        // was the admit-on-probe asymmetry: only `admit` refreshed recency, so a
-        // hit left the entry parked at the front of the queue.)
-        assert_eq!(queue.admit(100), Some(2));
-        assert_eq!(queue.order.len(), MAX_ENTRIES, "bound stays exact");
-        // Repeated hits keep pinning hash 1 across MAX_ENTRIES − 1 further
-        // admissions: every other original resident is evicted before it.
-        let mut evicted = Vec::new();
-        for fresh in 0..MAX_ENTRIES as u64 - 1 {
-            queue.touch(1);
-            evicted.extend(queue.admit(200 + fresh));
-        }
-        let expected: Vec<u64> = (3..=MAX_ENTRIES as u64).chain([100]).collect();
-        assert_eq!(evicted, expected, "the hot entry outlives every cold one");
-        assert!(queue.order.contains(&1), "hash 1 is still resident");
-    }
-
-    #[test]
-    fn touching_a_non_resident_hash_is_a_noop() {
-        let mut queue = ResidencyQueue::new(MAX_ENTRIES);
-        admit_all(&mut queue, [10, 20]);
-        queue.touch(999);
-        assert_eq!(queue.order, [10, 20]);
-    }
-
-    #[test]
-    fn replacement_below_capacity_keeps_the_bound_exact() {
-        let mut queue = ResidencyQueue::new(MAX_ENTRIES);
-        admit_all(&mut queue, [10, 20, 30]);
-        // Replacing a resident below capacity neither evicts nor double-counts.
-        assert_eq!(queue.admit(10), None);
-        assert_eq!(queue.order.len(), 3, "replacement must not grow the queue");
-        // Fill to the bound: still no eviction, then the first overflow evicts 20
-        // (10 was refreshed behind it).
-        let fill = 40..(40 + MAX_ENTRIES as u64 - 3);
-        assert_eq!(admit_all(&mut queue, fill), Vec::<u64>::new());
-        assert_eq!(queue.admit(1000), Some(20));
-    }
-
-    /// An analysed one-input chain of `length` inverters: a distinct structure
-    /// per length.
-    fn chain(length: usize, spec: &InputSpec, tech: &TechLibrary) -> FlowResult {
+    /// A one-input chain of `length` inverters: a distinct structure per length.
+    fn chain(length: usize) -> (Netlist, WordMap) {
         let mut netlist = Netlist::new("chain");
         let input = netlist.add_input("a0");
         let mut net = input;
@@ -508,14 +386,14 @@ mod tests {
             vec![Word::new("a", vec![input])],
             Word::new("out", vec![net]),
         );
-        FlowResult::analyze("chain", netlist, word_map, spec, tech).expect("chain analyses")
+        (netlist, word_map)
     }
 
     #[test]
-    fn verified_simulation_hits_refresh_recency() {
+    fn one_entry_serves_its_group_and_is_replaced_on_a_miss() {
         let run = ExplorationSpec::builder()
             .design(dpsyn_designs::x_squared())
-            .flows([dpsyn_baselines::Flow::Conventional])
+            .flows([Flow::Conventional])
             .sim_activity(SimActivity {
                 seed: 3,
                 vectors: 64,
@@ -523,29 +401,47 @@ mod tests {
             .build()
             .expect("spec");
         let spec = InputSpec::builder().var("a", 1).build().expect("spec");
-        let structures: Vec<FlowResult> = (1..=MAX_ENTRIES + 1)
-            .map(|length| chain(length, &spec, run.tech()))
-            .collect();
+        let (first, second) = ((0, 1, Flow::Conventional), (0, 1, Flow::WallaceFixed));
         let mut cache = CompiledCache::new(&run);
         let mut worker = WorkerStats::default();
-        let mut simulate = |index: usize| {
+        let (arrivals, probabilities) = (BTreeMap::new(), BTreeMap::new());
+        let mut analyze = |cache: &mut CompiledCache<'_>, group, fresh| {
             cache
-                .simulate(&structures[index], &spec, &mut worker)
-                .expect("chain simulates");
+                .analyze(
+                    group,
+                    "chain",
+                    fresh,
+                    (&arrivals, &probabilities),
+                    &spec,
+                    &mut worker,
+                )
+                .unwrap_or_else(|_| panic!("chain analyses"))
+                .0
         };
-        (0..MAX_ENTRIES).for_each(&mut simulate);
-        // A verified hit on the oldest resident moves it to the back, so the next
-        // admission evicts structure 1 and structure 0 is still served from cache.
-        simulate(0);
-        simulate(MAX_ENTRIES);
-        simulate(0);
-        simulate(1);
-        assert_eq!(worker.sim_points, MAX_ENTRIES + 4);
-        assert_eq!(
-            worker.sim_builds,
-            MAX_ENTRIES + 2,
-            "only structure 1 rebuilt"
-        );
-        assert_eq!(worker.sim_reuses, 2, "both repeats of structure 0 hit");
+        let bits = |stored: StoredEval| {
+            [
+                stored.delay,
+                stored.switching_energy,
+                stored.simulated_switch_power,
+            ]
+            .map(f64::to_bits)
+        };
+        let short = bits(analyze(&mut cache, first, Some(chain(1))));
+        assert!(cache.structure(first).is_some());
+        assert!(cache.structure(second).is_none(), "held for its group only");
+        // The group's own structure, reused or re-synthesized, hits the entry.
+        assert_eq!(bits(analyze(&mut cache, first, None)), short);
+        assert_eq!(bits(analyze(&mut cache, first, Some(chain(1)))), short);
+        // A verified hit from another group hands the entry over to it.
+        analyze(&mut cache, second, Some(chain(1)));
+        assert!(cache.structure(first).is_none());
+        assert!(cache.structure(second).is_some());
+        // A different structure replaces the entry.
+        let long = bits(analyze(&mut cache, second, Some(chain(3))));
+        assert_ne!(long, short);
+        assert_eq!(bits(analyze(&mut cache, second, Some(chain(1)))), short);
+        assert_eq!(worker.sim_points, 6);
+        assert_eq!(worker.sim_builds, 3, "one context per admitted structure");
+        assert_eq!(worker.sim_reuses, 3);
     }
 }

@@ -10,7 +10,7 @@ use crate::store::{
     StoredEval,
 };
 use crate::summary::{render_summary, summarize_flows, FlowSummary};
-use dpsyn_baselines::{input_profiles, FlowResult, FlowSynthesis};
+use dpsyn_baselines::{input_profiles, Flow, FlowResult, FlowSynthesis};
 use dpsyn_designs::Design;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
@@ -127,6 +127,10 @@ pub struct WorkerStats {
     /// Simulated points that reused a verified cached context instead of
     /// building one.
     pub sim_reuses: usize,
+    /// Points this worker evaluated without synthesizing: the later points of a
+    /// profile-blind flow's group, analysed on the structure its first point
+    /// synthesized (see `Flow::is_profile_blind`).
+    pub structure_reuses: usize,
 }
 
 /// Scheduling diagnostics of one exploration, one entry per worker thread.
@@ -166,6 +170,14 @@ impl ExploreStats {
         self.workers.iter().map(|worker| worker.sim_reuses).sum()
     }
 
+    /// Total points evaluated on a reused structure instead of synthesizing.
+    pub fn total_structure_reuses(&self) -> usize {
+        self.workers
+            .iter()
+            .map(|worker| worker.structure_reuses)
+            .sum()
+    }
+
     /// Jobs executed by the busiest and laziest workers — a quick imbalance probe.
     pub fn job_spread(&self) -> (usize, usize) {
         let max = self.workers.iter().map(|w| w.jobs).max().unwrap_or(0);
@@ -198,15 +210,20 @@ impl ExploreStats {
 ///
 /// [`OVERPARTITION`] cuts groups finer than one chunk per worker so stealing can
 /// re-balance the tail of a dominant group. Finer chunks cost nothing when they stay
-/// on their seeded worker: the worker's [`CompiledCache`] entry survives across
+/// on their seeded worker: the worker's one [`CompiledCache`] entry survives across
 /// consecutive same-group chunks, so only the first chunk of a group **per worker**
-/// pays the full compile-and-prime path — every later leader is a verified hash hit
-/// that re-runs the delta path, exactly like a mid-chunk point.
+/// pays the full compile-and-prime path — every later leader is a verified hit (or,
+/// for a profile-blind flow, a reuse of the cached structure) that re-runs the
+/// delta path, exactly like a mid-chunk point.
 struct Schedule {
     /// Job indices, group-major; within a group the canonical (skew, bias) order.
     order: Vec<usize>,
     /// Half-open ranges into `order`, one per claimable chunk.
     chunks: Vec<Range<usize>>,
+    /// Per chunk: whether its group has more than one point, so its points share
+    /// the worker's [`CompiledCache`] entry (a one-point group's point has nothing
+    /// to share and takes the plain analysis bundle).
+    grouped: Vec<bool>,
 }
 
 /// Chunks per worker each `(source, width, flow)` group is cut into (capped at the
@@ -242,6 +259,7 @@ fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Schedule {
         }
     }
     let mut chunks = Vec::with_capacity(groups.len());
+    let mut grouped = Vec::with_capacity(groups.len());
     for group in groups {
         let len = group.len();
         // See the type-level chunk-size invariant: capping the chunk target at the
@@ -253,10 +271,15 @@ fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Schedule {
         while begin < group.end {
             let end = (begin + chunk_size).min(group.end);
             chunks.push(begin..end);
+            grouped.push(len > 1);
             begin = end;
         }
     }
-    Schedule { order, chunks }
+    Schedule {
+        order,
+        chunks,
+        grouped,
+    }
 }
 
 /// The number of workers a run spawns: the specification's thread count, capped at
@@ -399,10 +422,12 @@ pub fn schedule_preview(spec: &ExplorationSpec) -> SchedulePreview {
 /// deque runs dry steals from the top of the busiest other deque, so a dominant
 /// group can never strand the other workers while one of them grinds through it.
 ///
-/// A chunk's first point runs through the full synthesis + analysis path whenever
-/// the worker's cache misses (priming the entry), and every other point of the chunk
-/// re-analyses through the cache's delta path — falling back to the full path
-/// whenever the synthesized structure does not verify against the cached program.
+/// A group's first point on a worker runs through the full synthesis + analysis
+/// path (priming the worker's one cache entry), and every later point re-analyses
+/// through the cache's delta path — falling back to the full path whenever the
+/// synthesized structure does not verify against the cached one. A profile-blind
+/// flow synthesizes only that first point. A one-point group's point takes the
+/// plain analysis bundle.
 /// Every result lands in a preallocated write-once slot keyed by its canonical job
 /// index, so the returned results are **bit-identical for any worker count and any
 /// steal order** (the delta path's reports are bit-identical to full re-analysis by
@@ -521,11 +546,13 @@ pub fn explore_with_store(
                         };
                         worker.chunks += 1;
                         worker.steals += usize::from(stolen);
+                        let grouped = plan.grouped[chunk_index];
                         for &job_index in &plan.order[plan.chunks[chunk_index].clone()] {
                             worker.jobs += 1;
                             let outcome = supervised_evaluate(
                                 spec,
                                 &jobs[job_index],
+                                grouped,
                                 &mut cache,
                                 memo,
                                 &mut recorded,
@@ -641,6 +668,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 fn supervised_evaluate<'a>(
     spec: &'a ExplorationSpec,
     job: &Job,
+    grouped: bool,
     cache: &mut CompiledCache<'a>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
@@ -649,7 +677,7 @@ fn supervised_evaluate<'a>(
     for attempt in 1..=JOB_ATTEMPT_LIMIT {
         let mark = recorded.len();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate(spec, job, &mut *cache, memo, recorded, worker)
+            evaluate(spec, job, grouped, &mut *cache, memo, recorded, worker)
         }));
         match caught {
             Ok(Ok(point)) => return JobOutcome::Point(Box::new(point)),
@@ -705,13 +733,19 @@ fn point_from_stored(
 
 /// Evaluates one job: materializes its design, runs its flow's synthesis, and obtains
 /// the metrics (delay from timing analysis, power from probability propagation, area
-/// and structure straight off the compiled program). Flows that synthesize without
-/// analysing are analysed through the worker's [`CompiledCache`]: a structurally
-/// verified hit re-analyses only the dirty cone, a miss compiles the structure once
-/// and takes the full bundle.
+/// and structure straight off the compiled program).
+///
+/// One analysis rule covers every unanalysed point. A point of a multi-point group
+/// (`grouped`) goes through the worker's [`CompiledCache`]: a structurally verified
+/// hit re-analyses only the dirty cone, a miss compiles the structure once and
+/// takes the full bundle. A profile-blind flow synthesizes only its group's first
+/// point there; the later ones analyse the structure the cache holds. A point of a
+/// one-point group takes the plain analysis bundle and admits no cache entry, as
+/// does the already analysed `fa_anneal` result.
 ///
 /// With a [`StoreContext`] attached the job additionally consults the persistent
-/// store — a point-level hit skips even synthesis, an analysis-level hit skips the
+/// store — a point-level hit skips even synthesis, an analysis-level hit (for the
+/// module-binding flows, the only ones that write analysis records) skips the
 /// analysis bundle — and appends its own records to `recorded`. Lookups are
 /// skipped (but records still produced) when artifacts are retained; see
 /// [`explore_with_store`].
@@ -724,6 +758,7 @@ fn point_from_stored(
 fn evaluate(
     spec: &ExplorationSpec,
     job: &Job,
+    grouped: bool,
     cache: &mut CompiledCache<'_>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
@@ -748,94 +783,126 @@ fn evaluate(
             return Ok(point_from_stored(job, &design, stored, sim_on));
         }
     }
-    let synthesis = job
-        .flow()
-        .synthesize(
-            design.expr(),
-            design.spec(),
-            design.output_width(),
-            spec.tech(),
-        )
-        .map_err(|source| ExploreError::Flow {
-            job: job.label(),
-            source,
-        })?;
-    let (stored, artifact) = match synthesis {
-        FlowSynthesis::Analyzed(result) => {
-            let simulated = cache
-                .simulate(&result, design.spec(), worker)
-                .map_err(|message| ExploreError::Sim {
-                    job: job.label(),
-                    message,
-                })?;
-            let stored = StoredEval {
-                delay: result.delay,
-                area: result.area,
-                switching_energy: result.switching_energy,
-                power_mw: result.power_mw,
-                cell_count: result.compiled.cell_count(),
-                logic_depth: result.compiled.level_count(),
-                // An analytic sweep's record carries zero: its key's zero stimulus
-                // digest keeps it from ever being read back as a simulated one.
-                simulated_switch_power: simulated.unwrap_or(0.0),
-            };
-            (stored, spec.retain_artifacts.then_some(*result))
-        }
-        FlowSynthesis::Unanalyzed(parts) => {
-            let (arrivals, probabilities) = input_profiles(&parts.word_map, design.spec());
-            let analysis_key = memo.map(|context| {
-                let stimulus = activity
-                    .map(|activity| {
-                        stimulus_layout_digest(stimulus_digest(activity), &parts.word_map)
-                    })
-                    .unwrap_or(0);
-                EvalKey::analysis(
-                    &parts.netlist,
-                    context.tech_digest,
-                    parts.flow,
-                    profile_digest(&arrivals, &probabilities),
-                    stimulus,
-                )
-            });
-            if let (Some(context), Some(key)) = (lookups, analysis_key.as_ref()) {
-                if let Some(stored) = context.store.lookup(key) {
-                    worker.store_hits += 1;
-                    // Promote the hit to a point-level record so the next run
-                    // skips this job's synthesis too.
-                    if let Some(point_key) = point_key {
-                        recorded.push((point_key, stored));
-                    }
-                    return Ok(point_from_stored(job, &design, stored, sim_on));
-                }
+    let flow = job.flow();
+    let flow_error = |source| ExploreError::Flow {
+        job: job.label(),
+        source,
+    };
+    let sim_error = |message| ExploreError::Sim {
+        job: job.label(),
+        message,
+    };
+    let reuse = grouped && flow.is_profile_blind() && cache.structure(job.group()).is_some();
+    let fresh = if reuse {
+        worker.structure_reuses += 1;
+        None
+    } else {
+        match flow
+            .synthesize(
+                design.expr(),
+                design.spec(),
+                design.output_width(),
+                spec.tech(),
+            )
+            .map_err(flow_error)?
+        {
+            FlowSynthesis::Unanalyzed(parts) => Some((parts.netlist, parts.word_map)),
+            FlowSynthesis::Analyzed(result) => {
+                let (stored, artifact) = cache
+                    .finish_alone(*result, design.spec(), worker)
+                    .map_err(sim_error)?;
+                return Ok(finish(
+                    job, &design, stored, sim_on, artifact, point_key, recorded,
+                ));
             }
-            let (stored, artifact) = cache
-                .analyze(
-                    parts.flow,
-                    parts.netlist,
-                    parts.word_map,
-                    (&arrivals, &probabilities),
-                    design.spec(),
-                    worker,
-                )
-                .map_err(|error| {
-                    let job = job.label();
-                    match error {
-                        PointError::Flow(source) => ExploreError::Flow { job, source },
-                        PointError::Sim(message) => ExploreError::Sim { job, message },
-                    }
-                })?;
-            if let Some(key) = analysis_key {
-                recorded.push((key, stored));
-            }
-            (stored, artifact)
         }
     };
+    // Only the module-binding flows write analysis-stage records, so the memo file
+    // holds exactly the records it always has.
+    let analysis_records = memo.filter(|_| matches!(flow, Flow::Conventional | Flow::CsaOpt));
+    let mut analysis_key = None;
+    let mut profiles = None;
+    if grouped || analysis_records.is_some() {
+        let (netlist, word_map) = match &fresh {
+            Some((netlist, word_map)) => (netlist, word_map),
+            None => cache
+                .structure(job.group())
+                .expect("a reused structure is resident"),
+        };
+        let (arrivals, probabilities) = input_profiles(word_map, design.spec());
+        analysis_key = analysis_records.map(|context| {
+            let stimulus = activity
+                .map(|activity| stimulus_layout_digest(stimulus_digest(activity), word_map))
+                .unwrap_or(0);
+            EvalKey::analysis(
+                netlist,
+                context.tech_digest,
+                flow.name(),
+                profile_digest(&arrivals, &probabilities),
+                stimulus,
+            )
+        });
+        profiles = Some((arrivals, probabilities));
+    }
+    if let (Some(context), Some(key)) = (lookups, analysis_key.as_ref()) {
+        if let Some(stored) = context.store.lookup(key) {
+            worker.store_hits += 1;
+            // Promote the hit to a point-level record so the next run skips this
+            // job's synthesis too.
+            return Ok(finish(
+                job, &design, stored, sim_on, None, point_key, recorded,
+            ));
+        }
+    }
+    let (stored, artifact) = if grouped {
+        let (arrivals, probabilities) = profiles.as_ref().expect("a grouped point is profiled");
+        cache
+            .analyze(
+                job.group(),
+                flow.name(),
+                fresh,
+                (arrivals, probabilities),
+                design.spec(),
+                worker,
+            )
+            .map_err(|error| match error {
+                PointError::Flow(source) => flow_error(source),
+                PointError::Sim(message) => sim_error(message),
+            })?
+    } else {
+        let (netlist, word_map) = fresh.expect("a one-point group never reuses");
+        let result =
+            FlowResult::analyze(flow.name(), netlist, word_map, design.spec(), spec.tech())
+                .map_err(flow_error)?;
+        cache
+            .finish_alone(result, design.spec(), worker)
+            .map_err(sim_error)?
+    };
+    if let Some(key) = analysis_key {
+        recorded.push((key, stored));
+    }
+    Ok(finish(
+        job, &design, stored, sim_on, artifact, point_key, recorded,
+    ))
+}
+
+/// Records a freshly obtained point under its point-level key (when the run has a
+/// store) and builds the exploration point.
+fn finish(
+    job: &Job,
+    design: &Design,
+    stored: StoredEval,
+    sim_on: bool,
+    artifact: Option<FlowResult>,
+    point_key: Option<EvalKey>,
+    recorded: &mut Vec<(EvalKey, StoredEval)>,
+) -> ExplorationPoint {
     if let Some(key) = point_key {
         recorded.push((key, stored));
     }
-    let mut point = point_from_stored(job, &design, stored, sim_on);
+    let mut point = point_from_stored(job, design, stored, sim_on);
     point.artifact = artifact;
-    Ok(point)
+    point
 }
 
 #[cfg(test)]
@@ -1013,11 +1080,11 @@ mod tests {
         // 2 widths × 2 flows = 4 (source, width, flow) groups of 3 skews × 2
         // biases = 6 jobs each. One worker runs each group as three consecutive
         // chunks of 2, and its cache entry survives from one chunk to the next.
-        // Both flows bind modules without looking at input profiles,
-        // so every point of a group synthesizes the identical structure and the
+        // `conventional` is profile-blind, and `csa_opt`'s word-arrival order
+        // happens to give one structure per group on this workload, so the
         // simulated metric must compile exactly one block program (and draw one
         // stimulus batch) per group, absorbing the other five points as verified
-        // reuses. (Profile-steered flows like the FA-tree family synthesize
+        // reuses. (Profile-steered flows like the FA-tree selections synthesize
         // different structures per skew and legitimately build more.)
         let spec = ExplorationSpec::builder()
             .sum_workload(3)
@@ -1045,6 +1112,11 @@ mod tests {
             "one block program + stimulus batch per (source, width, flow) group"
         );
         assert_eq!(stats.total_sim_reuses(), 20);
+        assert_eq!(
+            stats.total_structure_reuses(),
+            10,
+            "the blind flow synthesizes once per group"
+        );
         for point in results.points() {
             let simulated = point
                 .metrics

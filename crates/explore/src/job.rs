@@ -4,6 +4,10 @@ use crate::spec::{BiasProfile, SkewProfile};
 use dpsyn_baselines::Flow;
 use std::fmt;
 
+/// The identity of a group of delta peers ([`Job::is_delta_peer`]): source index,
+/// width and flow.
+pub(crate) type GroupKey = (usize, u32, Flow);
+
 /// One fully-determined unit of work: a source at a width under a skew and bias
 /// profile, run through one synthesis flow.
 ///
@@ -81,9 +85,12 @@ impl Job {
     /// identical netlists, so the scheduler groups them into chunks whose non-leader
     /// points re-analyse through the compiled-program cache's delta path.
     pub fn is_delta_peer(&self, other: &Job) -> bool {
-        self.source_index == other.source_index
-            && self.width == other.width
-            && self.flow == other.flow
+        self.group() == other.group()
+    }
+
+    /// The job's group of delta peers: `(source index, width, flow)`.
+    pub(crate) fn group(&self) -> GroupKey {
+        (self.source_index, self.width, self.flow)
     }
 
     /// A human-readable label naming the design point and flow, used in summaries and

@@ -1,15 +1,18 @@
-//! Pins the engine's compiled-program cache + delta-evaluation path to the plain
-//! per-job full path: every evaluated point — metrics *and* retained artifact — must
-//! be bit-identical to an independent `Flow::run` of the same job, no matter whether
-//! the engine evaluated it through a full bundle or a cached delta rerun.
+//! Pins the engine's one-entry program cache, its delta-evaluation path and its
+//! structure reuse to the plain per-job full path: every evaluated point — metrics
+//! *and* retained artifact — must be bit-identical to an independent `Flow::run` of
+//! the same job, whether the engine synthesized it or analysed its group's cached
+//! structure, and whether it took a full bundle or a cached delta rerun.
 //!
-//! The matrix deliberately crosses profile axes with the two module-binding flows
-//! (`Conventional` synthesizes profile-invariant structures — guaranteed cache hits;
-//! `CsaOpt`'s structure shifts with the arrival profile — exercising the structural
-//! verification fallback) plus an FA-tree flow (always pre-analysed). Two workload
-//! widths push the number of distinct `CsaOpt` structures a single worker sees well
-//! past the cache bound, so the run also churns through evictions and
-//! recency-refreshing replacements — none of which may perturb a single bit.
+//! The matrix crosses profile axes with all six sweep flows: the three
+//! profile-blind flows (`Conventional`, `WallaceFixed`, `FaRandom`) synthesize only
+//! their group's first point and analyse the later ones on the cached structure;
+//! `CsaOpt` (word-level arrivals) and the FA-tree selections `FaAot`/`FaAlp` shift
+//! their structure with the profiles, exercising the structural verification that
+//! replaces the one entry on a miss. A second spec has one point per group (the
+//! paper-table shape), whose points take the plain analysis bundle and never touch
+//! the cache. Each runs at 1, 2 and 3 workers, so steals and per-job chunks move
+//! groups between workers — none of which may perturb a single bit.
 //!
 //! The simulated metric, which shares that cache, is pinned the same way against a
 //! cache-free oracle: a fresh block simulation of each retained netlist.
@@ -21,7 +24,19 @@ use dpsyn_power::simulated_energy;
 use dpsyn_sim::{BlockSim, SharedStimulus, ToggleCounter, DEFAULT_BLOCK};
 use dpsyn_tech::TechLibrary;
 
-fn spec(threads: usize) -> ExplorationSpec {
+/// The six flows of the `explore` sweep.
+const SWEPT: [Flow; 6] = [
+    Flow::Conventional,
+    Flow::CsaOpt,
+    Flow::WallaceFixed,
+    Flow::FaRandom(8),
+    Flow::FaAot,
+    Flow::FaAlp,
+];
+
+/// Two fixed designs and a sum workload at two widths, crossed with three skews and
+/// two biases: groups of six points.
+fn grouped_spec(threads: usize) -> ExplorationSpec {
     ExplorationSpec::builder()
         .design(dpsyn_designs::iir())
         .design(dpsyn_designs::mixed_poly())
@@ -33,7 +48,7 @@ fn spec(threads: usize) -> ExplorationSpec {
             SkewProfile::Uniform(4.0),
         ])
         .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
-        .flows([Flow::Conventional, Flow::CsaOpt, Flow::FaAot])
+        .flows(SWEPT)
         .seed(13)
         .threads(threads)
         .retain_artifacts(true)
@@ -41,64 +56,100 @@ fn spec(threads: usize) -> ExplorationSpec {
         .expect("spec is well-formed")
 }
 
+/// The same sources with one point per group, as the paper-table sweeps run them.
+fn one_point_spec(threads: usize) -> ExplorationSpec {
+    ExplorationSpec::builder()
+        .design(dpsyn_designs::iir())
+        .design(dpsyn_designs::mixed_poly())
+        .sum_workload(4)
+        .widths([4, 5])
+        .flows(SWEPT)
+        .seed(13)
+        .threads(threads)
+        .retain_artifacts(true)
+        .build()
+        .expect("spec is well-formed")
+}
+
+/// Explores `spec` and holds every point to an independent `Flow::run`.
+fn assert_matches_independent_runs(spec: &ExplorationSpec) {
+    let results = explore(spec).expect("exploration succeeds");
+    assert_eq!(results.points().len(), spec.jobs().len());
+    for point in results.points() {
+        let design = spec.materialize(&point.job);
+        let reference = point
+            .job
+            .flow()
+            .run(
+                design.expr(),
+                design.spec(),
+                design.output_width(),
+                spec.tech(),
+            )
+            .expect("direct flow run succeeds");
+        let label = format!("{} ({} thread(s))", point.job.label(), spec.threads());
+        assert_eq!(
+            point.metrics.delay.to_bits(),
+            reference.delay.to_bits(),
+            "{label}: delay"
+        );
+        assert_eq!(
+            point.metrics.area.to_bits(),
+            reference.area.to_bits(),
+            "{label}: area"
+        );
+        assert_eq!(
+            point.metrics.switching_energy.to_bits(),
+            reference.switching_energy.to_bits(),
+            "{label}: switching energy"
+        );
+        assert_eq!(
+            point.metrics.power.to_bits(),
+            reference.power_mw.to_bits(),
+            "{label}: power"
+        );
+        assert_eq!(
+            point.metrics.cell_count,
+            reference.compiled.cell_count(),
+            "{label}: cells"
+        );
+        assert_eq!(
+            point.metrics.logic_depth,
+            reference.compiled.level_count(),
+            "{label}: depth"
+        );
+        let artifact = point
+            .artifact
+            .as_ref()
+            .expect("retain_artifacts keeps every point's artifact");
+        assert_eq!(artifact.flow, reference.flow, "{label}: flow name");
+        assert_eq!(artifact.netlist, reference.netlist, "{label}: netlist");
+        assert_eq!(artifact.word_map, reference.word_map, "{label}: word map");
+        assert_eq!(artifact.compiled, reference.compiled, "{label}: program");
+        assert_eq!(
+            artifact.delay.to_bits(),
+            reference.delay.to_bits(),
+            "{label}: artifact delay"
+        );
+        assert_eq!(
+            artifact.switching_energy.to_bits(),
+            reference.switching_energy.to_bits(),
+            "{label}: artifact energy"
+        );
+    }
+}
+
 #[test]
 fn cached_delta_points_match_independent_full_runs() {
-    for threads in [1, 3] {
-        let spec = spec(threads);
-        let results = explore(&spec).expect("exploration succeeds");
-        assert_eq!(results.points().len(), spec.jobs().len());
-        for point in results.points() {
-            let design = spec.materialize(&point.job);
-            let reference = point
-                .job
-                .flow()
-                .run(
-                    design.expr(),
-                    design.spec(),
-                    design.output_width(),
-                    spec.tech(),
-                )
-                .expect("direct flow run succeeds");
-            let label = point.job.label();
-            assert_eq!(
-                point.metrics.delay.to_bits(),
-                reference.delay.to_bits(),
-                "{label}: delay"
-            );
-            assert_eq!(
-                point.metrics.area.to_bits(),
-                reference.area.to_bits(),
-                "{label}: area"
-            );
-            assert_eq!(
-                point.metrics.switching_energy.to_bits(),
-                reference.switching_energy.to_bits(),
-                "{label}: switching energy"
-            );
-            assert_eq!(
-                point.metrics.power.to_bits(),
-                reference.power_mw.to_bits(),
-                "{label}: power"
-            );
-            let artifact = point
-                .artifact
-                .as_ref()
-                .expect("retain_artifacts keeps every point's artifact");
-            assert_eq!(artifact.flow, reference.flow, "{label}: flow name");
-            assert_eq!(artifact.netlist, reference.netlist, "{label}: netlist");
-            assert_eq!(artifact.word_map, reference.word_map, "{label}: word map");
-            assert_eq!(artifact.compiled, reference.compiled, "{label}: program");
-            assert_eq!(
-                artifact.delay.to_bits(),
-                reference.delay.to_bits(),
-                "{label}: artifact delay"
-            );
-            assert_eq!(
-                artifact.switching_energy.to_bits(),
-                reference.switching_energy.to_bits(),
-                "{label}: artifact energy"
-            );
-        }
+    for threads in [1, 2, 3] {
+        assert_matches_independent_runs(&grouped_spec(threads));
+    }
+}
+
+#[test]
+fn one_point_groups_match_independent_full_runs() {
+    for threads in [1, 2, 3] {
+        assert_matches_independent_runs(&one_point_spec(threads));
     }
 }
 
@@ -138,29 +189,30 @@ fn oracle_sim_power(
 
 #[test]
 fn simulated_points_match_a_cache_free_oracle() {
-    // All six explore flows: the module-binding flows build their simulation
-    // context on a structure the analysis half compiled, the FA-tree flows seed
-    // theirs from the flow's own program, and bias-only neighbours hit the memo.
-    // 300 vectors leave a partial last pass.
+    // All six explore flows: each builds its simulation context on the structure
+    // its cache entry compiled, the blind flows reuse one structure per group,
+    // and bias-only neighbours hit the memo; the one-point groups simulate on a
+    // transient program instead. 300 vectors leave a partial last pass.
     let activity = SimActivity {
         seed: 23,
         vectors: 300,
     };
-    for threads in [1, 2] {
+    let grouped = (
+        vec![SkewProfile::Keep, SkewProfile::Uniform(2.0)],
+        vec![BiasProfile::Keep, BiasProfile::Uniform(0.3)],
+    );
+    let one_point = (
+        vec![SkewProfile::Uniform(2.0)],
+        vec![BiasProfile::Uniform(0.3)],
+    );
+    for ((skews, biases), threads) in [(&grouped, 1), (&grouped, 2), (&one_point, 2)] {
         let spec = ExplorationSpec::builder()
             .design(dpsyn_designs::mixed_poly())
             .sum_workload(4)
             .widths([4, 5])
-            .skews([SkewProfile::Keep, SkewProfile::Uniform(2.0)])
-            .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
-            .flows([
-                Flow::Conventional,
-                Flow::CsaOpt,
-                Flow::WallaceFixed,
-                Flow::FaRandom(8),
-                Flow::FaAot,
-                Flow::FaAlp,
-            ])
+            .skews(skews.iter().copied())
+            .biases(biases.iter().copied())
+            .flows(SWEPT)
             .seed(13)
             .sim_activity(activity)
             .retain_artifacts(true)

@@ -3,7 +3,8 @@
 //! workers, in the spirit of the repository-level `tests/determinism.rs`.
 
 use dpsyn_explore::{
-    explore, BiasProfile, ExplorationResults, ExplorationSpec, Flow, SimActivity, SkewProfile,
+    explore, explore_with_stats, BiasProfile, ExplorationResults, ExplorationSpec, Flow,
+    SimActivity, SkewProfile,
 };
 
 /// Builds the reference spec of the suite with the given worker count: two fixed
@@ -214,4 +215,55 @@ fn more_workers_than_jobs_is_safe_and_identical() {
     )
     .expect("1 worker over 2 jobs");
     assert_eq!(fingerprint(&wide), fingerprint(&narrow));
+}
+
+/// The `explore` binary's full sweep: four benchmark designs plus an 8-operand sum
+/// workload at two widths, three skews × two biases, all six flows (216 jobs).
+fn full_sweep(threads: usize) -> ExplorationSpec {
+    ExplorationSpec::builder()
+        .designs([
+            dpsyn_designs::x2_x_y(),
+            dpsyn_designs::mixed_poly(),
+            dpsyn_designs::iir(),
+            dpsyn_designs::serial_adapter(),
+        ])
+        .sum_workload(8)
+        .widths([8, 12])
+        .skews([
+            SkewProfile::Keep,
+            SkewProfile::Uniform(2.0),
+            SkewProfile::Uniform(4.0),
+        ])
+        .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
+        .flows([
+            Flow::Conventional,
+            Flow::CsaOpt,
+            Flow::WallaceFixed,
+            Flow::FaRandom(8),
+            Flow::FaAot,
+            Flow::FaAlp,
+        ])
+        .seed(7)
+        .threads(threads)
+        .build()
+        .expect("full sweep spec is well-formed")
+}
+
+#[test]
+fn full_sweep_reuses_blind_structures_and_stays_identical() {
+    let (reference, stats) = explore_with_stats(&full_sweep(1)).expect("full sweep runs");
+    assert_eq!(reference.points().len(), 216);
+    // One worker runs every group contiguously: each of the three blind flows
+    // synthesizes the first of its six points per (source, width) pair and
+    // analyses the other five on that structure.
+    assert_eq!(stats.total_structure_reuses(), 3 * 6 * 5);
+    let reference = fingerprint(&reference);
+    for threads in [2, 4] {
+        let parallel = explore(&full_sweep(threads)).expect("parallel full sweep runs");
+        assert_eq!(
+            reference,
+            fingerprint(&parallel),
+            "full sweep diverged at {threads} threads"
+        );
+    }
 }
