@@ -13,19 +13,17 @@
 //!   over the affected cone;
 //! * a [`SimContext`] for the simulated metric on that same program.
 //!
-//! A grouped point's freshly synthesized structure is **verified** against the
-//! entry (netlist and word map compared exactly); on a hit it re-analyses through
-//! `rerun_delta` (bit-identical to a fresh bundle by the delta invariant) and
-//! simulates on the cached context, on a miss it compiles once for both halves and
-//! replaces the entry. A profile-blind flow (`Flow::is_profile_blind`) synthesizes
-//! the same structure for every point of its group, so the engine skips its
-//! synthesis after the first point and analyses the entry's own structure
-//! ([`CompiledCache::structure`]).
-//!
-//! A point whose group has one point (the paper-table sweeps) has nothing to share:
-//! it takes the plain analysis bundle and a transient simulation program
-//! ([`CompiledCache::finish_alone`]) and admits no entry. So does every
-//! `fa_anneal` point, whose search analyses as it goes.
+//! Every unanalysed point goes through the entry. Its freshly synthesized
+//! structure is **verified** against the entry (netlist and word map compared
+//! exactly); on a hit it re-analyses through `rerun_delta` (bit-identical to a
+//! fresh bundle by the delta invariant) and simulates on the cached context, on a
+//! miss it compiles once for both halves and replaces the entry, whose priming
+//! `rerun_delta` is the full pass. A profile-blind flow (`Flow::is_profile_blind`)
+//! synthesizes the same structure for every point of its group, so the engine
+//! skips its synthesis after the first point and analyses the entry's own
+//! structure ([`CompiledCache::structure`]). A one-point group's point is simply a
+//! miss. Only `fa_anneal`, whose search analyses as it goes, bypasses the entry
+//! ([`CompiledCache::finish_alone`]).
 //!
 //! The cache is **per worker** and lives for one run, so its activity request and
 //! technology never change: no locks, no cross-thread coherence. Replacing the entry
@@ -54,7 +52,7 @@ pub(crate) type Profiles<'a> = (&'a BTreeMap<NetId, f64>, &'a BTreeMap<NetId, f6
 pub(crate) enum PointError {
     /// The analysis failed exactly as `FlowResult::analyze` would have.
     Flow(BaselineError),
-    /// The simulated metric failed (block compile or technology resolution).
+    /// The simulated metric failed (technology resolution of the program).
     Sim(String),
 }
 
@@ -173,23 +171,15 @@ struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// Compiles a missed structure once for both halves. A simulated point compiles
-    /// through the block engine and reports a cycle as a simulation failure; an
-    /// analytic point validates first, like `FlowResult::analyze`.
+    /// Compiles a missed structure once for both halves, validating it first like
+    /// `FlowResult::analyze`.
     fn compile(
         group: GroupKey,
         netlist: Netlist,
         word_map: WordMap,
-        simulated: bool,
-    ) -> Result<Self, PointError> {
-        let program = if simulated {
-            BlockSim::compile(&netlist, DEFAULT_BLOCK)
-                .map_err(|error| PointError::Sim(error.to_string()))?
-        } else {
-            netlist.validate_structure().map_err(BaselineError::from)?;
-            let compiled = netlist.compile().map_err(BaselineError::from)?;
-            BlockSim::from_compiled(compiled, DEFAULT_BLOCK)
-        };
+    ) -> Result<Self, BaselineError> {
+        netlist.validate_structure()?;
+        let program = BlockSim::from_compiled(netlist.compile()?, DEFAULT_BLOCK);
         Ok(CacheEntry {
             group,
             netlist,
@@ -231,11 +221,11 @@ impl<'a> CompiledCache<'a> {
             .map(|entry| (&entry.netlist, &entry.word_map))
     }
 
-    /// Analyses one point of a multi-point group — and first simulates it under
-    /// `spec`'s probabilities when the run carries an activity request — through
-    /// the one entry: `fresh` is the point's synthesized structure, verified against
-    /// the entry and replacing it on a miss; `None` analyses the structure the
-    /// entry holds for `group` (see [`CompiledCache::structure`]).
+    /// Analyses one point — and then simulates it under `spec`'s probabilities
+    /// when the run carries an activity request — through the one entry: `fresh`
+    /// is the point's synthesized structure, verified against the entry and
+    /// replacing it on a miss; `None` analyses the structure the entry holds for
+    /// `group` (see [`CompiledCache::structure`]).
     ///
     /// Returns the point's store record (an analytic sweep's carries a zero
     /// simulated figure) and, when the run retains artifacts, an artifact carrying
@@ -269,45 +259,27 @@ impl<'a> CompiledCache<'a> {
                     entry.group = group;
                     own = Some((netlist, word_map));
                 }
-                slot => {
-                    *slot = Some(CacheEntry::compile(
-                        group,
-                        netlist,
-                        word_map,
-                        activity.is_some(),
-                    )?);
-                }
+                slot => *slot = Some(CacheEntry::compile(group, netlist, word_map)?),
             },
         }
         let entry = self.entry.as_mut().expect("entry verified or admitted");
-        let simulated = activity
-            .map(|activity| {
-                simulate(
-                    &mut entry.sim,
-                    (&entry.program, &entry.word_map, &entry.netlist),
-                    activity,
-                    spec,
-                    tech,
-                    worker,
-                )
-            })
-            .transpose()
-            .map_err(PointError::Sim)?;
         let compiled = entry.program.compiled();
         let analysis = match &mut entry.analysis {
             Some(analysis) => analysis,
-            slot @ None => {
-                // The entry may come from a simulation-first compile, so validate
-                // like `FlowResult::analyze` before resolving.
-                entry
-                    .netlist
-                    .validate_structure()
-                    .map_err(BaselineError::from)?;
-                slot.insert(Analysis::new(compiled, tech)?)
-            }
+            slot @ None => slot.insert(Analysis::new(compiled, tech)?),
         };
         let mut stored = analysis.rerun(compiled, profiles)?;
-        stored.simulated_switch_power = simulated.unwrap_or(0.0);
+        if let Some(activity) = activity {
+            stored.simulated_switch_power = simulate(
+                &mut entry.sim,
+                (&entry.program, &entry.word_map, &entry.netlist),
+                activity,
+                spec,
+                tech,
+                worker,
+            )
+            .map_err(PointError::Sim)?;
+        }
         let artifact = retain.then(|| {
             let (netlist, word_map) =
                 own.unwrap_or_else(|| (entry.netlist.clone(), entry.word_map.clone()));
@@ -325,10 +297,9 @@ impl<'a> CompiledCache<'a> {
         Ok((stored, artifact))
     }
 
-    /// Finishes a point that shares nothing with its neighbours — a one-point
-    /// group's, or an already analysed `fa_anneal` result — without touching the
-    /// entry: `result` is the flow's analysed outcome, simulated on a transient
-    /// program when the run carries an activity request.
+    /// Finishes an already analysed `fa_anneal` result without touching the entry:
+    /// `result` is the flow's analysed outcome, simulated on a transient program
+    /// when the run carries an activity request.
     ///
     /// Returns the point's store record and, when the run retains artifacts, the
     /// result itself.

@@ -192,7 +192,8 @@ impl ExploreStats {
 /// delta chain (first point full, later points through the dirty cone) runs on one
 /// thread against one cache entry, in an order that is a pure function of the
 /// specification (the chunking affects only scheduling, never results — the delta
-/// path is bit-identical to the full path by construction).
+/// path is bit-identical to the full path by construction). A one-point group is a
+/// chunk of one, analysed by the same cache as any other.
 ///
 /// # Chunk-size invariant
 ///
@@ -220,10 +221,6 @@ struct Schedule {
     order: Vec<usize>,
     /// Half-open ranges into `order`, one per claimable chunk.
     chunks: Vec<Range<usize>>,
-    /// Per chunk: whether its group has more than one point, so its points share
-    /// the worker's [`CompiledCache`] entry (a one-point group's point has nothing
-    /// to share and takes the plain analysis bundle).
-    grouped: Vec<bool>,
 }
 
 /// Chunks per worker each `(source, width, flow)` group is cut into (capped at the
@@ -259,7 +256,6 @@ fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Schedule {
         }
     }
     let mut chunks = Vec::with_capacity(groups.len());
-    let mut grouped = Vec::with_capacity(groups.len());
     for group in groups {
         let len = group.len();
         // See the type-level chunk-size invariant: capping the chunk target at the
@@ -271,15 +267,10 @@ fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Schedule {
         while begin < group.end {
             let end = (begin + chunk_size).min(group.end);
             chunks.push(begin..end);
-            grouped.push(len > 1);
             begin = end;
         }
     }
-    Schedule {
-        order,
-        chunks,
-        grouped,
-    }
+    Schedule { order, chunks }
 }
 
 /// The number of workers a run spawns: the specification's thread count, capped at
@@ -426,8 +417,7 @@ pub fn schedule_preview(spec: &ExplorationSpec) -> SchedulePreview {
 /// path (priming the worker's one cache entry), and every later point re-analyses
 /// through the cache's delta path — falling back to the full path whenever the
 /// synthesized structure does not verify against the cached one. A profile-blind
-/// flow synthesizes only that first point. A one-point group's point takes the
-/// plain analysis bundle.
+/// flow synthesizes only that first point.
 /// Every result lands in a preallocated write-once slot keyed by its canonical job
 /// index, so the returned results are **bit-identical for any worker count and any
 /// steal order** (the delta path's reports are bit-identical to full re-analysis by
@@ -546,13 +536,11 @@ pub fn explore_with_store(
                         };
                         worker.chunks += 1;
                         worker.steals += usize::from(stolen);
-                        let grouped = plan.grouped[chunk_index];
                         for &job_index in &plan.order[plan.chunks[chunk_index].clone()] {
                             worker.jobs += 1;
                             let outcome = supervised_evaluate(
                                 spec,
                                 &jobs[job_index],
-                                grouped,
                                 &mut cache,
                                 memo,
                                 &mut recorded,
@@ -668,7 +656,6 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 fn supervised_evaluate<'a>(
     spec: &'a ExplorationSpec,
     job: &Job,
-    grouped: bool,
     cache: &mut CompiledCache<'a>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
@@ -677,7 +664,7 @@ fn supervised_evaluate<'a>(
     for attempt in 1..=JOB_ATTEMPT_LIMIT {
         let mark = recorded.len();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate(spec, job, grouped, &mut *cache, memo, recorded, worker)
+            evaluate(spec, job, &mut *cache, memo, recorded, worker)
         }));
         match caught {
             Ok(Ok(point)) => return JobOutcome::Point(Box::new(point)),
@@ -735,13 +722,12 @@ fn point_from_stored(
 /// the metrics (delay from timing analysis, power from probability propagation, area
 /// and structure straight off the compiled program).
 ///
-/// One analysis rule covers every unanalysed point. A point of a multi-point group
-/// (`grouped`) goes through the worker's [`CompiledCache`]: a structurally verified
-/// hit re-analyses only the dirty cone, a miss compiles the structure once and
-/// takes the full bundle. A profile-blind flow synthesizes only its group's first
-/// point there; the later ones analyse the structure the cache holds. A point of a
-/// one-point group takes the plain analysis bundle and admits no cache entry, as
-/// does the already analysed `fa_anneal` result.
+/// Every unanalysed point goes through the worker's [`CompiledCache`]: a
+/// structurally verified hit re-analyses only the dirty cone, a miss compiles the
+/// structure once and takes the priming full pass. A profile-blind flow
+/// synthesizes only its group's first point; the later ones analyse the structure
+/// the cache holds. Only the already analysed `fa_anneal` result bypasses the
+/// cache.
 ///
 /// With a [`StoreContext`] attached the job additionally consults the persistent
 /// store — a point-level hit skips even synthesis, an analysis-level hit (for the
@@ -758,7 +744,6 @@ fn point_from_stored(
 fn evaluate(
     spec: &ExplorationSpec,
     job: &Job,
-    grouped: bool,
     cache: &mut CompiledCache<'_>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
@@ -792,7 +777,7 @@ fn evaluate(
         job: job.label(),
         message,
     };
-    let reuse = grouped && flow.is_profile_blind() && cache.structure(job.group()).is_some();
+    let reuse = flow.is_profile_blind() && cache.structure(job.group()).is_some();
     let fresh = if reuse {
         worker.structure_reuses += 1;
         None
@@ -817,20 +802,18 @@ fn evaluate(
             }
         }
     };
+    let (netlist, word_map) = match &fresh {
+        Some((netlist, word_map)) => (netlist, word_map),
+        None => cache
+            .structure(job.group())
+            .expect("a reused structure is resident"),
+    };
+    let (arrivals, probabilities) = input_profiles(word_map, design.spec());
     // Only the module-binding flows write analysis-stage records, so the memo file
     // holds exactly the records it always has.
-    let analysis_records = memo.filter(|_| matches!(flow, Flow::Conventional | Flow::CsaOpt));
-    let mut analysis_key = None;
-    let mut profiles = None;
-    if grouped || analysis_records.is_some() {
-        let (netlist, word_map) = match &fresh {
-            Some((netlist, word_map)) => (netlist, word_map),
-            None => cache
-                .structure(job.group())
-                .expect("a reused structure is resident"),
-        };
-        let (arrivals, probabilities) = input_profiles(word_map, design.spec());
-        analysis_key = analysis_records.map(|context| {
+    let analysis_key = memo
+        .filter(|_| matches!(flow, Flow::Conventional | Flow::CsaOpt))
+        .map(|context| {
             let stimulus = activity
                 .map(|activity| stimulus_layout_digest(stimulus_digest(activity), word_map))
                 .unwrap_or(0);
@@ -842,8 +825,6 @@ fn evaluate(
                 stimulus,
             )
         });
-        profiles = Some((arrivals, probabilities));
-    }
     if let (Some(context), Some(key)) = (lookups, analysis_key.as_ref()) {
         if let Some(stored) = context.store.lookup(key) {
             worker.store_hits += 1;
@@ -854,30 +835,19 @@ fn evaluate(
             ));
         }
     }
-    let (stored, artifact) = if grouped {
-        let (arrivals, probabilities) = profiles.as_ref().expect("a grouped point is profiled");
-        cache
-            .analyze(
-                job.group(),
-                flow.name(),
-                fresh,
-                (arrivals, probabilities),
-                design.spec(),
-                worker,
-            )
-            .map_err(|error| match error {
-                PointError::Flow(source) => flow_error(source),
-                PointError::Sim(message) => sim_error(message),
-            })?
-    } else {
-        let (netlist, word_map) = fresh.expect("a one-point group never reuses");
-        let result =
-            FlowResult::analyze(flow.name(), netlist, word_map, design.spec(), spec.tech())
-                .map_err(flow_error)?;
-        cache
-            .finish_alone(result, design.spec(), worker)
-            .map_err(sim_error)?
-    };
+    let (stored, artifact) = cache
+        .analyze(
+            job.group(),
+            flow.name(),
+            fresh,
+            (&arrivals, &probabilities),
+            design.spec(),
+            worker,
+        )
+        .map_err(|error| match error {
+            PointError::Flow(source) => flow_error(source),
+            PointError::Sim(message) => sim_error(message),
+        })?;
     if let Some(key) = analysis_key {
         recorded.push((key, stored));
     }

@@ -1,6 +1,6 @@
 //! Typed errors of the exploration engine.
 
-use crate::spec::{BiasProfile, SkewProfile, MAX_SIM_VECTORS};
+use crate::spec::{BiasProfile, SkewProfile, MAX_SIM_VECTORS, MAX_SOURCE_TERMS, MAX_WIDTH};
 use dpsyn_baselines::BaselineError;
 use std::error::Error;
 use std::fmt;
@@ -23,8 +23,14 @@ pub enum ExploreError {
     /// A workload source was declared but the width axis is empty, so the source would
     /// silently contribute no jobs.
     MissingWidths,
+    /// The width axis contains a width above [`MAX_WIDTH`] (a variable's value is a
+    /// `u64`).
+    WidthTooLarge(u32),
     /// A workload source has no operands / product terms to sum.
     EmptySource,
+    /// A workload source asks for more than [`MAX_SOURCE_TERMS`] operands / product
+    /// terms.
+    SourceTooLarge(usize),
     /// An arrival-skew profile carries a negative or non-finite maximum arrival.
     InvalidSkew(f64),
     /// Two arrival-skew profiles describe the same arrival range, so the cross product
@@ -39,8 +45,9 @@ pub enum ExploreError {
     /// rates need at least one vector-to-vector transition) or more than
     /// [`MAX_SIM_VECTORS`].
     InvalidSimVectors(usize),
-    /// The simulated switching-activity metric failed on one job (block-engine
-    /// compilation or technology resolution of the synthesized netlist).
+    /// The simulated switching-activity metric failed on one job (technology
+    /// resolution of the synthesized netlist's program; a structure that does not
+    /// compile fails its analysis first, as [`ExploreError::Flow`]).
     Sim {
         /// Label of the failing job (design, axes and flow).
         job: String,
@@ -104,9 +111,18 @@ impl fmt::Display for ExploreError {
                 f,
                 "a workload source needs a non-empty width axis to enumerate jobs"
             ),
+            ExploreError::WidthTooLarge(width) => write!(
+                f,
+                "the width axis contains {width}; operands have at most {MAX_WIDTH} bits"
+            ),
             ExploreError::EmptySource => {
                 write!(f, "a workload source has no operands to sum")
             }
+            ExploreError::SourceTooLarge(count) => write!(
+                f,
+                "a workload source asks for {count} operands; at most {MAX_SOURCE_TERMS} \
+                 operands or product terms are summed"
+            ),
             ExploreError::InvalidSkew(max_arrival) => write!(
                 f,
                 "arrival-skew profile with max arrival {max_arrival} is invalid \

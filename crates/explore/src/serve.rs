@@ -626,14 +626,10 @@ fn catalog_design(name: &str) -> Option<Design> {
 
 fn parse_flow(value: &Json) -> Result<Flow, String> {
     if let Some(name) = value.as_str() {
-        return match name {
-            "conventional" => Ok(Flow::Conventional),
-            "csa_opt" => Ok(Flow::CsaOpt),
-            "wallace_fixed" => Ok(Flow::WallaceFixed),
-            "fa_aot" => Ok(Flow::FaAot),
-            "fa_alp" => Ok(Flow::FaAlp),
-            other => Err(format!("unknown flow `{other}`")),
-        };
+        return Flow::NAMED
+            .into_iter()
+            .find(|flow| flow.name() == name)
+            .ok_or_else(|| format!("unknown flow `{name}`"));
     }
     if let Json::Object(fields) = value {
         if let [(key, seed)] = fields.as_slice() {

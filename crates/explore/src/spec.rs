@@ -170,6 +170,18 @@ pub struct SimActivity {
 /// rejected with [`ExploreError::InvalidSimVectors`].
 pub const MAX_SIM_VECTORS: usize = 65_536;
 
+/// Upper bound on every width of the width axis: a variable's value is a `u64`.
+/// A workload generator draws one bit profile per operand bit, so an unbounded
+/// width from a serve request could abort the process on a failed allocation;
+/// wider axes are rejected with [`ExploreError::WidthTooLarge`].
+pub const MAX_WIDTH: u32 = 64;
+
+/// Upper bound on the operand count of a `random_sum` source and the term count of
+/// a `random_sum_of_products` source (eight times the largest the shipped sweeps
+/// use). Larger counts are rejected with [`ExploreError::SourceTooLarge`] before
+/// any operand is generated.
+pub const MAX_SOURCE_TERMS: usize = 64;
+
 /// The full description of one design-space exploration.
 ///
 /// Build one with [`ExplorationSpec::builder`]; the builder validates the axes and
@@ -533,7 +545,9 @@ impl ExplorationSpecBuilder {
     /// # Errors
     ///
     /// Returns a typed [`ExploreError`] when the `threads` field is explicitly zero,
-    /// a width is zero, a workload source lacks widths or operands, a skew/bias profile is invalid or conflicts with another,
+    /// a width is zero or above [`MAX_WIDTH`], a workload source lacks widths or
+    /// operands or has more than [`MAX_SOURCE_TERMS`] of them, a skew/bias profile
+    /// is invalid or conflicts with another,
     /// a simulated-activity request asks for fewer than 2 or more than
     /// [`MAX_SIM_VECTORS`] vectors, or the matrix
     /// enumerates no jobs.
@@ -547,6 +561,9 @@ impl ExplorationSpecBuilder {
         };
         if self.spec.widths.contains(&0) {
             return Err(ExploreError::ZeroWidth);
+        }
+        if let Some(&width) = self.spec.widths.iter().find(|&&width| width > MAX_WIDTH) {
+            return Err(ExploreError::WidthTooLarge(width));
         }
         if let Some(activity) = self.spec.sim_activity {
             // Toggle rates divide by `vectors - 1` transitions; fewer than two
@@ -568,6 +585,12 @@ impl ExplorationSpecBuilder {
             match source {
                 ExprSource::Sum { operands: 0 } | ExprSource::SumOfProducts { terms: 0 } => {
                     return Err(ExploreError::EmptySource);
+                }
+                ExprSource::Sum { operands: count }
+                | ExprSource::SumOfProducts { terms: count }
+                    if *count > MAX_SOURCE_TERMS =>
+                {
+                    return Err(ExploreError::SourceTooLarge(*count));
                 }
                 _ => {}
             }

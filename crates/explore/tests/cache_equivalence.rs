@@ -10,14 +10,17 @@
 //! `CsaOpt` (word-level arrivals) and the FA-tree selections `FaAot`/`FaAlp` shift
 //! their structure with the profiles, exercising the structural verification that
 //! replaces the one entry on a miss. A second spec has one point per group (the
-//! paper-table shape), whose points take the plain analysis bundle and never touch
-//! the cache. Each runs at 1, 2 and 3 workers, so steals and per-job chunks move
-//! groups between workers — none of which may perturb a single bit.
+//! paper-table shape), whose points go through the same cache: each verifies against
+//! the entry the previous point left or replaces it. Each runs at 1, 2 and 3
+//! workers, so steals and per-job chunks move groups between workers — none of which
+//! may perturb a single bit.
 //!
 //! The simulated metric, which shares that cache, is pinned the same way against a
 //! cache-free oracle: a fresh block simulation of each retained netlist.
 
-use dpsyn_explore::{explore, BiasProfile, ExplorationSpec, Flow, SimActivity, SkewProfile};
+use dpsyn_explore::{
+    explore, explore_with_stats, BiasProfile, ExplorationSpec, Flow, SimActivity, SkewProfile,
+};
 use dpsyn_ir::InputSpec;
 use dpsyn_netlist::{Netlist, WordMap};
 use dpsyn_power::simulated_energy;
@@ -191,8 +194,9 @@ fn oracle_sim_power(
 fn simulated_points_match_a_cache_free_oracle() {
     // All six explore flows: each builds its simulation context on the structure
     // its cache entry compiled, the blind flows reuse one structure per group,
-    // and bias-only neighbours hit the memo; the one-point groups simulate on a
-    // transient program instead. 300 vectors leave a partial last pass.
+    // and bias-only neighbours hit the memo; a one-point group's point simulates
+    // on the entry it verified against or compiled. 300 vectors leave a partial
+    // last pass.
     let activity = SimActivity {
         seed: 23,
         vectors: 300,
@@ -219,8 +223,18 @@ fn simulated_points_match_a_cache_free_oracle() {
             .threads(threads)
             .build()
             .expect("sim spec is well-formed");
-        let results = explore(&spec).expect("sim exploration succeeds");
+        let (results, stats) = explore_with_stats(&spec).expect("sim exploration succeeds");
         assert_eq!(results.points().len(), spec.jobs().len());
+        assert_eq!(stats.total_sim_points(), spec.jobs().len());
+        assert_eq!(
+            stats.total_sim_builds() + stats.total_sim_reuses(),
+            stats.total_sim_points(),
+            "every simulated point builds or reuses its entry's context"
+        );
+        if skews.len() * biases.len() == 1 {
+            // A one-point group's key is unique, so no structure is ever reused.
+            assert_eq!(stats.total_structure_reuses(), 0);
+        }
         for point in results.points() {
             let artifact = point.artifact.as_ref().expect("artifacts are retained");
             let design = spec.materialize(&point.job);

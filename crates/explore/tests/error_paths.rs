@@ -3,6 +3,7 @@
 
 use dpsyn_explore::{
     BiasProfile, ExplorationSpec, ExploreError, Flow, SimActivity, SkewProfile, MAX_SIM_VECTORS,
+    MAX_SOURCE_TERMS, MAX_WIDTH,
 };
 use std::error::Error as _;
 
@@ -94,6 +95,43 @@ fn zero_width_on_the_width_axis() {
         .expect_err("width 0 must not build");
     assert!(matches!(error, ExploreError::ZeroWidth));
     assert!(error.to_string().contains("at least one bit"));
+}
+
+#[test]
+fn oversized_widths_and_sources_are_rejected() {
+    // Each would otherwise reach the workload generator, which draws one bit
+    // profile per operand bit: a failed allocation aborts the process.
+    let error = ExplorationSpec::builder()
+        .sum_workload(3)
+        .widths([8, 4_000_000_000])
+        .flow(Flow::FaAot)
+        .build()
+        .expect_err("a width beyond a u64 value must not build");
+    assert!(matches!(error, ExploreError::WidthTooLarge(4_000_000_000)));
+    assert!(error
+        .to_string()
+        .contains(&format!("at most {MAX_WIDTH} bits")));
+    for oversized in [
+        ExplorationSpec::builder().sum_workload(usize::MAX / 2),
+        ExplorationSpec::builder().sum_of_products_workload(MAX_SOURCE_TERMS + 1),
+    ] {
+        let error = oversized
+            .width(4)
+            .flow(Flow::FaAot)
+            .build()
+            .expect_err("an oversized source must not build");
+        assert!(matches!(error, ExploreError::SourceTooLarge(count) if count > MAX_SOURCE_TERMS));
+        assert!(error
+            .to_string()
+            .contains(&format!("at most {MAX_SOURCE_TERMS}")));
+    }
+    ExplorationSpec::builder()
+        .sum_workload(MAX_SOURCE_TERMS)
+        .sum_of_products_workload(MAX_SOURCE_TERMS)
+        .width(MAX_WIDTH)
+        .flow(Flow::FaAot)
+        .build()
+        .expect("the bounds themselves are accepted");
 }
 
 #[test]
@@ -246,8 +284,10 @@ fn error_display_is_covered_for_every_variant() {
         ExploreError::EmptyMatrix,
         ExploreError::ZeroWorkers,
         ExploreError::ZeroWidth,
+        ExploreError::WidthTooLarge(65),
         ExploreError::MissingWidths,
         ExploreError::EmptySource,
+        ExploreError::SourceTooLarge(65),
         ExploreError::InvalidSkew(-2.0),
         ExploreError::ConflictingSkews(SkewProfile::Keep, SkewProfile::Uniform(0.0)),
         ExploreError::InvalidBias(0.7),

@@ -2,7 +2,7 @@
 //! generated structural Verilog netlist (the paper's tool output format).
 //!
 //! Usage:
-//! `cargo run -p dpsyn-core --example custom_expression_to_verilog -- "a*b + c - 7" 12`
+//! `cargo run -p dpsyn --example custom_expression_to_verilog -- "a*b + c - 7" 12`
 //! (expression, then optional per-input width, default 8; optional objective
 //! `timing`/`power` as the third argument).
 

@@ -1,7 +1,7 @@
 //! Power-driven synthesis of a complex-multiplier datapath whose inputs have strongly
 //! biased signal probabilities, validated against a toggle-counting logic simulation.
 //!
-//! Run with `cargo run -p dpsyn-core --example low_power_datapath`.
+//! Run with `cargo run -p dpsyn --example low_power_datapath`.
 
 use dpsyn_core::{Objective, SelectionStrategy, Synthesizer};
 use dpsyn_ir::{parse_expr, InputSpec};

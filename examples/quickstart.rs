@@ -1,7 +1,7 @@
 //! Quickstart: synthesize a small arithmetic expression into a timing-optimal
 //! carry-save FA-tree and print the quality-of-results report plus a Verilog excerpt.
 //!
-//! Run with `cargo run -p dpsyn-core --example quickstart`.
+//! Run with `cargo run -p dpsyn --example quickstart`.
 
 use dpsyn_core::{Objective, Synthesizer};
 use dpsyn_ir::{parse_expr, InputSpec};

@@ -2,7 +2,7 @@
 //! the conventional operation-level flow and the word-level CSA_OPT baseline under a
 //! skewed input arrival profile (the feedback taps arrive late).
 //!
-//! Run with `cargo run -p dpsyn-core --example timing_driven_filter`.
+//! Run with `cargo run -p dpsyn --example timing_driven_filter`.
 
 use dpsyn_baselines::Flow;
 use dpsyn_ir::{parse_expr, InputSpec};

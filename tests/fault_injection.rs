@@ -706,6 +706,47 @@ mod serve_faults {
         server.join().expect("joins").expect("exits cleanly");
     }
 
+    /// A request's point sizes are untrusted: a width or operand count the
+    /// workload generator would allocate gigabytes of bit profiles for gets a typed
+    /// reject before any job runs, and the same connection keeps serving.
+    #[test]
+    fn oversized_points_are_rejected_and_the_connection_keeps_serving() {
+        let socket = sock("oversized");
+        let config = ServeConfig::new(socket.clone());
+        let server = std::thread::spawn(move || serve(&config));
+
+        let mut stream = connect(&socket);
+        for (line, reason) in [
+            (
+                r#"{"sources":[{"sum":3}],"widths":[4000000000],"flows":["fa_aot"]}"#,
+                "at most 64 bits",
+            ),
+            (
+                r#"{"sources":[{"sum":1000000000000}],"widths":[4],"flows":["fa_aot"]}"#,
+                "at most 64 operands",
+            ),
+        ] {
+            stream
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("oversized request sends");
+            let response = read_response(&mut stream);
+            assert!(!response.ok, "{line} must be rejected");
+            assert!(
+                response.error.contains(reason),
+                "{line} -> {}",
+                response.error
+            );
+        }
+        stream.write_all(SWEEP.as_bytes()).expect("sweep sends");
+        let healthy = read_response(&mut stream);
+        assert!(healthy.ok, "the connection kept serving: {}", healthy.error);
+        assert_eq!(healthy.points, 2);
+        drop(stream);
+
+        shutdown(&socket);
+        server.join().expect("joins").expect("exits cleanly");
+    }
+
     /// Satellite: a slow-loris client parking a partial line is rejected with a
     /// typed `deadline` response once the read deadline passes.
     #[test]
