@@ -298,14 +298,10 @@ pub fn fa_anneal_observed(
     seed: u64,
     mut observer: impl FnMut(&AnnealStep<'_>),
 ) -> Result<(FlowResult, AnnealStats), BaselineError> {
-    let (mut netlist, word_map) = Flow::FaAnneal(seed).fa_tree(
-        expr,
-        spec,
-        width,
-        tech,
-        SelectionStrategy::Random(seed),
-        FinalAdderKind::Ripple,
-    )?;
+    let (mut netlist, word_map) = Flow::FaAnneal(seed)
+        .fa_tree(expr, spec, width, tech, SelectionStrategy::Random(seed))
+        .final_adder(FinalAdderKind::Ripple)
+        .build_netlist()?;
     // Checked and compiled as the shared analysis bundle does; the delta passes
     // below are the start's only timing and power analyses.
     netlist.validate_structure()?;

@@ -11,7 +11,7 @@ use crate::anneal::fa_anneal_with_stats;
 use crate::conventional::conventional_netlist;
 use crate::csa_opt::csa_opt_netlist;
 use crate::flow::{BaselineError, FlowResult};
-use dpsyn_core::{FinalAdderKind, Objective, SelectionStrategy, Synthesizer};
+use dpsyn_core::{LeafPrefix, Objective, SelectionStrategy, Synthesizer};
 use dpsyn_ir::{Expr, InputSpec};
 use dpsyn_netlist::{Netlist, WordMap};
 use dpsyn_tech::TechLibrary;
@@ -168,6 +168,36 @@ impl Flow {
         }
     }
 
+    /// Whether the flow grows a global FA-tree from a [`LeafPrefix`]: true for
+    /// `wallace_fixed`, `fa_random`, `fa_aot` and `fa_alp`, which share one prefix
+    /// per expression and width ([`Flow::leaf_prefix`]). The module-binding flows
+    /// never build one, and `fa_anneal` builds its own start netlist.
+    pub fn grows_leaf_prefix(&self) -> bool {
+        matches!(
+            self,
+            Flow::WallaceFixed | Flow::FaRandom(_) | Flow::FaAot | Flow::FaAlp
+        )
+    }
+
+    /// Builds the leaf prefix the FA-tree flows ([`Flow::grows_leaf_prefix`])
+    /// synthesize `expr` from at output width `width`: the profile-free half of
+    /// their synthesis, shared by every design point over the same variable names
+    /// and widths. Hand it to [`Flow::synthesize_from`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if lowering fails, the expression reduces to the constant
+    /// zero, or netlist construction fails.
+    pub fn leaf_prefix(
+        expr: &Expr,
+        spec: &InputSpec,
+        width: u32,
+    ) -> Result<LeafPrefix, BaselineError> {
+        Ok(Synthesizer::new(expr, spec)
+            .output_width(width)
+            .leaf_prefix()?)
+    }
+
     /// Runs the synthesis step of the flow, for callers that analyse (or
     /// delta-re-analyse) separately.
     ///
@@ -175,6 +205,10 @@ impl Flow {
     /// returns [`FlowSynthesis::Unanalyzed`]; `fa_anneal` returns its finished
     /// result (see [`FlowSynthesis`] for why). Following an `Unanalyzed` outcome
     /// with [`FlowResult::analyze`] is exactly [`Flow::run`].
+    ///
+    /// The four FA-tree flows build their leaf prefix on the spot and grow it, as
+    /// [`Flow::synthesize_from`] grows a supplied one: one code path, the same
+    /// netlist.
     ///
     /// # Errors
     ///
@@ -187,8 +221,34 @@ impl Flow {
         width: u32,
         tech: &TechLibrary,
     ) -> Result<FlowSynthesis, BaselineError> {
-        let tree =
-            |strategy| self.fa_tree(expr, spec, width, tech, strategy, FinalAdderKind::default());
+        self.synthesize_from(expr, spec, width, tech, None)
+    }
+
+    /// [`Flow::synthesize`], with the FA-tree flows growing from `prefix` (built
+    /// by [`Flow::leaf_prefix`]) instead of lowering and building their leaves.
+    /// The other flows ignore it. A prefix that does not fit the expression, the
+    /// variables or the width is ignored too (see `Synthesizer::grow_from`), so
+    /// the outcome is always exactly [`Flow::synthesize`]'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`Flow::synthesize`].
+    pub fn synthesize_from(
+        &self,
+        expr: &Expr,
+        spec: &InputSpec,
+        width: u32,
+        tech: &TechLibrary,
+        prefix: Option<&LeafPrefix>,
+    ) -> Result<FlowSynthesis, BaselineError> {
+        let tree = |strategy| {
+            let synthesizer = self.fa_tree(expr, spec, width, tech, strategy);
+            match prefix {
+                Some(prefix) => synthesizer.grow_from(prefix),
+                None => synthesizer,
+            }
+            .build_netlist()
+        };
         let (netlist, word_map) = match *self {
             Flow::Conventional => conventional_netlist(expr, spec, width)?,
             Flow::CsaOpt => csa_opt_netlist(expr, spec, width, tech)?,
@@ -207,26 +267,23 @@ impl Flow {
         })))
     }
 
-    /// Builds the netlist of the global FA-tree engine of `dpsyn-core` under this
-    /// flow's objective and name (which also names the netlist module) with the
-    /// given selection strategy and final adder, unanalysed.
-    pub(crate) fn fa_tree(
+    /// The global FA-tree engine of `dpsyn-core` configured under this flow's
+    /// objective and name (which also names the netlist module) with the given
+    /// selection strategy and the default final adder.
+    pub(crate) fn fa_tree<'a>(
         self,
-        expr: &Expr,
-        spec: &InputSpec,
+        expr: &'a Expr,
+        spec: &'a InputSpec,
         width: u32,
-        tech: &TechLibrary,
+        tech: &'a TechLibrary,
         strategy: SelectionStrategy,
-        final_adder: FinalAdderKind,
-    ) -> Result<(Netlist, WordMap), BaselineError> {
-        Ok(Synthesizer::new(expr, spec)
+    ) -> Synthesizer<'a> {
+        Synthesizer::new(expr, spec)
             .objective(self.objective())
             .technology(tech)
             .output_width(width)
             .name(self.name())
             .strategy(strategy)
-            .final_adder(final_adder)
-            .build_netlist()?)
     }
 }
 
@@ -441,6 +498,33 @@ mod tests {
             assert_eq!(result.netlist, reference.netlist, "{flow}");
             assert_eq!(result.word_map, reference.word_map, "{flow}");
             assert_eq!(result.compiled, reference.compiled, "{flow}");
+        }
+    }
+
+    /// A supplied leaf prefix, built under other input profiles, changes nothing:
+    /// every flow's synthesis equals the one without it, down to the module name.
+    #[test]
+    fn synthesize_from_a_shared_prefix_matches_synthesize() {
+        let (expr, spec, lib) = setup();
+        let flat = InputSpec::builder()
+            .var("a", 4)
+            .var("b", 4)
+            .var("c", 4)
+            .build()
+            .unwrap();
+        let prefix = Flow::leaf_prefix(&expr, &flat, 9).unwrap();
+        for flow in ALL {
+            let parts = |outcome| match outcome {
+                FlowSynthesis::Unanalyzed(parts) => (parts.netlist, parts.word_map),
+                FlowSynthesis::Analyzed(result) => (result.netlist, result.word_map),
+            };
+            let reference = parts(flow.synthesize(&expr, &spec, 9, &lib).unwrap());
+            let grown = parts(
+                flow.synthesize_from(&expr, &spec, 9, &lib, Some(&prefix))
+                    .unwrap(),
+            );
+            assert_eq!(grown, reference, "{flow}");
+            assert_eq!(grown.0.name(), flow.name(), "{flow}");
         }
     }
 

@@ -60,7 +60,7 @@ mod flow;
 
 pub use anneal::{fa_anneal_observed, fa_anneal_with_stats, AnnealStats, AnnealStep};
 pub use dispatch::{Flow, FlowSynthesis, SynthesizedParts};
-pub use dpsyn_core::input_profiles;
+pub use dpsyn_core::{input_profiles, LeafPrefix};
 pub use flow::{BaselineError, FlowResult};
 
 #[cfg(test)]

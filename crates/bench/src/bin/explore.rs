@@ -134,10 +134,11 @@ fn main() {
     let (busiest, laziest) = stats.job_spread();
     eprintln!(
         "scheduler: {} total steal(s), {} store hit(s), {} structure reuse(s), \
-         busiest/laziest worker ran {busiest}/{laziest} job(s)",
+         {} leaf prefix build(s), busiest/laziest worker ran {busiest}/{laziest} job(s)",
         stats.total_steals(),
         stats.total_store_hits(),
-        stats.total_structure_reuses()
+        stats.total_structure_reuses(),
+        stats.total_leaf_prefix_builds()
     );
     let summary = results.render_summary();
     print!("{summary}");

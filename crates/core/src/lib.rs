@@ -60,6 +60,7 @@ mod synthesizer;
 pub use allocation::{allocate_fa_tree, LeafAddend, ReducedRows};
 pub use error::SynthesisError;
 pub use final_adder::FinalAdderKind;
+pub use leaves::LeafPrefix;
 pub use report::SynthesisReport;
 pub use schedule::{sc_lp, sc_t, ColumnOutcome};
 pub use strategy::{Objective, SelectionStrategy};

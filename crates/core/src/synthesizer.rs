@@ -3,7 +3,7 @@
 use crate::allocation::{allocate_fa_tree, ReducedRows};
 use crate::error::SynthesisError;
 use crate::final_adder::FinalAdderKind;
-use crate::leaves::build_leaves;
+use crate::leaves::LeafPrefix;
 use crate::report::SynthesisReport;
 use crate::strategy::{Objective, SelectionStrategy};
 use dpsyn_ir::{Expr, InputSpec, LoweringOptions};
@@ -91,6 +91,7 @@ pub struct Synthesizer<'a> {
     width: Option<u32>,
     csd: bool,
     name: String,
+    prefix: Option<&'a LeafPrefix>,
 }
 
 impl<'a> Synthesizer<'a> {
@@ -106,6 +107,7 @@ impl<'a> Synthesizer<'a> {
             width: None,
             csd: false,
             name: "datapath".to_string(),
+            prefix: None,
         }
     }
 
@@ -154,6 +156,31 @@ impl<'a> Synthesizer<'a> {
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
         self
+    }
+
+    /// Grows the design from `prefix` instead of lowering the expression and
+    /// building its leaves again. The result is identical to a synthesis without
+    /// it: the prefix only saves the work.
+    ///
+    /// A prefix that does not fit this synthesizer — built for another expression,
+    /// other variable names or widths ([`LeafPrefix::fits`]) or other lowering
+    /// options — is ignored, and a fresh one is built.
+    pub fn grow_from(mut self, prefix: &'a LeafPrefix) -> Self {
+        self.prefix = Some(prefix);
+        self
+    }
+
+    /// Builds the profile-free leaf prefix of this synthesizer's expression, output
+    /// width and coefficient recoding: what every synthesis of the expression over
+    /// the same variable names and widths starts from, whatever the input profiles,
+    /// strategy or final adder. Hand it to [`Synthesizer::grow_from`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SynthesisError`] when lowering fails, when the expression
+    /// reduces to the constant zero, or when netlist construction fails.
+    pub fn leaf_prefix(&self) -> Result<LeafPrefix, SynthesisError> {
+        LeafPrefix::new(self.expr, self.spec, &self.lowering_options())
     }
 
     /// Runs the full flow and returns the synthesized, analysed design: the netlist
@@ -215,26 +242,42 @@ impl<'a> Synthesizer<'a> {
             .map_or_else(|| Cow::Owned(TechLibrary::lcbg10pv_like()), Cow::Borrowed)
     }
 
-    /// The one synthesis path behind [`Synthesizer::run`] and
-    /// [`Synthesizer::build_netlist`].
-    fn build(&self, tech: &TechLibrary) -> Result<TreeNetlist, SynthesisError> {
-        let mut options = match self.width {
+    /// The lowering options of the configured width and coefficient recoding.
+    fn lowering_options(&self) -> LoweringOptions {
+        match self.width {
             Some(width) => LoweringOptions::with_width(width),
             None => LoweringOptions::new(),
-        };
-        options = options.csd_constants(self.csd);
-        let matrix = self.expr.lower(self.spec, &options)?;
-        if matrix.total_addends() == 0 {
-            return Err(SynthesisError::EmptyExpression);
         }
-        let width = matrix.width();
+        .csd_constants(self.csd)
+    }
+
+    /// The one synthesis path behind [`Synthesizer::run`] and
+    /// [`Synthesizer::build_netlist`]: take (or build) the leaf prefix, then grow
+    /// it — derive this design's leaf estimates, allocate the FA-tree, add the
+    /// final adder and name the outputs.
+    ///
+    /// A borrowed prefix is copied once; a freshly built one is moved, so a
+    /// one-off synthesis pays nothing for the split.
+    fn build(&self, tech: &TechLibrary) -> Result<TreeNetlist, SynthesisError> {
+        let options = self.lowering_options();
+        let prefix = match self.prefix {
+            Some(prefix) if prefix.options == options && prefix.fits(self.expr, self.spec) => {
+                Cow::Borrowed(prefix)
+            }
+            _ => Cow::Owned(LeafPrefix::new(self.expr, self.spec, &options)?),
+        };
+        let columns = prefix.leaves(self.spec, tech);
+        let width = prefix.width;
+        let (mut netlist, input_words) = match prefix {
+            Cow::Borrowed(prefix) => (prefix.netlist.clone(), prefix.input_words.clone()),
+            Cow::Owned(prefix) => (prefix.netlist, prefix.input_words),
+        };
+        // The module name is the design's, not the prefix's.
+        netlist.set_name(self.name.clone());
         let strategy = self
             .strategy
             .unwrap_or_else(|| self.objective.default_strategy());
-
-        let mut netlist = Netlist::new(self.name.clone());
-        let leaves = build_leaves(&mut netlist, &matrix, self.spec, tech)?;
-        let rows = allocate_fa_tree(&mut netlist, leaves.columns, strategy, tech)?;
+        let rows = allocate_fa_tree(&mut netlist, columns, strategy, tech)?;
         let outputs =
             self.final_adder
                 .build(&mut netlist, &rows.row_a, &rows.row_b, width as usize)?;
@@ -242,7 +285,7 @@ impl<'a> Synthesizer<'a> {
             netlist.set_net_name(*net, format!("out[{bit}]"));
             netlist.mark_output(*net);
         }
-        let word_map = WordMap::new(leaves.input_words, Word::new("out", outputs));
+        let word_map = WordMap::new(input_words, Word::new("out", outputs));
         Ok(TreeNetlist {
             netlist,
             word_map,

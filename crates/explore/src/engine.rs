@@ -4,6 +4,7 @@ use crate::cache::{CompiledCache, PointError};
 use crate::error::ExploreError;
 use crate::job::Job;
 use crate::pareto::{pareto_front, PointMetrics};
+use crate::points::PointTable;
 use crate::spec::ExplorationSpec;
 use crate::store::{
     profile_digest, stimulus_digest, stimulus_layout_digest, EvalKey, ResultStore, StoreHealth,
@@ -131,6 +132,16 @@ pub struct WorkerStats {
     /// profile-blind flow's group, analysed on the structure its first point
     /// synthesized (see `Flow::is_profile_blind`).
     pub structure_reuses: usize,
+    /// Design points this worker materialized (and keyed, with a store) into the
+    /// run's design-point table; every other job of the point, on any worker,
+    /// reads that entry. Summed over the workers: one per design point the run
+    /// touches.
+    pub materializations: usize,
+    /// Leaf prefixes this worker built into the run's design-point table. The
+    /// FA-tree flows of a `(source, width)` pair all grow from its one prefix, so
+    /// summed over the workers this is one per pair whose FA-tree flows
+    /// synthesize.
+    pub leaf_prefix_builds: usize,
 }
 
 /// Scheduling diagnostics of one exploration, one entry per worker thread.
@@ -175,6 +186,24 @@ impl ExploreStats {
         self.workers
             .iter()
             .map(|worker| worker.structure_reuses)
+            .sum()
+    }
+
+    /// Total design points materialized: one per design point the run touches,
+    /// whatever the worker count.
+    pub fn total_materializations(&self) -> usize {
+        self.workers
+            .iter()
+            .map(|worker| worker.materializations)
+            .sum()
+    }
+
+    /// Total leaf prefixes built: one per `(source, width)` pair whose FA-tree
+    /// flows synthesize, whatever the worker count.
+    pub fn total_leaf_prefix_builds(&self) -> usize {
+        self.workers
+            .iter()
+            .map(|worker| worker.leaf_prefix_builds)
             .sum()
     }
 
@@ -503,6 +532,15 @@ pub fn explore_with_store(
         store,
         tech_digest: spec.tech().identity_digest(),
     });
+    // Built once per run, shared read-only by the workers, dropped with the run.
+    let table = PointTable::new(
+        spec,
+        &jobs,
+        memo.as_ref().map(|context| {
+            let stimulus = spec.sim_activity().map(stimulus_digest).unwrap_or(0);
+            (context.tech_digest, stimulus)
+        }),
+    );
     // One write-once slot per job: no result lock, no post-run sort.
     let slots: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
     let mut stats = ExploreStats {
@@ -521,6 +559,7 @@ pub fn explore_with_store(
                 let plan = &plan;
                 let jobs = &jobs;
                 let slots = &slots;
+                let table = &table;
                 let memo = memo.as_ref();
                 scope.spawn(move || {
                     let mut cache = CompiledCache::new(spec);
@@ -541,6 +580,7 @@ pub fn explore_with_store(
                             let outcome = supervised_evaluate(
                                 spec,
                                 &jobs[job_index],
+                                table,
                                 &mut cache,
                                 memo,
                                 &mut recorded,
@@ -656,6 +696,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 fn supervised_evaluate<'a>(
     spec: &'a ExplorationSpec,
     job: &Job,
+    table: &PointTable<'_>,
     cache: &mut CompiledCache<'a>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
@@ -664,7 +705,7 @@ fn supervised_evaluate<'a>(
     for attempt in 1..=JOB_ATTEMPT_LIMIT {
         let mark = recorded.len();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate(spec, job, &mut *cache, memo, recorded, worker)
+            evaluate(spec, job, table, &mut *cache, memo, recorded, worker)
         }));
         match caught {
             Ok(Ok(point)) => return JobOutcome::Point(Box::new(point)),
@@ -718,9 +759,13 @@ fn point_from_stored(
     }
 }
 
-/// Evaluates one job: materializes its design, runs its flow's synthesis, and obtains
-/// the metrics (delay from timing analysis, power from probability propagation, area
-/// and structure straight off the compiled program).
+/// Evaluates one job: takes its design point from the run's [`PointTable`], runs
+/// its flow's synthesis, and obtains the metrics (delay from timing analysis, power
+/// from probability propagation, area and structure straight off the compiled
+/// program).
+///
+/// The four FA-tree flows grow from their `(source, width)` pair's leaf prefix
+/// in the table instead of lowering and building the leaves per job.
 ///
 /// Every unanalysed point goes through the worker's [`CompiledCache`]: a
 /// structurally verified hit re-analyses only the dirty cone, a miss compiles the
@@ -744,6 +789,7 @@ fn point_from_stored(
 fn evaluate(
     spec: &ExplorationSpec,
     job: &Job,
+    table: &PointTable<'_>,
     cache: &mut CompiledCache<'_>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
@@ -754,21 +800,19 @@ fn evaluate(
     if let Some(faults) = spec.faults() {
         faults.on_job_attempt(job.index());
     }
-    let design = spec.materialize(job);
+    let point = table.point(job, worker);
+    let design = &point.design;
     let activity = spec.sim_activity();
     let sim_on = activity.is_some();
     let lookups = memo.filter(|_| !spec.retain_artifacts);
-    let point_key = memo.map(|context| {
-        let stimulus = activity.map(stimulus_digest).unwrap_or(0);
-        EvalKey::point(&design, job.flow(), context.tech_digest, stimulus)
-    });
+    let flow = job.flow();
+    let point_key = point.key.as_ref().map(|key| key.with_flow(flow));
     if let (Some(context), Some(key)) = (lookups, point_key.as_ref()) {
         if let Some(stored) = context.store.lookup(key) {
             worker.store_hits += 1;
-            return Ok(point_from_stored(job, &design, stored, sim_on));
+            return Ok(point_from_stored(job, design, stored, sim_on));
         }
     }
-    let flow = job.flow();
     let flow_error = |source| ExploreError::Flow {
         job: job.label(),
         source,
@@ -783,11 +827,12 @@ fn evaluate(
         None
     } else {
         match flow
-            .synthesize(
+            .synthesize_from(
                 design.expr(),
                 design.spec(),
                 design.output_width(),
                 spec.tech(),
+                table.prefix(job, worker),
             )
             .map_err(flow_error)?
         {
@@ -797,7 +842,7 @@ fn evaluate(
                     .finish_alone(*result, design.spec(), worker)
                     .map_err(sim_error)?;
                 return Ok(finish(
-                    job, &design, stored, sim_on, artifact, point_key, recorded,
+                    job, design, stored, sim_on, artifact, point_key, recorded,
                 ));
             }
         }
@@ -831,7 +876,7 @@ fn evaluate(
             // Promote the hit to a point-level record so the next run skips this
             // job's synthesis too.
             return Ok(finish(
-                job, &design, stored, sim_on, None, point_key, recorded,
+                job, design, stored, sim_on, None, point_key, recorded,
             ));
         }
     }
@@ -852,7 +897,7 @@ fn evaluate(
         recorded.push((key, stored));
     }
     Ok(finish(
-        job, &design, stored, sim_on, artifact, point_key, recorded,
+        job, design, stored, sim_on, artifact, point_key, recorded,
     ))
 }
 
@@ -1141,5 +1186,53 @@ mod tests {
             None,
             "drained queues have nothing to steal"
         );
+    }
+
+    /// A pair whose leaf prefix cannot be built (output width 0) caches the
+    /// failure — one build attempt for the whole pair — but never hands out a
+    /// prefix: every FA-tree job of the pair synthesizes on its own and fails
+    /// with its own typed flow error.
+    #[test]
+    fn a_failed_leaf_prefix_is_built_once_and_never_handed_out() {
+        let broken = Design::new(
+            "w0",
+            "zero output width",
+            "a*b + b",
+            dpsyn_ir::InputSpec::builder()
+                .var("a", 2)
+                .var("b", 2)
+                .build()
+                .unwrap(),
+            0,
+        );
+        let spec = ExplorationSpec::builder()
+            .design(broken)
+            .skews([SkewProfile::Keep, SkewProfile::Uniform(1.0)])
+            .flows([Flow::FaAlp, Flow::FaAot])
+            .threads(1)
+            .build()
+            .expect("the spec itself is well-formed");
+        let jobs = spec.jobs();
+        let table = PointTable::new(&spec, &jobs, None);
+        let mut cache = CompiledCache::new(&spec);
+        let mut worker = WorkerStats::default();
+        for job in &jobs {
+            assert!(table.prefix(job, &mut worker).is_none(), "{job}");
+            let outcome = evaluate(
+                &spec,
+                job,
+                &table,
+                &mut cache,
+                None,
+                &mut Vec::new(),
+                &mut worker,
+            );
+            match outcome {
+                Err(ExploreError::Flow { job: label, .. }) => assert_eq!(label, job.label()),
+                other => panic!("{job}: expected a flow error, got {other:?}"),
+            }
+        }
+        assert_eq!(worker.leaf_prefix_builds, 1);
+        assert_eq!(worker.materializations, 2);
     }
 }

@@ -56,6 +56,7 @@ mod job;
 #[cfg(unix)]
 mod metrics;
 mod pareto;
+mod points;
 #[cfg(unix)]
 mod serve;
 mod sim;

@@ -146,6 +146,13 @@ impl EvalKey {
     /// name-blind analysis stage instead. `stimulus` is [`stimulus_digest`] of the
     /// sweep's simulated-activity request, or `0` for an analytic sweep.
     pub fn point(design: &Design, flow: Flow, tech: u64, stimulus: u64) -> EvalKey {
+        EvalKey::design_point(design, tech, stimulus).with_flow(flow)
+    }
+
+    /// The flow-independent part of [`EvalKey::point`]: every field but the flow,
+    /// which is left empty. The engine builds it once per design point of a run
+    /// and completes it per job with [`EvalKey::with_flow`].
+    pub(crate) fn design_point(design: &Design, tech: u64, stimulus: u64) -> EvalKey {
         let expr = design.expr().to_string();
         let mut words = Vec::new();
         push_str(&mut words, design.name());
@@ -171,9 +178,17 @@ impl EvalKey {
                 chain(FINGERPRINT_SEEDS[1], &words),
             ],
             tech,
-            flow: flow.to_string(),
+            flow: String::new(),
             profiles: chain(PROFILE_SEED, &profile_words),
             stimulus,
+        }
+    }
+
+    /// A copy of a [`EvalKey::design_point`] key for one flow (seed included).
+    pub(crate) fn with_flow(&self, flow: Flow) -> EvalKey {
+        EvalKey {
+            flow: flow.to_string(),
+            ..self.clone()
         }
     }
 }

@@ -267,3 +267,22 @@ fn full_sweep_reuses_blind_structures_and_stays_identical() {
         );
     }
 }
+
+/// The run's design-point table fills each entry exactly once, whatever the worker
+/// count: 36 design points materialized for 216 jobs, and one leaf prefix per
+/// `(source, width)` pair (six) for the FA-tree flows' 84 syntheses. A higher
+/// count would mean two workers raced to fill the same entry.
+#[test]
+fn full_sweep_builds_each_design_point_and_leaf_prefix_once() {
+    let reference = fingerprint(&explore(&full_sweep(1)).expect("full sweep runs"));
+    for threads in [1, 2, 4] {
+        let (results, stats) = explore_with_stats(&full_sweep(threads)).expect("full sweep runs");
+        assert_eq!(stats.total_materializations(), 36, "{threads} threads");
+        assert_eq!(stats.total_leaf_prefix_builds(), 6, "{threads} threads");
+        assert_eq!(
+            reference,
+            fingerprint(&results),
+            "full sweep diverged at {threads} threads"
+        );
+    }
+}

@@ -278,6 +278,46 @@ fn flow_errors_carry_the_job_label_and_source() {
     assert!(error.to_string().contains("flow failed on job"));
 }
 
+/// A width-0 design point shared by two skews and two FA-tree flows: the pair's
+/// leaf prefix cannot be built, so every job of the pair synthesizes on its own
+/// and fails as a typed flow error — never a panic, never a prefix mistaken for a
+/// success — and the run reports the lowest-indexed job at any thread count.
+#[test]
+fn a_failed_leaf_prefix_fails_every_job_of_its_pair() {
+    let broken = dpsyn_designs::Design::new(
+        "w0",
+        "zero output width",
+        "a*b + b",
+        dpsyn_ir::InputSpec::builder()
+            .var("a", 2)
+            .var("b", 2)
+            .build()
+            .unwrap(),
+        0,
+    );
+    for threads in [1, 2] {
+        let spec = ExplorationSpec::builder()
+            .design(broken.clone())
+            .skews([SkewProfile::Keep, SkewProfile::Uniform(1.0)])
+            .flows([Flow::FaAlp, Flow::FaAot])
+            .threads(threads)
+            .build()
+            .expect("the spec itself is well-formed");
+        let first = spec.jobs()[0].label();
+        let error = dpsyn_explore::explore(&spec).expect_err("width-0 synthesis fails");
+        match &error {
+            ExploreError::Flow { job, source } => {
+                assert_eq!(*job, first, "{threads} threads");
+                assert!(
+                    source.to_string().contains("output width"),
+                    "{threads} threads: {source}"
+                );
+            }
+            other => panic!("expected a Flow error at {threads} threads, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn error_display_is_covered_for_every_variant() {
     let variants: Vec<ExploreError> = vec![

@@ -75,6 +75,11 @@ impl Netlist {
         &self.name
     }
 
+    /// Renames the module (used when a copied netlist becomes another design).
+    pub fn set_name(&mut self, name: impl Into<String>) {
+        self.name = name.into();
+    }
+
     /// Adds an internal net and returns its identifier.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         self.push_net(Name::Explicit(name.into()))
