@@ -15,7 +15,7 @@ use dpsyn_baselines::{input_profiles, Flow, FlowResult, FlowSynthesis};
 use dpsyn_designs::Design;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
 /// One evaluated point of the exploration: the job, its metrics and (optionally) the
@@ -532,15 +532,17 @@ pub fn explore_with_store(
         store,
         tech_digest: spec.tech().identity_digest(),
     });
-    // Built once per run, shared read-only by the workers, dropped with the run.
-    let table = PointTable::new(
+    // Built once per run and shared read-only by the workers. The last worker to
+    // finish drops it, so the design points and prefixes the workers allocated
+    // are freed on a worker thread, not on the caller's.
+    let table = Arc::new(PointTable::new(
         spec,
         &jobs,
         memo.as_ref().map(|context| {
             let stimulus = spec.sim_activity().map(stimulus_digest).unwrap_or(0);
             (context.tech_digest, stimulus)
         }),
-    );
+    ));
     // One write-once slot per job: no result lock, no post-run sort.
     let slots: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
     let mut stats = ExploreStats {
@@ -559,7 +561,7 @@ pub fn explore_with_store(
                 let plan = &plan;
                 let jobs = &jobs;
                 let slots = &slots;
-                let table = &table;
+                let table = Arc::clone(&table);
                 let memo = memo.as_ref();
                 scope.spawn(move || {
                     let mut cache = CompiledCache::new(spec);
@@ -580,7 +582,7 @@ pub fn explore_with_store(
                             let outcome = supervised_evaluate(
                                 spec,
                                 &jobs[job_index],
-                                table,
+                                &table,
                                 &mut cache,
                                 memo,
                                 &mut recorded,
@@ -594,6 +596,7 @@ pub fn explore_with_store(
                 })
             })
             .collect();
+        drop(table);
         for handle in handles {
             match handle.join() {
                 Ok((worker, recorded)) => {

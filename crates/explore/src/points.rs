@@ -11,7 +11,8 @@
 //! worker needs it first (`OnceLock`, so a racing second worker waits instead of
 //! building it again) and shared read-only by every worker. Each entry is a pure
 //! function of the specification, so which worker fills it never shows in the
-//! results. The table lives on the run's stack and is dropped when the run ends.
+//! results. The table lives as long as the run: the last worker to finish drops
+//! it, so the memory the workers allocated into it is freed on a worker thread.
 
 use crate::engine::WorkerStats;
 use crate::job::Job;
@@ -33,11 +34,6 @@ pub(crate) struct DesignPoint {
 struct Pair {
     /// The pair's first design point.
     first: usize,
-    /// Whether more than one job of the pair can grow from the prefix. A pair
-    /// with a single such job (a one-point pair with one FA-tree flow, as in the
-    /// paper tables) has nothing to share: the job builds its own prefix and
-    /// moves it instead of copying a shared one.
-    shared: bool,
     /// `None` once the build has failed: the failure is remembered (no job builds
     /// the shared prefix twice) but never passed off as a prefix, so every FA-tree
     /// job of the pair synthesizes on its own and reports its own error.
@@ -67,11 +63,6 @@ impl<'s> PointTable<'s> {
         keyed: Option<(u64, u64)>,
     ) -> Self {
         let flows = spec.flows.len();
-        let growing = spec
-            .flows
-            .iter()
-            .filter(|flow| flow.grows_leaf_prefix())
-            .count();
         let mut pair_of = Vec::with_capacity(jobs.len() / flows);
         let mut pairs: Vec<Pair> = Vec::new();
         let mut previous = None;
@@ -91,12 +82,9 @@ impl<'s> PointTable<'s> {
                 previous = Some(pair);
                 pairs.push(Pair {
                     first: point,
-                    shared: false,
                     prefix: OnceLock::new(),
                 });
             }
-            let pair = pairs.last_mut().expect("a pair was just pushed");
-            pair.shared = (point + 1 - pair.first) * growing > 1;
             pair_of.push(pairs.len() - 1);
         }
         PointTable {
@@ -129,20 +117,20 @@ impl<'s> PointTable<'s> {
 
     /// The leaf prefix of `job`'s `(source, width)` pair when `job`'s flow grows
     /// one (`Flow::grows_leaf_prefix`), built on first use from the pair's first
-    /// design point, when it fits `job`'s design.
+    /// design point; `None` when the build failed, and the job then synthesizes
+    /// without one.
     ///
     /// Every point of a pair shares the expression and the variable names and
-    /// widths, so the prefix always fits; the check (one expression comparison
-    /// plus O(variables)) still runs, so a point that broke that rule would cost a
-    /// synthesis of its own, never a wrong netlist. `None` when the build failed
-    /// or the prefix does not fit, and when the pair has no second job to share
-    /// it with: the job then synthesizes without one.
+    /// widths, so the prefix always fits (debug builds assert it). The synthesizer
+    /// checks the fit again before growing and builds a fresh prefix when it does
+    /// not, so a point that broke that rule would cost a synthesis of its own,
+    /// never a wrong netlist.
     pub(crate) fn prefix(&self, job: &Job, worker: &mut WorkerStats) -> Option<&LeafPrefix> {
-        let point = job.index() / self.spec.flows.len();
-        let pair = &self.pairs[self.pair_of[point]];
-        if !pair.shared || !job.flow().grows_leaf_prefix() {
+        if !job.flow().grows_leaf_prefix() {
             return None;
         }
+        let point = job.index() / self.spec.flows.len();
+        let pair = &self.pairs[self.pair_of[point]];
         let prefix = pair
             .prefix
             .get_or_init(|| {
@@ -151,12 +139,13 @@ impl<'s> PointTable<'s> {
                 Flow::leaf_prefix(design.expr(), design.spec(), design.output_width()).ok()
             })
             .as_ref()?;
-        let design = &self.point_at(point, worker).design;
-        let fits = prefix.fits(design.expr(), design.spec());
         debug_assert!(
-            fits,
+            {
+                let design = &self.point_at(point, worker).design;
+                prefix.fits(design.expr(), design.spec())
+            },
             "every point of a (source, width) pair fits its prefix"
         );
-        fits.then_some(prefix)
+        Some(prefix)
     }
 }

@@ -286,3 +286,28 @@ fn full_sweep_builds_each_design_point_and_leaf_prefix_once() {
         );
     }
 }
+
+/// The Table-1 shape: one design point per `(source, width)` pair and a single
+/// FA-tree flow, so each pair's leaf prefix serves one job. That job still takes
+/// it from the run's design-point table: one build per design, and the same
+/// results at every thread count.
+#[test]
+fn one_job_pairs_build_their_leaf_prefix_in_the_table() {
+    let designs = dpsyn_designs::table1_designs();
+    let count = designs.len();
+    let spec = |threads| {
+        ExplorationSpec::builder()
+            .designs(designs.iter().cloned())
+            .flows([Flow::Conventional, Flow::CsaOpt, Flow::FaAot])
+            .threads(threads)
+            .build()
+            .expect("table spec is well-formed")
+    };
+    let reference = fingerprint(&explore(&spec(1)).expect("table run"));
+    for threads in [1, 2, 4] {
+        let (results, stats) = explore_with_stats(&spec(threads)).expect("table run");
+        assert_eq!(stats.total_materializations(), count, "{threads} threads");
+        assert_eq!(stats.total_leaf_prefix_builds(), count, "{threads} threads");
+        assert_eq!(reference, fingerprint(&results), "{threads} threads");
+    }
+}
