@@ -105,19 +105,43 @@ pub struct AnnealStats {
 /// The annealer's live view after one settled proposal (post-rollback for a
 /// rejected move), handed to the observer of [`fa_anneal_observed`]. Everything a
 /// caller needs to cross-check the delta view against a from-scratch analysis.
+///
+/// The search itself carries only the three figures it compares and reports
+/// ([`Self::delay`], [`Self::switching_energy`], [`Self::power_mw`]). The full
+/// reports are built from the live [`DeltaState`] only when an observer asks for
+/// them ([`Self::timing_report`], [`Self::power_report`]).
 pub struct AnnealStep<'a> {
     /// The netlist after the proposal settled.
     pub netlist: &'a Netlist,
     /// The compiled program the delta state is currently bound to.
     pub compiled: &'a CompiledNetlist,
-    /// The live timing report (produced by `rerun_delta`).
-    pub timing: &'a TimingReport,
-    /// The live power report (produced by `rerun_delta`).
-    pub power: &'a PowerReport,
+    /// The carried critical delay (read from the last timing `rerun_delta`).
+    pub delay: f64,
+    /// The carried switching energy (read from the last power `rerun_delta`).
+    pub switching_energy: f64,
+    /// The carried power figure (read from the last power `rerun_delta`).
+    pub power_mw: f64,
     /// Whether the proposal was accepted (`false`: it was rolled back).
     pub accepted: bool,
     /// Running counters as of this step.
     pub stats: AnnealStats,
+    state: &'a DeltaState,
+    timing: &'a IncrementalTiming,
+    power: &'a IncrementalPower,
+}
+
+impl AnnealStep<'_> {
+    /// The live timing report, built from the delta state: bit-identical to a
+    /// fresh timing pass over [`Self::compiled`] under the design's profile.
+    pub fn timing_report(&self) -> TimingReport {
+        self.timing.view(self.compiled, self.state).to_report()
+    }
+
+    /// The live power report, built from the delta state: bit-identical to a
+    /// fresh probability pass over [`Self::compiled`] under the design's profile.
+    pub fn power_report(&self) -> PowerReport {
+        self.power.view(self.compiled, self.state).to_report()
+    }
 }
 
 /// The deterministic splitmix64 generator driving candidate selection.
@@ -322,8 +346,19 @@ pub fn fa_anneal_observed(
     // Swaps never change the kind set, so the technology resolves once per search.
     let timing_engine = IncrementalTiming::new(tech, &compiled)?;
     let power_engine = IncrementalPower::new(tech, &compiled)?;
-    let mut timing = timing_engine.rerun_delta(&compiled, &mut state, &profile)?;
-    let mut power = power_engine.rerun_delta(&compiled, &mut state, &profile)?;
+    // Reruns both channels and reads the only figures the search carries: the
+    // critical delay, the switching energy and the power figure.
+    let rescore = |compiled: &CompiledNetlist,
+                   state: &mut DeltaState,
+                   delta: &InputDelta|
+     -> Result<(f64, f64, f64), BaselineError> {
+        let delay = timing_engine
+            .rerun_delta(compiled, state, delta)?
+            .critical_delay();
+        let power = power_engine.rerun_delta(compiled, state, delta)?;
+        Ok((delay, power.total_energy(), power.power_mw()))
+    };
+    let (mut delay, mut energy, mut power_mw) = rescore(&compiled, &mut state, &profile)?;
     // Swaps never change the cell set, so the start's area holds across the search.
 
     let groups = swap_groups(&netlist, &compiled);
@@ -386,19 +421,17 @@ pub fn fa_anneal_observed(
             stats.recompiled += 1;
             Some(std::mem::replace(&mut compiled, recompiled))
         };
-        let new_timing = timing_engine.rerun_delta(&compiled, &mut state, &empty_delta)?;
-        let new_power = power_engine.rerun_delta(&compiled, &mut state, &empty_delta)?;
+        let (new_delay, new_energy, new_power_mw) = rescore(&compiled, &mut state, &empty_delta)?;
         stats.proposals += 1;
         stats.delta_reruns += 2;
 
-        let energy_improves = new_power.total_energy() < power.total_energy();
-        let energy_holds = new_power.total_energy() <= power.total_energy();
-        let delay_improves = new_timing.critical_delay() < timing.critical_delay();
-        let delay_holds = new_timing.critical_delay() <= timing.critical_delay();
+        let energy_improves = new_energy < energy;
+        let energy_holds = new_energy <= energy;
+        let delay_improves = new_delay < delay;
+        let delay_holds = new_delay <= delay;
         let accepted = (energy_improves && delay_holds) || (energy_holds && delay_improves);
         if accepted {
-            timing = new_timing;
-            power = new_power;
+            (delay, energy, power_mw) = (new_delay, new_energy, new_power_mw);
             stats.accepted += 1;
             stall = 0;
         } else {
@@ -419,8 +452,7 @@ pub fn fa_anneal_observed(
                     compiled = before;
                 }
             }
-            timing = timing_engine.rerun_delta(&compiled, &mut state, &empty_delta)?;
-            power = power_engine.rerun_delta(&compiled, &mut state, &empty_delta)?;
+            (delay, energy, power_mw) = rescore(&compiled, &mut state, &empty_delta)?;
             stats.delta_reruns += 2;
             stats.rejected += 1;
             stall += 1;
@@ -428,19 +460,23 @@ pub fn fa_anneal_observed(
         observer(&AnnealStep {
             netlist: &netlist,
             compiled: &compiled,
-            timing: &timing,
-            power: &power,
+            delay,
+            switching_energy: energy,
+            power_mw,
             accepted,
             stats,
+            state: &state,
+            timing: &timing_engine,
+            power: &power_engine,
         });
     }
 
     let result = FlowResult {
         flow: "fa_anneal".to_string(),
-        delay: timing.critical_delay(),
+        delay,
         area,
-        switching_energy: power.total_energy(),
-        power_mw: power.power_mw(),
+        switching_energy: energy,
+        power_mw,
         netlist,
         word_map,
         compiled,

@@ -32,9 +32,9 @@ struct Operand {
 /// Unlike `conventional_netlist`, the structure here *does* depend on the spec's
 /// arrival profile (operands are compressed earliest-words-first using the library's
 /// delays), so profile-only re-runs may or may not reproduce the same netlist —
-/// callers that cache compiled programs must verify structural identity (e.g. via
-/// `Netlist::structural_hash` plus a cell-by-cell check) before reusing one, and
-/// fall back to a full analysis otherwise.
+/// callers that cache compiled programs must verify structural identity (the
+/// explorer's worker cache compares netlist and word map exactly) before reusing
+/// one, and fall back to a full analysis otherwise.
 ///
 /// # Errors
 ///

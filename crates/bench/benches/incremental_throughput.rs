@@ -198,17 +198,19 @@ impl DeltaHarness {
             self.delta
                 .set_probability(*net, probabilities.get(net).copied().unwrap_or(0.5));
         }
-        let timing = self
+        let delay = self
             .timing
             .rerun_delta(&self.compiled, &mut self.state, &self.delta)
-            .expect("delta timing");
-        let power = self
+            .expect("delta timing")
+            .critical_delay();
+        let energy = self
             .power
             .rerun_delta(&self.compiled, &mut self.state, &self.delta)
-            .expect("delta power");
+            .expect("delta power")
+            .total_energy();
         Bundle {
-            delay: timing.critical_delay(),
-            energy: power.total_energy(),
+            delay,
+            energy,
             area: self.area,
         }
     }
@@ -251,11 +253,13 @@ fn verify_bit_identity(workload: &Workload, tech: &TechLibrary) {
         let delta_timing = harness
             .timing
             .rerun_delta(&harness.compiled, &mut harness.state, &InputDelta::new())
-            .expect("idempotent rerun");
+            .expect("idempotent rerun")
+            .to_report();
         let delta_power = harness
             .power
             .rerun_delta(&harness.compiled, &mut harness.state, &InputDelta::new())
-            .expect("idempotent rerun");
+            .expect("idempotent rerun")
+            .to_report();
         assert_eq!(
             delta_timing, fresh_timing,
             "{} point {index}",

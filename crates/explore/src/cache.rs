@@ -37,10 +37,10 @@ use crate::store::StoredEval;
 use dpsyn_baselines::{BaselineError, FlowResult};
 use dpsyn_ir::InputSpec;
 use dpsyn_netlist::{CompiledNetlist, DeltaState, InputDelta, NetId, Netlist, WordMap};
-use dpsyn_power::{IncrementalPower, PowerReport};
+use dpsyn_power::IncrementalPower;
 use dpsyn_sim::{BlockSim, DEFAULT_BLOCK};
 use dpsyn_tech::TechLibrary;
-use dpsyn_timing::{IncrementalTiming, TimingReport};
+use dpsyn_timing::IncrementalTiming;
 use std::collections::BTreeMap;
 
 /// The per-input-net arrival times and one-probabilities of one point, as
@@ -59,24 +59,6 @@ pub(crate) enum PointError {
 impl From<BaselineError> for PointError {
     fn from(error: BaselineError) -> Self {
         PointError::Flow(error)
-    }
-}
-
-/// The store record of one analysed program, before any simulated figure.
-fn record(
-    compiled: &CompiledNetlist,
-    timing: &TimingReport,
-    power: &PowerReport,
-    area: f64,
-) -> StoredEval {
-    StoredEval {
-        delay: timing.critical_delay(),
-        area,
-        switching_energy: power.total_energy(),
-        power_mw: power.power_mw(),
-        cell_count: compiled.cell_count(),
-        logic_depth: compiled.level_count(),
-        simulated_switch_power: 0.0,
     }
 }
 
@@ -148,13 +130,23 @@ impl Analysis {
             self.delta.set_arrival(*net, arrival);
             self.delta.set_probability(*net, probability);
         }
-        let timing = self
+        let delay = self
             .timing
-            .rerun_delta(compiled, &mut self.state, &self.delta)?;
+            .rerun_delta(compiled, &mut self.state, &self.delta)?
+            .critical_delay();
         let power = self
             .power
             .rerun_delta(compiled, &mut self.state, &self.delta)?;
-        Ok(record(compiled, &timing, &power, self.area))
+        // The record of the analysed program, before any simulated figure.
+        Ok(StoredEval {
+            delay,
+            area: self.area,
+            switching_energy: power.total_energy(),
+            power_mw: power.power_mw(),
+            cell_count: compiled.cell_count(),
+            logic_depth: compiled.level_count(),
+            simulated_switch_power: 0.0,
+        })
     }
 }
 

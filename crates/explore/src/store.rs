@@ -600,8 +600,7 @@ pub struct StoreHealth {
 /// * [`EvalStage::Analysis`] is keyed on the synthesized netlist: the structural
 ///   hash, a 128-bit fingerprint of the **exact** structural serialization
 ///   ([`Netlist::structural_words`], the lossless, versioned counterpart of the
-///   folded `cell_ops` identity the per-worker cache verifies), the
-///   technology-library identity digest
+///   folded hash), the technology-library identity digest
 ///   ([`TechLibrary::identity_digest`](dpsyn_tech::TechLibrary::identity_digest)),
 ///   the flow name, and a digest of the per-net input profiles. This serves the
 ///   synthesize-then-analyse flows (`conventional`, `csa_opt`): a warm hit skips
@@ -670,8 +669,9 @@ pub struct ResultStore {
     /// Every record in these bytes is already in `records` (records only ever
     /// merge in), so a pre-read that returns them has nothing to merge.
     disk: Option<Arc<[u8]>>,
-    /// Whether `records` may hold something the memo file lacks: set by a new key
-    /// or a merge that changes a value, cleared only by a verified flush.
+    /// Whether the memo file needs a write: set by a load whose bytes are not the
+    /// canonical rendering, a new key or a merge that changes a value; cleared by
+    /// a verified flush.
     dirty: bool,
     /// Fault-injection plan every file read/write consults; `None` in production.
     faults: Option<Arc<FaultPlan>>,
@@ -711,8 +711,13 @@ impl ResultStore {
     /// Loads (or initializes) the store at `path`. A missing file yields an empty
     /// store; a stale or foreign file is detected and rebuilt from empty
     /// ([`health`](Self::health) reports it); corrupt lines are skipped, counted
-    /// and quarantined to the [`quarantine_path`] sidecar. The store starts dirty,
-    /// so its first [`flush`](Self::flush) rewrites the file as canonical bytes.
+    /// and quarantined to the [`quarantine_path`] sidecar.
+    ///
+    /// The store starts dirty only when the file needs a rewrite: when it is
+    /// missing, or its bytes differ from the canonical rendering of the loaded
+    /// records (damaged lines, a torn tail, a stale header, unsorted lines). The
+    /// first [`flush`](Self::flush) then rewrites it as canonical bytes. A clean
+    /// load's flush does no file I/O until something new is recorded.
     ///
     /// # Errors
     ///
@@ -743,7 +748,7 @@ impl ResultStore {
         } else {
             quarantine_damaged(&path, &loaded.damaged)
         };
-        Ok(ResultStore {
+        let mut store = ResultStore {
             path: Some(path),
             records: loaded.records,
             rebuilt: loaded.rebuilt,
@@ -753,7 +758,14 @@ impl ResultStore {
             disk: bytes.map(Arc::from),
             dirty: true,
             faults,
-        })
+        };
+        // Every defect of the file (damaged lines, a torn tail, a stale header)
+        // makes its bytes differ from the canonical rendering of the records.
+        store.dirty = !store
+            .disk
+            .as_deref()
+            .is_some_and(|disk| store.renders_as(disk));
+        Ok(store)
     }
 
     /// The backing memo file, when the store has one.
@@ -822,10 +834,11 @@ impl ResultStore {
     ///
     /// A flush costs what changed:
     ///
-    /// * A store without a path, or one with nothing new since its last verified
-    ///   flush, returns `Ok(())` with no file I/O. [`load`](Self::load) and
-    ///   [`empty_at`](Self::empty_at) start dirty, and a failed flush leaves the
-    ///   store dirty, so a degraded store keeps retrying.
+    /// * A store without a path, or one with nothing new since it was loaded from
+    ///   canonical bytes or last flushed, returns `Ok(())` with no file I/O.
+    ///   [`empty_at`](Self::empty_at) starts dirty, [`load`](Self::load) starts
+    ///   dirty when the file needs a rewrite, and a failed flush leaves the store
+    ///   dirty, so a degraded store keeps retrying.
     /// * Otherwise the flush reads the file, and parses and merges it only when its
     ///   bytes differ from the exact bytes the store last read and merged or wrote
     ///   and verified. Damaged lines found there are quarantined to the
@@ -908,6 +921,28 @@ impl ResultStore {
             out.push(b'\n');
         }
         out
+    }
+
+    /// Whether `bytes` are exactly [`render`](Self::render)'s output, compared
+    /// line by line so that no copy of the file is built.
+    fn renders_as(&self, bytes: &[u8]) -> bool {
+        let Some(mut rest) = bytes
+            .strip_prefix(STORE_FORMAT.as_bytes())
+            .and_then(|rest| rest.strip_prefix(b"\n"))
+        else {
+            return false;
+        };
+        let mut line = Vec::with_capacity(256);
+        for (key, value) in &self.records {
+            line.clear();
+            push_line(&mut line, key, value);
+            line.push(b'\n');
+            match rest.strip_prefix(line.as_slice()) {
+                Some(tail) => rest = tail,
+                None => return false,
+            }
+        }
+        rest.is_empty()
     }
 
     fn write_atomic(&self, path: &Path, payload: &[u8]) -> Result<(), ExploreError> {
@@ -1239,6 +1274,55 @@ mod tests {
             store.flush().is_err(),
             "a failed flush leaves the store dirty, so it retries"
         );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_clean_load_flushes_without_io_and_a_damaged_or_stale_one_rewrites() {
+        let path = scratch("clean-load");
+        let mut seeded = ResultStore::load(&path).expect("missing file loads");
+        seeded.record(key(EvalStage::Point, 1), value(1.0));
+        seeded.record(key(EvalStage::Analysis, 2), value(2.0));
+        seeded.flush().expect("seeding flush");
+        let canonical = fs::read(&path).expect("read the seeded file");
+        let modified = || fs::metadata(&path).and_then(|meta| meta.modified()).ok();
+
+        // A clean load: the flush reads, writes and renames nothing, and a later
+        // new record still reaches the file.
+        let plan = FaultPlan::builder().build();
+        let mut clean =
+            ResultStore::load_with_faults(&path, Some(Arc::clone(&plan))).expect("clean load");
+        let stamp = modified();
+        clean.flush().expect("a clean load has nothing to flush");
+        assert_eq!((plan.read_ops(), plan.write_ops()), (1, 0), "the load only");
+        assert_eq!(modified(), stamp);
+        assert_eq!(fs::read(&path).expect("read"), canonical);
+        clean.record(key(EvalStage::Point, 3), value(3.0));
+        clean.flush().expect("a new record flushes");
+        assert_eq!(plan.write_ops(), 1);
+        assert_eq!(ResultStore::load(&path).expect("reload").len(), 3);
+
+        // A damaged line, a torn tail and a stale header each make the load dirty,
+        // so its first flush rewrites the file as canonical bytes.
+        let canonical = fs::read(&path).expect("read the three-record file");
+        let text = String::from_utf8(canonical.clone()).expect("the memo file is text");
+        let stale = text.replacen(STORE_FORMAT, "dpsyn-explore-store v0", 1);
+        for (case, bytes) in [
+            ("damaged", format!("{text}garbage line\n")),
+            ("torn", text[..text.len() - 7].to_string()),
+            ("stale", stale),
+        ] {
+            fs::write(&path, &bytes).expect("write the defective file");
+            let mut store = ResultStore::load(&path).expect("a defective file loads");
+            store.flush().expect("the rewrite flushes");
+            let rewritten = fs::read(&path).expect("read the rewrite");
+            assert_ne!(
+                rewritten,
+                bytes.as_bytes(),
+                "{case}: the file was rewritten"
+            );
+            assert_eq!(rewritten, store.render(), "{case}: as canonical bytes");
+        }
         cleanup(&path);
     }
 

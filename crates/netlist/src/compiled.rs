@@ -21,14 +21,14 @@
 use crate::cell::{CellId, CellKind};
 use crate::error::NetlistError;
 use crate::graph::{NetId, Netlist};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An order-sensitive splitmix64 chain over the canonical structural word stream
-/// shared by [`Netlist::structural_hash`] and [`CompiledNetlist::structural_hash`]:
-/// the net count, the primary input/output lists, and every cell's kind and pin nets
-/// in cell-index order. Names never enter the stream — two designs that differ only
-/// in net or instance names hash identically, and compile to identical programs.
-/// One full mix per 64-bit word (not per byte) keeps the hash cheap enough to be
-/// computed eagerly inside every [`Netlist::compile`].
+/// of [`Netlist::structural_hash`]: the net count, the primary input/output lists,
+/// and every cell's kind and pin nets in cell-index order. Names never enter the
+/// stream — two designs that differ only in net or instance names hash
+/// identically, and compile to `==` programs. One full mix per 64-bit word (not
+/// per byte) keeps the hash cheap.
 ///
 /// The hasher is public because downstream evaluation keys (the technology-library
 /// identity digest, the explorer's persistent result store) chain the **same** mixing
@@ -90,9 +90,8 @@ impl Default for StructuralHasher {
 
 /// Folds one cell's kind and pin connectivity into a single word (distinct odd
 /// multipliers per pin slot, `index + 1` so net 0 still contributes), so the chained
-/// hash pays **one mix per cell** — cheap enough to compute eagerly in every
-/// [`Netlist::compile`]. Pin order and kind both perturb the word; cell order is
-/// captured by the chaining in [`StructuralHasher::write`].
+/// hash pays **one mix per cell**. Pin order and kind both perturb the word; cell
+/// order is captured by the chaining in [`StructuralHasher::write`].
 pub(crate) fn cell_word(kind: CellKind, inputs: &[NetId], outputs: &[NetId]) -> u64 {
     const PIN_SALTS: [u64; 5] = [
         0x9e37_79b9_7f4a_7c15,
@@ -111,8 +110,8 @@ pub(crate) fn cell_word(kind: CellKind, inputs: &[NetId], outputs: &[NetId]) -> 
     word
 }
 
-/// Hashes one structural identity; `cells` must yield `(kind, inputs, outputs)` in
-/// cell-index order.
+/// Hashes one structural identity for [`Netlist::structural_hash`]; `cells` must
+/// yield `(kind, inputs, outputs)` in cell-index order.
 pub(crate) fn hash_structure<'n>(
     net_count: usize,
     inputs: &[NetId],
@@ -131,6 +130,54 @@ pub(crate) fn hash_structure<'n>(
 
 /// [`CompiledNetlist`]'s `net_driver` entry of a net no cell drives.
 const UNDRIVEN: u32 = u32::MAX;
+
+/// The identity of one compiled program, unique within the process.
+///
+/// [`Netlist::compile`] draws a fresh id from a process-wide counter, and so does
+/// every [`CompiledNetlist::swap_inputs`] that applies (an undo too). A refused
+/// swap keeps the id, and a clone carries it. So two programs share an id only
+/// when one is an unmodified clone of the other, and reading the id costs O(1)
+/// where hashing the program cost O(ops).
+///
+/// [`DeltaState`](crate::DeltaState) records the id of the program it is bound to
+/// ([`DeltaState::bound_program`](crate::DeltaState::bound_program)), and the
+/// incremental analyses check it on every rerun. The id is **not** part of a
+/// program's `==`: two compiles of one netlist are `==` programs with distinct
+/// ids.
+///
+/// # Example
+/// ```
+/// use dpsyn_netlist::{CellKind, Netlist};
+/// let mut netlist = Netlist::new("id");
+/// let a = netlist.add_input("a");
+/// netlist.add_gate(CellKind::Not, &[a]).unwrap();
+/// let (first, second) = (netlist.compile().unwrap(), netlist.compile().unwrap());
+/// assert_eq!(first, second);
+/// assert_ne!(first.program_id(), second.program_id());
+/// assert_eq!(first.clone().program_id(), first.program_id());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProgramId(u64);
+
+impl ProgramId {
+    /// Draws the next id of the process-wide counter.
+    fn draw() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // The id publishes no other data; `fetch_add` alone keeps ids unique.
+        ProgramId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// A [`ProgramId`] held outside the program's `==`, which compares structure only:
+/// every two identities are equal.
+#[derive(Debug, Clone, Copy)]
+struct Identity(ProgramId);
+
+impl PartialEq for Identity {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
 
 /// One levelized instruction of a [`CompiledNetlist`]: a cell kind plus the net
 /// indices of its pins and the identity of the originating cell.
@@ -190,7 +237,9 @@ impl CompiledOp {
 ///   recompiling;
 /// * **kind tables**: the per-cell kind array (cell-index order) and the kind
 ///   histogram, which analyses use to resolve technology parameters once per kind
-///   instead of once per cell.
+///   instead of once per cell;
+/// * **program id** ([`ProgramId`]): an O(1) identity the incremental analyses
+///   check their state against; it is left out of `==`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledNetlist {
     net_count: usize,
@@ -207,7 +256,7 @@ pub struct CompiledNetlist {
     net_driver: Vec<u32>,
     cell_kinds: Vec<CellKind>,
     kind_counts: Vec<(CellKind, usize)>,
-    structural_hash: u64,
+    id: Identity,
 }
 
 impl CompiledNetlist {
@@ -323,7 +372,7 @@ impl CompiledNetlist {
             net_driver,
             cell_kinds,
             kind_counts,
-            structural_hash: netlist.structural_hash(),
+            id: Identity(ProgramId::draw()),
         })
     }
 
@@ -407,9 +456,10 @@ impl CompiledNetlist {
     /// Exchanges the source nets of input pin `pin_a` of cell `a` and input pin
     /// `pin_b` of cell `b` **in place**, when the exchange keeps the op order:
     /// afterwards the program is `==` a fresh [`Netlist::compile`] of the netlist
-    /// with the same two pins rewired (fanout CSR, op order and
-    /// [`Self::structural_hash`] included), at the cost of the two fanout slices
-    /// plus one hash pass instead of a levelization.
+    /// with the same two pins rewired (fanout CSR and op order included), at the
+    /// cost of the two fanout slices instead of a levelization. An applied
+    /// exchange draws a new [`ProgramId`], so state bound to the program before
+    /// the exchange no longer matches it.
     ///
     /// Kahn levelization puts a cell one level above its deepest driver and orders
     /// each level by *ready event* — the `(driver op, output pin, reader cell, reader
@@ -419,8 +469,8 @@ impl CompiledNetlist {
     /// exchange that would close a cycle always changes a level, so it is refused
     /// too. Applying the same call again undoes an applied exchange exactly.
     ///
-    /// Returns `false`, with the program untouched, when the op order would change;
-    /// the caller then compiles the rewired netlist instead.
+    /// Returns `false`, with the program and its id untouched, when the op order
+    /// would change; the caller then compiles the rewired netlist instead.
     ///
     /// # Panics
     ///
@@ -452,15 +502,7 @@ impl CompiledNetlist {
         );
         self.exchange(op_a, pin_a, op_b, pin_b);
         if self.keeps_place(op_a) && self.keeps_place(op_b) {
-            self.structural_hash = hash_structure(
-                self.net_count,
-                &self.inputs,
-                &self.outputs,
-                self.op_of_cell.iter().map(|&op| {
-                    let op = &self.ops[op as usize];
-                    (op.kind, op.input_nets(), op.output_nets())
-                }),
-            );
+            self.id = Identity(ProgramId::draw());
             true
         } else {
             self.exchange(op_a, pin_a, op_b, pin_b);
@@ -574,37 +616,10 @@ impl CompiledNetlist {
             .collect()
     }
 
-    /// Reconstructs the ops in **cell-index order** (the order [`Netlist::cells`]
-    /// iterates in), as opposed to the levelized op order of [`Self::ops`].
-    ///
-    /// Used by structural verification (comparing a freshly synthesized netlist
-    /// against a cached program cell by cell).
-    pub fn cell_ops(&self) -> Vec<CompiledOp> {
-        let placeholder = CompiledOp {
-            kind: CellKind::Const0,
-            cell: CellId(0),
-            ins: [NetId(0); 3],
-            outs: [NetId(0); 2],
-        };
-        let mut by_cell = vec![placeholder; self.ops.len()];
-        for op in &self.ops {
-            by_cell[op.cell.index()] = *op;
-        }
-        by_cell
-    }
-
-    /// A 64-bit hash of the program's structural identity: net count, primary
-    /// input/output lists, and every cell's kind and pin connectivity (names are
-    /// excluded). Equal to [`Netlist::structural_hash`] of the originating netlist,
-    /// so a freshly synthesized netlist can be matched against a cached compiled
-    /// program **without recompiling it** — the key of the explorer's per-worker
-    /// compiled-program cache. Cache consumers must still verify candidates
-    /// structurally (hash equality is necessary, not sufficient).
-    ///
-    /// Memoized at compile time, so this is a free read — the incremental analyses
-    /// assert it on every delta to catch state/program mix-ups.
+    /// The program's identity (see [`ProgramId`]): drawn by the compile and by
+    /// every applied [`Self::swap_inputs`], carried by a clone.
     #[inline]
-    pub fn structural_hash(&self) -> u64 {
-        self.structural_hash
+    pub fn program_id(&self) -> ProgramId {
+        self.id.0
     }
 }

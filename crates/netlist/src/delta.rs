@@ -26,7 +26,7 @@
 //! arrays a fresh full pass would produce.
 
 use crate::cell::CellId;
-use crate::compiled::{CompiledNetlist, CompiledOp};
+use crate::compiled::{CompiledNetlist, CompiledOp, ProgramId};
 use crate::graph::NetId;
 
 /// A set of primary-input profile values to apply before a delta re-analysis.
@@ -297,13 +297,16 @@ pub struct DeltaState {
     /// primed arrays. Maintained by [`DeltaState::new`] / [`DeltaState::rebind`];
     /// treat as read-only.
     pub input_mask: Vec<bool>,
-    /// [`CompiledNetlist::structural_hash`] of the bound program. The incremental
-    /// analyses assert this against the program they are handed on every call, so
+    /// The [`ProgramId`] of the bound program. The incremental analyses assert it
+    /// against the program they are handed on every call, an O(1) check, so
     /// pairing a state with the wrong program panics immediately instead of
-    /// silently producing wrong results. Maintained by [`DeltaState::new`],
-    /// [`DeltaState::rebind`] and [`DeltaState::rebind_swapped`]; treat as
+    /// silently producing wrong results. The check is by identity, not by
+    /// structure: a second, `==` compile of the same netlist is a different
+    /// program until the state is rebound to it. Maintained by
+    /// [`DeltaState::new`], [`DeltaState::rebind`] and
+    /// [`DeltaState::rebind_swapped`], which adopt the program's id; treat as
     /// read-only.
-    pub bound_hash: u64,
+    pub bound_program: ProgramId,
 }
 
 impl DeltaState {
@@ -326,7 +329,7 @@ impl DeltaState {
                 primed: false,
             },
             input_mask: input_mask(compiled),
-            bound_hash: compiled.structural_hash(),
+            bound_program: compiled.program_id(),
         }
     }
 
@@ -382,7 +385,7 @@ impl DeltaState {
             }
         }
         self.input_mask = input_mask(new);
-        self.bound_hash = new.structural_hash();
+        self.bound_program = new.program_id();
     }
 
     /// Rebinds state to `patched` after [`CompiledNetlist::swap_inputs`] exchanged
@@ -395,7 +398,7 @@ impl DeltaState {
             self.timing.worklist.seed_cell(patched, cell);
             self.power.worklist.seed_cell(patched, cell);
         }
-        self.bound_hash = patched.structural_hash();
+        self.bound_program = patched.program_id();
     }
 }
 
@@ -539,7 +542,40 @@ mod tests {
         };
         assert_eq!(seeded(&mut by_patch), vec![and, xor, and, xor]);
         assert_eq!(seeded(&mut by_rebind), vec![and, xor, and, xor]);
-        assert_eq!(by_patch.bound_hash, by_rebind.bound_hash);
+        // Each state adopted the id of the program it was rebound to: equal
+        // programs, distinct identities.
+        assert_eq!(by_patch.bound_program, patched.program_id());
+        assert_eq!(by_rebind.bound_program, recompiled.program_id());
+        assert_ne!(by_patch.bound_program, by_rebind.bound_program);
+    }
+
+    #[test]
+    fn applied_swaps_draw_a_new_id_and_refused_swaps_and_clones_keep_it() {
+        let (mut netlist, nets) = chain();
+        let mut compiled = netlist.compile().unwrap();
+        let start = compiled.program_id();
+        assert_eq!(compiled.clone().program_id(), start, "a clone keeps the id");
+        // AND(a, b) and XOR(a, b) trade `b` and `a`: both stay on level 0.
+        let (and, xor) = (CellId(0), CellId(3));
+        assert!(compiled.swap_inputs(and, 1, xor, 0));
+        let swapped = compiled.program_id();
+        assert_ne!(swapped, start);
+        netlist.rewire_input(and, 1, nets[0]).unwrap();
+        netlist.rewire_input(xor, 0, nets[1]).unwrap();
+        assert_eq!(compiled, netlist.compile().unwrap());
+        // The undo is an applied swap too: a third id, the original program.
+        assert!(compiled.swap_inputs(and, 1, xor, 0));
+        netlist.rewire_input(and, 1, nets[1]).unwrap();
+        netlist.rewire_input(xor, 0, nets[0]).unwrap();
+        assert_eq!(compiled, netlist.compile().unwrap());
+        assert_ne!(compiled.program_id(), start);
+        assert_ne!(compiled.program_id(), swapped);
+        // The first NOT reading the XOR would move it a level up: refused, and
+        // the program keeps its bits and its id.
+        let before = compiled.clone();
+        assert!(!compiled.swap_inputs(CellId(1), 0, xor, 0));
+        assert_eq!(compiled, before);
+        assert_eq!(compiled.program_id(), before.program_id());
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod verilog;
 mod word;
 
 pub use cell::{Cell, CellId, CellKind};
-pub use compiled::{CompiledNetlist, CompiledOp, StructuralHasher};
+pub use compiled::{CompiledNetlist, CompiledOp, ProgramId, StructuralHasher};
 pub use delta::{DeltaState, DirtyWorklist, InputDelta, PowerChannel, TimingChannel};
 pub use error::NetlistError;
 pub use graph::{Net, NetId, Netlist};

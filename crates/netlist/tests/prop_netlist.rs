@@ -118,7 +118,11 @@ proptest! {
             // Guarded sequences keep the graph valid and acyclic at every step...
             prop_assert!(netlist.validate().is_ok());
             let compiled = netlist.compile().expect("guarded mutations never close a cycle");
-            prop_assert_eq!(compiled.structural_hash(), netlist.structural_hash());
+            // Compiling is a pure function of the structure; each compile is its
+            // own program, with its own id.
+            let again = netlist.compile().expect("the same netlist compiles again");
+            prop_assert_eq!(&compiled, &again);
+            prop_assert_ne!(compiled.program_id(), again.program_id());
             // ...and never orphan a primary output: the output list is untouched
             // and every listed net still has a driver or is a primary input.
             prop_assert_eq!(netlist.outputs(), outputs.as_slice());
@@ -165,14 +169,17 @@ proptest! {
             if compiled.swap_inputs(a, pin_a, b, pin_b) {
                 let fresh = fresh.expect("a patched swap never closes a cycle");
                 prop_assert_eq!(&compiled, &fresh);
-                prop_assert_eq!(compiled.structural_hash(), swapped.structural_hash());
-                // The same call undoes it, byte for byte.
+                // An applied patch is a new program: it draws a new id.
+                prop_assert_ne!(compiled.program_id(), before.program_id());
+                // The same call undoes it, byte for byte, under a third id.
                 let mut undone = compiled.clone();
                 prop_assert!(undone.swap_inputs(a, pin_a, b, pin_b));
                 prop_assert_eq!(&undone, &before);
-                prop_assert_eq!(undone.structural_hash(), before.structural_hash());
+                prop_assert_ne!(undone.program_id(), compiled.program_id());
+                prop_assert_ne!(undone.program_id(), before.program_id());
             } else {
                 prop_assert_eq!(&compiled, &before);
+                prop_assert_eq!(compiled.program_id(), before.program_id());
                 // Refused only when compiling really reorders the ops.
                 if let Ok(fresh) = &fresh {
                     prop_assert!(fresh.levels() != before.levels(), "refused a swap that keeps the op order");

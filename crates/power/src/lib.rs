@@ -27,8 +27,10 @@
 //! * [`IncrementalPower::rerun_delta`] — the stateful pass over a caller-owned
 //!   [`DeltaState`]: its first call on a fresh state is the full pass under the
 //!   defaults (unmentioned inputs at p = 0.5) plus the delta's entries, and every
-//!   later call re-propagates only the dirty cone. Both produce bit-identical
-//!   reports for the same profile.
+//!   later call re-propagates only the dirty cone. It returns a borrowed
+//!   [`PowerView`] of the state instead of a copied report;
+//!   [`PowerView::to_report`] builds the report the full pass gives for the same
+//!   profile, bit for bit.
 //!
 //! # Example
 //!
@@ -60,7 +62,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dpsyn_netlist::{CellKind, CompiledNetlist, CompiledOp, DeltaState, InputDelta, NetId};
+use dpsyn_netlist::{
+    CellKind, CompiledNetlist, CompiledOp, DeltaState, InputDelta, NetId, PowerChannel,
+};
 use dpsyn_tech::{ResolvedTech, TechError, TechLibrary};
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -263,10 +267,10 @@ fn recompute_totals(
 /// program: the power-channel counterpart of `dpsyn_timing::IncrementalTiming`.
 ///
 /// The library is resolved **once** per program at construction; the persistent
-/// per-net/per-cell arrays live in a caller-owned [`DeltaState`]. Every report is
-/// **bit-identical** to a fresh [`ProbabilityAnalysis::run_compiled`] under the same
-/// cumulative input profile (see `recompute_totals` for why the aggregate figures
-/// keep their exact bits).
+/// per-net/per-cell arrays live in a caller-owned [`DeltaState`]. Every view's
+/// figures and report are **bit-identical** to a fresh
+/// [`ProbabilityAnalysis::run_compiled`] under the same cumulative input profile
+/// (see `recompute_totals` for why the aggregate figures keep their exact bits).
 #[derive(Debug, Clone)]
 pub struct IncrementalPower {
     resolved: ResolvedTech,
@@ -286,9 +290,10 @@ impl IncrementalPower {
         })
     }
 
-    /// Applies an input delta to the state's power channel and returns the report
-    /// of the cumulative profile, bit-identical to a fresh
-    /// [`ProbabilityAnalysis::run_compiled`] under it.
+    /// Applies an input delta to the state's power channel and returns a view of
+    /// the cumulative profile's figures, whose [`PowerView::to_report`] is
+    /// bit-identical to a fresh [`ProbabilityAnalysis::run_compiled`] under it.
+    /// The view copies nothing: the totals are stored in the state.
     ///
     /// * On a **fresh** state (never successfully run), this is the priming full
     ///   pass: every input is unbiased (p = 0.5) except those the delta assigns.
@@ -310,29 +315,26 @@ impl IncrementalPower {
     ///
     /// # Panics
     ///
-    /// Panics when `state` is bound (via [`DeltaState::new`] /
-    /// [`DeltaState::rebind`]) to a different program than `compiled`
-    /// (structural-hash check).
-    pub fn rerun_delta(
+    /// Panics when `state` is bound (via [`DeltaState::new`],
+    /// [`DeltaState::rebind`] or [`DeltaState::rebind_swapped`]) to a different
+    /// program than `compiled`. The check compares
+    /// [`ProgramId`](dpsyn_netlist::ProgramId)s, so it is stricter than structure:
+    /// a second, `==` compile of the same netlist is a different program too.
+    pub fn rerun_delta<'a>(
         &self,
         compiled: &CompiledNetlist,
-        state: &mut DeltaState,
+        state: &'a mut DeltaState,
         delta: &InputDelta,
-    ) -> Result<PowerReport, PowerError> {
+    ) -> Result<PowerView<'a>, PowerError> {
         for (net, probability) in delta.probabilities() {
             check_probability(*net, *probability)?;
         }
-        assert_eq!(
-            state.bound_hash,
-            compiled.structural_hash(),
-            "rerun_delta requires a DeltaState bound to this exact program \
-             (DeltaState::new / rebind)"
-        );
+        assert_bound(compiled, state);
         // Split borrows: the drain closure mutates the value arrays while the
         // worklist advances.
         let DeltaState {
             power:
-                dpsyn_netlist::PowerChannel {
+                PowerChannel {
                     probability,
                     cell_energy,
                     total_energy,
@@ -375,13 +377,89 @@ impl IncrementalPower {
                 propagate_into(compiled, &self.resolved, probability, cell_energy);
             *primed = true;
         }
-        Ok(PowerReport {
-            probability: probability.clone(),
-            cell_energy: cell_energy.clone(),
-            total_energy: *total_energy,
-            total_activity: *total_activity,
+        Ok(PowerView {
+            channel: &state.power,
             voltage: self.voltage,
         })
+    }
+
+    /// The view of a primed state's power channel as its last
+    /// [`rerun_delta`](Self::rerun_delta) left it. It reads the state and never
+    /// analyses, so a caller holding a shared borrow of the state (an observer of
+    /// a search) can still build a report.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `state` is bound to a different program than `compiled` (as
+    /// [`rerun_delta`](Self::rerun_delta) does) or its power channel was never
+    /// primed.
+    pub fn view<'a>(&self, compiled: &CompiledNetlist, state: &'a DeltaState) -> PowerView<'a> {
+        assert_bound(compiled, state);
+        assert!(state.power.primed, "a power view needs a primed DeltaState");
+        PowerView {
+            channel: &state.power,
+            voltage: self.voltage,
+        }
+    }
+}
+
+/// The O(1) identity check of both power entry points on a [`DeltaState`].
+fn assert_bound(compiled: &CompiledNetlist, state: &DeltaState) {
+    assert_eq!(
+        state.bound_program,
+        compiled.program_id(),
+        "the DeltaState is not bound to this exact program \
+         (DeltaState::new / rebind / rebind_swapped)"
+    );
+}
+
+/// `energy · V² · f_norm` with a normalised frequency of 1, shared by the report
+/// and the view so both give the same bits.
+fn power_mw(total_energy: f64, voltage: f64) -> f64 {
+    total_energy * voltage * voltage
+}
+
+/// A borrowed view of a [`DeltaState`]'s power channel after
+/// [`IncrementalPower::rerun_delta`]: the aggregate figures a caller reads per
+/// rerun without copying the per-net probabilities or per-cell energies.
+///
+/// Every figure has the bits the [`PowerReport`] of a fresh
+/// [`ProbabilityAnalysis::run_compiled`] under the same cumulative profile
+/// reports, and [`Self::to_report`] builds that report.
+#[derive(Debug, Clone, Copy)]
+pub struct PowerView<'a> {
+    channel: &'a PowerChannel,
+    voltage: f64,
+}
+
+impl PowerView<'_> {
+    /// The weighted total switching energy, as [`PowerReport::total_energy`].
+    pub fn total_energy(&self) -> f64 {
+        self.channel.total_energy
+    }
+
+    /// The unweighted total switching activity, as
+    /// [`PowerReport::total_activity`].
+    pub fn total_activity(&self) -> f64 {
+        self.channel.total_activity
+    }
+
+    /// The milliwatt-like power figure, as [`PowerReport::power_mw`].
+    pub fn power_mw(&self) -> f64 {
+        power_mw(self.channel.total_energy, self.voltage)
+    }
+
+    /// Copies the view into the report a fresh
+    /// [`ProbabilityAnalysis::run_compiled`] under the same cumulative profile
+    /// returns.
+    pub fn to_report(&self) -> PowerReport {
+        PowerReport {
+            probability: self.channel.probability.clone(),
+            cell_energy: self.channel.cell_energy.clone(),
+            total_energy: self.channel.total_energy,
+            total_activity: self.channel.total_activity,
+            voltage: self.voltage,
+        }
     }
 }
 
@@ -523,7 +601,7 @@ impl PowerReport {
     /// standard CV²f form with a normalised frequency of 1. This is only meant to put
     /// numbers on the same scale as the paper's Table 2, which reports milliwatts.
     pub fn power_mw(&self) -> f64 {
-        self.total_energy * self.voltage * self.voltage
+        power_mw(self.total_energy, self.voltage)
     }
 
     /// All per-net probabilities, indexed by [`NetId::index`].
@@ -676,12 +754,18 @@ mod tests {
             delta.set_probability(a, 0.17);
             delta.set_probability(c, 0.93);
             let primed = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
-            assert_eq!(primed, fresh);
             assert_eq!(
                 primed.total_energy().to_bits(),
                 fresh.total_energy().to_bits()
             );
+            assert_eq!(
+                primed.total_activity().to_bits(),
+                fresh.total_activity().to_bits()
+            );
+            assert_eq!(primed.power_mw().to_bits(), fresh.power_mw().to_bits());
+            assert_eq!(primed.to_report(), fresh);
             assert!(state.power.primed && !state.timing.primed);
+            assert_eq!(engine.view(&compiled, &state).to_report(), fresh);
         }
     }
 
@@ -720,7 +804,10 @@ mod tests {
         oracle.insert(a, 0.17);
         let mut prime = InputDelta::new();
         prime.set_probability(a, 0.17);
-        let primed = engine.rerun_delta(&compiled, &mut state, &prime).unwrap();
+        let primed = engine
+            .rerun_delta(&compiled, &mut state, &prime)
+            .unwrap()
+            .to_report();
         assert_eq!(
             primed,
             ProbabilityAnalysis::new(&lib)
@@ -738,20 +825,21 @@ mod tests {
             let mut delta = InputDelta::new();
             delta.set_probability(net, value);
             oracle.insert(net, value);
-            let incremental = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
+            let view = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
             let fresh = ProbabilityAnalysis::new(&lib)
                 .with_input_probabilities(oracle.clone())
                 .run_compiled(&compiled)
                 .unwrap();
-            assert_eq!(incremental, fresh, "delta ({net}, {value})");
             assert_eq!(
-                incremental.total_energy().to_bits(),
+                view.total_energy().to_bits(),
                 fresh.total_energy().to_bits()
             );
             assert_eq!(
-                incremental.total_activity().to_bits(),
+                view.total_activity().to_bits(),
                 fresh.total_activity().to_bits()
             );
+            assert_eq!(view.power_mw().to_bits(), fresh.power_mw().to_bits());
+            assert_eq!(view.to_report(), fresh, "delta ({net}, {value})");
         }
     }
 
@@ -777,7 +865,10 @@ mod tests {
         let foreign = (0..16).map(|i| other.add_input(format!("x{i}"))).last();
         delta.set_probability(foreign.unwrap(), 0.1);
         delta.set_probability(a, 0.25);
-        let incremental = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
+        let incremental = engine
+            .rerun_delta(&compiled, &mut state, &delta)
+            .unwrap()
+            .to_report();
         let mut oracle = BTreeMap::new();
         oracle.insert(y, 0.9);
         oracle.insert(a, 0.25);
@@ -811,6 +902,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "bound to this exact program")]
+    fn rerun_delta_rejects_a_state_bound_to_an_equal_recompile() {
+        // Stricter than structure: a second compile of the same netlist is `==`
+        // but a different program until the state is rebound to it.
+        let mut netlist = Netlist::new("buf");
+        let a = netlist.add_input("a");
+        let y = netlist.add_gate(CellKind::Buf, &[a]).unwrap()[0];
+        netlist.mark_output(y);
+        let compiled = netlist.compile().unwrap();
+        let recompiled = netlist.compile().unwrap();
+        assert_eq!(compiled, recompiled);
+        let lib = TechLibrary::unit();
+        let engine = IncrementalPower::new(&lib, &compiled).unwrap();
+        let mut state = DeltaState::new(&compiled);
+        engine
+            .rerun_delta(&compiled, &mut state, &InputDelta::new())
+            .unwrap();
+        let _ = engine.rerun_delta(&recompiled, &mut state, &InputDelta::new());
+    }
+
+    #[test]
     fn incremental_reports_the_same_errors_without_corrupting_state() {
         let mut netlist = Netlist::new("buf");
         let a = netlist.add_input("a");
@@ -836,12 +948,14 @@ mod tests {
         assert!(!state.power.primed);
         let baseline = engine
             .rerun_delta(&compiled, &mut state, &InputDelta::new())
-            .unwrap();
+            .unwrap()
+            .to_report();
         let result = engine.rerun_delta(&compiled, &mut state, &delta);
         assert!(matches!(result, Err(PowerError::InvalidProbability { .. })));
         let unchanged = engine
             .rerun_delta(&compiled, &mut state, &InputDelta::new())
-            .unwrap();
+            .unwrap()
+            .to_report();
         assert_eq!(unchanged, baseline);
     }
 

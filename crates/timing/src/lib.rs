@@ -16,7 +16,9 @@
 //! * [`IncrementalTiming::rerun_delta`] — the stateful pass over a caller-owned
 //!   [`DeltaState`]: its first call on a fresh state is the full pass under the
 //!   defaults plus the delta's entries, and every later call re-propagates only the
-//!   dirty cone. Both produce bit-identical reports for the same profile.
+//!   dirty cone. It returns a borrowed [`TimingView`] of the state instead of a
+//!   copied report; [`TimingView::to_report`] builds the report the full pass
+//!   gives for the same profile, bit for bit.
 //!
 //! # Example
 //!
@@ -218,6 +220,15 @@ fn step_op(
     changed
 }
 
+/// The latest primary output (the last one on ties), `None` without outputs.
+fn critical_output(compiled: &CompiledNetlist, arrival: &[f64]) -> Option<NetId> {
+    compiled
+        .outputs()
+        .iter()
+        .copied()
+        .max_by(|a, b| arrival[a.index()].total_cmp(&arrival[b.index()]))
+}
+
 /// Builds the report from the (possibly delta-updated) arrays: the critical output
 /// is the latest primary output and the critical path follows the worst links back.
 fn report(
@@ -225,11 +236,7 @@ fn report(
     arrival: Vec<f64>,
     worst_predecessor: &[Option<NetId>],
 ) -> TimingReport {
-    let critical_output = compiled
-        .outputs()
-        .iter()
-        .copied()
-        .max_by(|a, b| arrival[a.index()].total_cmp(&arrival[b.index()]));
+    let critical_output = critical_output(compiled, &arrival);
     let critical_path = critical_output
         .map(|output| {
             let mut path = vec![output];
@@ -256,7 +263,7 @@ fn report(
 /// caller, so one state can absorb an arbitrary sequence of input-profile deltas
 /// (and, via [`DeltaState::rebind`], local rewires) at dirty-cone cost.
 ///
-/// Every report is **bit-identical** to what a fresh
+/// Every view's figures and report are **bit-identical** to what a fresh
 /// [`TimingAnalysis::run_compiled`] with the same cumulative input profile would
 /// produce: a dirty cell always rewrites all of its outputs, propagation stops only
 /// where a recomputed arrival is bit-identical to the stored one, and downstream
@@ -284,13 +291,14 @@ fn report(
 ///
 /// let mut delta = InputDelta::new();
 /// delta.set_arrival(a, 2.5);
-/// let report = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
+/// let view = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
 /// // Bit-identical to a fresh full pass with the same cumulative profile.
 /// let fresh = TimingAnalysis::new(&lib)
 ///     .input_arrival(a, 2.5)
 ///     .run_compiled(&compiled)
 ///     .unwrap();
-/// assert_eq!(report, fresh);
+/// assert_eq!(view.critical_delay().to_bits(), fresh.critical_delay().to_bits());
+/// assert_eq!(view.to_report(), fresh);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalTiming {
@@ -309,9 +317,11 @@ impl IncrementalTiming {
         })
     }
 
-    /// Applies an input delta to the state's timing channel and returns the report
-    /// of the cumulative profile, bit-identical to a fresh
-    /// [`TimingAnalysis::run_compiled`] under it.
+    /// Applies an input delta to the state's timing channel and returns a view of
+    /// the cumulative profile's arrivals, whose [`TimingView::to_report`] is
+    /// bit-identical to a fresh [`TimingAnalysis::run_compiled`] under it. The view
+    /// copies nothing: reading the critical delay costs one pass over the primary
+    /// outputs.
     ///
     /// * On a **fresh** state (never successfully run), this is the priming full
     ///   pass: every input arrives at 0 except those the delta assigns.
@@ -334,24 +344,21 @@ impl IncrementalTiming {
     ///
     /// # Panics
     ///
-    /// Panics when `state` is bound (via [`DeltaState::new`] /
-    /// [`DeltaState::rebind`]) to a different program than `compiled`
-    /// (structural-hash check).
-    pub fn rerun_delta(
+    /// Panics when `state` is bound (via [`DeltaState::new`],
+    /// [`DeltaState::rebind`] or [`DeltaState::rebind_swapped`]) to a different
+    /// program than `compiled`. The check compares
+    /// [`ProgramId`](dpsyn_netlist::ProgramId)s, so it is stricter than structure:
+    /// a second, `==` compile of the same netlist is a different program too.
+    pub fn rerun_delta<'a>(
         &self,
-        compiled: &CompiledNetlist,
-        state: &mut DeltaState,
+        compiled: &'a CompiledNetlist,
+        state: &'a mut DeltaState,
         delta: &InputDelta,
-    ) -> Result<TimingReport, TimingError> {
+    ) -> Result<TimingView<'a>, TimingError> {
         for (net, arrival) in delta.arrivals() {
             check_arrival(*net, *arrival)?;
         }
-        assert_eq!(
-            state.bound_hash,
-            compiled.structural_hash(),
-            "rerun_delta requires a DeltaState bound to this exact program \
-             (DeltaState::new / rebind)"
-        );
+        assert_bound(compiled, state);
         // Split borrows: the drain closure mutates the value arrays while the
         // worklist advances.
         let DeltaState {
@@ -392,7 +399,89 @@ impl IncrementalTiming {
             propagate_into(compiled, &self.resolved, arrival, worst_predecessor);
             *primed = true;
         }
-        Ok(report(compiled, arrival.clone(), worst_predecessor))
+        Ok(TimingView {
+            compiled,
+            arrival,
+            worst_predecessor,
+        })
+    }
+
+    /// The view of a primed state's timing channel as its last
+    /// [`rerun_delta`](Self::rerun_delta) left it. It reads the state and never
+    /// analyses, so a caller holding a shared borrow of the state (an observer of
+    /// a search) can still build a report.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `state` is bound to a different program than `compiled` (as
+    /// [`rerun_delta`](Self::rerun_delta) does) or its timing channel was never
+    /// primed.
+    pub fn view<'a>(&self, compiled: &'a CompiledNetlist, state: &'a DeltaState) -> TimingView<'a> {
+        assert_bound(compiled, state);
+        assert!(
+            state.timing.primed,
+            "a timing view needs a primed DeltaState"
+        );
+        TimingView {
+            compiled,
+            arrival: &state.timing.arrival,
+            worst_predecessor: &state.timing.worst_predecessor,
+        }
+    }
+}
+
+/// The O(1) identity check of both timing entry points on a [`DeltaState`].
+fn assert_bound(compiled: &CompiledNetlist, state: &DeltaState) {
+    assert_eq!(
+        state.bound_program,
+        compiled.program_id(),
+        "the DeltaState is not bound to this exact program \
+         (DeltaState::new / rebind / rebind_swapped)"
+    );
+}
+
+/// A borrowed view of a [`DeltaState`]'s arrival times after
+/// [`IncrementalTiming::rerun_delta`]: the figures a caller reads per rerun
+/// without copying the per-net arrays.
+///
+/// Every figure has the bits the [`TimingReport`] of a fresh
+/// [`TimingAnalysis::run_compiled`] under the same cumulative profile reports,
+/// and [`Self::to_report`] builds that report, critical path included.
+#[derive(Debug, Clone, Copy)]
+pub struct TimingView<'a> {
+    compiled: &'a CompiledNetlist,
+    arrival: &'a [f64],
+    worst_predecessor: &'a [Option<NetId>],
+}
+
+impl TimingView<'_> {
+    /// The critical delay: latest arrival time over all primary outputs (0.0
+    /// without outputs), the bits of [`TimingReport::critical_delay`].
+    pub fn critical_delay(&self) -> f64 {
+        self.critical_output()
+            .map(|net| self.arrival(net))
+            .unwrap_or(0.0)
+    }
+
+    /// The primary output with the latest arrival, as
+    /// [`TimingReport::critical_output`] picks it.
+    pub fn critical_output(&self) -> Option<NetId> {
+        critical_output(self.compiled, self.arrival)
+    }
+
+    /// Arrival time of a net.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` does not belong to the analysed program.
+    pub fn arrival(&self, net: NetId) -> f64 {
+        self.arrival[net.index()]
+    }
+
+    /// Copies the view into the report a fresh [`TimingAnalysis::run_compiled`]
+    /// under the same cumulative profile returns, critical path included.
+    pub fn to_report(&self) -> TimingReport {
+        report(self.compiled, self.arrival.to_vec(), self.worst_predecessor)
     }
 }
 
@@ -597,8 +686,14 @@ mod tests {
             delta.set_arrival(nets[0], 1.25);
             delta.set_arrival(nets[2], 0.5);
             let primed = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
-            assert_eq!(primed, fresh);
+            assert_eq!(
+                primed.critical_delay().to_bits(),
+                fresh.critical_delay().to_bits()
+            );
+            assert_eq!(primed.critical_output(), fresh.critical_output());
+            assert_eq!(primed.to_report(), fresh);
             assert!(state.timing.primed && !state.power.primed);
+            assert_eq!(engine.view(&compiled, &state).to_report(), fresh);
         }
     }
 
@@ -636,7 +731,8 @@ mod tests {
         let mut oracle: BTreeMap<NetId, f64> = BTreeMap::new();
         let primed = engine
             .rerun_delta(&compiled, &mut state, &InputDelta::new())
-            .unwrap();
+            .unwrap()
+            .to_report();
         assert_eq!(
             primed,
             TimingAnalysis::new(&lib).run_compiled(&compiled).unwrap()
@@ -652,11 +748,22 @@ mod tests {
             let mut delta = InputDelta::new();
             delta.set_arrival(net, value);
             oracle.insert(net, value);
-            let incremental = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
+            let view = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
             let fresh = TimingAnalysis::new(&lib)
                 .with_input_arrivals(oracle.clone())
                 .run_compiled(&compiled)
                 .unwrap();
+            assert_eq!(
+                view.critical_delay().to_bits(),
+                fresh.critical_delay().to_bits()
+            );
+            for output in compiled.outputs() {
+                assert_eq!(
+                    view.arrival(*output).to_bits(),
+                    fresh.arrival(*output).to_bits()
+                );
+            }
+            let incremental = view.to_report();
             assert_eq!(incremental, fresh, "delta ({net}, {value})");
             for (a, b) in incremental.arrivals().iter().zip(fresh.arrivals()) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -684,7 +791,10 @@ mod tests {
         let foreign = (0..16).map(|i| other.add_input(format!("x{i}"))).last();
         delta.set_arrival(foreign.unwrap(), 4.0); // index beyond this program's nets
         delta.set_arrival(nets[0], 2.0);
-        let incremental = engine.rerun_delta(&compiled, &mut state, &delta).unwrap();
+        let incremental = engine
+            .rerun_delta(&compiled, &mut state, &delta)
+            .unwrap()
+            .to_report();
         let mut oracle = BTreeMap::new();
         oracle.insert(nets[3], 9.0);
         oracle.insert(nets[0], 2.0);
@@ -715,6 +825,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "bound to this exact program")]
+    fn rerun_delta_rejects_a_state_bound_to_an_equal_recompile() {
+        // Stricter than structure: a second compile of the same netlist is `==`
+        // but a different program until the state is rebound to it.
+        let (netlist, _) = chain_netlist();
+        let compiled = netlist.compile().unwrap();
+        let recompiled = netlist.compile().unwrap();
+        assert_eq!(compiled, recompiled);
+        let lib = TechLibrary::unit();
+        let engine = IncrementalTiming::new(&lib, &compiled).unwrap();
+        let mut state = DeltaState::new(&compiled);
+        engine
+            .rerun_delta(&compiled, &mut state, &InputDelta::new())
+            .unwrap();
+        let _ = engine.rerun_delta(&recompiled, &mut state, &InputDelta::new());
+    }
+
+    #[test]
     fn incremental_reports_the_same_errors_without_corrupting_state() {
         let (netlist, nets) = chain_netlist();
         let compiled = netlist.compile().unwrap();
@@ -734,14 +862,16 @@ mod tests {
         assert!(!state.timing.primed);
         let baseline = engine
             .rerun_delta(&compiled, &mut state, &InputDelta::new())
-            .unwrap();
+            .unwrap()
+            .to_report();
         let result = engine.rerun_delta(&compiled, &mut state, &delta);
         assert!(matches!(result, Err(TimingError::InvalidArrival { .. })));
         // The failed delta must not have touched the state: an empty rerun still
         // reproduces the baseline bit for bit.
         let unchanged = engine
             .rerun_delta(&compiled, &mut state, &InputDelta::new())
-            .unwrap();
+            .unwrap()
+            .to_report();
         assert_eq!(unchanged, baseline);
     }
 

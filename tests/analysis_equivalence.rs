@@ -359,7 +359,8 @@ fn timing_reports_match_legacy_on_random_dags() {
             let primed = IncrementalTiming::new(tech, &compiled)
                 .unwrap()
                 .rerun_delta(&compiled, &mut DeltaState::new(&compiled), &prime)
-                .unwrap();
+                .unwrap()
+                .to_report();
             for report in [analysis.run_compiled(&compiled).unwrap(), primed] {
                 assert_bits_eq("arrival", report.arrivals(), &legacy_arrival);
                 assert_eq!(report.critical_output(), legacy_output, "seed {seed}");
@@ -389,7 +390,8 @@ fn power_reports_match_legacy_on_random_dags() {
             let primed = IncrementalPower::new(tech, &compiled)
                 .unwrap()
                 .rerun_delta(&compiled, &mut DeltaState::new(&compiled), &prime)
-                .unwrap();
+                .unwrap()
+                .to_report();
             for report in [analysis.run_compiled(&compiled).unwrap(), primed] {
                 assert_bits_eq("probability", report.probabilities(), &legacy_p);
                 let cell_energy: Vec<f64> = netlist

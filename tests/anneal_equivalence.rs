@@ -3,7 +3,8 @@
 //! must equal a from-scratch `compile()` of the current netlist. At every
 //! checkpoint of the move loop, a full timing/power/area analysis of that program
 //! must also agree **bit for bit** with the annealer's live `DeltaState` view —
-//! the reports its `rerun_delta` scoring carries between proposals.
+//! the reports built from it and the figures its `rerun_delta` scoring carries
+//! between proposals.
 //!
 //! The observer hook fires after every *settled* proposal, so the checkpoints
 //! deliberately include adversarial states: moves that were scored, rejected and
@@ -82,14 +83,30 @@ fn check_search(expr: &Expr, spec: &InputSpec, width: u32, seed: u64, label: &st
             .run_compiled(&fresh_compiled)
             .expect("from-scratch power");
         assert_eq!(
-            *step.timing, fresh_timing,
+            step.timing_report(),
+            fresh_timing,
             "{label}: live timing diverged at proposal {} (accepted: {})",
-            step.stats.proposals, step.accepted
+            step.stats.proposals,
+            step.accepted
         );
         assert_eq!(
-            *step.power, fresh_power,
+            step.power_report(),
+            fresh_power,
             "{label}: live power diverged at proposal {} (accepted: {})",
-            step.stats.proposals, step.accepted
+            step.stats.proposals,
+            step.accepted
+        );
+        // The figures the search carries and compares are the fresh ones too.
+        assert_eq!(
+            [step.delay, step.switching_energy, step.power_mw].map(f64::to_bits),
+            [
+                fresh_timing.critical_delay(),
+                fresh_power.total_energy(),
+                fresh_power.power_mw()
+            ]
+            .map(f64::to_bits),
+            "{label}: carried figures diverged at proposal {}",
+            step.stats.proposals
         );
         assert_eq!(
             tech.compiled_area(step.compiled).to_bits(),
@@ -167,8 +184,8 @@ fn rollbacks_restore_the_live_view_exactly() {
     let mut last_energy: Option<u64> = None;
     let mut rejected_checked = 0u64;
     let (_, stats) = fa_anneal_observed(&expr, &spec, width, &tech, 3, |step| {
-        let delay = step.timing.critical_delay().to_bits();
-        let energy = step.power.total_energy().to_bits();
+        let delay = step.delay.to_bits();
+        let energy = step.switching_energy.to_bits();
         if !step.accepted {
             if let (Some(previous_delay), Some(previous_energy)) = (last_delay, last_energy) {
                 assert_eq!(delay, previous_delay, "rollback shifted the delay bits");

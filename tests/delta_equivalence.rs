@@ -196,10 +196,12 @@ fn random_profile_perturbation_sequences_are_bit_identical() {
         let prime = profile_delta(&arrivals, &probabilities);
         let primed_timing = timing_engine
             .rerun_delta(&compiled, &mut state, &prime)
-            .expect("prime timing");
+            .expect("prime timing")
+            .to_report();
         let primed_power = power_engine
             .rerun_delta(&compiled, &mut state, &prime)
-            .expect("prime power");
+            .expect("prime power")
+            .to_report();
         let (fresh_timing, fresh_power) = fresh_reports(&lib, &compiled, &arrivals, &probabilities);
         assert_timing_identical(&format!("seed {seed} prime"), &primed_timing, &fresh_timing);
         assert_power_identical(&format!("seed {seed} prime"), &primed_power, &fresh_power);
@@ -214,10 +216,12 @@ fn random_profile_perturbation_sequences_are_bit_identical() {
             let label = format!("seed {seed} round {round}");
             let incremental_timing = timing_engine
                 .rerun_delta(&compiled, &mut state, &delta)
-                .expect("delta timing");
+                .expect("delta timing")
+                .to_report();
             let incremental_power = power_engine
                 .rerun_delta(&compiled, &mut state, &delta)
-                .expect("delta power");
+                .expect("delta power")
+                .to_report();
             let (fresh_timing, fresh_power) =
                 fresh_reports(&lib, &compiled, &arrivals, &probabilities);
             assert_timing_identical(&label, &incremental_timing, &fresh_timing);
@@ -259,10 +263,12 @@ fn first_rerun_delta_on_a_fresh_state_is_the_full_pass() {
         let mut state = DeltaState::new(&compiled);
         let timing = timing_engine
             .rerun_delta(&compiled, &mut state, &delta)
-            .expect("priming timing");
+            .expect("priming timing")
+            .to_report();
         let power = power_engine
             .rerun_delta(&compiled, &mut state, &delta)
-            .expect("priming power");
+            .expect("priming power")
+            .to_report();
         let (fresh_timing, fresh_power) = fresh_reports(&lib, &compiled, &arrivals, &probabilities);
         assert_timing_identical(&label, &timing, &fresh_timing);
         assert_power_identical(&label, &power, &fresh_power);
@@ -273,10 +279,12 @@ fn first_rerun_delta_on_a_fresh_state_is_the_full_pass() {
         let empty = InputDelta::new();
         let timing = timing_engine
             .rerun_delta(&compiled, &mut state, &empty)
-            .expect("default timing");
+            .expect("default timing")
+            .to_report();
         let power = power_engine
             .rerun_delta(&compiled, &mut state, &empty)
-            .expect("default power");
+            .expect("default power")
+            .to_report();
         let (fresh_timing, fresh_power) =
             fresh_reports(&lib, &compiled, &BTreeMap::new(), &BTreeMap::new());
         let label = format!("seed {seed} empty first call");
@@ -328,10 +336,12 @@ fn a_failed_first_call_leaves_the_state_unprimed() {
         let delta = profile_delta(&arrivals, &probabilities);
         let timing = timing_engine
             .rerun_delta(&compiled, &mut state, &delta)
-            .expect("valid timing");
+            .expect("valid timing")
+            .to_report();
         let power = power_engine
             .rerun_delta(&compiled, &mut state, &delta)
-            .expect("valid power");
+            .expect("valid power")
+            .to_report();
         let (fresh_timing, fresh_power) = fresh_reports(&lib, &compiled, &arrivals, &probabilities);
         let label = format!("seed {seed} after failures");
         assert_timing_identical(&label, &timing, &fresh_timing);
@@ -369,11 +379,13 @@ fn non_input_and_out_of_range_keys_are_ignored_on_the_priming_call() {
         let timing = IncrementalTiming::new(&lib, &compiled)
             .expect("resolve")
             .rerun_delta(&compiled, &mut state, &delta)
-            .expect("priming timing");
+            .expect("priming timing")
+            .to_report();
         let power = IncrementalPower::new(&lib, &compiled)
             .expect("resolve")
             .rerun_delta(&compiled, &mut state, &delta)
-            .expect("priming power");
+            .expect("priming power")
+            .to_report();
         let (fresh_timing, fresh_power) = fresh_reports(&lib, &compiled, &arrivals, &probabilities);
         let label = format!("seed {seed} stray keys");
         assert_timing_identical(&label, &timing, &fresh_timing);
@@ -497,10 +509,12 @@ fn random_local_rewires_rebind_and_stay_bit_identical() {
             let label = format!("seed {seed} rewire round {round}");
             let incremental_timing = timing_engine
                 .rerun_delta(&compiled, &mut state, &delta)
-                .expect("delta timing");
+                .expect("delta timing")
+                .to_report();
             let incremental_power = power_engine
                 .rerun_delta(&compiled, &mut state, &delta)
-                .expect("delta power");
+                .expect("delta power")
+                .to_report();
             let (fresh_timing, fresh_power) =
                 fresh_reports(&lib, &compiled, &arrivals, &probabilities);
             assert_timing_identical(&label, &incremental_timing, &fresh_timing);
@@ -561,10 +575,12 @@ fn early_termination_keeps_untouched_cones_bit_identical() {
         arrivals.insert(a, 1.0);
         let incremental_timing = timing_engine
             .rerun_delta(&compiled, &mut state, &delta)
-            .unwrap();
+            .unwrap()
+            .to_report();
         let incremental_power = power_engine
             .rerun_delta(&compiled, &mut state, &delta)
-            .unwrap();
+            .unwrap()
+            .to_report();
         let (fresh_timing, fresh_power) = fresh_reports(&lib, &compiled, &arrivals, &probabilities);
         assert_timing_identical("cones", &incremental_timing, &fresh_timing);
         assert_power_identical("cones", &incremental_power, &fresh_power);
