@@ -34,7 +34,7 @@ use crate::job::GroupKey;
 use crate::sim::SimContext;
 use crate::spec::{ExplorationSpec, SimActivity};
 use crate::store::StoredEval;
-use dpsyn_baselines::{BaselineError, FlowResult};
+use dpsyn_baselines::{input_profiles, BaselineError, FlowResult};
 use dpsyn_ir::InputSpec;
 use dpsyn_netlist::{CompiledNetlist, DeltaState, InputDelta, NetId, Netlist, WordMap};
 use dpsyn_power::IncrementalPower;
@@ -42,11 +42,6 @@ use dpsyn_sim::{BlockSim, DEFAULT_BLOCK};
 use dpsyn_tech::TechLibrary;
 use dpsyn_timing::IncrementalTiming;
 use std::collections::BTreeMap;
-
-/// The per-input-net arrival times and one-probabilities of one point, as
-/// [`dpsyn_baselines::input_profiles`] produces them; borrowed from the engine,
-/// which also needs them for the persistent store's evaluation key.
-pub(crate) type Profiles<'a> = (&'a BTreeMap<NetId, f64>, &'a BTreeMap<NetId, f64>);
 
 /// Why a cached evaluation failed, in the terms the engine reports.
 pub(crate) enum PointError {
@@ -113,13 +108,13 @@ impl Analysis {
         })
     }
 
-    /// Analyses the program under a point's profiles: timing, then power, each
-    /// through `rerun_delta` — the priming full pass on the entry's first point,
-    /// a dirty-cone rerun afterwards.
+    /// Analyses the program under a point's per-input-net arrival times and
+    /// one-probabilities: timing, then power, each through `rerun_delta` — the
+    /// priming full pass on the entry's first point, a dirty-cone rerun afterwards.
     fn rerun(
         &mut self,
         compiled: &CompiledNetlist,
-        (arrivals, probabilities): Profiles<'_>,
+        (arrivals, probabilities): (BTreeMap<NetId, f64>, BTreeMap<NetId, f64>),
     ) -> Result<StoredEval, BaselineError> {
         // The full profile of the point; a primed `rerun_delta` skips the
         // unchanged values bit-for-bit, so this stays a cone-sized rerun.
@@ -222,8 +217,9 @@ impl<'a> CompiledCache<'a> {
     /// Returns the point's store record (an analytic sweep's carries a zero
     /// simulated figure) and, when the run retains artifacts, an artifact carrying
     /// the point's netlist and word map plus the shared compiled program. The delta
-    /// and the full path produce both bit-identically. The caller supplies the input
-    /// profiles it already computed.
+    /// and the full path produce both bit-identically. The analyses run under the
+    /// input profiles of `spec` bound through the entry's word map, which a
+    /// verified hit shares exactly.
     ///
     /// # Panics
     ///
@@ -233,7 +229,6 @@ impl<'a> CompiledCache<'a> {
         group: GroupKey,
         flow: &str,
         fresh: Option<(Netlist, WordMap)>,
-        profiles: Profiles<'_>,
         spec: &InputSpec,
         worker: &mut WorkerStats,
     ) -> Result<(StoredEval, Option<FlowResult>), PointError> {
@@ -260,7 +255,7 @@ impl<'a> CompiledCache<'a> {
             Some(analysis) => analysis,
             slot @ None => slot.insert(Analysis::new(compiled, tech)?),
         };
-        let mut stored = analysis.rerun(compiled, profiles)?;
+        let mut stored = analysis.rerun(compiled, input_profiles(&entry.word_map, spec))?;
         if let Some(activity) = activity {
             stored.simulated_switch_power = simulate(
                 &mut entry.sim,
@@ -367,17 +362,9 @@ mod tests {
         let (first, second) = ((0, 1, Flow::Conventional), (0, 1, Flow::WallaceFixed));
         let mut cache = CompiledCache::new(&run);
         let mut worker = WorkerStats::default();
-        let (arrivals, probabilities) = (BTreeMap::new(), BTreeMap::new());
         let mut analyze = |cache: &mut CompiledCache<'_>, group, fresh| {
             cache
-                .analyze(
-                    group,
-                    "chain",
-                    fresh,
-                    (&arrivals, &probabilities),
-                    &spec,
-                    &mut worker,
-                )
+                .analyze(group, "chain", fresh, &spec, &mut worker)
                 .unwrap_or_else(|_| panic!("chain analyses"))
                 .0
         };

@@ -6,12 +6,9 @@ use crate::job::Job;
 use crate::pareto::{pareto_front, PointMetrics};
 use crate::points::PointTable;
 use crate::spec::ExplorationSpec;
-use crate::store::{
-    profile_digest, stimulus_digest, stimulus_layout_digest, EvalKey, ResultStore, StoreHealth,
-    StoredEval,
-};
+use crate::store::{stimulus_digest, EvalKey, ResultStore, StoreHealth, StoredEval};
 use crate::summary::{render_summary, summarize_flows, FlowSummary};
-use dpsyn_baselines::{input_profiles, Flow, FlowResult, FlowSynthesis};
+use dpsyn_baselines::{FlowResult, FlowSynthesis};
 use dpsyn_designs::Design;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
@@ -114,9 +111,9 @@ pub struct WorkerStats {
     pub jobs: usize,
     /// Chunks this worker stole from another worker's queue.
     pub steals: usize,
-    /// Jobs this worker served from the persistent result store instead of
-    /// evaluating (always 0 when no store is attached or lookups are disabled by
-    /// artifact retention).
+    /// Jobs this worker served from the persistent result store (a point-key hit)
+    /// instead of evaluating; always 0 when no store is attached or lookups are
+    /// disabled by artifact retention.
     pub store_hits: usize,
     /// Simulated-activity contexts this worker built (energy-table resolve +
     /// stimulus draw on a cached program). One per `(source, width, flow)` group
@@ -500,10 +497,10 @@ pub type FreshRecords = Vec<(EvalKey, StoredEval)>;
 ///
 /// Store semantics:
 ///
-/// * Lookups are served at both stages — point-level hits skip the job entirely,
-///   analysis-level hits skip the analysis bundle — and always return figures
-///   **byte-identical** to fresh evaluation (the store holds exact f64 bit
-///   patterns keyed by the exact evaluation identity).
+/// * Every job looks its design point's key up ([`EvalKey::point`]); a hit skips
+///   the job entirely and returns figures **byte-identical** to fresh evaluation
+///   (the store holds exact f64 bit patterns keyed by the exact evaluation
+///   identity).
 /// * When the specification retains artifacts, lookups are disabled (a memoized
 ///   record has no netlist to retain, and the retention contract is exact);
 ///   fresh records are still produced so the run warms the store either way.
@@ -528,19 +525,15 @@ pub fn explore_with_store(
     let plan = schedule(spec, &jobs);
     let workers = worker_count(spec, plan.chunks.len());
     let queues = StealQueues::new(seed_queues(plan.chunks.len(), workers));
-    let memo = store.map(|store| StoreContext {
-        store,
-        tech_digest: spec.tech().identity_digest(),
-    });
     // Built once per run and shared read-only by the workers. The last worker to
     // finish drops it, so the design points and prefixes the workers allocated
     // are freed on a worker thread, not on the caller's.
     let table = Arc::new(PointTable::new(
         spec,
         &jobs,
-        memo.as_ref().map(|context| {
+        store.map(|_| {
             let stimulus = spec.sim_activity().map(stimulus_digest).unwrap_or(0);
-            (context.tech_digest, stimulus)
+            (spec.tech().identity_digest(), stimulus)
         }),
     ));
     // One write-once slot per job: no result lock, no post-run sort.
@@ -562,7 +555,6 @@ pub fn explore_with_store(
                 let jobs = &jobs;
                 let slots = &slots;
                 let table = Arc::clone(&table);
-                let memo = memo.as_ref();
                 scope.spawn(move || {
                     let mut cache = CompiledCache::new(spec);
                     let mut worker = WorkerStats::default();
@@ -584,7 +576,7 @@ pub fn explore_with_store(
                                 &jobs[job_index],
                                 &table,
                                 &mut cache,
-                                memo,
+                                store,
                                 &mut recorded,
                                 &mut worker,
                             );
@@ -701,14 +693,14 @@ fn supervised_evaluate<'a>(
     job: &Job,
     table: &PointTable<'_>,
     cache: &mut CompiledCache<'a>,
-    memo: Option<&StoreContext<'_>>,
+    store: Option<&ResultStore>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
     worker: &mut WorkerStats,
 ) -> JobOutcome {
     for attempt in 1..=JOB_ATTEMPT_LIMIT {
         let mark = recorded.len();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate(spec, job, table, &mut *cache, memo, recorded, worker)
+            evaluate(spec, job, table, &mut *cache, store, recorded, worker)
         }));
         match caught {
             Ok(Ok(point)) => return JobOutcome::Point(Box::new(point)),
@@ -726,13 +718,6 @@ fn supervised_evaluate<'a>(
         }
     }
     unreachable!("the attempt loop always returns")
-}
-
-/// The store view one run evaluates against: an immutable snapshot plus the tech
-/// digest computed once for every key of the run.
-struct StoreContext<'a> {
-    store: &'a ResultStore,
-    tech_digest: u64,
 }
 
 /// Builds an exploration point (without artifact) from its record — a memoized
@@ -777,24 +762,22 @@ fn point_from_stored(
 /// the cache holds. Only the already analysed `fa_anneal` result bypasses the
 /// cache.
 ///
-/// With a [`StoreContext`] attached the job additionally consults the persistent
-/// store — a point-level hit skips even synthesis, an analysis-level hit (for the
-/// module-binding flows, the only ones that write analysis records) skips the
-/// analysis bundle — and appends its own records to `recorded`. Lookups are
-/// skipped (but records still produced) when artifacts are retained; see
-/// [`explore_with_store`].
+/// With a store attached the job first looks its point key up: a hit skips the
+/// job entirely, synthesis included. Either way it appends its record to
+/// `recorded`. Lookups are skipped (but records still produced) when artifacts
+/// are retained; see [`explore_with_store`].
 ///
 /// When the specification carries a [`SimActivity`](crate::SimActivity), the
 /// synthesized netlist is additionally simulated through the same cache entry — the
 /// structure's compiled program plus the run's shared stimulus batch absorb every
-/// later point — and both store keys fold the stimulus digest, so simulated and
+/// later point — and the point key folds the stimulus digest, so simulated and
 /// analytic records never alias.
 fn evaluate(
     spec: &ExplorationSpec,
     job: &Job,
     table: &PointTable<'_>,
     cache: &mut CompiledCache<'_>,
-    memo: Option<&StoreContext<'_>>,
+    store: Option<&ResultStore>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
     worker: &mut WorkerStats,
 ) -> Result<ExplorationPoint, ExploreError> {
@@ -805,13 +788,12 @@ fn evaluate(
     }
     let point = table.point(job, worker);
     let design = &point.design;
-    let activity = spec.sim_activity();
-    let sim_on = activity.is_some();
-    let lookups = memo.filter(|_| !spec.retain_artifacts);
+    let sim_on = spec.sim_activity().is_some();
     let flow = job.flow();
     let point_key = point.key.as_ref().map(|key| key.with_flow(flow));
-    if let (Some(context), Some(key)) = (lookups, point_key.as_ref()) {
-        if let Some(stored) = context.store.lookup(key) {
+    let lookups = store.filter(|_| !spec.retain_artifacts);
+    if let (Some(store), Some(key)) = (lookups, point_key.as_ref()) {
+        if let Some(stored) = store.lookup(key) {
             worker.store_hits += 1;
             return Ok(point_from_stored(job, design, stored, sim_on));
         }
@@ -850,55 +832,12 @@ fn evaluate(
             }
         }
     };
-    let (netlist, word_map) = match &fresh {
-        Some((netlist, word_map)) => (netlist, word_map),
-        None => cache
-            .structure(job.group())
-            .expect("a reused structure is resident"),
-    };
-    let (arrivals, probabilities) = input_profiles(word_map, design.spec());
-    // Only the module-binding flows write analysis-stage records, so the memo file
-    // holds exactly the records it always has.
-    let analysis_key = memo
-        .filter(|_| matches!(flow, Flow::Conventional | Flow::CsaOpt))
-        .map(|context| {
-            let stimulus = activity
-                .map(|activity| stimulus_layout_digest(stimulus_digest(activity), word_map))
-                .unwrap_or(0);
-            EvalKey::analysis(
-                netlist,
-                context.tech_digest,
-                flow.name(),
-                profile_digest(&arrivals, &probabilities),
-                stimulus,
-            )
-        });
-    if let (Some(context), Some(key)) = (lookups, analysis_key.as_ref()) {
-        if let Some(stored) = context.store.lookup(key) {
-            worker.store_hits += 1;
-            // Promote the hit to a point-level record so the next run skips this
-            // job's synthesis too.
-            return Ok(finish(
-                job, design, stored, sim_on, None, point_key, recorded,
-            ));
-        }
-    }
     let (stored, artifact) = cache
-        .analyze(
-            job.group(),
-            flow.name(),
-            fresh,
-            (&arrivals, &probabilities),
-            design.spec(),
-            worker,
-        )
+        .analyze(job.group(), flow.name(), fresh, design.spec(), worker)
         .map_err(|error| match error {
             PointError::Flow(source) => flow_error(source),
             PointError::Sim(message) => sim_error(message),
         })?;
-    if let Some(key) = analysis_key {
-        recorded.push((key, stored));
-    }
     Ok(finish(
         job, design, stored, sim_on, artifact, point_key, recorded,
     ))

@@ -1,6 +1,8 @@
 //! Typed errors of the exploration engine.
 
-use crate::spec::{BiasProfile, SkewProfile, MAX_SIM_VECTORS, MAX_SOURCE_TERMS, MAX_WIDTH};
+use crate::spec::{
+    BiasProfile, SkewProfile, MAX_JOBS, MAX_SIM_VECTORS, MAX_SOURCE_TERMS, MAX_WIDTH,
+};
 use dpsyn_baselines::BaselineError;
 use std::error::Error;
 use std::fmt;
@@ -14,6 +16,9 @@ use std::fmt;
 pub enum ExploreError {
     /// The specification enumerates no jobs at all (no sources or no flows).
     EmptyMatrix,
+    /// The specification enumerates more than [`MAX_JOBS`] jobs; the count
+    /// saturates at `usize::MAX`.
+    TooManyJobs(usize),
     /// The `threads` field is explicitly zero; at least one thread must run the
     /// jobs. (Leaving `threads` unset defaults to the host's available parallelism
     /// instead.)
@@ -94,6 +99,11 @@ impl fmt::Display for ExploreError {
             ExploreError::EmptyMatrix => {
                 write!(f, "the exploration matrix is empty: no jobs to run")
             }
+            ExploreError::TooManyJobs(count) => write!(
+                f,
+                "the exploration matrix enumerates {count} jobs; at most {MAX_JOBS} jobs \
+                 run per specification"
+            ),
             ExploreError::ZeroWorkers => {
                 write!(
                     f,

@@ -79,11 +79,11 @@ pub use pareto::{pareto_front, PointMetrics};
 pub use serve::{serve, ServeConfig, ServeResponse};
 pub use spec::{
     BiasProfile, ExplorationSpec, ExplorationSpecBuilder, ExprSource, SimActivity, SkewProfile,
-    MAX_SIM_VECTORS, MAX_SOURCE_TERMS, MAX_WIDTH,
+    MAX_JOBS, MAX_SIM_VECTORS, MAX_SOURCE_TERMS, MAX_WIDTH,
 };
 pub use store::{
-    profile_digest, quarantine_path, stimulus_digest, stimulus_layout_digest, EvalKey, EvalStage,
-    ResultStore, StoreHealth, StoredEval, STORE_FORMAT,
+    lock_path, quarantine_path, stimulus_digest, EvalKey, ResultStore, StoreHealth, StoredEval,
+    STORE_FORMAT,
 };
 pub use summary::FlowSummary;
 

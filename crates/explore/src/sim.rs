@@ -17,10 +17,10 @@
 //!
 //! Determinism note: the stimulus batch is keyed by the **spec-level** activity
 //! seed, never by worker or group identity, so two structurally identical groups
-//! draw the same batch and the persistent store's name-blind analysis keys stay
-//! sound (the key folds the exact bit-to-net stimulus layout on top; see
-//! [`crate::store::stimulus_layout_digest`]). The simulated figure is therefore a
-//! pure function of `(netlist structure, word map, spec probabilities, activity)`.
+//! draw the same batch. The simulated figure is therefore a pure function of
+//! `(netlist structure, word map, spec probabilities, activity)`, and so of the
+//! design point and the activity request the persistent store's point key covers
+//! ([`crate::store::stimulus_digest`]).
 
 use crate::spec::SimActivity;
 use dpsyn_ir::InputSpec;

@@ -182,6 +182,12 @@ pub const MAX_WIDTH: u32 = 64;
 /// any operand is generated.
 pub const MAX_SOURCE_TERMS: usize = 64;
 
+/// Upper bound on the jobs one specification enumerates (ten times the largest
+/// shipped matrix). A serve request line names every axis entry, so a line of a
+/// few hundred kilobytes could otherwise ask for billions of jobs; larger matrices
+/// are rejected with [`ExploreError::TooManyJobs`] before any job is built.
+pub const MAX_JOBS: usize = 16_384;
+
 /// The full description of one design-space exploration.
 ///
 /// Build one with [`ExplorationSpec::builder`]; the builder validates the axes and
@@ -277,6 +283,23 @@ impl ExplorationSpec {
     /// The attached fault-injection plan, when one is attached (testing only).
     pub fn faults(&self) -> Option<&std::sync::Arc<crate::faults::FaultPlan>> {
         self.faults.as_ref()
+    }
+
+    /// The number of jobs [`ExplorationSpec::jobs`] enumerates, counted without
+    /// building them; `None` when the count overflows `usize`.
+    fn job_count(&self) -> Option<usize> {
+        let per_width = self
+            .skews
+            .len()
+            .checked_mul(self.biases.len())?
+            .checked_mul(self.flows.len())?;
+        self.sources.iter().try_fold(0usize, |count, source| {
+            let widths = match source {
+                ExprSource::Fixed(_) => 1,
+                _ => self.widths.len(),
+            };
+            count.checked_add(widths.checked_mul(per_width)?)
+        })
     }
 
     /// Enumerates the job matrix in its canonical order: sources, then widths (for
@@ -550,7 +573,7 @@ impl ExplorationSpecBuilder {
     /// is invalid or conflicts with another,
     /// a simulated-activity request asks for fewer than 2 or more than
     /// [`MAX_SIM_VECTORS`] vectors, or the matrix
-    /// enumerates no jobs.
+    /// enumerates no jobs or more than [`MAX_JOBS`].
     pub fn build(mut self) -> Result<ExplorationSpec, ExploreError> {
         self.spec.threads = match self.threads {
             Some(0) => return Err(ExploreError::ZeroWorkers),
@@ -615,6 +638,11 @@ impl ExplorationSpecBuilder {
                 }
             }
         }
+        // Counted before the pairwise conflict checks, which it bounds.
+        let jobs = self.spec.job_count().unwrap_or(usize::MAX);
+        if jobs > MAX_JOBS {
+            return Err(ExploreError::TooManyJobs(jobs));
+        }
         for (index, first) in self.spec.skews.iter().enumerate() {
             for second in &self.spec.skews[index + 1..] {
                 if first.conflicts_with(second, has_sum_workloads) {
@@ -629,10 +657,9 @@ impl ExplorationSpecBuilder {
                 }
             }
         }
-        let spec = self.spec;
-        if spec.jobs().is_empty() {
+        if jobs == 0 {
             return Err(ExploreError::EmptyMatrix);
         }
-        Ok(spec)
+        Ok(self.spec)
     }
 }

@@ -6,7 +6,7 @@ use crate::error::ExploreError;
 use crate::faults::{FaultPlan, WriteFault};
 use dpsyn_baselines::Flow;
 use dpsyn_designs::Design;
-use dpsyn_netlist::{NetId, Netlist, StructuralHasher};
+use dpsyn_netlist::StructuralHasher;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -14,10 +14,10 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Header line of the memo file; the version suffix guards the record layout.
-pub const STORE_FORMAT: &str = "dpsyn-eval-store v2";
+pub const STORE_FORMAT: &str = "dpsyn-eval-store v3";
 
 /// Bounded retries for the flush merge-verify loop under concurrent writers.
 const FLUSH_ATTEMPTS: usize = 16;
@@ -25,57 +25,22 @@ const FLUSH_ATTEMPTS: usize = 16;
 /// Temp files this process has written, numbering each flush's temp file.
 static TEMP_FILES: AtomicU64 = AtomicU64::new(0);
 
-/// Held for the whole read–write–verify of every flush in this process. The
-/// verify only checks a flush's own records, so without it a flush that read the
-/// file before another's rename and renamed after that one's verify would drop
-/// the other's records, which had already reported success.
-static FLUSHING: Mutex<()> = Mutex::new(());
-
-/// Independent seeds for the two fingerprint chains, the two profile/primary
-/// digests and the per-line checksum. Any two digests of the same words differ
-/// because their chains start differently.
+/// Independent seeds for the primary word, the two fingerprint chains, the
+/// profile and stimulus digests and the per-line checksum. Any two digests of the
+/// same words differ because their chains start differently.
 const FINGERPRINT_SEEDS: [u64; 2] = [0x9d5c_41e7_3b28_f601, 0x5e8a_02c9_d714_6fb3];
 const POINT_PRIMARY_SEED: u64 = 0x31f6_88ad_0c52_e947;
 const PROFILE_SEED: u64 = 0xc703_5a1e_92d8_4b65;
 const LINE_SEED: u64 = 0x84b2_d90f_671c_3ae5;
 const STIMULUS_SEED: u64 = 0x2f9e_6c83_b1d7_054a;
 
-/// Which level of the evaluation pipeline a stored record memoizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EvalStage {
-    /// Keyed on the synthesized netlist: a hit skips the analysis bundle.
-    Analysis,
-    /// Keyed on the materialized design point: a hit skips synthesis too.
-    Point,
-}
-
-impl EvalStage {
-    fn tag(self) -> &'static str {
-        match self {
-            EvalStage::Analysis => "A",
-            EvalStage::Point => "P",
-        }
-    }
-
-    fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "A" => Some(EvalStage::Analysis),
-            "P" => Some(EvalStage::Point),
-            _ => None,
-        }
-    }
-}
-
-/// The exact identity a stored evaluation is keyed by; the [`ResultStore`] docs
-/// say what each component covers.
+/// The exact identity a stored evaluation is keyed by: one materialized design
+/// point under one flow. The [`ResultStore`] docs say what each component covers.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EvalKey {
-    /// Which pipeline level the record memoizes.
-    pub stage: EvalStage,
-    /// The primary probe word: [`Netlist::structural_hash`] for analysis records,
-    /// a seeded digest of the design identity for point records.
+    /// The primary probe word: a seeded digest of the design point's identity.
     pub structural: u64,
-    /// 128-bit fingerprint of the exact canonical serialization (two
+    /// 128-bit fingerprint of the design point's canonical serialization (two
     /// independently-seeded chains over the same word stream).
     pub fingerprint: [u64; 2],
     /// The technology library's identity digest.
@@ -84,10 +49,8 @@ pub struct EvalKey {
     pub flow: String,
     /// Digest of the input profiles the figures were computed under.
     pub profiles: u64,
-    /// Digest of the stimulus the simulated switching metric was computed under —
-    /// `0` for a purely analytic run. Build it with [`stimulus_digest`] (point
-    /// stage) or [`stimulus_layout_digest`] (analysis stage, which folds the exact
-    /// bit-to-net stimulus layout because analysis keys are name-blind).
+    /// Digest of the stimulus the simulated switching metric was computed under
+    /// ([`stimulus_digest`]), `0` for a purely analytic run.
     pub stimulus: u64,
 }
 
@@ -107,44 +70,12 @@ fn push_str(words: &mut Vec<u64>, text: &str) {
 }
 
 impl EvalKey {
-    /// Keys one synthesized-but-unanalysed netlist: the issue-specified
-    /// `(structural_hash, exact serialization fingerprint, tech identity, flow,
-    /// input-profile digest)` tuple, plus the stimulus digest (`0` when the sweep
-    /// carries no simulated metric). Compute `profiles` with [`profile_digest`]
-    /// from the same per-net maps the analyses will consume, and `stimulus` with
-    /// [`stimulus_layout_digest`] over the same word map the simulation packs.
-    pub fn analysis(
-        netlist: &Netlist,
-        tech: u64,
-        flow: &str,
-        profiles: u64,
-        stimulus: u64,
-    ) -> EvalKey {
-        debug_assert!(
-            !flow.chars().any(char::is_whitespace),
-            "flow identifiers must be single tokens"
-        );
-        let words = netlist.structural_words();
-        EvalKey {
-            stage: EvalStage::Analysis,
-            structural: netlist.structural_hash(),
-            fingerprint: [
-                chain(FINGERPRINT_SEEDS[0], &words),
-                chain(FINGERPRINT_SEEDS[1], &words),
-            ],
-            tech,
-            flow: flow.to_string(),
-            profiles,
-            stimulus,
-        }
-    }
-
     /// Keys one materialized design point before synthesis: name, expression
     /// text, output width and every input bit's exact arrival/probability, times
     /// the flow (seed included) and the tech digest. The name is part of the key
-    /// because rendered summaries carry it — a renamed twin falls through to the
-    /// name-blind analysis stage instead. `stimulus` is [`stimulus_digest`] of the
-    /// sweep's simulated-activity request, or `0` for an analytic sweep.
+    /// because rendered summaries carry it, so a renamed twin is a fresh
+    /// evaluation. `stimulus` is [`stimulus_digest`] of the sweep's
+    /// simulated-activity request, or `0` for an analytic sweep.
     pub fn point(design: &Design, flow: Flow, tech: u64, stimulus: u64) -> EvalKey {
         EvalKey::design_point(design, tech, stimulus).with_flow(flow)
     }
@@ -171,7 +102,6 @@ impl EvalKey {
             }
         }
         EvalKey {
-            stage: EvalStage::Point,
             structural: chain(POINT_PRIMARY_SEED, &words),
             fingerprint: [
                 chain(FINGERPRINT_SEEDS[0], &words),
@@ -209,27 +139,11 @@ pub fn stimulus_digest(activity: crate::spec::SimActivity) -> u64 {
     )
 }
 
-/// Extends a [`stimulus_digest`] with the exact bit-to-net stimulus layout of one
-/// word map: per input word in declaration order, the bit count and each bit's net
-/// index. Analysis keys are name-blind, so without the layout two structurally
-/// identical netlists whose inputs bind the stimulus differently could alias.
-pub fn stimulus_layout_digest(base: u64, word_map: &dpsyn_netlist::WordMap) -> u64 {
-    let mut words = vec![base, word_map.inputs().len() as u64];
-    for word in word_map.inputs() {
-        words.push(word.bits().len() as u64);
-        for bit in word.bits() {
-            words.push(bit.index() as u64);
-        }
-    }
-    chain(STIMULUS_SEED, &words)
-}
-
 impl fmt::Display for EvalKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {}",
-            self.stage.tag(),
+            "{:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {}",
             self.structural,
             self.fingerprint[0],
             self.fingerprint[1],
@@ -239,27 +153,6 @@ impl fmt::Display for EvalKey {
             self.flow
         )
     }
-}
-
-/// Digest of the per-net input profiles an analysis consumes — the maps
-/// [`dpsyn_baselines::input_profiles`] produces, folded net-by-net with exact f64
-/// bit patterns.
-pub fn profile_digest(
-    arrivals: &BTreeMap<NetId, f64>,
-    probabilities: &BTreeMap<NetId, f64>,
-) -> u64 {
-    let mut hasher = StructuralHasher::with_seed(PROFILE_SEED);
-    hasher.write(arrivals.len() as u64);
-    for (net, arrival) in arrivals {
-        hasher.write(net.index() as u64);
-        hasher.write(arrival.to_bits());
-    }
-    hasher.write(probabilities.len() as u64);
-    for (net, probability) in probabilities {
-        hasher.write(net.index() as u64);
-        hasher.write(probability.to_bits());
-    }
-    hasher.finish()
 }
 
 /// The memoized figures of one evaluated point — exactly the fields an
@@ -337,10 +230,6 @@ fn merged(first: StoredEval, second: StoredEval) -> StoredEval {
 /// Chained checksum of one record line (key words, flow bytes, value words).
 fn line_checksum(key: &EvalKey, value: &StoredEval) -> u64 {
     let mut hasher = StructuralHasher::with_seed(LINE_SEED);
-    hasher.write(match key.stage {
-        EvalStage::Analysis => 0,
-        EvalStage::Point => 1,
-    });
     hasher.write(key.structural);
     hasher.write(key.fingerprint[0]);
     hasher.write(key.fingerprint[1]);
@@ -368,7 +257,6 @@ fn push_hex(out: &mut Vec<u8>, word: u64) {
 /// [`Display`](EvalKey#impl-Display-for-EvalKey) text, the seven value words and
 /// the checksum, space-separated.
 fn push_line(out: &mut Vec<u8>, key: &EvalKey, value: &StoredEval) {
-    out.extend_from_slice(key.stage.tag().as_bytes());
     let key_words = [
         key.structural,
         key.fingerprint[0],
@@ -378,10 +266,9 @@ fn push_line(out: &mut Vec<u8>, key: &EvalKey, value: &StoredEval) {
         key.stimulus,
     ];
     for word in key_words {
-        out.push(b' ');
         push_hex(out, word);
+        out.push(b' ');
     }
-    out.push(b' ');
     out.extend_from_slice(key.flow.as_bytes());
     for word in value.bits().into_iter().chain([line_checksum(key, value)]) {
         out.push(b' ');
@@ -410,29 +297,28 @@ fn format_line(key: &EvalKey, value: &StoredEval) -> String {
 /// Parses one record line; `None` for anything malformed or checksum-failing.
 fn parse_line(line: &str) -> Option<(EvalKey, StoredEval)> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
-    if tokens.len() != 16 {
+    if tokens.len() != 15 {
         return None;
     }
     let word = |token: &str| u64::from_str_radix(token, 16).ok();
     let key = EvalKey {
-        stage: EvalStage::from_tag(tokens[0])?,
-        structural: word(tokens[1])?,
-        fingerprint: [word(tokens[2])?, word(tokens[3])?],
-        tech: word(tokens[4])?,
-        profiles: word(tokens[5])?,
-        stimulus: word(tokens[6])?,
-        flow: tokens[7].to_string(),
+        structural: word(tokens[0])?,
+        fingerprint: [word(tokens[1])?, word(tokens[2])?],
+        tech: word(tokens[3])?,
+        profiles: word(tokens[4])?,
+        stimulus: word(tokens[5])?,
+        flow: tokens[6].to_string(),
     };
     let value = StoredEval {
-        delay: f64::from_bits(word(tokens[8])?),
-        area: f64::from_bits(word(tokens[9])?),
-        switching_energy: f64::from_bits(word(tokens[10])?),
-        power_mw: f64::from_bits(word(tokens[11])?),
-        cell_count: word(tokens[12])? as usize,
-        logic_depth: word(tokens[13])? as usize,
-        simulated_switch_power: f64::from_bits(word(tokens[14])?),
+        delay: f64::from_bits(word(tokens[7])?),
+        area: f64::from_bits(word(tokens[8])?),
+        switching_energy: f64::from_bits(word(tokens[9])?),
+        power_mw: f64::from_bits(word(tokens[10])?),
+        cell_count: word(tokens[11])? as usize,
+        logic_depth: word(tokens[12])? as usize,
+        simulated_switch_power: f64::from_bits(word(tokens[13])?),
     };
-    let checksum = word(tokens[15])?;
+    let checksum = word(tokens[14])?;
     (line_checksum(&key, &value) == checksum).then_some((key, value))
 }
 
@@ -527,13 +413,38 @@ fn parse_file(bytes: &[u8]) -> LoadedFile {
     loaded
 }
 
-/// The sidecar file damaged lines of the memo file at `path` are quarantined to.
-pub fn quarantine_path(path: &Path) -> PathBuf {
+/// The sidecar file named `{memo file name}.{suffix}` beside `path`.
+fn sidecar(path: &Path, suffix: &str) -> PathBuf {
     let file_name = path
         .file_name()
         .and_then(|name| name.to_str())
         .unwrap_or("store");
-    path.with_file_name(format!("{file_name}.quarantine"))
+    path.with_file_name(format!("{file_name}.{suffix}"))
+}
+
+/// The sidecar file damaged lines of the memo file at `path` are quarantined to.
+pub fn quarantine_path(path: &Path) -> PathBuf {
+    sidecar(path, "quarantine")
+}
+
+/// The sidecar file every [`ResultStore::flush`] of the memo file at `path` locks.
+/// It stays empty and is never removed: a lock holds on the file it was taken
+/// on, so deleting the sidecar would let two flushes lock different files.
+pub fn lock_path(path: &Path) -> PathBuf {
+    sidecar(path, "lock")
+}
+
+/// Opens the [`lock_path`] sidecar of the memo file at `path` and waits for an
+/// exclusive lock on it, which lasts until the returned file is closed.
+fn lock(path: &Path) -> Result<fs::File, ExploreError> {
+    let sidecar = fs::OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(lock_path(path))
+        .map_err(|error| store_error(path, error))?;
+    sidecar.lock().map_err(|error| store_error(path, error))?;
+    Ok(sidecar)
 }
 
 /// Appends `damaged` lines to the quarantine sidecar (deduplicated — reloading
@@ -595,44 +506,34 @@ pub struct StoreHealth {
 /// # The evaluation key
 ///
 /// A stored result is only ever served when *everything* an analysis can observe is
-/// provably identical. Two key stages share one shape ([`EvalKey`]):
+/// provably identical. There is one key kind ([`EvalKey::point`]), taken on the
+/// materialized design point before synthesis: a digest and a 128-bit fingerprint
+/// of its canonical serialization (name, expression text, output width, every
+/// input bit's arrival and probability), a digest of its input profiles, the
+/// flow (seed included) and the technology-library identity digest
+/// ([`TechLibrary::identity_digest`](dpsyn_tech::TechLibrary::identity_digest)).
+/// A hit skips the job entirely, synthesis included, for every flow; point hits
+/// are what make a fully warm sweep near-free.
 ///
-/// * [`EvalStage::Analysis`] is keyed on the synthesized netlist: the structural
-///   hash, a 128-bit fingerprint of the **exact** structural serialization
-///   ([`Netlist::structural_words`], the lossless, versioned counterpart of the
-///   folded hash), the technology-library identity digest
-///   ([`TechLibrary::identity_digest`](dpsyn_tech::TechLibrary::identity_digest)),
-///   the flow name, and a digest of the per-net input profiles. This serves the
-///   synthesize-then-analyse flows (`conventional`, `csa_opt`): a warm hit skips
-///   the whole compile + timing + power + area bundle.
-/// * [`EvalStage::Point`] is keyed one level earlier, on the materialized design
-///   itself (name, expression text, output width, every input bit's arrival and
-///   probability), the flow and the tech digest. Flows that analyse *during*
-///   synthesis (the FA-tree family) never expose an unanalysed netlist, so only a
-///   design-level key can collapse them to lookup cost; for the module-binding
-///   flows it also skips synthesis. Point hits are what make a fully warm sweep
-///   near-free.
-///
-/// Both fingerprints are independently-seeded splitmix64 chains
+/// The digests are independently-seeded splitmix64 chains
 /// ([`StructuralHasher::with_seed`]) over canonical word streams, so a stored
 /// result can never be served across a renamed design, an edited tech library, a
 /// different flow seed or a reprofiled input: each of those perturbs its digest.
 ///
-/// Both stages also carry a **stimulus digest**: `0` for a purely analytic run,
-/// and a digest of the simulated-activity identity (seed, vector count, batch
-/// shape, plus the exact bit-to-net stimulus layout at the analysis stage) when
-/// the sweep carries the simulated switching metric. A simulated record can
-/// therefore never be served to a non-simulated sweep or vice versa, and two
-/// different stimulus configurations never alias.
+/// The key also carries a **stimulus digest** ([`stimulus_digest`]): `0` for a
+/// purely analytic run, and a digest of the simulated-activity identity (seed,
+/// vector count, batch shape) when the sweep carries the simulated switching
+/// metric. A simulated record can therefore never be served to a non-simulated
+/// sweep or vice versa, and two different stimulus configurations never alias.
 ///
 /// # The memo file
 ///
 /// The on-disk format is line-oriented and self-checking:
 ///
 /// ```text
-/// dpsyn-eval-store v2
-/// A <structural> <fp0> <fp1> <tech> <profiles> <stimulus> <flow> <delay> <area> <energy> <power> <cells> <depth> <sim_power> <checksum>
-/// P ...
+/// dpsyn-eval-store v3
+/// <structural> <fp0> <fp1> <tech> <profiles> <stimulus> <flow> <delay> <area> <energy> <power> <cells> <depth> <sim_power> <checksum>
+/// ...
 /// ```
 ///
 /// Every numeric field is a fixed-width lowercase-hex u64 (f64s by bit pattern)
@@ -848,12 +749,16 @@ impl ResultStore {
     ///   rename) are parsed and checked for this store's records, and the loop
     ///   retries when they are missing.
     ///
-    /// Flushes within one process take turns, so stores of one process that share
-    /// a path never drop each other's records. Writers in separate processes are
-    /// not serialized.
+    /// Flushes of one memo file take turns: each holds an exclusive lock on the
+    /// [`lock_path`] sidecar for its whole read–write–verify. Locks taken through
+    /// separate opens of the sidecar exclude each other within one process as
+    /// across processes, so stores that share a path never drop each other's
+    /// records, whichever process holds them. The verify still guards against a
+    /// writer that does not take the lock.
     ///
     /// Bytes are compared exactly, never by digest. A dirty flush does one read,
-    /// one write and one read per attempt, the steps a [`FaultPlan`] counts.
+    /// one write and one read per attempt, the steps a [`FaultPlan`] counts; taking
+    /// the lock is not a counted step.
     ///
     /// # Errors
     ///
@@ -866,11 +771,8 @@ impl ResultStore {
         if !self.dirty {
             return Ok(());
         }
-        // A flush that panicked cannot have left the file half-written (the
-        // rename is atomic), so a poisoned lock is still good.
-        let _flushing = FLUSHING
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        // Held until the flush returns: closing the sidecar releases the lock.
+        let _flushing = lock(&path)?;
         let faults = self.faults.clone();
         for _ in 0..FLUSH_ATTEMPTS {
             let on_disk = read_bytes(&path, faults.as_deref())?;
@@ -1003,9 +905,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn key(stage: EvalStage, salt: u64) -> EvalKey {
+    fn key(salt: u64) -> EvalKey {
         EvalKey {
-            stage,
             structural: salt,
             fingerprint: [salt ^ 1, salt ^ 2],
             tech: 7,
@@ -1029,31 +930,29 @@ mod tests {
 
     #[test]
     fn line_roundtrip_is_exact() {
-        for stage in [EvalStage::Analysis, EvalStage::Point] {
-            let key = key(stage, 0xdead_beef);
-            let value = value(1.625);
-            let line = format_line(&key, &value);
-            let (parsed_key, parsed_value) = parse_line(&line).expect("line parses");
-            assert_eq!(parsed_key, key);
-            assert_eq!(parsed_value, value);
-        }
+        let key = key(0xdead_beef);
+        let value = value(1.625);
+        let line = format_line(&key, &value);
+        let (parsed_key, parsed_value) = parse_line(&line).expect("line parses");
+        assert_eq!(parsed_key, key);
+        assert_eq!(parsed_value, value);
     }
 
     #[test]
     fn corrupt_lines_fail_the_checksum() {
-        let line = format_line(&key(EvalStage::Analysis, 5), &value(2.0));
+        let line = format_line(&key(5), &value(2.0));
         // Flip one hex digit of the delay field.
         let tampered = {
             let mut tokens: Vec<String> = line.split_whitespace().map(String::from).collect();
-            let delay = tokens[8].clone();
-            tokens[8] = match delay.strip_prefix('0') {
+            let delay = tokens[7].clone();
+            tokens[7] = match delay.strip_prefix('0') {
                 Some(rest) => format!("1{rest}"),
                 None => format!("0{}", &delay[1..]),
             };
             tokens.join(" ")
         };
         assert!(parse_line(&tampered).is_none(), "bit flip must be rejected");
-        assert!(parse_line("A nonsense").is_none());
+        assert!(parse_line("nonsense").is_none());
         assert!(parse_line("").is_none());
     }
 
@@ -1103,45 +1002,8 @@ mod tests {
     }
 
     #[test]
-    fn analysis_keys_are_name_blind_but_structure_exact() {
-        use dpsyn_netlist::CellKind;
-        let build = |flip: bool| {
-            let mut netlist = Netlist::new("demo");
-            let a = netlist.add_input("a");
-            let b = netlist.add_input("b");
-            let kind = if flip { CellKind::Or2 } else { CellKind::And2 };
-            let out = netlist.add_gate(kind, &[a, b]).unwrap()[0];
-            netlist.mark_output(out);
-            netlist
-        };
-        let base = EvalKey::analysis(&build(false), 7, "conventional", 11, 0);
-        let mut renamed = build(false);
-        renamed.set_net_name(renamed.inputs()[0], "zz");
-        assert_eq!(EvalKey::analysis(&renamed, 7, "conventional", 11, 0), base);
-        assert_ne!(
-            EvalKey::analysis(&build(true), 7, "conventional", 11, 0),
-            base
-        );
-        assert_ne!(
-            EvalKey::analysis(&build(false), 8, "conventional", 11, 0),
-            base
-        );
-        assert_ne!(EvalKey::analysis(&build(false), 7, "csa_opt", 11, 0), base);
-        assert_ne!(
-            EvalKey::analysis(&build(false), 7, "conventional", 12, 0),
-            base
-        );
-        assert_ne!(
-            EvalKey::analysis(&build(false), 7, "conventional", 11, 3),
-            base,
-            "the stimulus digest is part of the analysis key"
-        );
-    }
-
-    #[test]
-    fn stimulus_digests_track_request_and_layout() {
+    fn stimulus_digests_track_the_request() {
         use crate::spec::SimActivity;
-        use dpsyn_netlist::{Word, WordMap};
         let base = stimulus_digest(SimActivity {
             seed: 5,
             vectors: 256,
@@ -1171,57 +1033,15 @@ mod tests {
                 vectors: 128
             })
         );
-
-        // Layout digests separate word maps that bind the same stimulus bits to
-        // different nets, and never collide with the bare request digest.
-        let mut netlist = Netlist::new("demo");
-        let a = netlist.add_input("a");
-        let b = netlist.add_input("b");
-        let straight = WordMap::new(
-            vec![Word::new("a", vec![a]), Word::new("b", vec![b])],
-            Word::new("out", vec![a]),
-        );
-        let crossed = WordMap::new(
-            vec![Word::new("a", vec![b]), Word::new("b", vec![a])],
-            Word::new("out", vec![a]),
-        );
-        let straight_digest = stimulus_layout_digest(base, &straight);
-        assert_eq!(straight_digest, stimulus_layout_digest(base, &straight));
-        assert_ne!(straight_digest, stimulus_layout_digest(base, &crossed));
-        assert_ne!(straight_digest, base);
-    }
-
-    #[test]
-    fn profile_digest_is_exact_in_values_and_nets() {
-        let mut arrivals = BTreeMap::new();
-        let mut probabilities = BTreeMap::new();
-        let netlist = {
-            let mut netlist = Netlist::new("demo");
-            netlist.add_input("a");
-            netlist.add_input("b");
-            netlist
-        };
-        let (a, b) = (netlist.inputs()[0], netlist.inputs()[1]);
-        arrivals.insert(a, 1.0);
-        probabilities.insert(a, 0.5);
-        let base = profile_digest(&arrivals, &probabilities);
-        assert_eq!(base, profile_digest(&arrivals, &probabilities));
-        let mut shifted = arrivals.clone();
-        shifted.insert(a, 1.0 + f64::EPSILON);
-        assert_ne!(profile_digest(&shifted, &probabilities), base);
-        let mut moved = arrivals.clone();
-        moved.remove(&a);
-        moved.insert(b, 1.0);
-        assert_ne!(profile_digest(&moved, &probabilities), base);
     }
 
     #[test]
     fn in_memory_store_flush_is_a_noop() {
         let mut store = ResultStore::in_memory();
-        store.record(key(EvalStage::Point, 1), value(1.0));
+        store.record(key(1), value(1.0));
         assert_eq!(store.len(), 1);
-        assert!(store.lookup(&key(EvalStage::Point, 1)).is_some());
-        assert!(store.lookup(&key(EvalStage::Analysis, 1)).is_none());
+        assert!(store.lookup(&key(1)).is_some());
+        assert!(store.lookup(&key(2)).is_none());
         store.flush().expect("no backing file, nothing to do");
     }
 
@@ -1252,7 +1072,7 @@ mod tests {
             .build();
         let mut store =
             ResultStore::load_with_faults(&path, Some(Arc::clone(&plan))).expect("store loads");
-        store.record(key(EvalStage::Point, 1), value(1.0));
+        store.record(key(1), value(1.0));
         store
             .flush()
             .expect("the first flush runs before the outage");
@@ -1261,14 +1081,14 @@ mod tests {
         store
             .flush()
             .expect("a flush with nothing new touches no file");
-        store.record(key(EvalStage::Point, 1), value(1.0));
-        store.record(key(EvalStage::Point, 1), value(2.0));
+        store.record(key(1), value(1.0));
+        store.record(key(1), value(2.0));
         store
             .flush()
             .expect("re-recording a resident value or a losing one is not new");
         assert_eq!((plan.read_ops(), plan.write_ops()), (3, 1), "no I/O at all");
 
-        store.record(key(EvalStage::Point, 2), value(1.0));
+        store.record(key(2), value(1.0));
         assert!(store.flush().is_err(), "a new key makes the flush read");
         assert!(
             store.flush().is_err(),
@@ -1281,8 +1101,8 @@ mod tests {
     fn a_clean_load_flushes_without_io_and_a_damaged_or_stale_one_rewrites() {
         let path = scratch("clean-load");
         let mut seeded = ResultStore::load(&path).expect("missing file loads");
-        seeded.record(key(EvalStage::Point, 1), value(1.0));
-        seeded.record(key(EvalStage::Analysis, 2), value(2.0));
+        seeded.record(key(1), value(1.0));
+        seeded.record(key(2), value(2.0));
         seeded.flush().expect("seeding flush");
         let canonical = fs::read(&path).expect("read the seeded file");
         let modified = || fs::metadata(&path).and_then(|meta| meta.modified()).ok();
@@ -1297,7 +1117,7 @@ mod tests {
         assert_eq!((plan.read_ops(), plan.write_ops()), (1, 0), "the load only");
         assert_eq!(modified(), stamp);
         assert_eq!(fs::read(&path).expect("read"), canonical);
-        clean.record(key(EvalStage::Point, 3), value(3.0));
+        clean.record(key(3), value(3.0));
         clean.flush().expect("a new record flushes");
         assert_eq!(plan.write_ops(), 1);
         assert_eq!(ResultStore::load(&path).expect("reload").len(), 3);
@@ -1330,13 +1150,13 @@ mod tests {
     fn a_flush_over_stale_disk_bytes_still_unions_both_sides() {
         let path = scratch("stale-disk");
         let mut first = ResultStore::load(&path).expect("first store loads");
-        first.record(key(EvalStage::Point, 1), value(1.0));
+        first.record(key(1), value(1.0));
         first.flush().expect("first flush");
         // Another store rewrites the file behind the first one's back.
         let mut second = ResultStore::load(&path).expect("second store loads");
-        second.record(key(EvalStage::Point, 2), value(2.0));
+        second.record(key(2), value(2.0));
         second.flush().expect("second flush");
-        first.record(key(EvalStage::Analysis, 3), value(3.0));
+        first.record(key(3), value(3.0));
         first.flush().expect("a flush over stale disk bytes");
 
         let union = ResultStore::load(&path).expect("union loads");
@@ -1349,7 +1169,7 @@ mod tests {
     #[test]
     fn the_first_flush_after_a_non_canonical_load_writes_canonical_bytes() {
         let path = scratch("non-canonical");
-        let line = |salt, delay| format_line(&key(EvalStage::Point, salt), &value(delay));
+        let line = |salt, delay| format_line(&key(salt), &value(delay));
         // Unsorted lines, one key twice with different values, CRLF line ends and
         // no final newline.
         let text = format!(
@@ -1379,26 +1199,21 @@ mod tests {
     fn record(words: &[u64], flow: u64) -> (EvalKey, StoredEval) {
         let flow = crate::faults::deterministic_garbage(flow, 1 + (flow % 24) as usize);
         let key = EvalKey {
-            stage: if words[0] & 1 == 0 {
-                EvalStage::Analysis
-            } else {
-                EvalStage::Point
-            },
-            structural: words[1],
-            fingerprint: [words[2], words[3]],
-            tech: words[4],
+            structural: words[0],
+            fingerprint: [words[1], words[2]],
+            tech: words[3],
             flow: String::from_utf8(flow).expect("garbage is printable ASCII"),
-            profiles: words[5],
-            stimulus: words[6],
+            profiles: words[4],
+            stimulus: words[5],
         };
         let value = StoredEval {
-            delay: f64::from_bits(words[7]),
-            area: f64::from_bits(words[8]),
-            switching_energy: f64::from_bits(words[9]),
-            power_mw: f64::from_bits(words[10]),
-            cell_count: words[11] as usize,
-            logic_depth: words[12] as usize,
-            simulated_switch_power: f64::from_bits(words[13]),
+            delay: f64::from_bits(words[6]),
+            area: f64::from_bits(words[7]),
+            switching_energy: f64::from_bits(words[8]),
+            power_mw: f64::from_bits(words[9]),
+            cell_count: words[10] as usize,
+            logic_depth: words[11] as usize,
+            simulated_switch_power: f64::from_bits(words[12]),
         };
         (key, value)
     }
@@ -1423,7 +1238,7 @@ mod tests {
         /// pattern exactly.
         #[test]
         fn record_lines_roundtrip_every_bit_pattern(
-            words in prop::collection::vec(float_word(), 14),
+            words in prop::collection::vec(float_word(), 13),
             flow in any::<u64>(),
         ) {
             let (key, value) = record(&words, flow);
@@ -1437,7 +1252,7 @@ mod tests {
         /// The fixed-width writer renders exactly the `format!` line.
         #[test]
         fn fixed_width_writer_matches_the_format_reference(
-            words in prop::collection::vec(float_word(), 14),
+            words in prop::collection::vec(float_word(), 13),
             flow in any::<u64>(),
         ) {
             let (key, value) = record(&words, flow);
@@ -1454,7 +1269,7 @@ mod tests {
             lines in prop::collection::vec(
                 (
                     0u8..5,
-                    prop::collection::vec(float_word(), 14),
+                    prop::collection::vec(float_word(), 13),
                     any::<u64>(),
                     prop::collection::vec(any::<u8>(), 0..48),
                 ),
@@ -1469,7 +1284,7 @@ mod tests {
             for (index, (kind, words, seed, raw)) in lines.iter().enumerate() {
                 let mut words = words.clone();
                 // A distinct structural word per line keeps every record's key unique.
-                words[1] = index as u64;
+                words[0] = index as u64;
                 let (key, value) = record(&words, *seed);
                 let valid = format_line(&key, &value).into_bytes();
                 let line: Vec<u8> = match kind {

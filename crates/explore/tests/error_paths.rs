@@ -2,8 +2,8 @@
 //! `Display` coverage), never panics.
 
 use dpsyn_explore::{
-    BiasProfile, ExplorationSpec, ExploreError, Flow, SimActivity, SkewProfile, MAX_SIM_VECTORS,
-    MAX_SOURCE_TERMS, MAX_WIDTH,
+    BiasProfile, ExplorationSpec, ExploreError, Flow, SimActivity, SkewProfile, MAX_JOBS,
+    MAX_SIM_VECTORS, MAX_SOURCE_TERMS, MAX_WIDTH,
 };
 use std::error::Error as _;
 
@@ -132,6 +132,46 @@ fn oversized_widths_and_sources_are_rejected() {
         .flow(Flow::FaAot)
         .build()
         .expect("the bounds themselves are accepted");
+}
+
+#[test]
+fn oversized_job_matrices_are_rejected_before_any_job_is_built() {
+    // Repeated axis entries are not rejected one by one, so the count alone bounds
+    // the matrix: one source and one flow across MAX_JOBS + 1 copies of a width.
+    let error = ExplorationSpec::builder()
+        .sum_workload(2)
+        .widths(vec![8; MAX_JOBS + 1])
+        .flow(Flow::FaAot)
+        .build()
+        .expect_err("an oversized matrix must not build");
+    assert!(
+        matches!(error, ExploreError::TooManyJobs(count) if count == MAX_JOBS + 1),
+        "{error}"
+    );
+    assert!(error
+        .to_string()
+        .contains(&format!("at most {MAX_JOBS} jobs")));
+
+    // A count that overflows `usize` is too many too, and is checked before the
+    // pairwise skew comparisons it would otherwise make.
+    let error = ExplorationSpec::builder()
+        .sum_workload(2)
+        .widths(vec![8; 1 << 16])
+        .skews(vec![SkewProfile::Keep; 1 << 16])
+        .biases(vec![BiasProfile::Keep; 1 << 16])
+        .flows(vec![Flow::FaAot; 1 << 16])
+        .build()
+        .expect_err("an overflowing matrix must not build");
+    assert!(matches!(error, ExploreError::TooManyJobs(usize::MAX)));
+
+    // Exactly MAX_JOBS still builds, and enumerates exactly that many jobs.
+    let spec = ExplorationSpec::builder()
+        .sum_workload(2)
+        .widths(vec![8; MAX_JOBS])
+        .flow(Flow::FaAot)
+        .build()
+        .expect("a matrix at the bound builds");
+    assert_eq!(spec.jobs().len(), MAX_JOBS);
 }
 
 #[test]
@@ -322,6 +362,7 @@ fn a_failed_leaf_prefix_fails_every_job_of_its_pair() {
 fn error_display_is_covered_for_every_variant() {
     let variants: Vec<ExploreError> = vec![
         ExploreError::EmptyMatrix,
+        ExploreError::TooManyJobs(MAX_JOBS + 1),
         ExploreError::ZeroWorkers,
         ExploreError::ZeroWidth,
         ExploreError::WidthTooLarge(65),

@@ -7,7 +7,7 @@
 //! deterministic file.
 
 use dpsyn_explore::{
-    explore_with_stats, quarantine_path, BiasProfile, EvalKey, EvalStage, ExplorationSpec,
+    explore_with_stats, lock_path, quarantine_path, BiasProfile, EvalKey, ExplorationSpec,
     ExplorationSpecBuilder, Flow, ResultStore, SimActivity, SkewProfile, StoredEval, STORE_FORMAT,
 };
 use std::path::PathBuf;
@@ -205,6 +205,19 @@ fn corrupt_and_stale_memo_files_rebuild_instead_of_failing() {
         "the stimulus-less v1 format must rebuild"
     );
     assert!(store.is_empty());
+
+    // The v2 format (a stage tag per line, and analysis-stage records) is stale
+    // too: the head of a real v2 memo file rebuilds, quarantines nothing, and the
+    // first flush writes the current header.
+    std::fs::write(&path, V2_HEAD).expect("write v2 file");
+    let mut store = ResultStore::load(&path).expect("v2 files load as empty");
+    let health = store.health();
+    assert!(health.rebuilt, "the stage-tagged v2 format must rebuild");
+    assert_eq!((health.records, health.damaged_lines), (0, 0));
+    assert!(!quarantine_path(&path).exists(), "nothing is quarantined");
+    store.flush().expect("the rebuilt store flushes");
+    let flushed = std::fs::read_to_string(&path).expect("read the rewrite");
+    assert_eq!(flushed, format!("{STORE_FORMAT}\n"));
 
     // A single tampered line: skipped and counted, the healthy records survive.
     let mut seeded = ResultStore::load(&path).expect("load for seeding");
@@ -404,9 +417,22 @@ fn sim_stimulus_never_aliases_an_analytic_or_other_seed_entry() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The header, first `A` line and first `P` line of a full-sweep memo file in the
+/// v2 format.
+const V2_HEAD: &str = concat!(
+    "dpsyn-eval-store v2\n",
+    "A 01fbadc8faa79381 6785d4eaabccc74a 96dfcc4445177569 b07d3344af3114b7 ",
+    "15f564375a24e55e 0000000000000000 csa_opt 4026f3e0c5245a6b 40a4f30000000000 ",
+    "4058004be5e9f6f3 409055f637d85cb8 00000000000002a9 000000000000001c ",
+    "0000000000000000 689b9a7b56d8e744\n",
+    "P 06bf1f509d80f8d5 37cb3d2ad6388d97 b5fa1ca832eda318 b07d3344af3114b7 ",
+    "d333ed63b260564d 0000000000000000 conventional 4019333333333331 4097f60000000000 ",
+    "40485bbe830967b1 40809434112fd75f 000000000000038a 000000000000001f ",
+    "0000000000000000 16597ac75e7d3f60\n",
+);
+
 fn sample_key(salt: u64) -> EvalKey {
     EvalKey {
-        stage: EvalStage::Analysis,
         structural: salt,
         fingerprint: [salt ^ 0xaaaa, salt ^ 0x5555],
         tech: 7,
@@ -549,4 +575,81 @@ fn racing_flushes_from_one_process_merge_to_the_sequential_bytes() {
     assert_eq!(union.len(), 64, "the union holds every writer's records");
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&sequential_path);
+}
+
+/// Child writer processes [`flushes_from_separate_processes_keep_every_record`]
+/// starts, and the rounds and records each one flushes.
+const CHILD_WRITERS: u64 = 4;
+const CHILD_ROUNDS: u64 = 8;
+const CHILD_RECORDS: u64 = 16;
+
+/// The records child `writer` flushes in `round`: disjoint across writers and
+/// rounds.
+fn child_records(writer: u64, round: u64) -> impl Iterator<Item = u64> {
+    let first = (writer * CHILD_ROUNDS + round) * CHILD_RECORDS;
+    first..first + CHILD_RECORDS
+}
+
+#[test]
+fn flushes_from_separate_processes_keep_every_record() {
+    // This test binary, re-invoked as child writers that share one memo file. Each
+    // round of each child is a short-lived store: it loads the file, records its
+    // own records and flushes, so a record another process's rename drops is never
+    // written back.
+    let path = scratch("cross-process");
+    let _ = std::fs::remove_file(lock_path(&path));
+    let path_arg = path.to_str().expect("temporary path is UTF-8");
+    let executable = std::env::current_exe().expect("the test binary's path");
+    let children: Vec<_> = (0..CHILD_WRITERS)
+        .map(|writer| {
+            std::process::Command::new(&executable)
+                .args(["--exact", "--ignored", "--quiet", "child_writer"])
+                .args([path_arg, &writer.to_string()])
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("a child writer starts")
+        })
+        .collect();
+    for child in children {
+        let output = child.wait_with_output().expect("a child writer exits");
+        assert!(
+            output.status.success(),
+            "a child writer failed: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
+
+    let union = ResultStore::load(&path).expect("the union loads");
+    let missing: Vec<u64> = (0..CHILD_WRITERS)
+        .flat_map(|writer| (0..CHILD_ROUNDS).flat_map(move |round| child_records(writer, round)))
+        .filter(|&salt| union.lookup(&sample_key(salt)).is_none())
+        .collect();
+    assert!(missing.is_empty(), "flushes dropped records {missing:?}");
+    assert_eq!(
+        union.len() as u64,
+        CHILD_WRITERS * CHILD_ROUNDS * CHILD_RECORDS
+    );
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(lock_path(&path));
+}
+
+/// One child writer of [`flushes_from_separate_processes_keep_every_record`],
+/// which passes it the memo file and its writer index after its own name.
+#[test]
+#[ignore = "a child process of flushes_from_separate_processes_keep_every_record"]
+fn child_writer() {
+    let args: Vec<String> = std::env::args().collect();
+    let Some(at) = args.iter().position(|arg| arg == "child_writer") else {
+        return;
+    };
+    let [path, writer] = [&args[at + 1], &args[at + 2]];
+    let writer: u64 = writer.parse().expect("a writer index");
+    for round in 0..CHILD_ROUNDS {
+        let mut store = ResultStore::load(path).expect("the memo file loads");
+        for salt in child_records(writer, round) {
+            store.record(sample_key(salt), sample_value(salt as f64));
+        }
+        store.flush().expect("a child flush converges");
+    }
 }

@@ -23,30 +23,18 @@ use crate::error::NetlistError;
 use crate::graph::{NetId, Netlist};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// An order-sensitive splitmix64 chain over the canonical structural word stream
-/// of [`Netlist::structural_hash`]: the net count, the primary input/output lists,
-/// and every cell's kind and pin nets in cell-index order. Names never enter the
-/// stream — two designs that differ only in net or instance names hash
-/// identically, and compile to `==` programs. One full mix per 64-bit word (not
-/// per byte) keeps the hash cheap.
-///
-/// The hasher is public because downstream evaluation keys (the technology-library
-/// identity digest, the explorer's persistent result store) chain the **same** mixing
-/// function over their own word streams — [`StructuralHasher::with_seed`] starts an
-/// independently-seeded chain so two digests of the same words never collide by
+/// An order-sensitive splitmix64 chain over a stream of 64-bit words, one full mix
+/// per word. Downstream identity digests chain it over their own canonical word
+/// streams: the technology library's identity digest and the explorer's
+/// persistent result-store keys. [`StructuralHasher::with_seed`] starts an
+/// independently-seeded chain, so two digests of the same words never collide by
 /// construction of the seed alone.
 pub struct StructuralHasher(u64);
 
 impl StructuralHasher {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-    /// Starts the canonical chain used by the structural hashes.
-    pub fn new() -> Self {
-        StructuralHasher(Self::OFFSET)
-    }
-
-    /// Starts an independently-seeded chain (for fingerprints that must not collide
-    /// with the canonical structural hash or with each other).
+    /// Starts an independently-seeded chain.
     pub fn with_seed(seed: u64) -> Self {
         StructuralHasher(Self::OFFSET ^ seed)
     }
@@ -68,64 +56,10 @@ impl StructuralHasher {
         }
     }
 
-    /// Mixes a net list (length-prefixed).
-    pub fn write_nets(&mut self, nets: &[NetId]) {
-        self.write(nets.len() as u64);
-        for net in nets {
-            self.write(net.index() as u64);
-        }
-    }
-
     /// The chained digest so far.
     pub fn finish(&self) -> u64 {
         self.0
     }
-}
-
-impl Default for StructuralHasher {
-    fn default() -> Self {
-        StructuralHasher::new()
-    }
-}
-
-/// Folds one cell's kind and pin connectivity into a single word (distinct odd
-/// multipliers per pin slot, `index + 1` so net 0 still contributes), so the chained
-/// hash pays **one mix per cell**. Pin order and kind both perturb the word; cell
-/// order is captured by the chaining in [`StructuralHasher::write`].
-pub(crate) fn cell_word(kind: CellKind, inputs: &[NetId], outputs: &[NetId]) -> u64 {
-    const PIN_SALTS: [u64; 5] = [
-        0x9e37_79b9_7f4a_7c15,
-        0xc2b2_ae3d_27d4_eb4f,
-        0x1656_67b1_9e37_79f9,
-        0x27d4_eb2f_1656_67c5,
-        0x8546_5629_1d9d_5d69,
-    ];
-    let mut word = (kind.table_index() as u64 + 1).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    for (slot, net) in inputs.iter().enumerate() {
-        word ^= (net.index() as u64 + 1).wrapping_mul(PIN_SALTS[slot]);
-    }
-    for (slot, net) in outputs.iter().enumerate() {
-        word ^= (net.index() as u64 + 1).wrapping_mul(PIN_SALTS[slot + 3]);
-    }
-    word
-}
-
-/// Hashes one structural identity for [`Netlist::structural_hash`]; `cells` must
-/// yield `(kind, inputs, outputs)` in cell-index order.
-pub(crate) fn hash_structure<'n>(
-    net_count: usize,
-    inputs: &[NetId],
-    outputs: &[NetId],
-    cells: impl Iterator<Item = (CellKind, &'n [NetId], &'n [NetId])>,
-) -> u64 {
-    let mut hasher = StructuralHasher::new();
-    hasher.write(net_count as u64);
-    hasher.write_nets(inputs);
-    hasher.write_nets(outputs);
-    for (kind, cell_inputs, cell_outputs) in cells {
-        hasher.write(cell_word(kind, cell_inputs, cell_outputs));
-    }
-    hasher.finish()
 }
 
 /// [`CompiledNetlist`]'s `net_driver` entry of a net no cell drives.

@@ -482,85 +482,6 @@ impl Netlist {
         slot.kind = kind;
         Ok(())
     }
-
-    /// A 64-bit hash of the netlist's structural identity: net count, primary
-    /// input/output lists, and every cell's kind and pin connectivity in cell order.
-    /// Net and instance **names are excluded** — renaming never changes the hash.
-    ///
-    /// The explorer's persistent result store uses it as the probe word of its
-    /// analysis keys. Equal hashes are a *probe*, not a proof: the store pairs the
-    /// hash with a fingerprint of the lossless [`Netlist::structural_words`]
-    /// before trusting a match.
-    ///
-    /// # Example
-    /// ```
-    /// use dpsyn_netlist::{CellKind, Netlist};
-    /// let mut netlist = Netlist::new("demo");
-    /// let a = netlist.add_input("a");
-    /// let b = netlist.add_input("b");
-    /// netlist.add_gate(CellKind::And2, &[a, b]).unwrap();
-    /// let hash = netlist.structural_hash();
-    /// netlist.set_net_name(a, "renamed");
-    /// assert_eq!(hash, netlist.structural_hash()); // names are structural no-ops
-    /// netlist.add_gate(CellKind::Not, &[b]).unwrap();
-    /// assert_ne!(hash, netlist.structural_hash());
-    /// ```
-    pub fn structural_hash(&self) -> u64 {
-        crate::compiled::hash_structure(
-            self.nets.len(),
-            &self.inputs,
-            &self.outputs,
-            self.cells
-                .iter()
-                .map(|cell| (cell.kind, cell.inputs(), cell.outputs())),
-        )
-    }
-
-    /// The netlist's structural identity as a canonical, **versioned** word stream:
-    /// a stable serialization of exactly what [`Netlist::structural_hash`] folds —
-    /// net count, primary input/output lists, and every cell's kind and pin
-    /// connectivity in cell-index order. Net and instance **names are excluded**, so
-    /// renaming never changes the stream.
-    ///
-    /// Unlike the folded 64-bit hash, the stream is **lossless** up to names: every
-    /// list is length-prefixed (the encoding is prefix-free), so two netlists
-    /// produce the same words **iff** they are structurally identical. Persistent
-    /// evaluation keys (the explorer's cross-run result store) fingerprint this
-    /// stream instead of trusting the one-word hash; the leading version word guards
-    /// the layout itself, so a future change to the serialization invalidates every
-    /// stored fingerprint instead of silently colliding with old ones.
-    ///
-    /// # Example
-    /// ```
-    /// use dpsyn_netlist::{CellKind, Netlist};
-    /// let mut netlist = Netlist::new("demo");
-    /// let a = netlist.add_input("a");
-    /// let b = netlist.add_input("b");
-    /// netlist.add_gate(CellKind::And2, &[a, b]).unwrap();
-    /// let words = netlist.structural_words();
-    /// netlist.set_net_name(a, "renamed");
-    /// assert_eq!(words, netlist.structural_words()); // names are structural no-ops
-    /// ```
-    pub fn structural_words(&self) -> Vec<u64> {
-        /// Bump when the stream layout changes; stored fingerprints become stale.
-        const STRUCTURAL_WORDS_VERSION: u64 = 1;
-        let mut words = Vec::with_capacity(8 + self.cells.len() * 8);
-        words.push(STRUCTURAL_WORDS_VERSION);
-        words.push(self.nets.len() as u64);
-        let push_nets = |words: &mut Vec<u64>, nets: &[NetId]| {
-            words.push(nets.len() as u64);
-            words.extend(nets.iter().map(|net| net.index() as u64));
-        };
-        push_nets(&mut words, &self.inputs);
-        push_nets(&mut words, &self.outputs);
-        words.push(self.cells.len() as u64);
-        for cell in &self.cells {
-            words.push(cell.kind.table_index() as u64);
-            push_nets(&mut words, cell.inputs());
-            push_nets(&mut words, cell.outputs());
-        }
-        words
-    }
 }
 
 #[cfg(test)]
@@ -590,30 +511,8 @@ mod tests {
     }
 
     #[test]
-    fn structural_words_are_name_blind_and_structure_exact() {
-        let reference = full_adder_netlist();
-        let words = reference.structural_words();
-        // Version word leads the stream.
-        assert_eq!(words[0], 1);
-        // Renaming is invisible.
-        let mut renamed = full_adder_netlist();
-        renamed.set_net_name(NetId(0), "zz");
-        assert_eq!(renamed.structural_words(), words);
-        // A structural clone serializes identically...
-        assert_eq!(full_adder_netlist().structural_words(), words);
-        // ... while any connectivity change perturbs the stream.
-        let mut rewired = full_adder_netlist();
-        rewired.rewire_input(CellId(0), 1, NetId(0)).unwrap();
-        assert_ne!(rewired.structural_words(), words);
-        // An extra output changes only the output list, which the stream covers.
-        let mut extra_output = full_adder_netlist();
-        extra_output.mark_output(NetId(0));
-        assert_ne!(extra_output.structural_words(), words);
-    }
-
-    #[test]
     fn seeded_hasher_chains_diverge() {
-        let words = full_adder_netlist().structural_words();
+        let words = [5u64, 3, 0, 1, 2, 2, 3, 4];
         let digest = |seed: u64| {
             let mut hasher = crate::compiled::StructuralHasher::with_seed(seed);
             for word in &words {
@@ -828,24 +727,20 @@ mod tests {
     }
 
     #[test]
-    fn structural_hash_tracks_structure_not_names() {
+    fn compiled_program_tracks_structure_not_names() {
         let mut netlist = full_adder_netlist();
-        let baseline = netlist.structural_hash();
         let program = netlist.compile().unwrap();
-        // Renames are invisible, to the hash and to the compiled program.
+        // Renames are invisible to the compiled program.
         netlist.set_net_name(netlist.inputs()[0], "renamed");
-        assert_eq!(baseline, netlist.structural_hash());
         assert_eq!(program, netlist.compile().unwrap());
-        // A kind flip of identical arity changes the hash (and stays compilable).
+        // A kind flip of identical arity changes the program (and stays compilable).
         let mut flipped = full_adder_netlist();
         let (a, b) = (flipped.inputs()[0], flipped.inputs()[1]);
         flipped.add_gate(CellKind::And2, &[a, b]).unwrap();
         let and_cell = CellId(1); // the FA is cell 0
-        let with_and = flipped.structural_hash();
         let and_program = flipped.compile().unwrap();
-        assert_ne!(baseline, with_and);
+        assert_ne!(program, and_program);
         flipped.replace_cell_kind(and_cell, CellKind::Or2).unwrap();
-        assert_ne!(with_and, flipped.structural_hash());
         assert_ne!(and_program, flipped.compile().unwrap());
     }
 
@@ -958,7 +853,7 @@ mod tests {
     #[test]
     fn rewire_input_rejects_bad_ids_without_mutating() {
         let mut netlist = full_adder_netlist();
-        let before = netlist.structural_hash();
+        let before = netlist.clone();
         let a = netlist.inputs()[0];
         let bad_net = NetId(netlist.net_count() as u32);
         let bad_cell = CellId(netlist.cell_count() as u32);
@@ -979,7 +874,7 @@ mod tests {
                 arity,
             })
         );
-        assert_eq!(netlist.structural_hash(), before);
+        assert_eq!(netlist, before);
     }
 
     #[test]

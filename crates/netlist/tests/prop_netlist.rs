@@ -68,8 +68,8 @@ proptest! {
 
     /// Random mutation sequences through the local-search mutators — `rewire_input`
     /// guarded by `rewire_would_cycle`, plus arity-preserving `replace_cell_kind` —
-    /// never create a combinational cycle, never orphan a primary output, and move
-    /// `structural_hash` exactly when the structure moved.
+    /// never create a combinational cycle, never orphan a primary output, and
+    /// change the netlist exactly when they report a mutation.
     #[test]
     fn guarded_mutation_sequences_preserve_graph_invariants(
         choices in prop::collection::vec((0usize..10, 0usize..64, 0usize..64, 0usize..64), 5..40),
@@ -93,7 +93,7 @@ proptest! {
         };
         for (is_rewire, cell_raw, pin_raw, net_raw) in moves {
             let cell = cell_ids[cell_raw % cell_ids.len()];
-            let hash_before = netlist.structural_hash();
+            let before = netlist.clone();
             let mutated = if is_rewire {
                 let pin = pin_raw % netlist.cell(cell).inputs().len();
                 let old = netlist.cell(cell).inputs()[pin];
@@ -113,8 +113,8 @@ proptest! {
                 netlist.replace_cell_kind(cell, kind).expect("identity replace succeeds");
                 false
             };
-            // The hash moves exactly when the structure moved.
-            prop_assert_eq!(netlist.structural_hash() != hash_before, mutated);
+            // The netlist moves exactly when the structure moved.
+            prop_assert_eq!(netlist != before, mutated);
             // Guarded sequences keep the graph valid and acyclic at every step...
             prop_assert!(netlist.validate().is_ok());
             let compiled = netlist.compile().expect("guarded mutations never close a cycle");
@@ -201,7 +201,7 @@ proptest! {
     /// net and cell name equal to the eager naming rule (`{mnemonic}_{cell}` and
     /// `{mnemonic}_{cell}_o{pin}` after the kind at creation; stored text
     /// otherwise). A kind replacement never renames, a failed call changes
-    /// nothing, and neither `structural_words` nor `structural_hash` sees a name.
+    /// nothing, and the compiled program never sees a name.
     #[test]
     fn names_follow_the_eager_rule_through_random_edits(
         steps in prop::collection::vec(
@@ -287,8 +287,7 @@ proptest! {
             for id in ids {
                 renamed.set_net_name(id, format!("x{}", id.index()));
             }
-            prop_assert_eq!(renamed.structural_words(), netlist.structural_words());
-            prop_assert_eq!(renamed.structural_hash(), netlist.structural_hash());
+            prop_assert_eq!(renamed.compile(), netlist.compile());
         }
     }
 }

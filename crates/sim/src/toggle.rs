@@ -245,7 +245,7 @@ mod tests {
         // seams.
         let nets = 3;
         let total = 200usize;
-        let value = |vector: usize, net: usize| (vector * 31 + net * 7) % 3 == 0;
+        let value = |vector: usize, net: usize| (vector * 31 + net * 7).is_multiple_of(3);
         let mut scalar = ToggleCounter::new(nets);
         for vector in 0..total {
             let values: Vec<bool> = (0..nets).map(|net| value(vector, net)).collect();

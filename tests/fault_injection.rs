@@ -38,7 +38,8 @@ fn scratch(test: &str) -> PathBuf {
 }
 
 /// The small matrix the wall sweeps: 2 sources x 2 skews x 3 flows = 12 jobs,
-/// covering both analysis stages.
+/// covering both synthesis outcomes (`conventional`/`csa_opt` are analysed
+/// through the cache, `fa_aot` returns an analysed result).
 fn wall_spec() -> ExplorationSpecBuilder {
     ExplorationSpec::builder()
         .design(dpsyn_designs::x_squared())
@@ -737,6 +738,40 @@ mod serve_faults {
                 response.error
             );
         }
+        stream.write_all(SWEEP.as_bytes()).expect("sweep sends");
+        let healthy = read_response(&mut stream);
+        assert!(healthy.ok, "the connection kept serving: {}", healthy.error);
+        assert_eq!(healthy.points, 2);
+        drop(stream);
+
+        shutdown(&socket);
+        server.join().expect("joins").expect("exits cleanly");
+    }
+
+    /// A request's axes are untrusted too: a matrix of more than `MAX_JOBS` jobs
+    /// gets a typed reject before any job is built, and the same connection keeps
+    /// serving.
+    #[test]
+    fn oversized_job_matrices_are_rejected_and_the_connection_keeps_serving() {
+        let socket = sock("matrix");
+        let config = ServeConfig::new(socket.clone());
+        let server = std::thread::spawn(move || serve(&config));
+
+        let mut stream = connect(&socket);
+        let widths = vec!["8"; dpsyn_explore::MAX_JOBS + 1].join(",");
+        let line = format!(r#"{{"sources":[{{"sum":2}}],"widths":[{widths}],"flows":["fa_aot"]}}"#);
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("oversized request sends");
+        let response = read_response(&mut stream);
+        assert!(!response.ok, "an oversized matrix must be rejected");
+        assert!(
+            response
+                .error
+                .contains(&format!("at most {} jobs", dpsyn_explore::MAX_JOBS)),
+            "{}",
+            response.error
+        );
         stream.write_all(SWEEP.as_bytes()).expect("sweep sends");
         let healthy = read_response(&mut stream);
         assert!(healthy.ok, "the connection kept serving: {}", healthy.error);
