@@ -3,24 +3,24 @@
 //! The flow starts from the `fa_random` tree allocation (same seed, same
 //! pseudo-random FA input selection, `Objective::Power`) with a **ripple-carry**
 //! final adder, then descends: it proposes input-pin swaps inside the carry-save
-//! adder mass, scores every candidate through the incremental delta path
-//! ([`IncrementalTiming::rerun_delta`] / [`IncrementalPower::rerun_delta`],
+//! adder mass, scores every candidate through the one analysis session of every
+//! flow ([`AnalysisSession::rerun`], a delta rerun of both channels at
 //! `O(dirty cone)` per move), and keeps a move only when it is a Pareto
 //! improvement (switching energy and critical delay both no worse, one strictly
 //! better, compared bit-for-bit).
 //!
 //! A move updates the held [`CompiledNetlist`] in place when it can:
 //! [`CompiledNetlist::swap_inputs`] patches the two operands and fanout entries
-//! whenever the swap keeps the op order, and [`DeltaState::rebind_swapped`] seeds
-//! the two cells. Only a swap that reorders the ops compiles the rewired netlist
-//! and [`DeltaState::rebind`]s onto it ([`AnnealStats::patched`] /
+//! whenever the swap keeps the op order, and [`AnalysisSession::rebind_swapped`]
+//! seeds the two cells. Only a swap that reorders the ops compiles the rewired
+//! netlist and [`AnalysisSession::rebind`]s onto it ([`AnnealStats::patched`] /
 //! [`AnnealStats::recompiled`]). A rejected move never compiles: a patch is undone
 //! by the reverse patch, a recompiled move by rebinding onto the program held
 //! before it. Either way the dirty cones are rerun, so the live delta view stays
 //! bit-identical to a from-scratch analysis after every settled proposal. The one
-//! full analysis pass per channel is the priming `rerun_delta` on the fresh state;
-//! the move loop never runs one (asserted by the `anneal_throughput` bench via
-//! [`AnnealStats::full_passes`]).
+//! full analysis pass per channel is the session's first bind, under the design's
+//! input profile; the move loop never runs one (asserted by the
+//! `anneal_throughput` bench via [`AnnealStats::full_passes`]).
 //!
 //! # Why the moves preserve the synthesized function
 //!
@@ -54,12 +54,10 @@
 
 use crate::flow::{BaselineError, FlowResult};
 use crate::Flow;
-use dpsyn_core::{input_profiles, FinalAdderKind, SelectionStrategy};
+use dpsyn_core::{AnalysisFigures, AnalysisSession, FinalAdderKind, SelectionStrategy};
 use dpsyn_ir::{Expr, InputSpec};
-use dpsyn_netlist::{CellId, CellKind, CompiledNetlist, DeltaState, InputDelta, Netlist};
-use dpsyn_power::{IncrementalPower, PowerReport};
+use dpsyn_netlist::{CellId, CellKind, CompiledNetlist, Netlist};
 use dpsyn_tech::TechLibrary;
-use dpsyn_timing::{IncrementalTiming, TimingReport};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Scored proposals per run. Budget-bounded, so a run's cost is predictable; the
@@ -103,45 +101,23 @@ pub struct AnnealStats {
 }
 
 /// The annealer's live view after one settled proposal (post-rollback for a
-/// rejected move), handed to the observer of [`fa_anneal_observed`]. Everything a
-/// caller needs to cross-check the delta view against a from-scratch analysis.
-///
-/// The search itself carries only the three figures it compares and reports
-/// ([`Self::delay`], [`Self::switching_energy`], [`Self::power_mw`]). The full
-/// reports are built from the live [`DeltaState`] only when an observer asks for
-/// them ([`Self::timing_report`], [`Self::power_report`]).
+/// rejected move), handed to the observer of [`fa_anneal_observed`]: everything a
+/// caller needs to cross-check the search against a from-scratch analysis.
 pub struct AnnealStep<'a> {
     /// The netlist after the proposal settled.
     pub netlist: &'a Netlist,
-    /// The compiled program the delta state is currently bound to.
+    /// The compiled program the session is currently bound to.
     pub compiled: &'a CompiledNetlist,
-    /// The carried critical delay (read from the last timing `rerun_delta`).
-    pub delay: f64,
-    /// The carried switching energy (read from the last power `rerun_delta`).
-    pub switching_energy: f64,
-    /// The carried power figure (read from the last power `rerun_delta`).
-    pub power_mw: f64,
+    /// The figures the search carries and compares: the session's last analysis.
+    pub figures: AnalysisFigures,
     /// Whether the proposal was accepted (`false`: it was rolled back).
     pub accepted: bool,
     /// Running counters as of this step.
     pub stats: AnnealStats,
-    state: &'a DeltaState,
-    timing: &'a IncrementalTiming,
-    power: &'a IncrementalPower,
-}
-
-impl AnnealStep<'_> {
-    /// The live timing report, built from the delta state: bit-identical to a
-    /// fresh timing pass over [`Self::compiled`] under the design's profile.
-    pub fn timing_report(&self) -> TimingReport {
-        self.timing.view(self.compiled, self.state).to_report()
-    }
-
-    /// The live power report, built from the delta state: bit-identical to a
-    /// fresh probability pass over [`Self::compiled`] under the design's profile.
-    pub fn power_report(&self) -> PowerReport {
-        self.power.view(self.compiled, self.state).to_report()
-    }
+    /// The search's live analysis session: its [`AnalysisSession::reports`] of
+    /// [`Self::compiled`] are bit-identical to fresh reference passes under the
+    /// design's profile.
+    pub session: &'a AnalysisSession,
 }
 
 /// The deterministic splitmix64 generator driving candidate selection.
@@ -326,40 +302,11 @@ pub fn fa_anneal_observed(
         .fa_tree(expr, spec, width, tech, SelectionStrategy::Random(seed))
         .final_adder(FinalAdderKind::Ripple)
         .build_netlist()?;
-    // Checked and compiled as the shared analysis bundle does; the delta passes
-    // below are the start's only timing and power analyses.
-    netlist.validate_structure()?;
-    let mut compiled = netlist.compile()?;
-    let area = tech.compiled_area(&compiled);
-
-    // Prime each channel of the fresh state with one full pass under the design's
-    // input profile.
-    let (arrivals, probabilities) = input_profiles(&word_map, spec);
-    let mut profile = InputDelta::new();
-    for (net, arrival) in arrivals {
-        profile.set_arrival(net, arrival);
-    }
-    for (net, probability) in probabilities {
-        profile.set_probability(net, probability);
-    }
-    let mut state = DeltaState::new(&compiled);
-    // Swaps never change the kind set, so the technology resolves once per search.
-    let timing_engine = IncrementalTiming::new(tech, &compiled)?;
-    let power_engine = IncrementalPower::new(tech, &compiled)?;
-    // Reruns both channels and reads the only figures the search carries: the
-    // critical delay, the switching energy and the power figure.
-    let rescore = |compiled: &CompiledNetlist,
-                   state: &mut DeltaState,
-                   delta: &InputDelta|
-     -> Result<(f64, f64, f64), BaselineError> {
-        let delay = timing_engine
-            .rerun_delta(compiled, state, delta)?
-            .critical_delay();
-        let power = power_engine.rerun_delta(compiled, state, delta)?;
-        Ok((delay, power.total_energy(), power.power_mw()))
-    };
-    let (mut delay, mut energy, mut power_mw) = rescore(&compiled, &mut state, &profile)?;
-    // Swaps never change the cell set, so the start's area holds across the search.
+    // The session's first bind is the start's only full analysis. Swaps never
+    // change the kind set or the cell set, so the technology resolution and the
+    // area hold across the search.
+    let (mut compiled, mut session) = AnalysisSession::compile::<BaselineError>(&netlist, tech)?;
+    let mut figures = session.bind::<BaselineError>(&compiled, &word_map, spec)?;
 
     let groups = swap_groups(&netlist, &compiled);
     let mut stats = AnnealStats {
@@ -370,7 +317,6 @@ pub fn fa_anneal_observed(
     };
 
     let mut rng = SplitMix(seed ^ 0xa55e_a1ed_5eed_0001);
-    let empty_delta = InputDelta::new();
     let mut stall = 0u64;
     while !groups.is_empty() && stats.proposals < MOVE_BUDGET && stall < STALL_LIMIT {
         // Draw a candidate: two distinct same-group pins with distinct sources
@@ -407,31 +353,30 @@ pub fn fa_anneal_observed(
 
         // Apply the swap to the netlist and to the held program: patched in place
         // when the op order survives, otherwise recompiled, keeping the pre-move
-        // program for a rollback. Then rerun the dirty cone of each channel with
-        // an empty input delta.
+        // program for a rollback. Then rerun the dirty cone of each channel.
         netlist.rewire_input(cell_a, pin_a, source_b)?;
         netlist.rewire_input(cell_b, pin_b, source_a)?;
         let before = if compiled.swap_inputs(cell_a, pin_a, cell_b, pin_b) {
-            state.rebind_swapped(&compiled, [cell_a, cell_b]);
+            session.rebind_swapped(&compiled, [cell_a, cell_b]);
             stats.patched += 1;
             None
         } else {
             let recompiled = netlist.compile()?;
-            state.rebind(&compiled, &recompiled);
+            session.rebind(&compiled, &recompiled);
             stats.recompiled += 1;
             Some(std::mem::replace(&mut compiled, recompiled))
         };
-        let (new_delay, new_energy, new_power_mw) = rescore(&compiled, &mut state, &empty_delta)?;
+        let moved = session.rerun::<BaselineError>(&compiled)?;
         stats.proposals += 1;
         stats.delta_reruns += 2;
 
-        let energy_improves = new_energy < energy;
-        let energy_holds = new_energy <= energy;
-        let delay_improves = new_delay < delay;
-        let delay_holds = new_delay <= delay;
+        let energy_improves = moved.switching_energy < figures.switching_energy;
+        let energy_holds = moved.switching_energy <= figures.switching_energy;
+        let delay_improves = moved.delay < figures.delay;
+        let delay_holds = moved.delay <= figures.delay;
         let accepted = (energy_improves && delay_holds) || (energy_holds && delay_improves);
         if accepted {
-            (delay, energy, power_mw) = (new_delay, new_energy, new_power_mw);
+            figures = moved;
             stats.accepted += 1;
             stall = 0;
         } else {
@@ -445,14 +390,14 @@ pub fn fa_anneal_observed(
                 None => {
                     let undone = compiled.swap_inputs(cell_a, pin_a, cell_b, pin_b);
                     assert!(undone, "the reverse of an applied patch always applies");
-                    state.rebind_swapped(&compiled, [cell_a, cell_b]);
+                    session.rebind_swapped(&compiled, [cell_a, cell_b]);
                 }
                 Some(before) => {
-                    state.rebind(&compiled, &before);
+                    session.rebind(&compiled, &before);
                     compiled = before;
                 }
             }
-            (delay, energy, power_mw) = rescore(&compiled, &mut state, &empty_delta)?;
+            figures = session.rerun::<BaselineError>(&compiled)?;
             stats.delta_reruns += 2;
             stats.rejected += 1;
             stall += 1;
@@ -460,23 +405,19 @@ pub fn fa_anneal_observed(
         observer(&AnnealStep {
             netlist: &netlist,
             compiled: &compiled,
-            delay,
-            switching_energy: energy,
-            power_mw,
+            figures,
             accepted,
             stats,
-            state: &state,
-            timing: &timing_engine,
-            power: &power_engine,
+            session: &session,
         });
     }
 
     let result = FlowResult {
         flow: "fa_anneal".to_string(),
-        delay,
-        area,
-        switching_energy: energy,
-        power_mw,
+        delay: figures.delay,
+        area: figures.area,
+        switching_energy: figures.switching_energy,
+        power_mw: figures.power_mw,
         netlist,
         word_map,
         compiled,

@@ -111,9 +111,8 @@ pub struct FlowResult {
 }
 
 impl FlowResult {
-    /// Analyses a freshly built netlist (timing, power, area) under the design's input
-    /// characteristics through [`dpsyn_core::analyze_netlist`] and wraps everything
-    /// into a `FlowResult`.
+    /// Analyses a freshly built netlist under the design's input characteristics
+    /// through [`dpsyn_core::analyze_netlist`] and wraps everything up.
     ///
     /// # Errors
     ///
@@ -125,14 +124,14 @@ impl FlowResult {
         spec: &InputSpec,
         tech: &TechLibrary,
     ) -> Result<Self, BaselineError> {
-        let (compiled, timing, power, area) =
+        let (compiled, figures) =
             dpsyn_core::analyze_netlist::<BaselineError>(&netlist, &word_map, spec, tech)?;
         Ok(FlowResult {
             flow: flow.into(),
-            delay: timing.critical_delay(),
-            area,
-            switching_energy: power.total_energy(),
-            power_mw: power.power_mw(),
+            delay: figures.delay,
+            area: figures.area,
+            switching_energy: figures.switching_energy,
+            power_mw: figures.power_mw,
             netlist,
             word_map,
             compiled,

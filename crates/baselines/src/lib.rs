@@ -26,9 +26,9 @@
 //!   `fa_random` allocation (ripple root) and improves it with function-preserving
 //!   same-column pin swaps, scoring every move through the incremental delta path.
 //!
-//! Every flow is measured by the same analysis bundle,
-//! [`dpsyn_core::analyze_netlist`]: the FA-tree flows through `Synthesizer::run`,
-//! the module-binding flows through [`FlowResult::analyze`].
+//! Every flow is measured by one [`dpsyn_core::AnalysisSession`]: the others
+//! through [`dpsyn_core::analyze_netlist`] (`Synthesizer::run`, [`FlowResult::analyze`]),
+//! `fa_anneal` on the session it scores its moves with.
 //!
 //! # Example
 //!

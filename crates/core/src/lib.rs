@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod allocation;
+mod analysis;
 mod error;
 mod final_adder;
 mod leaves;
@@ -58,13 +59,14 @@ mod strategy;
 mod synthesizer;
 
 pub use allocation::{allocate_fa_tree, LeafAddend, ReducedRows};
+pub use analysis::{analyze_netlist, input_profiles, AnalysisFigures, AnalysisSession};
 pub use error::SynthesisError;
 pub use final_adder::FinalAdderKind;
 pub use leaves::LeafPrefix;
 pub use report::SynthesisReport;
 pub use schedule::{sc_lp, sc_t, ColumnOutcome};
 pub use strategy::{Objective, SelectionStrategy};
-pub use synthesizer::{analyze_netlist, input_profiles, SynthesizedDesign, Synthesizer};
+pub use synthesizer::{SynthesizedDesign, Synthesizer};
 
 #[cfg(test)]
 mod tests {

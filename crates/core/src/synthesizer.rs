@@ -1,80 +1,16 @@
 //! The high-level synthesis entry point.
 
 use crate::allocation::{allocate_fa_tree, ReducedRows};
+use crate::analysis::analyze_netlist;
 use crate::error::SynthesisError;
 use crate::final_adder::FinalAdderKind;
 use crate::leaves::LeafPrefix;
 use crate::report::SynthesisReport;
 use crate::strategy::{Objective, SelectionStrategy};
 use dpsyn_ir::{Expr, InputSpec, LoweringOptions};
-use dpsyn_netlist::{CompiledNetlist, NetId, Netlist, NetlistError, Word, WordMap};
-use dpsyn_power::{PowerError, PowerReport, ProbabilityAnalysis};
+use dpsyn_netlist::{CompiledNetlist, Netlist, Word, WordMap};
 use dpsyn_tech::TechLibrary;
-use dpsyn_timing::{TimingAnalysis, TimingError, TimingReport};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-
-/// Collects the per-net input profiles of a synthesized design: the arrival times and
-/// signal probabilities of every primary-input net that the input specification
-/// profiles, keyed by net.
-///
-/// This is the one profile-extraction loop behind [`Synthesizer::run`], the rival
-/// flows' analysis and the exploration engine's delta path, so every path feeds
-/// analyses **the same values for the same nets** — a precondition for
-/// bit-identical reports.
-pub fn input_profiles(
-    word_map: &WordMap,
-    spec: &InputSpec,
-) -> (BTreeMap<NetId, f64>, BTreeMap<NetId, f64>) {
-    let mut arrivals = BTreeMap::new();
-    let mut probabilities = BTreeMap::new();
-    for word in word_map.inputs() {
-        // One name lookup per word; a word wider than its variable profiles only
-        // the variable's bits.
-        let Some(var) = spec.var(word.name()) else {
-            continue;
-        };
-        for (net, profile) in word.bits().iter().zip(var.bits()) {
-            arrivals.insert(*net, profile.arrival);
-            probabilities.insert(*net, profile.probability);
-        }
-    }
-    (arrivals, probabilities)
-}
-
-/// The one analysis bundle behind every flow: checks the netlist's structure,
-/// compiles it **once**, and runs static timing, probability-based power and area
-/// over that shared program under `spec`'s per-bit input profiles.
-///
-/// [`Synthesizer::run`] and the rival flows' analysis both end here, so every flow
-/// is measured by the same code. The error type is the caller's: each flow keeps
-/// reporting failures in its own terms.
-///
-/// # Errors
-///
-/// Fails when the netlist is structurally invalid or cyclic, or when the technology
-/// library does not cover one of its cells.
-pub fn analyze_netlist<E>(
-    netlist: &Netlist,
-    word_map: &WordMap,
-    spec: &InputSpec,
-    tech: &TechLibrary,
-) -> Result<(CompiledNetlist, TimingReport, PowerReport, f64), E>
-where
-    E: From<NetlistError> + From<TimingError> + From<PowerError>,
-{
-    netlist.validate_structure()?;
-    let compiled = netlist.compile()?;
-    let (arrivals, probabilities) = input_profiles(word_map, spec);
-    let timing = TimingAnalysis::new(tech)
-        .with_input_arrivals(arrivals)
-        .run_compiled(&compiled)?;
-    let power = ProbabilityAnalysis::new(tech)
-        .with_input_probabilities(probabilities)
-        .run_compiled(&compiled)?;
-    let area = tech.compiled_area(&compiled);
-    Ok((compiled, timing, power, area))
-}
 
 /// Builder-style front end for the whole synthesis flow: expression → addend matrix →
 /// FA-tree → final adder → analysed netlist.
@@ -194,16 +130,16 @@ impl<'a> Synthesizer<'a> {
     pub fn run(&self) -> Result<SynthesizedDesign, SynthesisError> {
         let tech = self.technology_or_default();
         let tree = self.build(&tech)?;
-        let (compiled, timing, power, area) =
+        let (compiled, figures) =
             analyze_netlist::<SynthesisError>(&tree.netlist, &tree.word_map, self.spec, &tech)?;
         let report = SynthesisReport {
             name: self.name.clone(),
             objective: self.objective,
             strategy: tree.strategy,
-            delay: timing.critical_delay(),
-            area,
-            switching_energy: power.total_energy(),
-            power_mw: power.power_mw(),
+            delay: figures.delay,
+            area: figures.area,
+            switching_energy: figures.switching_energy,
+            power_mw: figures.power_mw,
             tree_fa_count: tree.rows.fa_count,
             tree_ha_count: tree.rows.ha_count,
             final_input_arrival: tree.rows.final_input_arrival,
@@ -329,8 +265,8 @@ impl SynthesizedDesign {
     }
 
     /// The compiled analysis program of the netlist, built once during synthesis.
-    /// Hand this to `BlockSim::from_compiled`, `TimingAnalysis::run_compiled` or
-    /// `ProbabilityAnalysis::run_compiled` to re-analyse without re-levelizing.
+    /// Hand this to `BlockSim::from_compiled` or a [`crate::AnalysisSession`] to
+    /// simulate or re-analyse without re-levelizing.
     pub fn compiled(&self) -> &CompiledNetlist {
         &self.compiled
     }

@@ -1,6 +1,6 @@
 //! The work-stealing, multi-threaded exploration engine.
 
-use crate::cache::{CompiledCache, PointError};
+use crate::cache::CompiledCache;
 use crate::error::ExploreError;
 use crate::job::Job;
 use crate::pareto::{pareto_front, PointMetrics};
@@ -748,19 +748,13 @@ fn point_from_stored(
 }
 
 /// Evaluates one job: takes its design point from the run's [`PointTable`], runs
-/// its flow's synthesis, and obtains the metrics (delay from timing analysis, power
-/// from probability propagation, area and structure straight off the compiled
-/// program).
-///
-/// The four FA-tree flows grow from their `(source, width)` pair's leaf prefix
-/// in the table instead of lowering and building the leaves per job.
-///
-/// Every unanalysed point goes through the worker's [`CompiledCache`]: a
-/// structurally verified hit re-analyses only the dirty cone, a miss compiles the
-/// structure once and takes the priming full pass. A profile-blind flow
-/// synthesizes only its group's first point; the later ones analyse the structure
-/// the cache holds. Only the already analysed `fa_anneal` result bypasses the
-/// cache.
+/// its flow's synthesis (the four FA-tree flows grow from their `(source, width)`
+/// pair's leaf prefix in the table), and measures the point through the analysis
+/// session of the worker's [`CompiledCache`]: a structurally verified hit
+/// re-analyses only the dirty cone, a miss compiles the structure once. A
+/// profile-blind flow synthesizes only its group's first point; the later ones
+/// analyse the structure the cache holds. Only the already analysed `fa_anneal`
+/// result bypasses the cache.
 ///
 /// With a store attached the job first looks its point key up: a hit skips the
 /// job entirely, synthesis included. Either way it appends its record to
@@ -832,12 +826,7 @@ fn evaluate(
             }
         }
     };
-    let (stored, artifact) = cache
-        .analyze(job.group(), flow.name(), fresh, design.spec(), worker)
-        .map_err(|error| match error {
-            PointError::Flow(source) => flow_error(source),
-            PointError::Sim(message) => sim_error(message),
-        })?;
+    let (stored, artifact) = cache.analyze(job, fresh, design.spec(), worker)?;
     Ok(finish(
         job, design, stored, sim_on, artifact, point_key, recorded,
     ))

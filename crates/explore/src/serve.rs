@@ -589,12 +589,13 @@ fn handle_request(line: &str, shared: &Shared) -> ServeResponse {
                 }
             }
             drop(guard);
+            let jobs = spec.job_count().unwrap_or(usize::MAX);
             shared
                 .metrics
-                .note_sweep(spec.jobs().len() as u64, stats.total_store_hits() as u64);
+                .note_sweep(jobs as u64, stats.total_store_hits() as u64);
             ServeResponse {
                 ok: true,
-                jobs: spec.jobs().len(),
+                jobs,
                 points: results.points().len(),
                 store_hits: stats.total_store_hits(),
                 quarantined: results.quarantined().len(),

@@ -25,7 +25,7 @@
 use crate::spec::SimActivity;
 use dpsyn_ir::InputSpec;
 use dpsyn_netlist::{Netlist, WordMap};
-use dpsyn_power::simulated_energy;
+use dpsyn_power::{power_mw, simulated_energy};
 use dpsyn_sim::{BlockSim, SharedStimulus, ToggleCounter};
 use dpsyn_tech::{ResolvedTech, TechLibrary};
 
@@ -97,7 +97,7 @@ impl SimContext {
             rates[net.index()] = counter.toggle_rate(net);
         }
         let energy = simulated_energy(program.compiled(), &self.resolved, &rates);
-        let power = energy * self.voltage * self.voltage;
+        let power = power_mw(energy, self.voltage);
         self.memo.push((key, power));
         power
     }

@@ -13,6 +13,7 @@ use dpsyn_baselines::Flow;
 use dpsyn_designs::workloads::{random_sum, random_sum_of_products, SumWorkload};
 use dpsyn_designs::Design;
 use dpsyn_tech::TechLibrary;
+use std::collections::HashMap;
 use std::fmt;
 
 /// One source of expressions for the exploration matrix.
@@ -91,19 +92,28 @@ impl SkewProfile {
             SkewProfile::Uniform(max_arrival) => *max_arrival,
         }
     }
+}
 
-    /// Whether two profiles describe the same arrival range (and would therefore
-    /// enumerate duplicate jobs): exact duplicates always conflict; `Keep` and
-    /// `Uniform(0.0)` additionally conflict when a `random_sum` workload source is
-    /// present, because that generator maps both to `max_arrival = 0.0`. (Fixed
-    /// designs and sum-of-products sources are unaffected: `Keep` preserves their
-    /// non-trivial profiles while `Uniform(0.0)` zeroes them.)
-    pub(crate) fn conflicts_with(&self, other: &SkewProfile, has_sum_workloads: bool) -> bool {
-        if self == other {
-            return true;
+/// The first two of an axis's profiles, given as `(is Keep, range)`, that would
+/// enumerate duplicate jobs, as a pairwise check finds them: equal profiles, or
+/// `Keep` and `Uniform(0.0)` when a `random_sum` source maps both to range 0.0.
+/// One pass: the lowest conflicting position is its key's first occurrence, and
+/// its lowest partner the key's second.
+fn first_conflict(
+    profiles: impl Iterator<Item = (bool, f64)>,
+    has_sum_workloads: bool,
+) -> Option<(usize, usize)> {
+    let mut first_seen = HashMap::new();
+    let mut conflict: Option<(usize, usize)> = None;
+    for (index, (keep, range)) in profiles.enumerate() {
+        // `-0.0 == 0.0` as a range, so both take the bits of `0.0`.
+        let key = (!keep || has_sum_workloads).then(|| (range + 0.0).to_bits());
+        let first = *first_seen.entry(key).or_insert(index);
+        if first != index && conflict.is_none_or(|(lowest, _)| first < lowest) {
+            conflict = Some((first, index));
         }
-        has_sum_workloads && self.workload_max_arrival() == other.workload_max_arrival()
     }
+    conflict
 }
 
 impl fmt::Display for SkewProfile {
@@ -130,14 +140,6 @@ impl BiasProfile {
             BiasProfile::Keep => 0.0,
             BiasProfile::Uniform(bias) => *bias,
         }
-    }
-
-    /// Same duplicate-range rule as [`SkewProfile::conflicts_with`].
-    pub(crate) fn conflicts_with(&self, other: &BiasProfile, has_sum_workloads: bool) -> bool {
-        if self == other {
-            return true;
-        }
-        has_sum_workloads && self.workload_probability_skew() == other.workload_probability_skew()
     }
 }
 
@@ -287,7 +289,7 @@ impl ExplorationSpec {
 
     /// The number of jobs [`ExplorationSpec::jobs`] enumerates, counted without
     /// building them; `None` when the count overflows `usize`.
-    fn job_count(&self) -> Option<usize> {
+    pub(crate) fn job_count(&self) -> Option<usize> {
         let per_width = self
             .skews
             .len()
@@ -638,24 +640,26 @@ impl ExplorationSpecBuilder {
                 }
             }
         }
-        // Counted before the pairwise conflict checks, which it bounds.
         let jobs = self.spec.job_count().unwrap_or(usize::MAX);
         if jobs > MAX_JOBS {
             return Err(ExploreError::TooManyJobs(jobs));
         }
-        for (index, first) in self.spec.skews.iter().enumerate() {
-            for second in &self.spec.skews[index + 1..] {
-                if first.conflicts_with(second, has_sum_workloads) {
-                    return Err(ExploreError::ConflictingSkews(*first, *second));
-                }
-            }
+        let skews = &self.spec.skews;
+        let skew_ranges = skews
+            .iter()
+            .map(|skew| (*skew == SkewProfile::Keep, skew.workload_max_arrival()));
+        if let Some((first, second)) = first_conflict(skew_ranges, has_sum_workloads) {
+            return Err(ExploreError::ConflictingSkews(skews[first], skews[second]));
         }
-        for (index, first) in self.spec.biases.iter().enumerate() {
-            for second in &self.spec.biases[index + 1..] {
-                if first.conflicts_with(second, has_sum_workloads) {
-                    return Err(ExploreError::ConflictingBiases(*first, *second));
-                }
-            }
+        let biases = &self.spec.biases;
+        let bias_ranges = biases
+            .iter()
+            .map(|bias| (*bias == BiasProfile::Keep, bias.workload_probability_skew()));
+        if let Some((first, second)) = first_conflict(bias_ranges, has_sum_workloads) {
+            return Err(ExploreError::ConflictingBiases(
+                biases[first],
+                biases[second],
+            ));
         }
         if jobs == 0 {
             return Err(ExploreError::EmptyMatrix);

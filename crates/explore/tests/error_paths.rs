@@ -5,6 +5,7 @@ use dpsyn_explore::{
     BiasProfile, ExplorationSpec, ExploreError, Flow, SimActivity, SkewProfile, MAX_JOBS,
     MAX_SIM_VECTORS, MAX_SOURCE_TERMS, MAX_WIDTH,
 };
+use proptest::prelude::*;
 use std::error::Error as _;
 
 #[test]
@@ -261,6 +262,116 @@ fn conflicting_skews_are_rejected() {
         .flow(Flow::FaAot)
         .build()
         .expect("distinct profiles over a sum-of-products workload build");
+}
+
+/// The duplicate-range rule, checked pair by pair in index order: the lowest
+/// first position with a conflict, then its lowest partner. `values` are the
+/// profiles as `None` (`Keep`) or `Some(range)`; with a `random_sum` source a
+/// `Keep` draws the zero range.
+fn pairwise_conflict(values: &[Option<f64>], has_sum_workloads: bool) -> Option<(usize, usize)> {
+    let range = |value: Option<f64>| value.unwrap_or(0.0);
+    (0..values.len()).find_map(|first| {
+        (first + 1..values.len())
+            .find(|&second| {
+                values[first] == values[second]
+                    || (has_sum_workloads && range(values[first]) == range(values[second]))
+            })
+            .map(|second| (first, second))
+    })
+}
+
+/// A skew or bias axis value from a pool with exact duplicates, signed zeros and
+/// the `Keep`/zero-range pair.
+fn profile_value() -> impl Strategy<Value = Option<f64>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(0.0)),
+        Just(Some(-0.0)),
+        Just(Some(0.1)),
+        Just(Some(0.25)),
+        Just(Some(0.5)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass duplicate check reports exactly the pair the pairwise loops
+    /// report, for skews and then biases, with and without a `random_sum` source.
+    #[test]
+    fn conflicting_profiles_report_the_pairwise_pair(
+        skews in proptest::collection::vec(profile_value(), 0..7),
+        biases in proptest::collection::vec(profile_value(), 0..7),
+        has_sum_workloads in any::<bool>(),
+    ) {
+        let skew_axis: Vec<SkewProfile> = skews
+            .iter()
+            .map(|value| value.map_or(SkewProfile::Keep, SkewProfile::Uniform))
+            .collect();
+        let bias_axis: Vec<BiasProfile> = biases
+            .iter()
+            .map(|value| value.map_or(BiasProfile::Keep, BiasProfile::Uniform))
+            .collect();
+        let builder = if has_sum_workloads {
+            ExplorationSpec::builder().sum_workload(2).width(3)
+        } else {
+            ExplorationSpec::builder().design(dpsyn_designs::x2_x_y())
+        };
+        let built = builder
+            .skews(skew_axis.iter().copied())
+            .biases(bias_axis.iter().copied())
+            .flow(Flow::FaAot)
+            .build();
+        // An empty axis defaults to `Keep` alone, which cannot conflict.
+        match (
+            pairwise_conflict(&skews, has_sum_workloads),
+            pairwise_conflict(&biases, has_sum_workloads),
+        ) {
+            (Some((first, second)), _) => prop_assert!(
+                matches!(
+                    built,
+                    Err(ExploreError::ConflictingSkews(a, b))
+                        if a == skew_axis[first] && b == skew_axis[second]
+                        && a.to_string() == skew_axis[first].to_string()
+                        && b.to_string() == skew_axis[second].to_string()
+                ),
+                "expected skews {first} and {second}: {built:?}"
+            ),
+            (None, Some((first, second))) => prop_assert!(
+                matches!(
+                    built,
+                    Err(ExploreError::ConflictingBiases(a, b))
+                        if a == bias_axis[first] && b == bias_axis[second]
+                        && a.to_string() == bias_axis[first].to_string()
+                        && b.to_string() == bias_axis[second].to_string()
+                ),
+                "expected biases {first} and {second}: {built:?}"
+            ),
+            (None, None) => prop_assert!(built.is_ok(), "{built:?}"),
+        }
+    }
+}
+
+#[test]
+fn many_distinct_skews_on_an_empty_matrix_are_rejected_quickly() {
+    // About what a 1 MiB serve line holds. No flow means no job, so the job
+    // bound does not stop the duplicate check; it must stay linear.
+    let skews: Vec<SkewProfile> = (0..150_000)
+        .map(|index| SkewProfile::Uniform(f64::from(index) / 16.0))
+        .collect();
+    let started = std::time::Instant::now();
+    let error = ExplorationSpec::builder()
+        .sum_workload(2)
+        .width(4)
+        .skews(skews)
+        .build()
+        .expect_err("a matrix without flows must not build");
+    let elapsed = started.elapsed();
+    assert!(matches!(error, ExploreError::EmptyMatrix), "{error}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "150,000 skews took {elapsed:?}"
+    );
 }
 
 #[test]

@@ -20,17 +20,19 @@
 //! both by the probability propagation below and by the power-driven allocation
 //! algorithm in `dpsyn-core`.
 //!
-//! The analysis runs over a compiled netlist ([`CompiledNetlist`]) and has two entry
-//! points:
+//! The analysis runs over a compiled netlist ([`CompiledNetlist`]) and has one
+//! production path and one reference:
 //!
-//! * [`ProbabilityAnalysis::run_compiled`] — the stateless full pass;
 //! * [`IncrementalPower::rerun_delta`] — the stateful pass over a caller-owned
 //!   [`DeltaState`]: its first call on a fresh state is the full pass under the
 //!   defaults (unmentioned inputs at p = 0.5) plus the delta's entries, and every
 //!   later call re-propagates only the dirty cone. It returns a borrowed
 //!   [`PowerView`] of the state instead of a copied report;
 //!   [`PowerView::to_report`] builds the report the full pass gives for the same
-//!   profile, bit for bit.
+//!   profile, bit for bit. Every flow is measured through it, by way of
+//!   `dpsyn_core::AnalysisSession`.
+//! * [`ProbabilityAnalysis::run_compiled`] — the stateless full pass: the reference
+//!   the tests and benchmarks hold that path to. No production flow calls it.
 //!
 //! # Example
 //!
@@ -413,9 +415,9 @@ fn assert_bound(compiled: &CompiledNetlist, state: &DeltaState) {
     );
 }
 
-/// `energy · V² · f_norm` with a normalised frequency of 1, shared by the report
-/// and the view so both give the same bits.
-fn power_mw(total_energy: f64, voltage: f64) -> f64 {
+/// The milliwatt-like power `energy · V² · f_norm` (normalised frequency 1): the
+/// one power formula of reports, views and simulated energies.
+pub fn power_mw(total_energy: f64, voltage: f64) -> f64 {
     total_energy * voltage * voltage
 }
 
@@ -503,8 +505,8 @@ fn propagate_op(kind: CellKind, inputs: &[f64; 3]) -> [f64; 2] {
 /// probabilities: the per-pin activity `p·(1 − p)` of the analytic model is
 /// replaced by `rate / 2` (a toggle rate of `2·p·(1 − p)` is what independent
 /// consecutive samples produce), folded with the same per-kind energy weights in
-/// the same op-major pin order. Multiply by `V²` (see [`PowerReport::power_mw`])
-/// for the simulated counterpart of the analytic milliwatt figure.
+/// the same op-major pin order. [`power_mw`] turns it into the simulated
+/// counterpart of the analytic milliwatt figure.
 ///
 /// # Panics
 ///

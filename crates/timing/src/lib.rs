@@ -10,15 +10,17 @@
 //! Callers compile a netlist once and hand the program to every analysis (timing,
 //! power, simulation), so it is levelized exactly once.
 //!
-//! The analysis has two entry points:
+//! The analysis has one production path and one reference:
 //!
-//! * [`TimingAnalysis::run_compiled`] — the stateless full pass;
 //! * [`IncrementalTiming::rerun_delta`] — the stateful pass over a caller-owned
 //!   [`DeltaState`]: its first call on a fresh state is the full pass under the
 //!   defaults plus the delta's entries, and every later call re-propagates only the
 //!   dirty cone. It returns a borrowed [`TimingView`] of the state instead of a
 //!   copied report; [`TimingView::to_report`] builds the report the full pass
-//!   gives for the same profile, bit for bit.
+//!   gives for the same profile, bit for bit. Every flow is measured through it,
+//!   by way of `dpsyn_core::AnalysisSession`.
+//! * [`TimingAnalysis::run_compiled`] — the stateless full pass: the reference the
+//!   tests and benchmarks hold that path to. No production flow calls it.
 //!
 //! # Example
 //!

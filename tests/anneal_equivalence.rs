@@ -82,23 +82,25 @@ fn check_search(expr: &Expr, spec: &InputSpec, width: u32, seed: u64, label: &st
             .with_input_probabilities(probabilities.clone())
             .run_compiled(&fresh_compiled)
             .expect("from-scratch power");
+        let (live_timing, live_power) = step.session.reports(step.compiled);
         assert_eq!(
-            step.timing_report(),
-            fresh_timing,
+            live_timing, fresh_timing,
             "{label}: live timing diverged at proposal {} (accepted: {})",
-            step.stats.proposals,
-            step.accepted
+            step.stats.proposals, step.accepted
         );
         assert_eq!(
-            step.power_report(),
-            fresh_power,
+            live_power, fresh_power,
             "{label}: live power diverged at proposal {} (accepted: {})",
-            step.stats.proposals,
-            step.accepted
+            step.stats.proposals, step.accepted
         );
         // The figures the search carries and compares are the fresh ones too.
         assert_eq!(
-            [step.delay, step.switching_energy, step.power_mw].map(f64::to_bits),
+            [
+                step.figures.delay,
+                step.figures.switching_energy,
+                step.figures.power_mw
+            ]
+            .map(f64::to_bits),
             [
                 fresh_timing.critical_delay(),
                 fresh_power.total_energy(),
@@ -184,8 +186,8 @@ fn rollbacks_restore_the_live_view_exactly() {
     let mut last_energy: Option<u64> = None;
     let mut rejected_checked = 0u64;
     let (_, stats) = fa_anneal_observed(&expr, &spec, width, &tech, 3, |step| {
-        let delay = step.delay.to_bits();
-        let energy = step.switching_energy.to_bits();
+        let delay = step.figures.delay.to_bits();
+        let energy = step.figures.switching_energy.to_bits();
         if !step.accepted {
             if let (Some(previous_delay), Some(previous_energy)) = (last_delay, last_energy) {
                 assert_eq!(delay, previous_delay, "rollback shifted the delay bits");
